@@ -1,5 +1,5 @@
 //! Governor dispatch cost: dyn trait object vs devirtualized enum vs
-//! the vectorized LUT column, at batch widths 1, 8 and 64.
+//! the vectorized LUT column, at widths 1, 8 and 64.
 //!
 //! All three paths step the same [`DispatchLanes`] workload (every
 //! baseline governor, deterministic load stream), so the comparison

@@ -10,8 +10,8 @@
 //!   Sessions here use distinct seeds and bypass the session cache so the
 //!   number reflects simulation, not memoization. On a one-core host the
 //!   pool number is scheduler-sensitive; `serial_sessions_per_sec` is the
-//!   same workload run serially on one thread — the stable baseline the
-//!   kernel comparison and the CI perf floor use.
+//!   same workload run serially on one thread — the stable single-thread
+//!   baseline.
 //! * `allocations_per_session` — heap allocations per simulated session,
 //!   counted by the binary's global allocator during the same run.
 //! * `run_all_wall_s` / `run_all_warm_wall_s` — wall-clock seconds to
@@ -51,13 +51,8 @@
 //! exits 1. CI uses this instead of wrapping the command in `timeout`,
 //! which could kill the process mid-write and leave a truncated report.
 //!
-//! `--min-kernel-speedup X` is the CI perf floor: after the report is
-//! written, the batched kernel's sessions/sec is compared against a
-//! dedicated *serial* scalar run of the same sessions, and the process
-//! exits 1 if the speedup falls below X.
-//!
-//! Usage: `bench_report [--smoke] [--profile] [--budget-s N]
-//! [--min-kernel-speedup X]`. `EAVS_JOBS` sizes the pool as usual.
+//! Usage: `bench_report [--smoke] [--profile] [--budget-s N]`.
+//! `EAVS_JOBS` sizes the pool as usual.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -161,33 +156,6 @@ fn measure_sessions_per_sec(sessions: usize, secs_each: u64) -> (f64, f64) {
     (sessions as f64 / elapsed, allocs as f64 / sessions as f64)
 }
 
-/// Complete streaming sessions per second through the batched SoA
-/// kernel ([`eavs_core::run_batch`]), on exactly the workload (and
-/// seeds) [`measure_sessions_per_sec`] just ran — segment/trace
-/// generation is already memoized, so both numbers isolate session
-/// simulation. Width is capped at a quarter of the session count so
-/// every lane recycles its scratch arena a few times, as it would in a
-/// real sweep.
-fn measure_kernel_sessions_per_sec(sessions: usize, secs_each: u64) -> (f64, f64) {
-    let manifest = std::sync::Arc::new(manifest_1080p30(secs_each));
-    let width = (sessions / 4).clamp(1, eavs_core::DEFAULT_WIDTH);
-    let allocs_before = ALLOCS.load(Ordering::Relaxed);
-    let started = Instant::now();
-    let reports = eavs_core::run_batch(
-        (0..sessions).map(|i| {
-            StreamingSession::builder(governor("eavs"))
-                .manifest(std::sync::Arc::clone(&manifest))
-                .seed(SEED + i as u64)
-        }),
-        width,
-    );
-    let elapsed = started.elapsed().as_secs_f64();
-    let allocs = ALLOCS.load(Ordering::Relaxed) - allocs_before;
-    assert_eq!(reports.len(), sessions);
-    std::hint::black_box(&reports);
-    (sessions as f64 / elapsed, allocs as f64 / sessions as f64)
-}
-
 /// Wall-clock to regenerate experiments (all of them, or a smoke subset).
 fn measure_run_all(smoke: bool) -> (f64, usize) {
     // f12 runs real sessions, so even the smoke report exercises (and
@@ -220,10 +188,8 @@ fn measure_run_all(smoke: bool) -> (f64, usize) {
 /// mode. Returns (session-runs/sec, campaign cache hit rate, outcome).
 fn measure_fleet(smoke: bool) -> (f64, f64, eavs_fleet::CampaignOutcome) {
     let mut spec = eavs_fleet::CampaignSpec::smoke();
-    // `eavs-panic` differs from `eavs` only by panic-recovery knobs,
-    // which sit outside the replay prefix — every draw therefore gains
-    // a timeline-replay sibling, so the benchmark exercises (and its
-    // counters witness) the steady-state replay path.
+    // The resilient EAVS lane rides along, as in the `perfbench`
+    // campaign workload.
     spec.governors.push("eavs-panic".to_owned());
     if !smoke {
         spec.name = "bench-report-fleet".to_owned();
@@ -318,15 +284,12 @@ fn measure_daemon(smoke: bool) -> (f64, f64, u64) {
     )
 }
 
-/// Single-threaded scalar reference: the same sessions and seeds as
-/// [`measure_kernel_sessions_per_sec`], run serially through the
-/// per-session dispatcher. The pool-based [`measure_sessions_per_sec`]
-/// number depends on how the OS interleaves the worker thread with the
-/// helping caller (on a one-core box the split is scheduler luck and
-/// the number swings 2-3x run to run), so this serial figure is the
-/// stable single-thread baseline the kernel floor compares against. It
-/// also pre-warms every seed's bandwidth trace for the kernel run that
-/// follows, keeping one-time trace generation out of its timed region.
+/// Single-threaded reference: the same sessions and seeds as
+/// [`measure_sessions_per_sec`], run serially on the calling thread.
+/// The pool-based number depends on how the OS interleaves the worker
+/// thread with the helping caller (on a one-core box the split is
+/// scheduler luck and the number swings 2-3x run to run), so this serial
+/// figure is the stable single-thread baseline.
 fn measure_scalar_reference(sessions: usize, secs_each: u64) -> f64 {
     let manifest = std::sync::Arc::new(manifest_1080p30(secs_each));
     let started = Instant::now();
@@ -415,7 +378,6 @@ fn main() {
     let mut smoke = false;
     let mut profile = false;
     let mut budget_s: Option<f64> = None;
-    let mut min_kernel_speedup: Option<f64> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -431,23 +393,10 @@ fn main() {
                     }
                 }
             }
-            "--min-kernel-speedup" => {
-                let raw = args.next().unwrap_or_default();
-                match raw.parse::<f64>() {
-                    Ok(n) if n > 0.0 => min_kernel_speedup = Some(n),
-                    _ => {
-                        eprintln!(
-                            "error: --min-kernel-speedup needs a positive number, got {raw:?}"
-                        );
-                        std::process::exit(2);
-                    }
-                }
-            }
             other => {
                 eprintln!(
                     "error: unknown argument {other:?}\n\
-                     usage: bench_report [--smoke] [--profile] [--budget-s N] \
-                     [--min-kernel-speedup X]"
+                     usage: bench_report [--smoke] [--profile] [--budget-s N]"
                 );
                 std::process::exit(2);
             }
@@ -471,21 +420,8 @@ fn main() {
     eprintln!("  sessions/sec    {sessions_per_sec:.2} ({sessions} x {session_secs} s sessions)");
     eprintln!("  allocs/session  {allocations_per_session:.0}");
 
-    // In smoke mode the pool-sized session count would hand the kernel a
-    // degenerate one-lane shard; measure it over at least 16 sessions
-    // (width 4) so the number reflects batched execution. Smoke sessions
-    // are 10 simulated seconds, so the extra lanes cost milliseconds.
-    let kernel_sessions = if smoke { sessions.max(16) } else { sessions };
-
-    let serial_sessions_per_sec = measure_scalar_reference(kernel_sessions, session_secs);
-    eprintln!("  serial/sec      {serial_sessions_per_sec:.2} (scalar, single thread)");
-
-    let (kernel_sessions_per_sec, kernel_allocations_per_session) =
-        measure_kernel_sessions_per_sec(kernel_sessions, session_secs);
-    eprintln!(
-        "  kernel/sec      {kernel_sessions_per_sec:.2} (batched SoA, single thread, \
-         {kernel_allocations_per_session:.0} allocs/session)"
-    );
+    let serial_sessions_per_sec = measure_scalar_reference(sessions, session_secs);
+    eprintln!("  serial/sec      {serial_sessions_per_sec:.2} (single thread)");
 
     let (run_all_wall_s, experiments) = measure_run_all(smoke);
     eprintln!("  run_all cold    {run_all_wall_s:.2} s ({experiments} experiments)");
@@ -501,10 +437,7 @@ fn main() {
     let fleet_peak_shard_bytes = fleet_outcome.peak_shard_bytes;
     eprintln!(
         "  fleet           {fleet_sessions_per_sec:.0} session-runs/sec \
-         ({fleet_session_runs} runs, {} replayed, {} batched, {:.0}% cache hits, \
-         peak shard {:.1} KiB)",
-        fleet_outcome.replayed,
-        fleet_outcome.batched,
+         ({fleet_session_runs} runs, {:.0}% cache hits, peak shard {:.1} KiB)",
         fleet_cache_hit_rate * 100.0,
         fleet_peak_shard_bytes as f64 / 1024.0,
     );
@@ -552,9 +485,6 @@ fn main() {
     let session = eavs_bench::cache::stats();
     let segment = eavs_trace::memo::segment_cache_stats();
     let trace = eavs_trace::memo::trace_cache_stats();
-    let timeline = eavs_trace::memo::decision_timeline_stats();
-    let replayed_sessions = eavs_core::session::replayed_sessions();
-    let injected_decisions = eavs_core::session::injected_decisions();
     eprintln!(
         "  session cache   {} hits / {} misses / {} uncacheable / {} evicted \
          ({:.0}% hit, {:.1} MiB)",
@@ -568,11 +498,6 @@ fn main() {
     eprintln!(
         "  segment cache   {} hits / {} misses; trace cache {} hits / {} misses",
         segment.hits, segment.misses, trace.hits, trace.misses,
-    );
-    eprintln!(
-        "  replay          {} sessions replayed, {} decisions injected \
-         ({} timeline hits / {} misses)",
-        replayed_sessions, injected_decisions, timeline.hits, timeline.misses,
     );
 
     // Optional per-phase breakdown: one profiled session, reported as a
@@ -595,9 +520,7 @@ fn main() {
             "  \"events_per_sec\": {events_per_sec:.0},\n",
             "  \"sessions_per_sec\": {sessions_per_sec:.3},\n",
             "  \"serial_sessions_per_sec\": {serial_sessions_per_sec:.3},\n",
-            "  \"kernel_sessions_per_sec\": {kernel_sessions_per_sec:.3},\n",
             "  \"allocations_per_session\": {allocations_per_session:.0},\n",
-            "  \"kernel_allocations_per_session\": {kernel_allocations_per_session:.0},\n",
             "  \"run_all_wall_s\": {run_all_wall_s:.3},\n",
             "  \"run_all_warm_wall_s\": {run_all_warm_wall_s:.3},\n",
             "  \"warm_speedup\": {warm_speedup:.2},\n",
@@ -611,12 +534,6 @@ fn main() {
             "  }},\n",
             "  \"segment_cache\": {{ \"hits\": {segment_hits}, \"misses\": {segment_misses} }},\n",
             "  \"trace_cache\": {{ \"hits\": {trace_hits}, \"misses\": {trace_misses} }},\n",
-            "  \"replay\": {{\n",
-            "    \"sessions_replayed\": {replayed_sessions},\n",
-            "    \"decisions_injected\": {injected_decisions},\n",
-            "    \"timeline_hits\": {timeline_hits},\n",
-            "    \"timeline_misses\": {timeline_misses}\n",
-            "  }},\n",
             "  \"governor_dispatch\": {{\n",
             "    \"widths\": [1, 8, 64],\n",
             "    \"dyn_ns_per_decision\": {dispatch_dyn_ns},\n",
@@ -635,8 +552,6 @@ fn main() {
             "    \"session_runs\": {fleet_session_runs},\n",
             "    \"sessions_per_sec\": {fleet_sessions_per_sec:.1},\n",
             "    \"cache_hit_rate\": {fleet_cache_hit_rate:.4},\n",
-            "    \"replayed\": {fleet_replayed},\n",
-            "    \"batched\": {fleet_batched},\n",
             "    \"peak_shard_bytes\": {fleet_peak_shard_bytes}\n",
             "  }},\n",
             "  \"daemon\": {{\n",
@@ -661,9 +576,7 @@ fn main() {
         events_per_sec = events_per_sec,
         sessions_per_sec = sessions_per_sec,
         serial_sessions_per_sec = serial_sessions_per_sec,
-        kernel_sessions_per_sec = kernel_sessions_per_sec,
         allocations_per_session = allocations_per_session,
-        kernel_allocations_per_session = kernel_allocations_per_session,
         run_all_wall_s = run_all_wall_s,
         run_all_warm_wall_s = run_all_warm_wall_s,
         warm_speedup = warm_speedup,
@@ -677,10 +590,6 @@ fn main() {
         segment_misses = segment.misses,
         trace_hits = trace.hits,
         trace_misses = trace.misses,
-        replayed_sessions = replayed_sessions,
-        injected_decisions = injected_decisions,
-        timeline_hits = timeline.hits,
-        timeline_misses = timeline.misses,
         dispatch_dyn_ns = ns_array(&dispatch_dyn_ns),
         dispatch_enum_ns = ns_array(&dispatch_enum_ns),
         dispatch_lut_ns = ns_array(&dispatch_lut_ns),
@@ -693,8 +602,6 @@ fn main() {
         fleet_session_runs = fleet_session_runs,
         fleet_sessions_per_sec = fleet_sessions_per_sec,
         fleet_cache_hit_rate = fleet_cache_hit_rate,
-        fleet_replayed = fleet_outcome.replayed,
-        fleet_batched = fleet_outcome.batched,
         fleet_peak_shard_bytes = fleet_peak_shard_bytes,
         daemon_session_runs = daemon_session_runs,
         daemon_http_per_sec = daemon_http_per_sec,
@@ -723,24 +630,6 @@ fn main() {
     let path = dir.join(name);
     std::fs::write(&path, &json).expect("write bench report");
     eprintln!("wrote {}", path.display());
-
-    // Soft perf floor (CI): the batched kernel must sustain at least
-    // `min` times the single-threaded scalar dispatcher on the same
-    // sessions. Compared against a dedicated serial run rather than the
-    // pooled number above so both sides see one thread and the same
-    // machine state; enforced after the report is written so a failing
-    // run still leaves the numbers behind.
-    if let Some(min) = min_kernel_speedup {
-        let speedup = kernel_sessions_per_sec / serial_sessions_per_sec.max(1e-9);
-        eprintln!(
-            "kernel speedup {speedup:.2}x over serial scalar \
-             ({serial_sessions_per_sec:.2}/s), floor {min}x"
-        );
-        if speedup < min {
-            eprintln!("error: kernel speedup below the --min-kernel-speedup {min} floor");
-            std::process::exit(1);
-        }
-    }
 
     // Budget enforcement comes last so a slow run still leaves a
     // complete report behind for diagnosis.

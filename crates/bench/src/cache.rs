@@ -12,8 +12,8 @@
 //! identical, so whichever insert wins is indistinguishable.
 
 use eavs_core::report::SessionReport;
-use eavs_core::session::{ReplayCtl, SessionBuilder};
-use std::collections::{HashMap, HashSet, VecDeque};
+use eavs_core::session::SessionBuilder;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -147,16 +147,17 @@ fn forced_null_trace() -> Option<eavs_obs::SharedSink> {
         .clone()
 }
 
-/// Runs `builder` through the process-wide session cache: a hit returns
-/// the shared report without simulating; a miss simulates, caches and
-/// returns it; an unfingerprintable builder runs uncached.
+/// Attaches the forced no-op decorations of the golden CI legs and
+/// returns the builder with its cache key: `None` (counted as
+/// uncacheable) when it must run uncached.
 ///
 /// Builders carrying an observer (trace sink or profiler) always run —
 /// a cache hit would skip the observer's side effects. The forced
 /// `EAVS_NULL_TRACE` sink is attached *after* that check: it is not a
 /// caller observer, and sessions must stay cacheable under it so the CI
-/// golden pass exercises the identical hit/miss pattern.
-pub fn run_session(builder: SessionBuilder) -> Arc<SessionReport> {
+/// golden pass exercises the identical hit/miss pattern. Builders whose
+/// components carry learned state cannot be fingerprinted.
+fn prepare(builder: SessionBuilder) -> (SessionBuilder, Option<u128>) {
     let builder = if force_empty_faults() && !builder.has_faults() {
         builder.faults(eavs_faults::FaultPlan::default())
     } else {
@@ -174,232 +175,118 @@ pub fn run_session(builder: SessionBuilder) -> Arc<SessionReport> {
     };
     if builder.has_observer() {
         UNCACHEABLE.fetch_add(1, Ordering::Relaxed);
-        return Arc::new(builder.run());
+        return (builder, None);
     }
     let builder = match forced_null_trace() {
         Some(sink) => builder.trace(sink),
         None => builder,
     };
-    run_session_inner(builder)
+    let key = builder.fingerprint().map(|fp| fp.0);
+    if key.is_none() {
+        UNCACHEABLE.fetch_add(1, Ordering::Relaxed);
+    }
+    (builder, key)
 }
 
-fn run_session_inner(builder: SessionBuilder) -> Arc<SessionReport> {
-    let Some(fp) = builder.fingerprint() else {
-        UNCACHEABLE.fetch_add(1, Ordering::Relaxed);
-        return Arc::new(builder.run());
-    };
-    if let Some(r) = cache()
+/// The cached report under `key`, counting a hit.
+fn lookup(key: u128) -> Option<Arc<SessionReport>> {
+    let found = cache()
         .lock()
         .expect("session cache poisoned")
         .map
-        .get(&fp.0)
-    {
+        .get(&key)
+        .cloned();
+    if found.is_some() {
         HITS.fetch_add(1, Ordering::Relaxed);
-        return Arc::clone(r);
+    }
+    found
+}
+
+/// Runs `builder` through the process-wide session cache: a hit returns
+/// the shared report without simulating; a miss simulates, caches and
+/// returns it; an observed or unfingerprintable builder runs uncached.
+pub fn run_session(builder: SessionBuilder) -> Arc<SessionReport> {
+    let (builder, key) = prepare(builder);
+    let Some(key) = key else {
+        return Arc::new(builder.run());
+    };
+    if let Some(r) = lookup(key) {
+        return r;
     }
     MISSES.fetch_add(1, Ordering::Relaxed);
     let report = Arc::new(builder.run());
     let mut inner = cache().lock().expect("session cache poisoned");
-    if let Some(r) = inner.map.get(&fp.0) {
+    if let Some(r) = inner.map.get(&key) {
         return Arc::clone(r); // a racer inserted first; identical by determinism
     }
-    insert_bounded(&mut inner, cap_bytes(), fp.0, &report);
+    insert_bounded(&mut inner, cap_bytes(), key, &report);
     report
 }
 
-/// Runs a labeled batch of sessions through the cache, the differential
-/// replay store and (under `EAVS_BATCH`) the struct-of-arrays kernel,
-/// returning reports in input order.
+/// Runs a labeled batch of sessions through the cache in one pass,
+/// returning reports in input order: the vectorized [`run_session`].
 ///
-/// This is the vectorized [`run_session`]: identical per-session
-/// semantics (empty-faults decoration, observer bypass, forced null
-/// trace, fingerprint caching), plus two batch-only optimizations that
-/// are invisible in the results:
-///
-/// - **Differential replay.** Cache misses are grouped by
-///   [`SessionBuilder::replay_prefix`]. The first miss of each prefix
-///   runs in a leading wave — recording its decision timeline (or
-///   injecting a previously stored one); the remaining misses run in a
-///   trailing wave with the recorded timeline injected, paying full
-///   decision cost only from their divergence point on.
-/// - **Batched execution.** With `EAVS_BATCH` set, each wave runs
-///   through [`eavs_core::batch::run_batch`] in width-sized lanes.
-///
-/// Every scheduling decision (wave membership, decoration, cache
-/// insertion order) happens on the calling thread in input order, so
+/// Each builder is prepared exactly as [`run_session`] prepares it and
+/// looked up in the cache; a builder whose key an earlier job of this
+/// call already claimed shares that job's run. Every remaining builder
+/// runs on the shared pool, and the new reports enter the cache in input
+/// order. All of this bookkeeping happens on the calling thread, so
 /// counters and eviction order are independent of `EAVS_JOBS`.
 pub fn run_sessions(jobs: Vec<(String, SessionBuilder)>) -> Vec<Arc<SessionReport>> {
     enum Slot {
         Done(Arc<SessionReport>),
-        /// Resolve from this call's miss results by fingerprint.
-        Miss(u128),
-        /// Resolve from the uncached run results by position.
-        Uncached(usize),
+        /// Resolve from this call's run results by position.
+        Run(usize),
     }
     let mut slots: Vec<Slot> = Vec::with_capacity(jobs.len());
-    let mut misses: Vec<(String, SessionBuilder, u128)> = Vec::new();
-    let mut claimed: HashSet<u128> = HashSet::new();
-    let mut uncached: Vec<(String, SessionBuilder)> = Vec::new();
-
+    let mut runs: Vec<(String, SessionBuilder)> = Vec::new();
+    let mut keys: Vec<Option<u128>> = Vec::new();
+    let mut claimed: HashMap<u128, usize> = HashMap::new();
     for (label, builder) in jobs {
-        let builder = if force_empty_faults() && !builder.has_faults() {
-            builder.faults(eavs_faults::FaultPlan::default())
-        } else {
-            builder
-        };
-        let builder = if force_null_power() && !builder.has_power() {
-            builder.power(eavs_power::DevicePowerModel::none())
-        } else {
-            builder
-        };
-        let builder = if force_null_prior() && !builder.has_prior() {
-            builder.prior(eavs_core::predictor::SessionPrior::default())
-        } else {
-            builder
-        };
-        if builder.has_observer() {
-            UNCACHEABLE.fetch_add(1, Ordering::Relaxed);
-            slots.push(Slot::Uncached(uncached.len()));
-            uncached.push((label, builder));
-            continue;
-        }
-        let builder = match forced_null_trace() {
-            Some(sink) => builder.trace(sink),
-            None => builder,
-        };
-        let Some(fp) = builder.fingerprint() else {
-            UNCACHEABLE.fetch_add(1, Ordering::Relaxed);
-            slots.push(Slot::Uncached(uncached.len()));
-            uncached.push((label, builder));
-            continue;
-        };
-        if let Some(r) = cache()
-            .lock()
-            .expect("session cache poisoned")
-            .map
-            .get(&fp.0)
-        {
-            HITS.fetch_add(1, Ordering::Relaxed);
-            slots.push(Slot::Done(Arc::clone(r)));
-        } else if claimed.contains(&fp.0) {
-            // Duplicate of an earlier miss in this very call.
-            HITS.fetch_add(1, Ordering::Relaxed);
-            slots.push(Slot::Miss(fp.0));
-        } else {
-            MISSES.fetch_add(1, Ordering::Relaxed);
-            claimed.insert(fp.0);
-            slots.push(Slot::Miss(fp.0));
-            misses.push((label, builder, fp.0));
-        }
-    }
-
-    // Wave split: the first miss of each replay prefix leads (recording
-    // its timeline unless one is already stored); prefix siblings trail
-    // and inject. Prefix-less builders (baselines, auto placement) join
-    // the leading wave undecorated.
-    let mut wave1: Vec<(String, SessionBuilder, u128)> = Vec::new();
-    let mut wave2: Vec<(String, SessionBuilder, u128, u128)> = Vec::new();
-    let mut leading: HashSet<u128> = HashSet::new();
-    for (label, builder, fp) in misses {
-        match builder.replay_prefix() {
-            Some(key) if !leading.insert(key) => wave2.push((label, builder, fp, key)),
-            Some(key) => {
-                // Probe without counting: a leader that finds nothing is
-                // the recorder, not a missed replay. Only when a timeline
-                // already exists (an earlier figure shared the prefix) is
-                // the counting lookup taken — that injection is a real
-                // replay and lands in the hit rate.
-                let decorated = match eavs_trace::memo::peek_decision_timeline(key) {
-                    Some(_) => {
-                        let timeline =
-                            eavs_trace::memo::decision_timeline(key).expect("just peeked");
-                        builder.replay(ReplayCtl::Inject(timeline))
-                    }
-                    None => builder.replay(ReplayCtl::Record(key)),
-                };
-                wave1.push((label, decorated, fp));
+        let (builder, key) = prepare(builder);
+        if let Some(key) = key {
+            if let Some(r) = lookup(key) {
+                slots.push(Slot::Done(r));
+                continue;
             }
-            None => wave1.push((label, builder, fp)),
+            if let Some(&run) = claimed.get(&key) {
+                // Duplicate of an earlier miss in this very call.
+                HITS.fetch_add(1, Ordering::Relaxed);
+                slots.push(Slot::Run(run));
+                continue;
+            }
+            MISSES.fetch_add(1, Ordering::Relaxed);
+            claimed.insert(key, runs.len());
         }
+        slots.push(Slot::Run(runs.len()));
+        keys.push(key);
+        runs.push((label, builder));
     }
 
-    let mut local: HashMap<u128, Arc<SessionReport>> = HashMap::new();
-    let run_wave = |wave: Vec<(String, SessionBuilder, u128)>,
-                    local: &mut HashMap<u128, Arc<SessionReport>>| {
-        let fps: Vec<u128> = wave.iter().map(|(_, _, fp)| *fp).collect();
-        let jobs: Vec<(String, SessionBuilder)> =
-            wave.into_iter().map(|(l, b, _)| (l, b)).collect();
-        let reports = execute_wave(jobs);
+    let reports: Vec<Arc<SessionReport>> = crate::executor::run_parallel_labeled(
+        runs.into_iter()
+            .map(|(label, builder)| (label, move || builder.run()))
+            .collect(),
+    )
+    .into_iter()
+    .map(Arc::new)
+    .collect();
+    {
         let mut inner = cache().lock().expect("session cache poisoned");
-        for (fp, report) in fps.into_iter().zip(reports) {
-            let report = Arc::new(report);
-            insert_bounded(&mut inner, cap_bytes(), fp, &report);
-            local.insert(fp, report);
+        for (key, report) in keys.iter().zip(&reports) {
+            if let Some(key) = key {
+                insert_bounded(&mut inner, cap_bytes(), *key, report);
+            }
         }
-    };
-    run_wave(wave1, &mut local);
-    let wave2: Vec<(String, SessionBuilder, u128)> = wave2
-        .into_iter()
-        .map(|(label, builder, fp, key)| {
-            let decorated = match eavs_trace::memo::decision_timeline(key) {
-                Some(timeline) => builder.replay(ReplayCtl::Inject(timeline)),
-                None => builder, // recorder ran un-clean; pay full cost
-            };
-            (label, decorated, fp)
-        })
-        .collect();
-    run_wave(wave2, &mut local);
-    let uncached_reports: Vec<Arc<SessionReport>> =
-        execute_wave(uncached).into_iter().map(Arc::new).collect();
+    }
 
     slots
         .into_iter()
         .map(|slot| match slot {
             Slot::Done(r) => r,
-            Slot::Miss(fp) => Arc::clone(&local[&fp]),
-            Slot::Uncached(i) => Arc::clone(&uncached_reports[i]),
+            Slot::Run(i) => Arc::clone(&reports[i]),
         })
         .collect()
-}
-
-/// Runs one wave of builders: width-sized chunks through the
-/// struct-of-arrays kernel when `EAVS_BATCH` asks for it, the scalar
-/// work-stealing pool otherwise. Results in input order either way.
-fn execute_wave(jobs: Vec<(String, SessionBuilder)>) -> Vec<SessionReport> {
-    if jobs.is_empty() {
-        return Vec::new();
-    }
-    match crate::executor::batch_width() {
-        Some(width) => {
-            let mut chunks: Vec<(String, Vec<SessionBuilder>)> = Vec::new();
-            for (label, builder) in jobs {
-                match chunks.last_mut() {
-                    Some((_, chunk)) if chunk.len() < width => chunk.push(builder),
-                    _ => chunks.push((format!("batch {label}"), vec![builder])),
-                }
-            }
-            crate::executor::run_parallel_labeled(
-                chunks
-                    .into_iter()
-                    .map(|(label, chunk)| {
-                        let job = move || eavs_core::batch::run_batch(chunk, width);
-                        (label, job)
-                    })
-                    .collect(),
-            )
-            .into_iter()
-            .flatten()
-            .collect()
-        }
-        None => crate::executor::run_parallel_labeled(
-            jobs.into_iter()
-                .map(|(label, builder)| {
-                    let job = move || builder.run();
-                    (label, job)
-                })
-                .collect(),
-        ),
-    }
 }
 
 /// Counters of the session cache.
@@ -523,11 +410,11 @@ mod tests {
     }
 
     #[test]
-    fn run_sessions_matches_scalar_runs_and_replays_prefix_siblings() {
+    fn run_sessions_matches_scalar_runs_and_dedupes_within_a_call() {
         use crate::harness::eavs_with;
         use eavs_core::governor::EavsConfig;
-        // A margin sweep: one replay prefix, five variants. Seed unique
-        // to this test so every lookup is a genuine miss.
+        // A margin sweep. Seed unique to this test so every lookup is a
+        // genuine miss.
         let margins = [0.0, 0.10, 0.15, 0.30, 0.50];
         let mk = |margin| {
             StreamingSession::builder(eavs_with(
@@ -544,7 +431,6 @@ mod tests {
             .iter()
             .map(|&m| format!("{:?}", mk(m).run()))
             .collect();
-        let replayed_before = eavs_core::session::replayed_sessions();
         let got = run_sessions(
             margins
                 .iter()
@@ -554,12 +440,11 @@ mod tests {
         for (i, r) in got.iter().enumerate() {
             assert_eq!(format!("{:?}", **r), expected[i], "margin {}", margins[i]);
         }
-        assert!(
-            eavs_core::session::replayed_sessions() > replayed_before,
-            "prefix siblings must have injected the recorded timeline"
-        );
-        // A duplicate job in the same call shares the result.
-        let twice = run_sessions(vec![("a".into(), mk(0.15)), ("b".into(), mk(0.15))]);
+        // A duplicate job in the same call shares the result, and a later
+        // call is served from the cache.
+        let twice = run_sessions(vec![("a".into(), mk(0.7)), ("b".into(), mk(0.7))]);
         assert!(Arc::ptr_eq(&twice[0], &twice[1]));
+        let again = run_sessions(vec![("c".into(), mk(0.7))]);
+        assert!(Arc::ptr_eq(&twice[0], &again[0]));
     }
 }

@@ -4,9 +4,9 @@
 //! Both figures attach the phone preset of [`DevicePowerModel`] to an
 //! LTE drive scenario. Accounting is post-hoc over the finished timeline
 //! (download activity intervals, chosen bitrates, manifest, seed), so the
-//! sessions here are byte-identical to their unmodeled twins — every row
-//! shares the same replay prefix, and the committed golden CSVs of the
-//! other 28 experiments are provably untouched (`tests/power_noop.rs`).
+//! sessions here are byte-identical to their unmodeled twins, and the
+//! committed golden CSVs of the other 28 experiments are provably
+//! untouched (`tests/power_noop.rs`).
 
 use crate::harness::{
     governor, manifest_1080p30, run_parallel_labeled, run_session, single_manifest,

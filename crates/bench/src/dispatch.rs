@@ -10,8 +10,8 @@
 //!   static dispatch through one predictable `match`, selection over the
 //!   precomputed frequency column.
 //! * **lut**  — [`DecisionLut::lookup_many`] over a contiguous target
-//!   column, the struct-of-arrays form the batch runner feeds one
-//!   governor group at a time. This is the selection primitive alone
+//!   column, the struct-of-arrays form for many sessions of one
+//!   governor. This is the selection primitive alone
 //!   (targets are precomputed), so it bounds the other two from below.
 //!
 //! The same lane state and stream drive both the `governor_dispatch`
@@ -116,7 +116,7 @@ impl DispatchLanes {
     }
 
     /// One frequency selection per lane over the contiguous target
-    /// column — the vectorized batch-runner primitive.
+    /// column — the vectorized selection primitive.
     pub fn step_lut(&mut self) -> usize {
         let t = self.step;
         self.step += 1;

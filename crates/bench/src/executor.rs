@@ -151,9 +151,8 @@ pub fn env_knob<T: std::str::FromStr>(name: &str) -> Option<T> {
 /// registered in one place so the warn-once contract can be proven for
 /// each of them (a malformed value warns exactly once per variable, no
 /// matter how many jobs consult it).
-pub const REGISTERED_KNOBS: [&str; 10] = [
+pub const REGISTERED_KNOBS: [&str; 9] = [
     "EAVS_JOBS",
-    "EAVS_BATCH",
     "EAVS_CHAOS_CASES",
     "EAVS_SESSION_CACHE_MB",
     "EAVS_POWER_TAIL_MS",
@@ -226,20 +225,6 @@ fn first_warning_for(name: &str) -> bool {
         .lock()
         .expect("env knob warning set poisoned")
         .insert(name.to_string())
-}
-
-/// Batch width from `EAVS_BATCH`: unset or `1` → the default
-/// struct-of-arrays width (batching is the default shard runner —
-/// byte-identical to scalar, see `eavs_core::batch`); `0` → scalar
-/// execution (`None`), the escape hatch CI exercises; any other `n` →
-/// `n` lanes. Read once — sweeps consult it per wave.
-pub fn batch_width() -> Option<usize> {
-    static WIDTH: OnceLock<Option<usize>> = OnceLock::new();
-    *WIDTH.get_or_init(|| match env_knob::<usize>("EAVS_BATCH") {
-        Some(0) => None,
-        None | Some(1) => Some(eavs_core::batch::DEFAULT_WIDTH),
-        Some(n) => Some(n),
-    })
 }
 
 /// Pool size: `EAVS_JOBS` if set (clamped to ≥ 1), else available cores.
@@ -391,7 +376,6 @@ mod tests {
         // here, not silently drift.
         let documented = [
             "EAVS_JOBS",
-            "EAVS_BATCH",
             "EAVS_CHAOS_CASES",
             "EAVS_SESSION_CACHE_MB",
             "EAVS_POWER_TAIL_MS",

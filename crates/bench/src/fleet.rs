@@ -15,11 +15,9 @@ use eavs_core::session::SessionBuilder;
 use eavs_fleet::{CampaignOutcome, CampaignSpec, RunOptions};
 use eavs_metrics::table::Table;
 
-/// The production shard runner: labeled jobs go through the wave
-/// scheduler ([`crate::cache::run_sessions`]), which dedupes against
-/// the session cache, replays decision timelines across knob variants,
-/// and — when `EAVS_BATCH` selects a width — runs misses through the
-/// batched SoA kernel.
+/// The production shard runner: labeled jobs go through
+/// [`crate::cache::run_sessions`], which dedupes them against the session
+/// cache and runs the misses on the shared pool.
 pub fn pooled_runner(jobs: Vec<(String, SessionBuilder)>) -> Vec<Arc<SessionReport>> {
     crate::cache::run_sessions(jobs)
 }

@@ -28,7 +28,7 @@ use eavs_cpu::freq::Cycles;
 use eavs_cpu::opp::{OppIndex, OppTable};
 use eavs_sim::fingerprint::Fingerprinter;
 use eavs_sim::time::{SimDuration, SimTime};
-use eavs_trace::memo::{decision_kind, DecisionRecord};
+use eavs_trace::memo::decision_kind;
 use eavs_video::display::PlaybackPhase;
 
 /// Configuration of the EAVS governor.
@@ -343,70 +343,21 @@ impl EavsGovernor {
         limits: PolicyLimits,
         cur: OppIndex,
     ) -> OppIndex {
-        self.decide_core(snap, table, limits, cur, None).0
+        self.decide_core(snap, table, limits, cur).0
     }
 
-    /// Takes a decision and appends its [`DecisionRecord`] to `out`, so a
-    /// clean base session can publish its timeline for differential
-    /// sweep replay.
-    pub fn decide_recorded(
-        &mut self,
-        snap: &PipelineSnapshot,
-        table: &OppTable,
-        limits: PolicyLimits,
-        cur: OppIndex,
-        out: &mut Vec<DecisionRecord>,
-    ) -> OppIndex {
-        let (idx, kind, required) = self.decide_core(snap, table, limits, cur, None);
-        out.push(DecisionRecord {
-            kind,
-            chosen: idx as u16,
-            required_bits: required.to_bits(),
-        });
-        idx
-    }
-
-    /// [`decide`](Self::decide) exposing the branch tag and computed
-    /// demand, so the session can decide whether the decision's demand
-    /// list is cacheable for steady-tick reuse (only `DEMAND` branches
-    /// leave a meaningful list behind).
+    /// [`decide`](Self::decide) exposing the branch tag (the constants in
+    /// [`decision_kind`]), so the session can tell whether the decision's
+    /// demand list is cacheable for steady-tick reuse (only `DEMAND`
+    /// branches leave a meaningful list behind).
     pub(crate) fn decide_tagged(
         &mut self,
         snap: &PipelineSnapshot,
         table: &OppTable,
         limits: PolicyLimits,
         cur: OppIndex,
-    ) -> (OppIndex, u8, f64) {
-        self.decide_core(snap, table, limits, cur, None)
-    }
-
-    /// Takes a decision by *injecting* a recorded demand value instead of
-    /// re-running the predictor over the demand window — the expensive
-    /// part of a decision. Everything else (panic bookkeeping, selector
-    /// hysteresis with this governor's own margin, the energy floor, the
-    /// decision counter) runs live, so the governor's internal state
-    /// stays exactly what a full decision sequence would have produced.
-    ///
-    /// Returns `None` without touching any state when this snapshot
-    /// would take a different branch than the record (the caller then
-    /// falls back to a full [`decide`](Self::decide)). The injected
-    /// demand is only valid while the replaying session's trajectory is
-    /// bit-identical to the recorder's; the caller enforces that by
-    /// checking fault cleanliness and comparing the returned index
-    /// against [`DecisionRecord::chosen`] after every injection.
-    pub fn decide_replayed(
-        &mut self,
-        snap: &PipelineSnapshot,
-        table: &OppTable,
-        limits: PolicyLimits,
-        cur: OppIndex,
-        rec: &DecisionRecord,
-    ) -> Option<OppIndex> {
-        if self.peek_kind(snap) != rec.kind {
-            return None;
-        }
-        let required = f64::from_bits(rec.required_bits);
-        Some(self.decide_core(snap, table, limits, cur, Some(required)).0)
+    ) -> (OppIndex, u8) {
+        self.decide_core(snap, table, limits, cur)
     }
 
     /// A Playing-phase decision for a demand value the caller recomputed
@@ -420,9 +371,6 @@ impl EavsGovernor {
     /// selector hysteresis, the energy floor — runs identically, so a
     /// session interleaving fast and full decisions is bit-identical to
     /// one taking full decisions throughout.
-    ///
-    /// Returns `(index, branch tag, required-for-record)` exactly as the
-    /// full decision would have recorded them.
     pub(crate) fn decide_steady(
         &mut self,
         now: SimTime,
@@ -430,7 +378,7 @@ impl EavsGovernor {
         limits: PolicyLimits,
         cur: OppIndex,
         required: f64,
-    ) -> (OppIndex, u8, f64) {
+    ) -> OppIndex {
         self.decisions += 1;
         if self.config.panic_recovery {
             if self.breach_pending {
@@ -442,52 +390,13 @@ impl EavsGovernor {
                 // Playing-phase by construction, so the Ended exemption
                 // of the full path cannot apply here.
                 if now < until {
-                    return (limits.max_index, decision_kind::STRUCTURAL_MAX, 0.0);
+                    return limits.max_index;
                 }
                 self.panic_until = None;
             }
         }
         let idx = self.selector.select(table, limits, cur, required);
-        (
-            self.apply_floor(idx, true, limits),
-            decision_kind::DEMAND,
-            required,
-        )
-    }
-
-    /// Pure mirror of [`decide_core`](Self::decide_core)'s control flow:
-    /// which branch would fire for this snapshot, given current governor
-    /// state, without mutating anything.
-    fn peek_kind(&self, snap: &PipelineSnapshot) -> u8 {
-        if self.config.panic_recovery {
-            let until = if self.breach_pending {
-                Some(snap.now + self.config.panic_hold)
-            } else {
-                self.panic_until
-            };
-            if let Some(until) = until {
-                if snap.now < until && snap.phase != PlaybackPhase::Ended {
-                    return decision_kind::STRUCTURAL_MAX;
-                }
-            }
-        }
-        match snap.phase {
-            PlaybackPhase::Startup | PlaybackPhase::Rebuffering => {
-                if self.config.race_on_fill {
-                    decision_kind::STRUCTURAL_MAX
-                } else {
-                    decision_kind::PACED_FILL
-                }
-            }
-            PlaybackPhase::Ended => decision_kind::ENDED_MIN,
-            PlaybackPhase::Playing => {
-                if Self::playing_has_demand(&self.config, snap) {
-                    decision_kind::DEMAND
-                } else {
-                    decision_kind::IDLE
-                }
-            }
-        }
+        self.apply_floor(idx, true, limits)
     }
 
     /// Whether the Playing branch's demand list would be non-empty:
@@ -498,20 +407,14 @@ impl EavsGovernor {
         snap.in_flight.is_some() || (config.lookahead > 0 && !snap.upcoming.is_empty())
     }
 
-    /// The full decision: returns the chosen index, the branch tag and
-    /// the computed demand in Hz (0.0 for structural branches). When
-    /// `required_override` is set, the demand computation — the only
-    /// part of a decision whose cost scales with the lookahead — is
-    /// skipped and the override used verbatim; every state transition
-    /// still runs.
+    /// The full decision: returns the chosen index and the branch tag.
     fn decide_core(
         &mut self,
         snap: &PipelineSnapshot,
         table: &OppTable,
         limits: PolicyLimits,
         cur: OppIndex,
-        required_override: Option<f64>,
-    ) -> (OppIndex, u8, f64) {
+    ) -> (OppIndex, u8) {
         self.decisions += 1;
         if self.config.panic_recovery {
             if self.breach_pending {
@@ -524,7 +427,7 @@ impl EavsGovernor {
                     // Re-race: clear the backlog at full speed; the
                     // selector's hysteresis decays the frequency back to
                     // the critical-speed floor once the window closes.
-                    return (limits.max_index, decision_kind::STRUCTURAL_MAX, 0.0);
+                    return (limits.max_index, decision_kind::STRUCTURAL_MAX);
                 }
                 self.panic_until = None;
             }
@@ -532,56 +435,40 @@ impl EavsGovernor {
         match snap.phase {
             PlaybackPhase::Startup | PlaybackPhase::Rebuffering => {
                 if self.config.race_on_fill {
-                    (limits.max_index, decision_kind::STRUCTURAL_MAX, 0.0)
+                    (limits.max_index, decision_kind::STRUCTURAL_MAX)
                 } else {
                     // Ablation: treat filling like steady state with a
                     // synthetic near-term deadline one frame period out.
-                    let required = required_override.unwrap_or_else(|| {
-                        let demand: f64 = snap
-                            .upcoming
-                            .iter()
-                            .take(self.config.lookahead)
-                            .map(|m| self.predictor.predict(*m).get())
-                            .sum();
-                        let window = snap.frame_period * (self.config.lookahead as u64).max(1);
-                        demand / window.as_secs_f64()
-                    });
+                    let demand: f64 = snap
+                        .upcoming
+                        .iter()
+                        .take(self.config.lookahead)
+                        .map(|m| self.predictor.predict(*m).get())
+                        .sum();
+                    let window = snap.frame_period * (self.config.lookahead as u64).max(1);
+                    let required = demand / window.as_secs_f64();
                     let idx = self.selector.select(table, limits, cur, required);
                     (
                         self.apply_floor(idx, !snap.upcoming.is_empty(), limits),
                         decision_kind::PACED_FILL,
-                        required,
                     )
                 }
             }
-            PlaybackPhase::Ended => (limits.min_index, decision_kind::ENDED_MIN, 0.0),
+            PlaybackPhase::Ended => (limits.min_index, decision_kind::ENDED_MIN),
             PlaybackPhase::Playing => {
                 if !Self::playing_has_demand(&self.config, snap) {
                     // Pipeline drained of work (decoded queue full or end
                     // of stream): any frequency idles equally well.
                     let idx = self.selector.select(table, limits, cur, 0.0);
-                    (idx, decision_kind::IDLE, 0.0)
+                    (idx, decision_kind::IDLE)
                 } else {
-                    let required = match required_override {
-                        Some(r) => r,
-                        None => {
-                            let mut items = std::mem::take(&mut self.demand_scratch);
-                            self.demand_into(snap, &mut items);
-                            debug_assert!(
-                                !items.is_empty(),
-                                "playing_has_demand mirrors demand_into"
-                            );
-                            let r = required_hz(snap.now, &items);
-                            self.demand_scratch = items;
-                            r
-                        }
-                    };
+                    let mut items = std::mem::take(&mut self.demand_scratch);
+                    self.demand_into(snap, &mut items);
+                    debug_assert!(!items.is_empty(), "playing_has_demand mirrors demand_into");
+                    let required = required_hz(snap.now, &items);
+                    self.demand_scratch = items;
                     let idx = self.selector.select(table, limits, cur, required);
-                    (
-                        self.apply_floor(idx, true, limits),
-                        decision_kind::DEMAND,
-                        required,
-                    )
+                    (self.apply_floor(idx, true, limits), decision_kind::DEMAND)
                 }
             }
         }
@@ -607,26 +494,6 @@ impl EavsGovernor {
         fp.write_f64(self.config.panic_breach_factor);
         fp.write_u64(self.config.panic_hold.as_nanos());
         fp.write_usize(self.floor_index);
-        self.predictor.fingerprint(fp);
-    }
-
-    /// Hashes only the configuration that shapes decision *instants* and
-    /// demand *values*: lookahead window, decision interval and the
-    /// predictor. Everything else — margin, hysteresis, fill race, the
-    /// energy floor and the panic knobs — post-processes a computed
-    /// demand and runs live during replay, so two governors differing
-    /// only in those knobs share a replay prefix and can inject each
-    /// other's recorded demand until their chosen indices diverge. A
-    /// governor with history is opaque, exactly as in
-    /// [`fingerprint`](Self::fingerprint).
-    pub fn fingerprint_replay_prefix(&self, fp: &mut Fingerprinter) {
-        if self.decisions > 0 {
-            fp.mark_opaque();
-            return;
-        }
-        fp.write_str(self.name());
-        fp.write_usize(self.config.lookahead);
-        fp.write_u64(self.config.decision_interval.as_nanos());
         self.predictor.fingerprint(fp);
     }
 }

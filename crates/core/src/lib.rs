@@ -39,7 +39,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod framestats;
 pub mod governor;
 pub mod predictor;
@@ -47,13 +46,29 @@ pub mod report;
 pub mod selector;
 pub mod session;
 
-pub use batch::{batch_stats, run_batch, BatchStats, DEFAULT_WIDTH};
+/// Counters of the batched session runner, which was removed: every
+/// session runs through [`crate::session::SessionBuilder::run`].
+pub mod batch {
+    /// Process-wide counters of the batched session runner.
+    #[derive(Clone, Copy, PartialEq, Eq, Default, Debug)]
+    pub struct BatchStats {
+        /// Sessions completed by the batched runner: always 0.
+        pub sessions: u64,
+    }
+
+    /// Always all-zero. Kept so callers that sample it, such as the
+    /// `perfbench` campaign layer table, still build.
+    pub fn batch_stats() -> BatchStats {
+        BatchStats::default()
+    }
+}
+
 pub use framestats::FrameCycleStats;
 pub use governor::{EavsConfig, EavsGovernor, PipelineSnapshot};
 pub use predictor::{FleetPrior, FrameMeta, Hybrid, SessionPrior, WorkloadPredictor};
 pub use report::SessionReport;
 pub use selector::{required_hz, DemandItem, OppSelector};
 pub use session::{
-    injected_decisions, replayed_sessions, ClusterSelect, GovernorChoice, KernelHot, ReplayCtl,
-    SessionBuilder, SessionScratch, SessionState, StreamingSession,
+    ClusterSelect, GovernorChoice, KernelHot, SessionBuilder, SessionScratch, SessionState,
+    StreamingSession,
 };

@@ -43,73 +43,27 @@ use eavs_sim::queue::EventId;
 use eavs_sim::time::{SimDuration, SimTime};
 use eavs_sysfs::CpufreqFs;
 use eavs_trace::content::ContentProfile;
-use eavs_trace::memo::{self, DecisionRecord, DecisionTimeline};
+use eavs_trace::memo;
 use eavs_trace::video_gen::VideoGenerator;
 use eavs_video::display::{LatePolicy, Playback, PlaybackPhase, VsyncOutcome};
 use eavs_video::manifest::Manifest;
 use eavs_video::pipeline::DecodePipeline;
 use eavs_video::qoe::QoeReport;
 use eavs_video::segment::Segment;
+use std::cell::Cell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Sessions that completed with at least one injected (replayed)
-/// decision, process-wide. These counters live outside [`SessionReport`]
-/// on purpose: a replayed session's report must stay byte-identical to
-/// its fully-simulated twin.
-static REPLAYED_SESSIONS: AtomicU64 = AtomicU64::new(0);
-/// Governor decisions answered from a recorded timeline, process-wide.
-static INJECTED_DECISIONS: AtomicU64 = AtomicU64::new(0);
-
-/// Sessions that completed with at least one injected decision since
-/// process start.
+/// Always 0. Differential decision replay was removed (every session
+/// takes every decision in full); the counter stays so callers that
+/// sample it, such as the `perfbench` campaign layer table, still build.
 pub fn replayed_sessions() -> u64 {
-    REPLAYED_SESSIONS.load(Ordering::Relaxed)
+    0
 }
 
-/// Governor decisions answered from a recorded timeline since process
-/// start.
+/// Always 0, for the same reason as [`replayed_sessions`].
 pub fn injected_decisions() -> u64 {
-    INJECTED_DECISIONS.load(Ordering::Relaxed)
-}
-
-/// Decision-timeline control for differential sweep replay.
-///
-/// Outcome-preserving and observer-like: attaching either mode never
-/// changes the session's report, so — like trace sinks — it is not part
-/// of the fingerprint. `Record` publishes the session's decision
-/// timeline under a [`SessionBuilder::replay_prefix`] key once the run
-/// proves fault-clean; `Inject` answers each decision from a recorded
-/// timeline while the trajectory provably matches the recorder's, and
-/// falls back to full decisions from the first divergence on.
-pub enum ReplayCtl {
-    /// Record this session's decision timeline under the given
-    /// replay-prefix key.
-    Record(u128),
-    /// Inject decisions from a previously recorded timeline.
-    Inject(Arc<DecisionTimeline>),
-}
-
-/// Runtime state of the replay control inside the session world.
-enum ReplayState {
-    /// No replay attached; every decision runs the full governor.
-    Off,
-    /// Recording: collect one [`DecisionRecord`] per decision, publish
-    /// the timeline at report time if the run stayed fault-clean.
-    Record {
-        key: u128,
-        records: Vec<DecisionRecord>,
-    },
-    /// Injecting: answer decisions from `timeline[pos..]` while `live`;
-    /// the first mismatch (or any fault effect) drops to full decisions
-    /// for the rest of the session.
-    Inject {
-        timeline: Arc<DecisionTimeline>,
-        pos: usize,
-        live: bool,
-        injected: u64,
-    },
+    0
 }
 
 /// Which governor drives the session.
@@ -176,17 +130,6 @@ impl GovernorChoice {
             }
         }
     }
-
-    /// Dense tag grouping sessions whose decision code paths coincide —
-    /// the batch runner admits lanes kind-major so one governor group's
-    /// decisions run over adjacent lanes.
-    pub(crate) fn lane_class(&self) -> u8 {
-        match self {
-            GovernorChoice::Kind { kind, .. } => kind.lane_class(),
-            GovernorChoice::Baseline(_) => 64,
-            GovernorChoice::Eavs(_) => 65,
-        }
-    }
 }
 
 impl std::fmt::Debug for GovernorChoice {
@@ -236,7 +179,6 @@ pub struct SessionBuilder {
     prior: Option<SessionPrior>,
     trace: Option<SharedSink>,
     profile: bool,
-    replay: Option<ReplayCtl>,
 }
 
 /// Which cluster of a big.LITTLE SoC hosts the player threads.
@@ -303,22 +245,7 @@ impl SessionBuilder {
             prior: None,
             trace: None,
             profile: false,
-            replay: None,
         }
-    }
-
-    /// Attaches a replay control (record or inject a decision timeline).
-    /// Outcome-preserving, so — like observers — not fingerprinted.
-    pub fn replay(mut self, ctl: ReplayCtl) -> Self {
-        self.replay = Some(ctl);
-        self
-    }
-
-    /// The governor's lane class (see [`GovernorChoice::lane_class`]):
-    /// the batch runner groups lanes of equal class so one governor's
-    /// decision kernel runs over adjacent lanes.
-    pub(crate) fn governor_lane_class(&self) -> u8 {
-        self.governor.lane_class()
     }
 
     /// Attaches a trace sink: every hot-path event (downloads, retries,
@@ -635,98 +562,6 @@ impl SessionBuilder {
         fp.finish()
     }
 
-    /// The differential-replay prefix key: a digest of everything that
-    /// shapes governor decision *instants* and demand *values*, but not
-    /// of the knobs replay handles live (margin, hysteresis, fill race,
-    /// energy floor, panic recovery) nor of fault plans and retry
-    /// policies — those perturb a session only through observable
-    /// divergence that injection detects online. Two builders with equal
-    /// prefixes are the "one knob changed" pairs of a sweep: the first
-    /// records its decision timeline, the rest inject it and pay full
-    /// decision cost only from their divergence point on.
-    ///
-    /// `None` for baselines (their decisions are cheap and not
-    /// replayable), automatic cluster placement (migration compares live
-    /// demand that injection skips) and builders with unfingerprintable
-    /// state.
-    pub fn replay_prefix(&self) -> Option<u128> {
-        let GovernorChoice::Eavs(g) = &self.governor else {
-            return None;
-        };
-        if matches!(self.cluster_select, ClusterSelect::Auto) {
-            return None;
-        }
-        let mut fp = Fingerprinter::new("eavs-session-prefix/v1");
-        g.fingerprint_replay_prefix(&mut fp);
-        fp.write_str(self.soc.name());
-        fp.write_str(self.content.name());
-        self.manifest.fingerprint(&mut fp);
-        self.network.fingerprint(&mut fp);
-        fp.write_f64(self.radio.active_power_w);
-        fp.write_f64(self.radio.tail1_power_w);
-        fp.write_u64(self.radio.tail1.as_nanos());
-        fp.write_f64(self.radio.tail2_power_w);
-        fp.write_u64(self.radio.tail2.as_nanos());
-        fp.write_f64(self.radio.idle_power_w);
-        fp.write_f64(self.radio.promotion_energy_j);
-        fp.write_u64(self.radio.promotion_latency.as_nanos());
-        self.abr.fingerprint(&mut fp);
-        fp.write_u64(self.seed);
-        fp.write_u64(self.max_buffer.as_nanos());
-        fp.write_usize(self.decoded_cap);
-        fp.write_usize(self.startup_frames);
-        fp.write_usize(self.resume_frames);
-        fp.write_u64(self.rtt.as_nanos());
-        // `record_series` is deliberately NOT hashed: it only adds
-        // observability output and cannot perturb a decision, so a
-        // series-recording session (F2/F11/F12) replays the timeline
-        // of its series-less twin and vice versa.
-        fp.write_bool(self.drive_via_sysfs);
-        fp.write_opt_u64(self.horizon.map(|h| h.as_nanos()));
-        match &self.thermal {
-            None => fp.write_u8(0),
-            Some((model, throttle)) => {
-                fp.write_u8(1);
-                model.fingerprint(&mut fp);
-                fp.write_f64(throttle.throttle_start_c);
-                fp.write_f64(throttle.throttle_full_c);
-            }
-        }
-        match &self.background {
-            None => fp.write_u8(0),
-            Some(bg) => {
-                fp.write_u8(1);
-                fp.write_f64(bg.duty);
-                fp.write_u64(bg.period.as_nanos());
-            }
-        }
-        fp.write_u8(match self.cluster_select {
-            ClusterSelect::Big => 0,
-            ClusterSelect::Little => 1,
-            ClusterSelect::Auto => unreachable!("excluded above"),
-        });
-        fp.write_u8(match self.late_policy {
-            LatePolicy::Stall => 0,
-            LatePolicy::Drop => 1,
-        });
-        // The power model is deliberately NOT hashed: accounting is
-        // post-hoc over the finished timeline and cannot perturb a
-        // decision, so a power-modeled session (F28/F29) replays the
-        // timeline of its unmodeled twin and vice versa.
-        //
-        // The workload prior IS hashed: it changes early predictions and
-        // therefore demand values — a warmed session must never inject a
-        // cold session's decision timeline.
-        match &self.prior {
-            Some(prior) if !prior.is_empty() => {
-                fp.write_u8(1);
-                prior.fingerprint(&mut fp);
-            }
-            _ => fp.write_u8(0),
-        }
-        fp.finish().map(|f| f.0)
-    }
-
     /// Runs the session to completion and reports.
     pub fn run(self) -> SessionReport {
         StreamingSession::run_built(self)
@@ -742,21 +577,30 @@ impl StreamingSession {
         SessionBuilder::new(governor)
     }
 
+    /// Runs on this thread's recycled [`SessionScratch`]. The scratch is
+    /// moved out for the run and put back afterwards, so a session built
+    /// and run from inside another one just starts from empty buffers.
     fn run_built(b: SessionBuilder) -> SessionReport {
-        let mut scratch = SessionScratch::default();
+        thread_local! {
+            static SCRATCH: Cell<SessionScratch> = Cell::new(SessionScratch::default());
+        }
+        let mut scratch = SCRATCH.with(Cell::take);
         let mut state = SessionState::with_scratch(b, &mut scratch);
         while state.step() {}
-        state.finish_into(&mut scratch)
+        let report = state.finish_into(&mut scratch);
+        SCRATCH.with(|cell| cell.set(scratch));
+        report
     }
 }
 
 /// Recycled per-session buffers for the step kernel.
 ///
-/// A shard runner keeps one `SessionScratch` per lane and threads it
-/// through [`SessionState::with_scratch`] / [`SessionState::finish_into`]:
-/// each session inherits the previous one's backing stores (cleared, not
+/// [`SessionBuilder::run`] keeps one `SessionScratch` per thread (so one
+/// per pool worker) and threads it through
+/// [`SessionState::with_scratch`] / [`SessionState::finish_into`]: each
+/// session inherits the previous one's backing stores (cleared, not
 /// freed), driving steady-state allocations per session toward zero.
-/// `Default` yields empty buffers, so the scalar path pays nothing extra.
+/// `Default` yields empty buffers.
 #[derive(Default)]
 pub struct SessionScratch {
     /// Backing store for [`PipelineSnapshot::upcoming`].
@@ -767,24 +611,14 @@ pub struct SessionScratch {
     bitrates: Vec<u32>,
     /// Time-in-state accumulation buffer.
     tis: Vec<SimDuration>,
+    /// The steady-tick demand cache's buffers.
+    steady: SteadyDemand,
 }
 
-/// A read-only projection of one running session's hot state, cheap
-/// enough to refresh after every kernel step. Batch runners mirror these
-/// into struct-of-arrays lanes for scheduling decisions without touching
-/// the full world.
-#[derive(Clone, Copy, PartialEq, Debug)]
+/// A read-only projection of one running session's counters, cheap
+/// enough to take after every kernel step.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct KernelHot {
-    /// Current simulated time.
-    pub now: SimTime,
-    /// OPP index the cluster is running at.
-    pub opp_index: usize,
-    /// Frames sitting decoded, ready for display.
-    pub decoded_depth: usize,
-    /// Frames buffered but not yet decoded.
-    pub queue_depth: usize,
-    /// Time until the next display deadline (zero unless playing).
-    pub slack: SimDuration,
     /// Governor decisions taken so far (0 for baselines).
     pub decisions: u64,
 }
@@ -797,8 +631,8 @@ pub struct KernelHot {
 /// only mutation point); [`SessionState::finish_into`] consumes the
 /// state into a [`SessionReport`], returning the scratch buffers for the
 /// next session. `run()` on the builder is exactly
-/// `with_scratch → step* → finish_into`, so scalar and batched execution
-/// share one code path and byte-identical results by construction.
+/// `with_scratch → step* → finish_into`, so driving the kernel by hand
+/// gives byte-identical results by construction.
 pub struct SessionState {
     sim: Simulation<SessionWorld>,
     horizon: SimTime,
@@ -836,23 +670,9 @@ impl SessionState {
             .unwrap_or_default();
         // Blackout windows rewrite the trace; otherwise the shared Arc is
         // used untouched (keeps sweep jobs on one allocation).
-        let blackout_cutoff = faults.first_blackout_start();
         let network = match faults.apply_to_trace(&b.network) {
             Some(t) => Arc::new(t),
             None => Arc::clone(&b.network),
-        };
-        let replay = match b.replay {
-            None => ReplayState::Off,
-            Some(ReplayCtl::Record(key)) => ReplayState::Record {
-                key,
-                records: Vec::with_capacity(4096),
-            },
-            Some(ReplayCtl::Inject(timeline)) => ReplayState::Inject {
-                timeline,
-                pos: 0,
-                live: true,
-                injected: 0,
-            },
         };
         let ambient_queue: VecDeque<AmbientStep> = if b.thermal.is_some() {
             faults.ambient_steps().iter().copied().collect()
@@ -943,12 +763,8 @@ impl SessionState {
             max_buffer_frames,
             trace: b.trace,
             profile: b.profile.then(PhaseProfile::new),
-            replay,
-            replay_dead: false,
-            ambient_fired: false,
-            blackout_cutoff,
             pipeline_epoch: 0,
-            steady: SteadyDemand::new(),
+            steady: std::mem::take(&mut scratch.steady).reset(),
             frame_cycles: FrameCycleStats::new(),
         };
         let mut sim = Simulation::new(world);
@@ -1053,21 +869,10 @@ impl SessionState {
         self.done
     }
 
-    /// Snapshot of the hot state for batch scheduling.
+    /// Snapshot of the session's counters so far.
     pub fn hot(&self) -> KernelHot {
-        let w = self.sim.world();
-        let now = self.sim.now();
         KernelHot {
-            now,
-            opp_index: w.cluster.current_index(),
-            decoded_depth: w.pipeline.decoded_len(),
-            queue_depth: w.pipeline.undecoded_len(),
-            slack: if w.playback.phase() == PlaybackPhase::Playing {
-                w.next_vsync_at.saturating_duration_since(now)
-            } else {
-                SimDuration::ZERO
-            },
-            decisions: match &w.governor {
+            decisions: match &self.sim.world().governor {
                 GovernorChoice::Eavs(g) => g.decisions(),
                 _ => 0,
             },
@@ -1217,18 +1022,6 @@ struct SessionWorld {
     trace: Option<SharedSink>,
     /// Wall/sim per-phase accounting, when profiling was requested.
     profile: Option<PhaseProfile>,
-    /// Differential-replay state (record, inject, or off).
-    replay: ReplayState,
-    /// A download stalled or straddled a blackout rewrite: the timeline
-    /// is (or is about to become) divergent in a way `chosen`-matching
-    /// cannot see, so replay goes (and stays) dead.
-    replay_dead: bool,
-    /// An ambient-temperature fault step fired (perturbs throttling).
-    ambient_fired: bool,
-    /// Start of the earliest blackout window when the bandwidth trace
-    /// was rewritten; transfers scheduled to complete at or after this
-    /// instant kill replay (see [`SessionWorld::begin_transfer`]).
-    blackout_cutoff: Option<SimTime>,
     /// Monotonic counter of pipeline-mutating events: bumped for every
     /// event except the pure sample tick, because the scheduler is the
     /// only driver of state change — between events nothing but the
@@ -1264,8 +1057,8 @@ struct SteadyDemand {
     scratch: Vec<DemandItem>,
 }
 
-impl SteadyDemand {
-    fn new() -> Self {
+impl Default for SteadyDemand {
+    fn default() -> Self {
         SteadyDemand {
             epoch: u64::MAX,
             inflight: None,
@@ -1273,6 +1066,18 @@ impl SteadyDemand {
             tail_meta: Vec::new(),
             scratch: Vec::new(),
         }
+    }
+}
+
+impl SteadyDemand {
+    /// Empties the cache, keeping its buffers' capacity.
+    fn reset(mut self) -> Self {
+        self.epoch = u64::MAX;
+        self.inflight = None;
+        self.tail.clear();
+        self.tail_meta.clear();
+        self.scratch.clear();
+        self
     }
 }
 
@@ -1389,7 +1194,6 @@ impl SessionWorld {
         if self.faults.is_stalled(segment.index, attempt) {
             // The server wedged: the radio burns energy but no completion
             // instant exists. Only the watchdog can recover this.
-            self.replay_dead = true;
             self.downloader.start_stalled(now, segment.size_bytes());
             self.emit(now, || TraceEvent::DownloadStalled {
                 segment: segment.index,
@@ -1400,15 +1204,6 @@ impl SessionWorld {
                 .downloader
                 .start(now, segment.size_bytes())
                 .expect("bandwidth trace stalls forever; transfer cannot complete");
-            if self.blackout_cutoff.is_some_and(|cutoff| done >= cutoff) {
-                // The transfer overlaps a blackout rewrite: its completion
-                // instant differs from the recorder's, and every decision
-                // from here depends on it. Replay dies at the *scheduling*
-                // instant — decision instants up to this point were
-                // provably identical to the recorder's, so injections so
-                // far remain valid.
-                self.replay_dead = true;
-            }
             self.download_event = Some(sched.schedule_at(done, Ev::DownloadDone));
             self.emit(now, || TraceEvent::DownloadStart {
                 segment: segment.index,
@@ -1597,7 +1392,6 @@ impl SessionWorld {
     fn on_ambient_step(&mut self, sched: &mut Scheduler<Ev>, now: SimTime) {
         self.update_thermal(sched, now);
         if let Some(step) = self.ambient_queue.pop_front() {
-            self.ambient_fired = true;
             self.emit(now, || TraceEvent::AmbientStep {
                 milli_c: (step.ambient_c * 1000.0).round() as i64,
             });
@@ -2059,12 +1853,8 @@ impl SessionWorld {
         // Steady-tick fast path: the pipeline is untouched since the last
         // full DEMAND decision (no event but sample ticks fired), so the
         // cached demand list is exact — only the clock moved and only the
-        // in-flight item's remaining cycles need re-deriving. Injection
-        // replay keeps the full path (its demand comes from the recorded
-        // timeline, not from this cache).
-        if self.steady.epoch == self.pipeline_epoch
-            && matches!(self.replay, ReplayState::Off | ReplayState::Record { .. })
-        {
+        // in-flight item's remaining cycles need re-deriving.
+        if self.steady.epoch == self.pipeline_epoch {
             let required = {
                 let c = &mut self.steady;
                 c.scratch.clear();
@@ -2087,20 +1877,13 @@ impl SessionWorld {
             let GovernorChoice::Eavs(g) = &mut self.governor else {
                 unreachable!("checked above");
             };
-            let (idx, kind, recorded) = g.decide_steady(
+            let idx = g.decide_steady(
                 now,
                 self.cluster.opps(),
                 self.cluster.limits(),
                 self.cluster.current_index(),
                 required,
             );
-            if let ReplayState::Record { records, .. } = &mut self.replay {
-                records.push(DecisionRecord {
-                    kind,
-                    chosen: idx as u16,
-                    required_bits: recorded.to_bits(),
-                });
-            }
             if tracing {
                 if g.panics() > panics_before {
                     self.emit(now, || TraceEvent::PanicRace);
@@ -2114,64 +1897,17 @@ impl SessionWorld {
             return;
         }
 
-        let clean = self.replay_clean();
         let snapshot = self.snapshot(now, want);
         let GovernorChoice::Eavs(g) = &mut self.governor else {
             unreachable!("checked above");
         };
-        let opps = self.cluster.opps();
-        let limits = self.cluster.limits();
-        let cur = self.cluster.current_index();
-        let (idx, demand_live) = match &mut self.replay {
-            ReplayState::Off => {
-                let (idx, kind, _) = g.decide_tagged(&snapshot, opps, limits, cur);
-                (idx, kind == memo::decision_kind::DEMAND)
-            }
-            ReplayState::Record { records, .. } => {
-                let idx = g.decide_recorded(&snapshot, opps, limits, cur, records);
-                let kind = records.last().map(|r| r.kind);
-                (idx, kind == Some(memo::decision_kind::DEMAND))
-            }
-            ReplayState::Inject {
-                timeline,
-                pos,
-                live,
-                injected,
-            } => {
-                let mut answered = None;
-                if *live && clean {
-                    if let Some(rec) = timeline.records.get(*pos).copied() {
-                        answered = g.decide_replayed(&snapshot, opps, limits, cur, &rec);
-                        match answered {
-                            Some(idx) => {
-                                *pos += 1;
-                                *injected += 1;
-                                if idx as u16 != rec.chosen {
-                                    // This variant's own knobs diverged
-                                    // from the recorder here. The injected
-                                    // decision is still exact (the
-                                    // trajectory matched up to this
-                                    // instant), but every later recorded
-                                    // demand belongs to a different future.
-                                    *live = false;
-                                }
-                            }
-                            None => *live = false,
-                        }
-                    } else {
-                        *live = false;
-                    }
-                } else {
-                    *live = false;
-                }
-                let idx = match answered {
-                    Some(idx) => idx,
-                    None => g.decide(&snapshot, opps, limits, cur),
-                };
-                (idx, false)
-            }
-        };
-        if demand_live {
+        let (idx, kind) = g.decide_tagged(
+            &snapshot,
+            self.cluster.opps(),
+            self.cluster.limits(),
+            self.cluster.current_index(),
+        );
+        if kind == memo::decision_kind::DEMAND {
             // A live DEMAND decision just left its item list in the
             // governor's scratch: copy it into the steady cache so timer
             // ticks until the next pipeline event skip the rebuild. The
@@ -2203,22 +1939,6 @@ impl SessionWorld {
             });
         }
         self.apply_target(sched, now, idx);
-    }
-
-    /// Whether the run has, so far, shown no fault effect that could
-    /// desynchronize it from a fault-free recording. Every fault counter
-    /// is bumped *before* the same handler calls [`SessionWorld::govern`],
-    /// and stale timeout events return before either, so this is exact at
-    /// each decision site.
-    fn replay_clean(&self) -> bool {
-        !self.replay_dead
-            && !self.ambient_fired
-            && self.download_timeouts == 0
-            && self.corrupt_downloads == 0
-            && self.download_retries == 0
-            && self.segments_abandoned == 0
-            && self.decode_spikes == 0
-            && self.decode_stalls == 0
     }
 
     /// Builds a pipeline snapshot carrying up to `want` waiting frames.
@@ -2299,24 +2019,6 @@ impl SessionWorld {
         events_processed: u64,
         scratch: &mut SessionScratch,
     ) -> SessionReport {
-        // Replay epilogue. A timeline is published only when the run
-        // stayed fully clean end to end: fault effects embed themselves
-        // in recorded demand values in ways a later injector cannot
-        // detect by `chosen`-matching alone.
-        match std::mem::replace(&mut self.replay, ReplayState::Off) {
-            ReplayState::Off => {}
-            ReplayState::Record { key, records } => {
-                if self.replay_clean() && self.blackout_cutoff.is_none() {
-                    memo::store_decision_timeline(key, records);
-                }
-            }
-            ReplayState::Inject { injected, .. } => {
-                if injected > 0 {
-                    REPLAYED_SESSIONS.fetch_add(1, Ordering::Relaxed);
-                    INJECTED_DECISIONS.fetch_add(injected, Ordering::Relaxed);
-                }
-            }
-        }
         let session_length = end - SimTime::ZERO;
         let mut cpu_energy = self.cluster.energy_at(end);
         if let Some(standby) = &mut self.standby {
@@ -2377,6 +2079,7 @@ impl SessionWorld {
         scratch.snapshot = std::mem::take(&mut self.snapshot_scratch);
         self.truth_scratch.clear();
         scratch.truth = std::mem::take(&mut self.truth_scratch);
+        scratch.steady = std::mem::take(&mut self.steady);
         let panic_races = match &self.governor {
             GovernorChoice::Eavs(g) => g.panics(),
             _ => 0,
@@ -2891,156 +2594,51 @@ mod tests {
         assert!(r.qoe.rebuffer_events > 0 || r.qoe.frames_displayed < r.qoe.total_frames);
     }
 
-    fn eavs_with(config: EavsConfig) -> GovernorChoice {
-        GovernorChoice::Eavs(EavsGovernor::new(Box::new(Hybrid::default()), config))
-    }
-
-    fn replay_pair(config: EavsConfig, seed: u64) -> (SessionBuilder, SessionBuilder) {
+    #[test]
+    fn only_a_modeled_power_component_splits_the_fingerprint() {
         let mk = || {
-            StreamingSession::builder(eavs_with(config))
-                .manifest(short_manifest())
-                .seed(seed)
-        };
-        (mk(), mk())
-    }
-
-    #[test]
-    fn replay_prefix_collapses_live_knobs_and_excludes_faults() {
-        let base = replay_pair(EavsConfig::default(), 3).0;
-        let variant = StreamingSession::builder(eavs_with(EavsConfig {
-            margin: 0.40,
-            down_hysteresis: 1,
-            race_on_fill: false,
-            ..EavsConfig::default()
-        }))
-        .manifest(short_manifest())
-        .seed(3);
-        assert_eq!(
-            base.replay_prefix().expect("prefixable"),
-            variant.replay_prefix().expect("prefixable"),
-            "margin/hysteresis/race are live knobs, not prefix inputs"
-        );
-        assert_ne!(base.fingerprint(), variant.fingerprint());
-        let faulted = StreamingSession::builder(eavs_with(EavsConfig::default()))
-            .manifest(short_manifest())
-            .seed(3)
-            .faults(FaultPlan::standard_storm());
-        assert_eq!(
-            base.replay_prefix(),
-            faulted.replay_prefix(),
-            "fault plans diverge observably, so they stay out of the prefix"
-        );
-        let powered = StreamingSession::builder(eavs_with(EavsConfig::default()))
-            .manifest(short_manifest())
-            .seed(3)
-            .power(DevicePowerModel::phone());
-        assert_eq!(
-            base.replay_prefix(),
-            powered.replay_prefix(),
-            "power accounting is post-hoc, so it stays out of the prefix"
-        );
-        assert_ne!(
-            base.fingerprint(),
-            powered.fingerprint(),
-            "a modeled power component must split the session fingerprint"
-        );
-        let noop_power = StreamingSession::builder(eavs_with(EavsConfig::default()))
-            .manifest(short_manifest())
-            .seed(3)
-            .power(DevicePowerModel::none());
-        assert_eq!(
-            base.fingerprint(),
-            noop_power.fingerprint(),
-            "the zero-power no-op shares the fingerprint of no model at all"
-        );
-        let other_seed = replay_pair(EavsConfig::default(), 4).0;
-        assert_ne!(base.replay_prefix(), other_seed.replay_prefix());
-        let baseline = StreamingSession::builder(GovernorChoice::Baseline(Box::new(Performance)))
-            .manifest(short_manifest());
-        assert_eq!(baseline.replay_prefix(), None);
-    }
-
-    #[test]
-    fn replayed_variant_is_byte_identical_to_full_simulation() {
-        let variant_cfg = EavsConfig {
-            margin: 0.35,
-            down_hysteresis: 1,
-            ..EavsConfig::default()
-        };
-        // Full simulations of recorder and variant, untouched by replay.
-        let (rec_full, _) = replay_pair(EavsConfig::default(), 9);
-        let key = rec_full.replay_prefix().expect("prefixable");
-        let expected = {
-            let b = StreamingSession::builder(eavs_with(variant_cfg))
-                .manifest(short_manifest())
-                .seed(9);
-            format!("{:?}", b.run())
-        };
-        // Record the base timeline, then inject it into the variant.
-        let _ = replay_pair(EavsConfig::default(), 9)
-            .0
-            .replay(ReplayCtl::Record(key))
-            .run();
-        let timeline = memo::decision_timeline(key).expect("timeline stored");
-        assert!(!timeline.records.is_empty());
-        let injected_before = injected_decisions();
-        let replayed_before = replayed_sessions();
-        let got = StreamingSession::builder(eavs_with(variant_cfg))
-            .manifest(short_manifest())
-            .seed(9)
-            .replay(ReplayCtl::Inject(timeline))
-            .run();
-        assert_eq!(format!("{got:?}"), expected, "replay must be invisible");
-        assert!(
-            injected_decisions() > injected_before,
-            "some decisions must have been answered from the timeline"
-        );
-        assert_eq!(replayed_sessions(), replayed_before + 1);
-    }
-
-    #[test]
-    fn faulted_recording_is_never_published() {
-        let b = StreamingSession::builder(eavs())
-            .manifest(short_manifest())
-            .seed(11)
-            .faults(FaultPlan::standard_storm());
-        let key = b.replay_prefix().expect("prefixable");
-        let _ = b.replay(ReplayCtl::Record(key)).run();
-        assert!(
-            memo::decision_timeline(key).is_none(),
-            "a fault-perturbed timeline must not be stored"
-        );
-    }
-
-    #[test]
-    fn faulted_injection_falls_back_to_full_decisions() {
-        // Record clean, inject into a *faulted* twin: the report must
-        // match the faulted full simulation exactly.
-        let clean = StreamingSession::builder(eavs())
-            .manifest(short_manifest())
-            .seed(13);
-        let key = clean.replay_prefix().expect("prefixable");
-        let _ = StreamingSession::builder(eavs())
-            .manifest(short_manifest())
-            .seed(13)
-            .replay(ReplayCtl::Record(key))
-            .run();
-        let timeline = memo::decision_timeline(key).expect("stored");
-        let plan = FaultPlan::standard_storm();
-        let expected = format!(
-            "{:?}",
             StreamingSession::builder(eavs())
                 .manifest(short_manifest())
-                .seed(13)
-                .faults(plan.clone())
-                .run()
+                .seed(3)
+        };
+        let base = mk().fingerprint();
+        assert!(base.is_some(), "fresh builders are cacheable");
+        assert_ne!(
+            base,
+            mk().power(DevicePowerModel::phone()).fingerprint(),
+            "a modeled power component must split the session fingerprint"
         );
-        let got = StreamingSession::builder(eavs())
-            .manifest(short_manifest())
-            .seed(13)
-            .faults(plan)
-            .replay(ReplayCtl::Inject(timeline))
-            .run();
-        assert_eq!(format!("{got:?}"), expected);
+        assert_eq!(
+            base,
+            mk().power(DevicePowerModel::none()).fingerprint(),
+            "the zero-power no-op shares the fingerprint of no model at all"
+        );
+    }
+
+    #[test]
+    fn runs_on_one_thread_reuse_scratch_without_changing_reports() {
+        // `run()` recycles this thread's scratch; the kernel driven by
+        // hand with fresh buffers must produce the same bytes, including
+        // for a session that inherits a faulted run's buffers.
+        let mk = |faults: bool| {
+            let b = StreamingSession::builder(eavs())
+                .manifest(short_manifest())
+                .seed(3);
+            if faults {
+                b.faults(FaultPlan::standard_storm())
+            } else {
+                b
+            }
+        };
+        let fresh = |b: SessionBuilder| {
+            let mut scratch = SessionScratch::default();
+            let mut state = SessionState::with_scratch(b, &mut scratch);
+            while state.step() {}
+            format!("{:?}", state.finish_into(&mut scratch))
+        };
+        let first = format!("{:?}", mk(true).run());
+        let second = format!("{:?}", mk(false).run());
+        assert_eq!(first, fresh(mk(true)));
+        assert_eq!(second, fresh(mk(false)));
     }
 }

@@ -1,6 +1,6 @@
 //! Property-based tests for the EAVS core: predictors, the demand/selector
-//! math, governor decision invariants, and the scalar/batched/replayed
-//! session-kernel equivalences.
+//! math, governor decision invariants, and the session kernel's
+//! scratch-reuse equivalence.
 
 use std::sync::Arc;
 
@@ -223,10 +223,10 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Session-kernel equivalences: scalar vs batched SoA, full vs replayed.
+// Session-kernel equivalence: recycled scratch vs fresh buffers.
 // ---------------------------------------------------------------------------
 
-use eavs_core::session::{ReplayCtl, SessionBuilder, StreamingSession};
+use eavs_core::session::{SessionBuilder, SessionScratch, SessionState, StreamingSession};
 use eavs_faults::{DecodeSpike, FaultPlan, SegmentFault};
 use eavs_trace::content::ContentProfile;
 use eavs_video::manifest::Manifest;
@@ -325,77 +325,28 @@ impl SpecDraw {
 
 proptest! {
     // Session runs are costly; a modest case count still covers the
-    // interesting corners (faulted lanes, mixed durations, odd widths).
+    // interesting corners (faulted sessions, mixed durations and rates).
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The batched SoA kernel is byte-identical to the scalar loop for
-    /// arbitrary specs (including faulted ones) at arbitrary widths.
+    /// `SessionBuilder::run` recycles one scratch per thread, so each
+    /// session inherits the buffers of whatever ran before it on that
+    /// thread. For arbitrary sequences of specs (including faulted ones)
+    /// that must be byte-identical to the kernel run on fresh buffers,
+    /// and must leave the builders' fingerprints untouched.
     #[test]
-    fn batch_kernel_equivalent_to_scalar(
+    fn recycled_scratch_equivalent_to_fresh(
         specs in proptest::collection::vec(SpecStrategy, 1..6),
-        width in 1usize..9,
     ) {
         let manifests: Vec<Arc<Manifest>> = specs.iter().map(SpecDraw::manifest).collect();
-        let scalar: Vec<String> = specs
-            .iter()
-            .zip(&manifests)
-            .map(|(s, m)| format!("{:?}", s.builder(m).run()))
-            .collect();
-        let fingerprints: Vec<_> = specs
-            .iter()
-            .zip(&manifests)
-            .map(|(s, m)| s.builder(m).fingerprint())
-            .collect();
-        let batched = eavs_core::run_batch(
-            specs.iter().zip(&manifests).map(|(s, m)| s.builder(m)),
-            width,
-        );
-        prop_assert_eq!(batched.len(), specs.len());
-        for (i, report) in batched.iter().enumerate() {
-            prop_assert_eq!(&format!("{:?}", report), &scalar[i], "spec {}: {:?}", i, specs[i]);
-            let fp_after = specs[i].builder(&manifests[i]).fingerprint();
-            prop_assert_eq!(&fingerprints[i], &fp_after);
+        for (i, (spec, manifest)) in specs.iter().zip(&manifests).enumerate() {
+            let fingerprint = spec.builder(manifest).fingerprint();
+            let recycled = format!("{:?}", spec.builder(manifest).run());
+            let mut scratch = SessionScratch::default();
+            let mut state = SessionState::with_scratch(spec.builder(manifest), &mut scratch);
+            while state.step() {}
+            let fresh = format!("{:?}", state.finish_into(&mut scratch));
+            prop_assert_eq!(&recycled, &fresh, "spec {}: {:?}", i, spec);
+            prop_assert_eq!(&fingerprint, &spec.builder(manifest).fingerprint());
         }
-    }
-
-    /// Injecting a recorded decision timeline into a knob variant (and
-    /// under fault plans that force mid-session divergence) reproduces
-    /// the variant's full simulation byte for byte.
-    #[test]
-    fn replay_equivalent_to_full_simulation(spec in SpecStrategy, rec_seed in 0u64..4) {
-        let manifest = spec.manifest();
-        // Record a clean (fault-free) base session with default knobs.
-        let base = SpecDraw {
-            margin: 0.15,
-            hysteresis: 3,
-            corrupt_segment: None,
-            spike_frame: None,
-            ..spec.clone()
-        };
-        // Keys are process-wide and first-write-wins; salt the seed so
-        // every proptest case records a fresh timeline.
-        let salt = 10_000 + rec_seed * 1_000 + base.seed;
-        let base = SpecDraw { seed: salt, ..base };
-        let variant = SpecDraw { seed: salt, ..spec.clone() };
-        let key = base
-            .builder(&manifest)
-            .replay_prefix()
-            .expect("eavs sessions have a replay prefix");
-        let recorded = base
-            .builder(&manifest)
-            .replay(ReplayCtl::Record(key))
-            .run();
-        prop_assert!(recorded.events_processed > 0);
-        let full = format!("{:?}", variant.builder(&manifest).run());
-        let timeline = eavs_trace::memo::decision_timeline(key)
-            .expect("clean recording must be published");
-        let injected = format!(
-            "{:?}",
-            variant
-                .builder(&manifest)
-                .replay(ReplayCtl::Inject(timeline))
-                .run()
-        );
-        prop_assert_eq!(injected, full, "variant {:?}", variant);
     }
 }

@@ -402,15 +402,6 @@ impl FaultSchedule {
         &self.ambient_steps
     }
 
-    /// Start of the earliest blackout window, if any. Sessions use this
-    /// as the instant from which a blackout-rewritten bandwidth trace
-    /// may diverge from the clean trace: any transfer scheduled to
-    /// complete at or after it can no longer be assumed to follow the
-    /// clean session's timeline.
-    pub fn first_blackout_start(&self) -> Option<SimTime> {
-        self.blackouts.iter().map(|b| b.start).min()
-    }
-
     /// Overlay the blackout windows on a bandwidth trace, producing a
     /// trace whose rate is zero inside every blackout and unchanged
     /// outside. Returns `None` when there are no blackouts (the base

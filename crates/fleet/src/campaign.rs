@@ -266,14 +266,6 @@ pub struct CampaignOutcome {
     /// Largest per-shard resident footprint seen: the shard's reports
     /// plus its partial aggregate. Stays flat as the population grows.
     pub peak_shard_bytes: u64,
-    /// Session-runs answered by injecting a recorded decision timeline
-    /// (differential replay) rather than recomputing every governor
-    /// decision. A subset of `session_runs`.
-    pub replayed: u64,
-    /// Session-runs executed through the batched struct-of-arrays
-    /// kernel. A subset of `session_runs`; zero unless the runner
-    /// enables batching (`EAVS_BATCH`).
-    pub batched: u64,
     /// Wall-clock seconds spent in the shard loop.
     pub wall_s: f64,
 }
@@ -360,7 +352,7 @@ pub fn run_shard_warm(
             let report = iter.next().expect("length checked above");
             partial.observe(gov_index, report);
             // Decode cost is a property of the stream, not the governor:
-            // every lane replays the same frames, so folding one lane
+            // every lane decodes the same frames, so folding one lane
             // into the fleet prior captures the workload without
             // multi-counting sessions.
             if gov_index == 0 {
@@ -419,10 +411,6 @@ pub fn run_campaign(
     let mut session_runs = 0u64;
     let mut peak_shard_bytes = 0u64;
     let mut status = CampaignStatus::Complete;
-    // The replay/batch counters are process-wide; attribute the delta
-    // across the shard loop to this invocation.
-    let replayed_before = eavs_core::session::replayed_sessions();
-    let batched_before = eavs_core::batch::batch_stats().sessions;
 
     while aggregate.shards_done < total_shards {
         if opts
@@ -460,8 +448,6 @@ pub fn run_campaign(
         status,
         session_runs,
         peak_shard_bytes,
-        replayed: eavs_core::session::replayed_sessions() - replayed_before,
-        batched: eavs_core::batch::batch_stats().sessions - batched_before,
         wall_s: started.elapsed().as_secs_f64(),
     })
 }

@@ -12,7 +12,6 @@ use eavs_obs::PromWriter;
 pub use eavs_obs::{check_conformance, TEXT_FORMAT};
 
 use crate::aggregate::{FleetAggregate, GovAggregate};
-use crate::campaign::CampaignOutcome;
 use crate::spec::CampaignSpec;
 
 /// One per-lane scalar family: metric name, help text, lane accessor.
@@ -183,39 +182,6 @@ pub fn write_all_into(w: &mut PromWriter, campaigns: &[(&FleetAggregate, &Campai
     }
 }
 
-/// Writes the execution counters of one [`CampaignOutcome`]: how many
-/// session-runs this invocation answered by differential decision
-/// replay and how many went through the batched SoA kernel. Kept
-/// separate from [`write_into`] because these describe how the
-/// invocation executed, not the mergeable population aggregate —
-/// resumed shards contribute nothing here. Both counts are
-/// deterministic for a given spec and environment (the wave scheduler
-/// decides replay roles on the submitting thread, independent of
-/// `EAVS_JOBS`).
-pub fn write_outcome_into(w: &mut PromWriter, outcome: &CampaignOutcome, spec: &CampaignSpec) {
-    let base: &[(&str, &str)] = &[("campaign", spec.name.as_str())];
-    w.help(
-        "eavs_fleet_sessions_replayed_total",
-        "Session-runs answered by differential decision replay.",
-    )
-    .type_("eavs_fleet_sessions_replayed_total", "counter")
-    .sample(
-        "eavs_fleet_sessions_replayed_total",
-        base,
-        outcome.replayed as f64,
-    );
-    w.help(
-        "eavs_fleet_sessions_batched_total",
-        "Session-runs executed through the batched SoA kernel.",
-    )
-    .type_("eavs_fleet_sessions_batched_total", "counter")
-    .sample(
-        "eavs_fleet_sessions_batched_total",
-        base,
-        outcome.batched as f64,
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,44 +241,8 @@ mod tests {
         let (agg, spec) = small_aggregate();
         let mut w = PromWriter::new();
         write_into(&mut w, &agg, &spec);
-        let outcome = crate::run_campaign(
-            &spec,
-            &crate::RunOptions {
-                halt_after_shards: Some(0),
-                ..crate::RunOptions::default()
-            },
-            &crate::campaign::serial_runner,
-        )
-        .unwrap();
-        write_outcome_into(&mut w, &outcome, &spec);
         check_conformance(w.as_str()).unwrap();
         assert_eq!(TEXT_FORMAT, "text/plain; version=0.0.4");
-    }
-
-    #[test]
-    fn outcome_counters_render_with_campaign_label() {
-        let spec = CampaignSpec::smoke();
-        let outcome = crate::run_campaign(
-            &spec,
-            &crate::RunOptions::default(),
-            &crate::campaign::serial_runner,
-        )
-        .unwrap();
-        let mut w = PromWriter::new();
-        write_outcome_into(&mut w, &outcome, &spec);
-        let page = w.finish();
-        assert!(page.contains("# TYPE eavs_fleet_sessions_replayed_total counter"));
-        assert!(page.contains(&format!(
-            "eavs_fleet_sessions_replayed_total{{campaign=\"{}\"}} {}",
-            spec.name, outcome.replayed
-        )));
-        assert!(page.contains(&format!(
-            "eavs_fleet_sessions_batched_total{{campaign=\"{}\"}} {}",
-            spec.name, outcome.batched
-        )));
-        // The serial runner never replays or batches.
-        assert_eq!(outcome.replayed, 0);
-        assert_eq!(outcome.batched, 0);
     }
 
     #[test]

@@ -83,8 +83,7 @@ impl DecisionLut {
     }
 
     /// [`lookup`](Self::lookup) over a contiguous column of targets —
-    /// the struct-of-arrays form the batch runner feeds one governor
-    /// group at a time.
+    /// the struct-of-arrays form for many sessions of one governor.
     pub fn lookup_many(&self, targets: &[f64], out: &mut [OppIndex]) {
         for (t, o) in targets.iter().zip(out.iter_mut()) {
             *o = self.lookup(*t);
@@ -123,8 +122,8 @@ impl DecisionLut {
 }
 
 /// Caches a [`DecisionLut`] across samples, rebuilding only when the
-/// policy window moves (thermal limit changes) — the glue a session or
-/// batch lane keeps next to its [`GovernorKind`].
+/// policy window moves (thermal limit changes) — the glue a session
+/// keeps next to its [`GovernorKind`].
 #[derive(Clone, Debug, Default)]
 pub struct LutCache(Option<DecisionLut>);
 
@@ -209,20 +208,6 @@ impl GovernorKind {
     /// The OPP index selected at governor start.
     pub fn initial_index(&self, table: &OppTable, limits: PolicyLimits) -> OppIndex {
         each_kind!(self, g => CpufreqGovernor::initial_index(g, table, limits))
-    }
-
-    /// A small dense tag for grouping lanes of the same kind together
-    /// (batch admission order); equal tags share decision code paths.
-    pub fn lane_class(&self) -> u8 {
-        match self {
-            GovernorKind::Performance(_) => 0,
-            GovernorKind::Powersave(_) => 1,
-            GovernorKind::Userspace(_) => 2,
-            GovernorKind::Ondemand(_) => 3,
-            GovernorKind::Conservative(_) => 4,
-            GovernorKind::Interactive(_) => 5,
-            GovernorKind::Schedutil(_) => 6,
-        }
     }
 
     /// One decision over the precomputed LUT — bit-identical to the

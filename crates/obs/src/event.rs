@@ -19,21 +19,17 @@ pub enum Phase {
     Display,
     /// Frequency-governor sampling and decisions.
     Governor,
-    /// Batched kernel stepping (SoA shard runner overhead: lane
-    /// scheduling, hot-state refresh, scratch recycling).
-    BatchStep,
     /// Everything else (playback lifecycle, thermal, migrations...).
     Other,
 }
 
 impl Phase {
     /// All phases, in the fixed order used for reports.
-    pub const ALL: [Phase; 6] = [
+    pub const ALL: [Phase; 5] = [
         Phase::Download,
         Phase::Decode,
         Phase::Display,
         Phase::Governor,
-        Phase::BatchStep,
         Phase::Other,
     ];
 
@@ -44,7 +40,6 @@ impl Phase {
             Phase::Decode => "decode",
             Phase::Display => "display",
             Phase::Governor => "governor",
-            Phase::BatchStep => "batch_step",
             Phase::Other => "other",
         }
     }

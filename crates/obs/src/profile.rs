@@ -37,8 +37,6 @@ pub struct PhaseProfile {
     pub display: PhaseStats,
     /// Governor sampling and decisions.
     pub governor: PhaseStats,
-    /// Batched-kernel shard-runner overhead.
-    pub batch_step: PhaseStats,
     /// Everything else.
     pub other: PhaseStats,
 }
@@ -56,7 +54,6 @@ impl PhaseProfile {
             Phase::Decode => &mut self.decode,
             Phase::Display => &mut self.display,
             Phase::Governor => &mut self.governor,
-            Phase::BatchStep => &mut self.batch_step,
             Phase::Other => &mut self.other,
         }
     }
@@ -68,7 +65,6 @@ impl PhaseProfile {
             Phase::Decode => &self.decode,
             Phase::Display => &self.display,
             Phase::Governor => &self.governor,
-            Phase::BatchStep => &self.batch_step,
             Phase::Other => &self.other,
         }
     }
@@ -164,7 +160,7 @@ mod tests {
         assert!(json
             .starts_with(r#"{"download":{"events":1,"sim_ms":482.125000,"wall_us":13},"decode":"#));
         assert!(json.ends_with(r#""other":{"events":0,"sim_ms":0.000000,"wall_us":0}}"#));
-        // All six phases present, in order.
+        // All five phases present, in order.
         for p in Phase::ALL {
             assert!(json.contains(&format!(r#""{}":{{"#, p.name())));
         }

@@ -55,8 +55,8 @@ fn coordinate_hash(seed: u64, domain: u64, a: u64, b: u64) -> u64 {
 }
 
 /// The per-segment frame-similarity factor in `[0, 1)`: a pure function
-/// of `(seed, segment)`, independent of governor, thread count, batch
-/// width, and replay mode.
+/// of `(seed, segment)`, independent of governor, thread count and
+/// execution order.
 pub fn segment_similarity(seed: u64, segment: u64) -> f64 {
     let h = coordinate_hash(seed, DOMAIN_SIMILARITY, segment, 0);
     (h >> 11) as f64 / (1u64 << 53) as f64

@@ -171,9 +171,8 @@ pub enum RunOutcome {
 /// `Progressed` means exactly one event was handled and the run may
 /// continue; the three terminal variants mirror [`RunOutcome`] so
 /// `run_until` is precisely a loop over `step_until`. External drivers
-/// (the batched shard runner) interleave many simulations by calling
-/// `step_until` round-robin and retiring a lane on its first terminal
-/// outcome.
+/// (the session step kernel) advance a simulation one event per call and
+/// stop on its first terminal outcome.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum StepOutcome {
     /// One event was handled; more work may remain.

@@ -115,130 +115,19 @@ pub fn trace_cache_stats() -> CacheStats {
     traces().stats()
 }
 
-/// One recorded EAVS frequency decision, 16 bytes.
-///
-/// `kind` tags which branch of the governor's decision logic fired (the
-/// constants in [`decision_kind`]); `required_bits` carries the raw
-/// bit-pattern of the computed demand (`f64::to_bits`) for the branches
-/// that compute one, so replay can substitute it bit-exactly without
-/// re-running the predictor; `chosen` is the OPP index the recording
-/// session selected, used by injectors to detect the divergence point.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct DecisionRecord {
-    /// Which decision branch fired ([`decision_kind`]).
-    pub kind: u8,
-    /// OPP index chosen by the recording session.
-    pub chosen: u16,
-    /// `f64::to_bits` of the demand in Hz (branches that compute one).
-    pub required_bits: u64,
-}
-
-/// Branch tags for [`DecisionRecord::kind`].
+/// Branch tags of the EAVS governor's decision logic: which branch fired
+/// for one frequency decision.
 pub mod decision_kind {
     /// Structural maximum: fill race or an open panic window.
     pub const STRUCTURAL_MAX: u8 = 0;
     /// Playback ended: policy minimum.
     pub const ENDED_MIN: u8 = 1;
-    /// Paced fill (race disabled): demand recorded.
+    /// Paced fill (race disabled): select on the fill window's demand.
     pub const PACED_FILL: u8 = 2;
     /// Playing with an empty demand list: select on zero demand.
     pub const IDLE: u8 = 3;
-    /// Playing with pending work: demand recorded.
+    /// Playing with pending work: select on the pipeline's demand.
     pub const DEMAND: u8 = 4;
-}
-
-/// The full decision timeline of one recorded session, in decision order.
-#[derive(Clone, Debug, Default)]
-pub struct DecisionTimeline {
-    /// Every governor decision the session took, in order.
-    pub records: Vec<DecisionRecord>,
-}
-
-impl DecisionTimeline {
-    fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.records.len() * std::mem::size_of::<DecisionRecord>()
-    }
-}
-
-/// Resident-byte cap of the decision-timeline store. A 60 s session
-/// records a few thousand 16-byte decisions (~100 KB); the cap holds a
-/// few hundred distinct bases, far more than any sweep needs, while
-/// bounding a pathological caller.
-const TIMELINE_CAP_BYTES: usize = 32 << 20;
-
-struct TimelineStore {
-    map: Mutex<(HashMap<u128, Arc<DecisionTimeline>>, usize)>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-fn timelines() -> &'static TimelineStore {
-    static CACHE: OnceLock<TimelineStore> = OnceLock::new();
-    CACHE.get_or_init(|| TimelineStore {
-        map: Mutex::new((HashMap::new(), 0)),
-        hits: AtomicU64::new(0),
-        misses: AtomicU64::new(0),
-    })
-}
-
-/// Looks up the recorded decision timeline for a session replay-prefix
-/// key. Counts a hit or miss: call this only where a replay could
-/// actually be injected, so the hit rate measures replay opportunities.
-pub fn decision_timeline(key: u128) -> Option<Arc<DecisionTimeline>> {
-    let store = timelines();
-    let found = peek_decision_timeline(key);
-    match &found {
-        Some(_) => store.hits.fetch_add(1, Ordering::Relaxed),
-        None => store.misses.fetch_add(1, Ordering::Relaxed),
-    };
-    found
-}
-
-/// [`decision_timeline`] without touching the hit/miss counters — for
-/// schedulers probing whether a key was recorded yet (a wave leader's
-/// cold probe is not a replay opportunity and must not dilute the rate).
-pub fn peek_decision_timeline(key: u128) -> Option<Arc<DecisionTimeline>> {
-    timelines()
-        .map
-        .lock()
-        .expect("timeline store poisoned")
-        .0
-        .get(&key)
-        .cloned()
-}
-
-/// Stores a recorded timeline under a replay-prefix key. First store
-/// wins (later recordings under the same key are discarded, keeping the
-/// stored value a deterministic function of execution order), and the
-/// store refuses new entries past `TIMELINE_CAP_BYTES`. Returns
-/// whether the timeline was kept.
-pub fn store_decision_timeline(key: u128, records: Vec<DecisionRecord>) -> bool {
-    let timeline = DecisionTimeline { records };
-    let bytes = timeline.approx_bytes();
-    let store = timelines();
-    let mut guard = store.map.lock().expect("timeline store poisoned");
-    let (map, resident) = &mut *guard;
-    if map.contains_key(&key) || *resident + bytes > TIMELINE_CAP_BYTES {
-        return false;
-    }
-    map.insert(key, Arc::new(timeline));
-    *resident += bytes;
-    true
-}
-
-/// Counters of the decision-timeline store (hits/misses of
-/// [`decision_timeline`] lookups).
-pub fn decision_timeline_stats() -> CacheStats {
-    timelines().stats_of()
-}
-
-impl TimelineStore {
-    fn stats_of(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -255,28 +144,6 @@ mod tests {
         assert_eq!((s.hits, s.misses), (1, 1));
         let _ = memo.get_or_build(2, || "two".to_owned());
         assert_eq!(memo.stats().misses, 2);
-    }
-
-    #[test]
-    fn timeline_store_is_first_write_wins() {
-        // Keys salted to avoid colliding with other tests sharing the
-        // process-wide store.
-        let key = 0xfeed_0001_u128;
-        assert!(decision_timeline(key).is_none());
-        let rec = |chosen| DecisionRecord {
-            kind: decision_kind::DEMAND,
-            chosen,
-            required_bits: 42,
-        };
-        assert!(store_decision_timeline(key, vec![rec(1)]));
-        assert!(
-            !store_decision_timeline(key, vec![rec(2)]),
-            "second store under the same key must be discarded"
-        );
-        let got = decision_timeline(key).expect("stored");
-        assert_eq!(got.records, vec![rec(1)]);
-        let s = decision_timeline_stats();
-        assert!(s.hits >= 1 && s.misses >= 1);
     }
 
     #[test]

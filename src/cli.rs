@@ -133,9 +133,6 @@ pub struct FleetArgs {
     pub out: Option<String>,
     /// Also write Prometheus text-exposition metrics here.
     pub metrics_out: Option<String>,
-    /// Batched-kernel lane width (`--batch N`; equivalent to setting
-    /// `EAVS_BATCH=N` in the environment).
-    pub batch: Option<usize>,
     /// Whole-device power model override: `none`, `phone` or
     /// `phone:<brightness>` (defaults to the preset's, which is `none`).
     pub power: Option<String>,
@@ -158,7 +155,6 @@ impl Default for FleetArgs {
             halt_after_shards: None,
             out: None,
             metrics_out: None,
-            batch: None,
             power: None,
             emit_prior: None,
             prior: None,
@@ -320,9 +316,6 @@ FLEET OPTIONS (defaults come from the chosen preset):
   --metrics-out PATH      also write Prometheus text-exposition metrics
                           (shard progress, cache hit rate, per-governor
                           energy/QoE histograms, fault counters)
-  --batch N               run shards through the batched SoA session
-                          kernel, N lanes per worker (same as EAVS_BATCH=N;
-                          results stay byte-identical)
   --power none            attach a whole-device power model to every
                           session of the population (same spec as run)
   --emit-prior PATH       after the campaign, write the aggregated
@@ -503,7 +496,6 @@ fn parse_fleet_args(args: &[String]) -> Result<FleetArgs, String> {
             }
             "--out" => out.out = Some(value("out")?.clone()),
             "--metrics-out" => out.metrics_out = Some(value("metrics-out")?.clone()),
-            "--batch" => out.batch = Some(parse_num(value("batch")?, "batch")?),
             "--power" => out.power = Some(value("power")?.clone()),
             "--emit-prior" => out.emit_prior = Some(value("emit-prior")?.clone()),
             "--prior" => out.prior = Some(value("prior")?.clone()),
@@ -651,23 +643,16 @@ pub fn run_fleet(args: &FleetArgs) -> Result<String, String> {
         prior: warm_start.map(std::sync::Arc::new),
         ..eavs_fleet::RunOptions::default()
     };
-    if let Some(width) = args.batch {
-        // The executor reads EAVS_BATCH once; setting it before the
-        // first session runs routes every shard through the SoA kernel.
-        std::env::set_var("EAVS_BATCH", width.to_string());
-    }
     let outcome = eavs_bench::fleet::run_campaign(&spec, &opts)?;
     let table = outcome.aggregate.table(&spec);
     let mut out = table.render();
     out.push_str(&format!(
         "{}/{} shards done; {} session-runs this invocation ({:.0} runs/sec); \
-         {} replayed, {} batched; peak shard {:.1} KiB\n",
+         peak shard {:.1} KiB\n",
         outcome.aggregate.shards_done,
         spec.num_shards(),
         outcome.session_runs,
         outcome.session_runs as f64 / outcome.wall_s.max(1e-9),
-        outcome.replayed,
-        outcome.batched,
         outcome.peak_shard_bytes as f64 / 1024.0,
     ));
     if outcome.status == eavs_fleet::CampaignStatus::Halted {
@@ -678,7 +663,7 @@ pub fn run_fleet(args: &FleetArgs) -> Result<String, String> {
         out.push_str(&format!("[csv written to {path}]\n"));
     }
     if let Some(path) = &args.metrics_out {
-        write_output_file(path, &fleet_metrics_page(&outcome, &spec))?;
+        write_output_file(path, &fleet_metrics_page(&outcome.aggregate, &spec))?;
         out.push_str(&format!("[metrics written to {path}]\n"));
     }
     if let Some(path) = &args.emit_prior {
@@ -878,17 +863,15 @@ pub fn run_daemon_ctl(args: &DaemonArgs) -> Result<String, String> {
     }
 }
 
-/// Renders the campaign's Prometheus page plus the invocation execution
-/// counters (replayed/batched session-runs) and the process-local
+/// Renders the campaign's Prometheus page plus the process-local
 /// session-cache counters (hits/misses/bytes/evictions), which live in
 /// the bench harness rather than the campaign aggregate.
 fn fleet_metrics_page(
-    outcome: &eavs_fleet::CampaignOutcome,
+    aggregate: &eavs_fleet::FleetAggregate,
     spec: &eavs_fleet::CampaignSpec,
 ) -> String {
     let mut w = eavs_obs::PromWriter::new();
-    eavs_fleet::prom::write_into(&mut w, &outcome.aggregate, spec);
-    eavs_fleet::prom::write_outcome_into(&mut w, outcome, spec);
+    eavs_fleet::prom::write_into(&mut w, aggregate, spec);
     let cache = eavs_bench::cache::stats();
     w.help(
         "eavs_session_cache_hits_total",

@@ -43,30 +43,34 @@ fn one_session_fleet_reproduces_run_session() {
     assert_eq!(outcome.aggregate, direct);
 }
 
-/// The fast paths must actually be exercised by a default-configured
-/// campaign: shards run through the batched SoA kernel (batch is the
-/// default runner), and an `eavs`/`eavs-panic` pair — identical replay
-/// prefixes, panic knobs are outside the prefix — replays decision
-/// timelines instead of recomputing demand.
+/// The production pooled, cached runner must be invisible in the
+/// results: a campaign with an `eavs`/`eavs-panic` pair and repeated
+/// draws folds to the byte-identical aggregate the uncached serial
+/// reference runner produces.
 #[test]
-fn smoke_campaign_batches_and_replays() {
+fn smoke_campaign_matches_the_serial_runner() {
     let mut spec = CampaignSpec::smoke();
-    spec.name = "counters-smoke".to_owned();
+    spec.name = "pooled-vs-serial-smoke".to_owned();
     spec.sessions = 12;
     spec.shard_size = 4;
     spec.governors.push("eavs-panic".to_owned());
 
-    let outcome = eavs_bench::fleet::run_campaign(&spec, &RunOptions::default()).unwrap();
-    assert_eq!(outcome.status, CampaignStatus::Complete);
-    assert!(
-        outcome.batched > 0,
-        "batch is the default shard runner; batched = {}",
-        outcome.batched
+    let pooled = eavs_bench::fleet::run_campaign(&spec, &RunOptions::default()).unwrap();
+    let serial = eavs_fleet::run_campaign(
+        &spec,
+        &RunOptions::default(),
+        &eavs_fleet::campaign::serial_runner,
+    )
+    .unwrap();
+    assert_eq!(pooled.status, CampaignStatus::Complete);
+    assert_eq!(pooled.session_runs, serial.session_runs);
+    assert_eq!(
+        pooled.aggregate.table(&spec).to_csv(),
+        serial.aggregate.table(&spec).to_csv()
     );
-    assert!(
-        outcome.replayed > 0,
-        "eavs-panic must replay eavs timelines; replayed = {}",
-        outcome.replayed
+    assert_eq!(
+        eavs_fleet::checkpoint::encode(&pooled.aggregate),
+        eavs_fleet::checkpoint::encode(&serial.aggregate)
     );
 }
 

@@ -1,16 +1,21 @@
-//! The zero-cost-when-off guard: attaching a [`NullSink`] (the sink CI
-//! forces onto every session via `EAVS_NULL_TRACE`) must not add heap
-//! allocations to the session hot path beyond the constant handful for
-//! the shared sink handle and the dispatch tap. Event payloads are
-//! built lazily behind the `Option<SharedSink>` branch, so the no-sink
-//! path allocates nothing and the NullSink path allocates only setup.
+//! Allocation guards on the session hot path, measured by a counting
+//! global allocator:
 //!
-//! One test, alone in this binary: integration tests compile to their
-//! own executable, so the counting global allocator here observes only
-//! this measurement.
+//! - Zero cost when off: attaching a [`NullSink`] (the sink CI forces
+//!   onto every session via `EAVS_NULL_TRACE`) must not add heap
+//!   allocations beyond the constant handful for the shared sink handle
+//!   and the dispatch tap. Event payloads are built lazily behind the
+//!   `Option<SharedSink>` branch, so the no-sink path allocates nothing
+//!   and the NullSink path allocates only setup.
+//! - Scratch reuse: `SessionBuilder::run` recycles one `SessionScratch`
+//!   per thread, so a second session on the same thread allocates only
+//!   what a session cannot share with its predecessor.
+//!
+//! The allocator counts per thread, so the tests of this binary, which
+//! run concurrently, never see each other's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use eavs::obs::{shared, NullSink, SharedSink};
 use eavs::scaling::governor::{EavsConfig, EavsGovernor};
@@ -22,12 +27,22 @@ use std::sync::Arc;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocation calls made by this thread. A `const` initialiser and a
+    /// type without a destructor, so counting never allocates itself.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
-// SAFETY: delegates verbatim to `System`; the counter is a relaxed atomic.
+fn count_one() {
+    // `try_with`: the slot is gone while the thread itself is torn down.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: delegates verbatim to `System`; the counter is a thread-local
+// `Cell` that never allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc(layout) }
     }
 
@@ -36,7 +51,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -54,9 +69,9 @@ fn builder(manifest: &Arc<Manifest>) -> SessionBuilder {
 }
 
 fn allocs_for(run: impl FnOnce()) -> u64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = ALLOCS.with(Cell::get);
     run();
-    ALLOCS.load(Ordering::Relaxed) - before
+    ALLOCS.with(Cell::get) - before
 }
 
 #[test]
@@ -95,5 +110,32 @@ fn null_sink_adds_no_measurable_allocations() {
         delta <= 16,
         "NullSink added {delta} allocations over a plain run ({plain} -> {nulled}); \
          tracing must be zero-cost when off"
+    );
+}
+
+#[test]
+fn second_run_on_a_thread_reuses_its_scratch() {
+    let manifest = Arc::new(Manifest::single(
+        6_000,
+        1920,
+        1080,
+        SimDuration::from_secs(10),
+        30,
+    ));
+    // The first run on this thread warms the one-time memos and leaves
+    // the thread's scratch buffers behind for the next run.
+    let first = allocs_for(|| {
+        builder(&manifest).run();
+    });
+    let second = allocs_for(|| {
+        builder(&manifest).run();
+    });
+    // Measured at 37 with the scratch recycled and 45 on fresh buffers
+    // (10 s 1080p30, warm memos). The bound leaves a little headroom yet
+    // fails if `run()` stops recycling the thread's scratch.
+    assert!(
+        second <= 40,
+        "second run on one thread allocated {second} times (first {first}); \
+         is SessionBuilder::run still recycling its thread's SessionScratch?"
     );
 }
