@@ -34,10 +34,6 @@
 //!   session (the F28 probe workload): per-component joules, RRC
 //!   promotions, and the wall-clock cost of the powered run. Accounting
 //!   is post-hoc, so this also keeps an eye on its overhead.
-//! * `governor_dispatch` — ns per baseline-governor decision through the
-//!   dyn trait object, the devirtualized enum kernel, and the vectorized
-//!   LUT column, at widths 1/8/64 (same workload as the
-//!   `governor_dispatch` criterion bench).
 //!
 //! `--smoke` writes `BENCH_sim.smoke.json` instead, so a quick CI pass
 //! never clobbers the full-mode report.
@@ -58,7 +54,6 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
-use eavs_bench::dispatch;
 use eavs_bench::harness::{self, governor, manifest_1080p30, SEED};
 use eavs_core::session::StreamingSession;
 use eavs_sim::prelude::*;
@@ -247,13 +242,9 @@ fn measure_daemon(smoke: bool) -> (f64, f64, u64) {
             .expect("daemon submit");
     assert_eq!(status, 200, "daemon submit: {resp}");
     loop {
-        let (_, progress) = eavs_daemon::http::client::request_text(
-            &addr,
-            "GET",
-            &format!("/campaigns/{id}"),
-            "",
-        )
-        .expect("daemon poll");
+        let (_, progress) =
+            eavs_daemon::http::client::request_text(&addr, "GET", &format!("/campaigns/{id}"), "")
+                .expect("daemon poll");
         if progress.contains("\"phase\":\"complete\"") {
             break;
         }
@@ -334,30 +325,6 @@ fn measure_power() -> (eavs_core::SessionReport, f64) {
     let started = Instant::now();
     let report = eavs_bench::device_power::powered_lte_session().run();
     (report, started.elapsed().as_secs_f64())
-}
-
-/// The governor dispatch comparison (dyn trait object vs devirtualized
-/// enum vs vectorized LUT column) over the shared [`dispatch`] workload
-/// — the same lanes the `governor_dispatch` criterion bench steps.
-/// Returns best-of-reps ns/decision arrays indexed like
-/// [`dispatch::WIDTHS`].
-fn measure_dispatch(smoke: bool) -> ([f64; 3], [f64; 3], [f64; 3]) {
-    let (steps, reps) = if smoke { (2_000, 3) } else { (20_000, 5) };
-    let mut dyn_ns = [0.0; 3];
-    let mut enum_ns = [0.0; 3];
-    let mut lut_ns = [0.0; 3];
-    for (i, width) in dispatch::WIDTHS.into_iter().enumerate() {
-        let (d, e, l) = dispatch::measure_ns_per_decision(width, steps, reps);
-        dyn_ns[i] = d;
-        enum_ns[i] = e;
-        lut_ns[i] = l;
-    }
-    (dyn_ns, enum_ns, lut_ns)
-}
-
-/// Formats a 3-wide ns/decision array as a JSON array literal.
-fn ns_array(ns: &[f64; 3]) -> String {
-    format!("[{:.1}, {:.1}, {:.1}]", ns[0], ns[1], ns[2])
 }
 
 /// One profiled 1080p30 session; returns the phase-breakdown JSON.
@@ -442,8 +409,7 @@ fn main() {
         fleet_peak_shard_bytes as f64 / 1024.0,
     );
 
-    let (daemon_http_per_sec, daemon_direct_per_sec, daemon_session_runs) =
-        measure_daemon(smoke);
+    let (daemon_http_per_sec, daemon_direct_per_sec, daemon_session_runs) = measure_daemon(smoke);
     eprintln!(
         "  daemon          {daemon_http_per_sec:.0} session-runs/sec over HTTP vs \
          {daemon_direct_per_sec:.0} in-process ({daemon_session_runs} runs each)"
@@ -471,15 +437,6 @@ fn main() {
         "  power           radio {:.1} J ({} promos), display {:.1} J, decoder {:.1} J, \
          device {power_device_j:.1} J ({power_wall_s:.2} s wall)",
         power.radio_j, power.radio_promotions, power.display_j, power.decoder_j,
-    );
-
-    let (dispatch_dyn_ns, dispatch_enum_ns, dispatch_lut_ns) = measure_dispatch(smoke);
-    eprintln!(
-        "  dispatch        dyn {} / enum {} / lut {} ns per decision (widths {:?})",
-        ns_array(&dispatch_dyn_ns),
-        ns_array(&dispatch_enum_ns),
-        ns_array(&dispatch_lut_ns),
-        dispatch::WIDTHS,
     );
 
     let session = eavs_bench::cache::stats();
@@ -534,12 +491,6 @@ fn main() {
             "  }},\n",
             "  \"segment_cache\": {{ \"hits\": {segment_hits}, \"misses\": {segment_misses} }},\n",
             "  \"trace_cache\": {{ \"hits\": {trace_hits}, \"misses\": {trace_misses} }},\n",
-            "  \"governor_dispatch\": {{\n",
-            "    \"widths\": [1, 8, 64],\n",
-            "    \"dyn_ns_per_decision\": {dispatch_dyn_ns},\n",
-            "    \"enum_ns_per_decision\": {dispatch_enum_ns},\n",
-            "    \"lut_ns_per_decision\": {dispatch_lut_ns}\n",
-            "  }},\n",
             "  \"power\": {{\n",
             "    \"radio_j\": {power_radio_j:.3},\n",
             "    \"radio_promotions\": {power_promotions},\n",
@@ -590,9 +541,6 @@ fn main() {
         segment_misses = segment.misses,
         trace_hits = trace.hits,
         trace_misses = trace.misses,
-        dispatch_dyn_ns = ns_array(&dispatch_dyn_ns),
-        dispatch_enum_ns = ns_array(&dispatch_enum_ns),
-        dispatch_lut_ns = ns_array(&dispatch_lut_ns),
         power_radio_j = power.radio_j,
         power_promotions = power.radio_promotions,
         power_display_j = power.display_j,

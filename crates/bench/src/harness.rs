@@ -34,9 +34,8 @@ pub fn governor(name: &str) -> GovernorChoice {
     if name == "eavs" {
         eavs_default()
     } else {
-        // Baselines go through the devirtualized decision kernel
-        // (decision-identical to the trait path, measurably faster).
-        GovernorChoice::kind_by_name(name).unwrap_or_else(|| panic!("unknown governor {name}"))
+        let g = eavs_governors::by_name(name).unwrap_or_else(|| panic!("unknown governor {name}"));
+        GovernorChoice::Baseline(g)
     }
 }
 

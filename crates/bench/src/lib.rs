@@ -50,7 +50,6 @@
 pub mod cache;
 pub mod comparison;
 pub mod device_power;
-pub mod dispatch;
 pub mod executor;
 pub mod extensions;
 pub mod fleet;

@@ -29,22 +29,30 @@ pub struct DemandItem {
 /// Items must be sorted by deadline; in a decode pipeline they naturally
 /// are (frames display in order).
 pub fn required_hz(now: SimTime, items: &[DemandItem]) -> f64 {
-    let mut cum = 0.0;
-    let mut worst: f64 = 0.0;
-    for item in items {
-        cum += item.cycles.get();
-        if cum <= 0.0 {
-            continue;
-        }
-        match item.deadline.checked_duration_since(now) {
-            None => return f64::INFINITY,
-            Some(slack) if slack.is_zero() => return f64::INFINITY,
-            Some(slack) => {
-                worst = worst.max(cum / slack.as_secs_f64());
+    required_hz_split(now, None, items)
+}
+
+/// [`required_hz`] over `head` followed by `tail`, without assembling
+/// the concatenated list: the same additions, divisions and `max`es in
+/// the same order, so the result is bit-identical.
+pub fn required_hz_split(now: SimTime, head: Option<DemandItem>, tail: &[DemandItem]) -> f64 {
+    // `Chain::try_fold` runs one loop per part, not one branchy loop.
+    head.iter()
+        .chain(tail)
+        .try_fold((0.0, 0.0_f64), |(cum, worst), item| {
+            let cum = cum + item.cycles.get();
+            if cum <= 0.0 {
+                return Some((cum, worst));
             }
-        }
-    }
-    worst
+            match item.deadline.checked_duration_since(now) {
+                Some(slack) if !slack.is_zero() => {
+                    Some((cum, worst.max(cum / slack.as_secs_f64())))
+                }
+                // Due or overdue: no finite rate meets it.
+                _ => None,
+            }
+        })
+        .map_or(f64::INFINITY, |(_, worst)| worst)
 }
 
 /// The *critical speed* of an OPP table under a power model: the index

@@ -22,14 +22,14 @@ use crate::framestats::FrameCycleStats;
 use crate::governor::{EavsGovernor, InFlightMeta, PipelineSnapshot};
 use crate::predictor::{FrameMeta, SessionPrior};
 use crate::report::SessionReport;
-use crate::selector::{required_hz, DemandItem};
+use crate::selector::{required_hz_split, DemandItem};
 use eavs_cpu::cluster::{Cluster, PolicyLimits};
 use eavs_cpu::freq::{Cycles, Frequency};
 use eavs_cpu::load::LoadMonitor;
 use eavs_cpu::soc::SocModel;
 use eavs_cpu::thermal::{ThermalModel, ThrottleController};
 use eavs_faults::{AmbientStep, FaultPlan, FaultSchedule};
-use eavs_governors::{CpufreqGovernor, GovernorKind, LutCache};
+use eavs_governors::CpufreqGovernor;
 use eavs_metrics::timeseries::StepSeries;
 use eavs_net::abr::{AbrAlgorithm, AbrContext, FixedAbr};
 use eavs_net::bandwidth::BandwidthTrace;
@@ -68,36 +68,16 @@ pub fn injected_decisions() -> u64 {
 
 /// Which governor drives the session.
 pub enum GovernorChoice {
-    /// A workload-oblivious baseline behind the trait-object escape
-    /// hatch (out-of-crate governors).
+    /// A workload-oblivious baseline governor.
     Baseline(Box<dyn CpufreqGovernor>),
-    /// A baseline through the devirtualized decision kernel: static
-    /// dispatch plus a cached per-window `DecisionLut`
-    /// (decision-identical to [`Baseline`](GovernorChoice::Baseline),
-    /// see `eavs-governors/tests/kind_equivalence.rs`).
-    Kind {
-        /// The closed-enum governor.
-        kind: GovernorKind,
-        /// Per-session LUT cache, rebuilt when thermal limits move.
-        lut: LutCache,
-    },
     /// The video-aware EAVS governor.
     Eavs(EavsGovernor),
 }
 
 impl GovernorChoice {
-    /// A baseline by sysfs name through the devirtualized kernel.
-    pub fn kind_by_name(name: &str) -> Option<GovernorChoice> {
-        Some(GovernorChoice::Kind {
-            kind: GovernorKind::by_name(name)?,
-            lut: LutCache::default(),
-        })
-    }
-
     fn report_name(&self) -> String {
         match self {
             GovernorChoice::Baseline(g) => g.name().to_owned(),
-            GovernorChoice::Kind { kind, .. } => kind.name().to_owned(),
             GovernorChoice::Eavs(g) => format!("eavs/{}", g.predictor_name()),
         }
     }
@@ -105,24 +85,18 @@ impl GovernorChoice {
     fn sampling_interval(&self) -> SimDuration {
         match self {
             GovernorChoice::Baseline(g) => g.sampling_interval(),
-            GovernorChoice::Kind { kind, .. } => kind.sampling_interval(),
             GovernorChoice::Eavs(g) => g.config().decision_interval,
         }
     }
 
     /// Hashes the governor's identity and configuration into `fp`,
     /// branch-tagged so a baseline can never collide with EAVS. Governors
-    /// carrying learned state mark the fingerprint opaque. Both baseline
-    /// shapes share tag 0: dispatch strategy is not identity.
+    /// carrying learned state mark the fingerprint opaque.
     fn fingerprint(&self, fp: &mut Fingerprinter) {
         match self {
             GovernorChoice::Baseline(g) => {
                 fp.write_u8(0);
                 g.fingerprint(fp);
-            }
-            GovernorChoice::Kind { kind, .. } => {
-                fp.write_u8(0);
-                kind.fingerprint(fp);
             }
             GovernorChoice::Eavs(g) => {
                 fp.write_u8(1);
@@ -803,9 +777,6 @@ impl SessionState {
                 GovernorChoice::Baseline(g) => {
                     g.initial_index(world.cluster.opps(), world.cluster.limits())
                 }
-                GovernorChoice::Kind { kind, .. } => {
-                    kind.initial_index(world.cluster.opps(), world.cluster.limits())
-                }
                 GovernorChoice::Eavs(_) => world.cluster.limits().max_index,
             };
             if world.drive_via_sysfs {
@@ -1053,8 +1024,6 @@ struct SteadyDemand {
     /// Frame metadata behind each `tail` item, kept so a decode
     /// completion can re-predict just the observed type's items.
     tail_meta: Vec<FrameMeta>,
-    /// Per-tick assembly buffer: `[in-flight?] ++ tail`.
-    scratch: Vec<DemandItem>,
 }
 
 impl Default for SteadyDemand {
@@ -1064,7 +1033,6 @@ impl Default for SteadyDemand {
             inflight: None,
             tail: Vec::new(),
             tail_meta: Vec::new(),
-            scratch: Vec::new(),
         }
     }
 }
@@ -1076,7 +1044,6 @@ impl SteadyDemand {
         self.inflight = None;
         self.tail.clear();
         self.tail_meta.clear();
-        self.scratch.clear();
         self
     }
 }
@@ -1675,8 +1642,10 @@ impl SessionWorld {
             self.cluster.current_index(),
         );
         // Linux policies observe the busiest CPU of the domain; include
-        // the background core when present.
-        let sample = if self.cluster.num_cores() > 1 {
+        // the background core when it has load. Without a background load
+        // core 1 never runs, and its all-idle window (sampled at the same
+        // instants as core 0's) can never win the pick below.
+        let sample = if self.background.is_some() && self.cluster.num_cores() > 1 {
             let sample1 = self.monitor_bg.sample(
                 now,
                 self.cluster.core_busy_total(1),
@@ -1703,16 +1672,8 @@ impl SessionWorld {
                 });
                 self.apply_target(sched, now, idx);
             }
-            (GovernorChoice::Kind { kind, lut }, Some(sample)) => {
-                let idx = kind.decide(&sample, lut.get(self.cluster.opps(), self.cluster.limits()));
-                self.emit(now, || TraceEvent::GovernorDecision {
-                    cur_khz: u64::from(self.cluster.current_freq().khz()),
-                    target_khz: u64::from(self.cluster.opps().freq(idx).khz()),
-                });
-                self.apply_target(sched, now, idx);
-            }
             (GovernorChoice::Eavs(_), _) => unreachable!("EAVS tick handled above"),
-            (GovernorChoice::Baseline(_) | GovernorChoice::Kind { .. }, None) => {}
+            (GovernorChoice::Baseline(_), None) => {}
         }
         let interval = self.governor.sampling_interval();
         sched.schedule_at(now + interval, Ev::Sample);
@@ -1855,25 +1816,20 @@ impl SessionWorld {
         // cached demand list is exact — only the clock moved and only the
         // in-flight item's remaining cycles need re-deriving.
         if self.steady.epoch == self.pipeline_epoch {
-            let required = {
-                let c = &mut self.steady;
-                c.scratch.clear();
-                if let Some((predicted, deadline)) = c.inflight {
-                    let initial = self.decode_initial.expect("in-flight implies initial");
-                    let remaining = self.cluster.core(0).remaining().unwrap_or(Cycles::ZERO);
-                    let executed = initial.saturating_sub(remaining);
-                    // Same overrun rule as the snapshot path: an overshot
-                    // prediction leaves a 10% residual, not zero.
-                    let cycles = if executed.get() >= predicted.get() {
-                        predicted.scale(0.1)
-                    } else {
-                        predicted.saturating_sub(executed)
-                    };
-                    c.scratch.push(DemandItem { cycles, deadline });
-                }
-                c.scratch.extend_from_slice(&c.tail);
-                required_hz(now, &c.scratch)
-            };
+            let head = self.steady.inflight.map(|(predicted, deadline)| {
+                let initial = self.decode_initial.expect("in-flight implies initial");
+                let remaining = self.cluster.core(0).remaining().unwrap_or(Cycles::ZERO);
+                let executed = initial.saturating_sub(remaining);
+                // Same overrun rule as the snapshot path: an overshot
+                // prediction leaves a 10% residual, not zero.
+                let cycles = if executed.get() >= predicted.get() {
+                    predicted.scale(0.1)
+                } else {
+                    predicted.saturating_sub(executed)
+                };
+                DemandItem { cycles, deadline }
+            });
+            let required = required_hz_split(now, head, &self.steady.tail);
             let GovernorChoice::Eavs(g) = &mut self.governor else {
                 unreachable!("checked above");
             };

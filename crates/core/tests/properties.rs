@@ -8,7 +8,7 @@ use eavs_core::governor::{EavsConfig, EavsGovernor, InFlightMeta, PipelineSnapsh
 use eavs_core::predictor::{
     predictor_by_name, Ewma, FrameMeta, Hybrid, WorkloadPredictor, PREDICTOR_NAMES,
 };
-use eavs_core::selector::{required_hz, DemandItem, OppSelector};
+use eavs_core::selector::{required_hz, required_hz_split, DemandItem, OppSelector};
 use eavs_cpu::cluster::PolicyLimits;
 use eavs_cpu::freq::Cycles;
 use eavs_cpu::opp::OppTable;
@@ -19,6 +19,26 @@ use proptest::prelude::*;
 
 fn table() -> OppTable {
     OppTable::from_mhz_mv(&[(500, 900), (1000, 1000), (1500, 1100), (2000, 1250)]).unwrap()
+}
+
+/// The required rate as a plain loop over the prefixes: the reference
+/// the selector's `required_hz` and `required_hz_split` must match bit
+/// for bit.
+fn reference_required_hz(now: SimTime, items: &[DemandItem]) -> f64 {
+    let mut cum = 0.0;
+    let mut worst: f64 = 0.0;
+    for item in items {
+        cum += item.cycles.get();
+        if cum <= 0.0 {
+            continue;
+        }
+        if item.deadline <= now {
+            return f64::INFINITY;
+        }
+        let slack_s = (item.deadline.as_nanos() - now.as_nanos()) as f64 / 1e9;
+        worst = worst.max(cum / slack_s);
+    }
+    worst
 }
 
 fn ftype(i: u8) -> FrameType {
@@ -120,6 +140,35 @@ proptest! {
         // Advancing `now` (shrinking all slack) never lowers it.
         let later = required_hz(SimTime::from_micros(500), &demand);
         prop_assert!(later >= base - 1e-9);
+    }
+
+    /// `required_hz_split(head, tail)` is bit-identical to `required_hz`
+    /// over the concatenated list, and both equal a plain prefix loop:
+    /// zero-cycle items, overdue and due deadlines included.
+    #[test]
+    fn required_hz_split_matches_concatenation(
+        items in proptest::collection::vec((0u8..4, 1.0f64..100.0, 0u64..5_000_000), 0..12),
+        now_us in 0u64..3_000,
+        split_head in any::<bool>(),
+    ) {
+        let mut sorted = items;
+        sorted.sort_by_key(|&(_, _, d)| d);
+        let demand: Vec<DemandItem> = sorted
+            .iter()
+            .map(|&(zero, mc, ns)| DemandItem {
+                // One item in four carries no cycles (`cum <= 0` skips).
+                cycles: Cycles::from_mega(if zero == 0 { 0.0 } else { mc }),
+                deadline: SimTime::from_nanos(ns),
+            })
+            .collect();
+        let now = SimTime::from_micros(now_us);
+        let whole = required_hz(now, &demand);
+        prop_assert_eq!(whole.to_bits(), reference_required_hz(now, &demand).to_bits());
+        let (head, tail) = match demand.split_first() {
+            Some((first, rest)) if split_head => (Some(*first), rest),
+            _ => (None, &demand[..]),
+        };
+        prop_assert_eq!(required_hz_split(now, head, tail).to_bits(), whole.to_bits());
     }
 
     /// The selector output is always within limits, and jumps up

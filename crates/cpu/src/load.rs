@@ -7,7 +7,7 @@
 
 use crate::freq::Frequency;
 use crate::opp::OppIndex;
-use eavs_sim::time::{SimDuration, SimTime};
+use eavs_sim::time::{round_u64, SimDuration, SimTime};
 
 /// One sampling-window observation handed to a governor.
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -34,7 +34,8 @@ impl LoadSample {
     /// frequency, i.e. the clock rate the workload actually consumed.
     /// This is the quantity `schedutil` keys off.
     pub fn consumed_freq(&self) -> Frequency {
-        Frequency::from_khz((self.busy_fraction * self.cur_freq.khz() as f64).round() as u32)
+        let khz = round_u64(self.busy_fraction * self.cur_freq.khz() as f64);
+        Frequency::from_khz(u32::try_from(khz).unwrap_or(u32::MAX))
     }
 }
 

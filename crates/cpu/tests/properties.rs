@@ -10,13 +10,17 @@ use eavs_sim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
 
 fn small_cluster(latency_us: u64) -> Cluster {
+    cluster_of(2, latency_us)
+}
+
+fn cluster_of(num_cores: usize, latency_us: u64) -> Cluster {
     Cluster::new(ClusterConfig {
         name: "prop",
         opps: OppTable::from_mhz_mv(&[(500, 900), (1000, 1000), (1500, 1100), (2000, 1250)])
             .unwrap(),
         power: Box::new(CmosPowerModel::new(1e-9, 0.1, 0.05)),
         cstates: CStateTable::mobile_default(0.08),
-        num_cores: 2,
+        num_cores,
         transition_latency: SimDuration::from_micros(latency_us),
         initial_index: 0,
     })
@@ -52,6 +56,38 @@ proptest! {
                 "core {core_id}: accounted {accounted} vs elapsed {elapsed}"
             );
         }
+    }
+
+    /// Cores that never run are invisible to busy energy and residency:
+    /// a 4-core cluster whose cores 1-3 stay idle accrues bit-identical
+    /// `busy_j`, `static_j`, `transition_j` and `time_in_state` to a
+    /// 1-core cluster with the same OPPs and power model, whatever the
+    /// job and frequency-switch schedule on core 0.
+    #[test]
+    fn idle_cores_add_no_busy_energy(
+        ops in proptest::collection::vec((0u64..40, 0usize..4, 1u64..60), 0..60),
+        latency_us in prop_oneof![Just(0u64), Just(100u64)],
+    ) {
+        let mut one = cluster_of(1, latency_us);
+        let mut four = cluster_of(4, latency_us);
+        let mut now = SimTime::ZERO;
+        for (dt_ms, opp, mcycles) in ops {
+            now += SimDuration::from_millis(dt_ms) + SimDuration::from_nanos(mcycles * 7);
+            for c in [&mut one, &mut four] {
+                c.set_target(now, opp);
+                if !c.is_core_busy(0) {
+                    c.start_job(now, 0, Cycles::from_mega(mcycles as f64 * 1.37));
+                }
+            }
+        }
+        let end = now + SimDuration::from_secs(1);
+        let (e1, e4) = (one.energy_at(end), four.energy_at(end));
+        prop_assert_eq!(e1.busy_j.to_bits(), e4.busy_j.to_bits());
+        prop_assert_eq!(e1.static_j.to_bits(), e4.static_j.to_bits());
+        prop_assert_eq!(e1.transition_j.to_bits(), e4.transition_j.to_bits());
+        prop_assert_eq!(one.time_in_state(end), four.time_in_state(end));
+        prop_assert_eq!(one.core(0).cycles_retired().to_bits(), four.core(0).cycles_retired().to_bits());
+        prop_assert_eq!(one.busy_total(), four.busy_total());
     }
 
     /// time_in_state always sums to elapsed wall time.

@@ -24,18 +24,27 @@ pub fn encode_spec(spec: &CampaignSpec) -> String {
         Value::Arr(
             items
                 .into_iter()
-                .map(|(v, w)| Value::Obj(vec![(key.to_owned(), v), ("weight".into(), Value::f64(w))]))
+                .map(|(v, w)| {
+                    Value::Obj(vec![(key.to_owned(), v), ("weight".into(), Value::f64(w))])
+                })
                 .collect(),
         )
     };
     let hist = |(lo, hi, bins): (f64, f64, usize)| {
-        Value::Arr(vec![Value::f64(lo), Value::f64(hi), Value::u64(bins as u64)])
+        Value::Arr(vec![
+            Value::f64(lo),
+            Value::f64(hi),
+            Value::u64(bins as u64),
+        ])
     };
     let power = if spec.power.is_none() {
         Value::Null
     } else {
         Value::Obj(vec![
-            ("radio".into(), spec.power.radio.map_or(Value::Null, radio_to_json)),
+            (
+                "radio".into(),
+                spec.power.radio.map_or(Value::Null, radio_to_json),
+            ),
             (
                 "display".into(),
                 spec.power.display.map_or(Value::Null, display_to_json),
@@ -437,7 +446,11 @@ mod tests {
 
     #[test]
     fn smoke_and_global_round_trip_exactly() {
-        for spec in [CampaignSpec::smoke(), CampaignSpec::global(), powered_spec()] {
+        for spec in [
+            CampaignSpec::smoke(),
+            CampaignSpec::global(),
+            powered_spec(),
+        ] {
             let json = encode_spec(&spec);
             let back = decode_spec(&json).unwrap();
             assert_eq!(back, spec);
@@ -485,7 +498,9 @@ mod tests {
         assert!(err.contains("seed") && err.contains("missing"), "{err}");
 
         assert!(decode_spec("{]").unwrap_err().contains("invalid JSON"));
-        assert!(decode_spec("[1,2]").unwrap_err().contains("expected an object"));
+        assert!(decode_spec("[1,2]")
+            .unwrap_err()
+            .contains("expected an object"));
     }
 
     #[test]
@@ -493,6 +508,9 @@ mod tests {
         let json = encode_spec(&CampaignSpec::smoke());
         let spiked = json.replacen('{', "{\"turbo\":true,", 1);
         let err = decode_spec(&spiked).unwrap_err();
-        assert!(err.contains("turbo") && err.contains("unknown field"), "{err}");
+        assert!(
+            err.contains("turbo") && err.contains("unknown field"),
+            "{err}"
+        );
     }
 }

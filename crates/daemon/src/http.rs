@@ -9,17 +9,19 @@
 //! growing an unbounded queue.
 //!
 //! Request bodies are capped at [`MAX_BODY_BYTES`]; anything larger is
-//! answered `413` without being read. Headers are capped too. The
+//! answered `413` without being stored (what the client still sends is
+//! discarded, so the close does not reset the connection under the
+//! response). Headers are capped too. The
 //! matching [`client`] speaks exactly this dialect and is what
 //! `eavsctl` and worker mode use.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Largest request body accepted, bytes. Campaign specs are ~2 KiB;
 /// 1 MiB leaves two orders of magnitude of headroom while keeping a
@@ -33,6 +35,11 @@ const MAX_HEAD_BYTES: u64 = 16 * 1024;
 /// worker's claim briefly while folding, but nothing legitimate holds a
 /// socket for tens of seconds.
 const IO_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// How much of a refused request the server reads and discards before
+/// closing, at most, and for how long (see [`linger`]).
+const DRAIN_BYTES: u64 = 16 * MAX_BODY_BYTES;
+const DRAIN_TIME: Duration = Duration::from_secs(2);
 
 /// A parsed request.
 #[derive(Debug)]
@@ -137,9 +144,7 @@ impl Server {
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("eavsd-http-{i}"))
-                    .spawn(move ||
-
-                        worker_loop(&rx, &handler))
+                    .spawn(move || worker_loop(&rx, &handler))
                     .expect("spawn http worker"),
             );
         }
@@ -204,18 +209,49 @@ fn serve_connection(stream: TcpStream, handler: &Handler) -> std::io::Result<()>
     stream.set_read_timeout(Some(IO_TIMEOUT))?;
     stream.set_write_timeout(Some(IO_TIMEOUT))?;
     let mut reader = BufReader::new(stream);
-    let response = match read_request(&mut reader) {
-        Ok(request) => handler(request),
-        Err(ReadError::TooLarge) => Response::error(
-            413,
-            "payload too large",
-            &format!("request bodies are capped at {MAX_BODY_BYTES} bytes"),
+    let (response, refused) = match read_request(&mut reader) {
+        Ok(request) => (handler(request), false),
+        Err(ReadError::TooLarge) => (
+            Response::error(
+                413,
+                "payload too large",
+                &format!("request bodies are capped at {MAX_BODY_BYTES} bytes"),
+            ),
+            true,
         ),
-        Err(ReadError::Malformed(detail)) => Response::error(400, "malformed request", &detail),
+        Err(ReadError::Malformed(detail)) => {
+            (Response::error(400, "malformed request", &detail), true)
+        }
         Err(ReadError::Io(e)) => return Err(e),
     };
     let mut stream = reader.into_inner();
-    write_response(&mut stream, &response)
+    write_response(&mut stream, &response)?;
+    if refused {
+        linger(&mut stream);
+    }
+    Ok(())
+}
+
+/// Closing a socket that still holds unread request bytes makes the
+/// kernel reset the connection, which can destroy the response before
+/// the client has read it. After refusing a request unread, end the
+/// response with a FIN and discard (never store) what the client still
+/// sends, within [`DRAIN_BYTES`] and about [`DRAIN_TIME`].
+fn linger(stream: &mut TcpStream) {
+    if stream.shutdown(Shutdown::Write).is_err()
+        || stream.set_read_timeout(Some(DRAIN_TIME)).is_err()
+    {
+        return;
+    }
+    let deadline = Instant::now() + DRAIN_TIME;
+    let mut buf = [0u8; 8192];
+    let mut left = DRAIN_BYTES;
+    while left > 0 && Instant::now() < deadline {
+        match stream.read(&mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => left = left.saturating_sub(n as u64),
+        }
+    }
 }
 
 enum ReadError {
@@ -494,7 +530,9 @@ mod tests {
         );
         stream.write_all(head.as_bytes()).unwrap();
         let mut response = String::new();
-        BufReader::new(stream).read_to_string(&mut response).unwrap();
+        BufReader::new(stream)
+            .read_to_string(&mut response)
+            .unwrap();
         assert!(response.starts_with("HTTP/1.1 413"), "{response}");
         assert!(response.contains("payload too large"));
         server.shutdown();
@@ -509,7 +547,9 @@ mod tests {
             .write_all(b"NOT-HTTP\r\nContent-Length: zzz\r\n\r\n")
             .unwrap();
         let mut response = String::new();
-        BufReader::new(stream).read_to_string(&mut response).unwrap();
+        BufReader::new(stream)
+            .read_to_string(&mut response)
+            .unwrap();
         assert!(
             response.starts_with("HTTP/1.1 400") || response.starts_with("HTTP/1.1 413"),
             "{response}"

@@ -24,7 +24,7 @@ use eavs_fleet::checkpoint;
 
 use crate::http::{Request, Response};
 use crate::json::Value;
-use crate::registry::{Registry, Submitted, SubmitError};
+use crate::registry::{Registry, SubmitError, Submitted};
 
 /// Dispatches one request.
 pub fn handle(registry: &Arc<Registry>, stop: &Arc<AtomicBool>, req: Request) -> Response {
@@ -89,7 +89,11 @@ pub fn handle(registry: &Arc<Registry>, stop: &Arc<AtomicBool>, req: Request) ->
             Response::json(200, "{\"stopping\":true}".to_owned())
         }
         (_, ["healthz" | "metrics" | "claim" | "shutdown" | "priors"]) | (_, ["campaigns", ..]) => {
-            Response::error(405, "method not allowed", &format!("{} {}", req.method, req.path))
+            Response::error(
+                405,
+                "method not allowed",
+                &format!("{} {}", req.method, req.path),
+            )
         }
         _ => Response::error(404, "no such route", &req.path),
     }

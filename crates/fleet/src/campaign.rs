@@ -147,9 +147,9 @@ pub fn governor_choice(name: &str) -> Result<GovernorChoice, String> {
             Box::new(Hybrid::default()),
             EavsConfig::resilient(),
         ))),
-        other => {
-            GovernorChoice::kind_by_name(other).ok_or_else(|| format!("unknown governor {other:?}"))
-        }
+        other => eavs_governors::by_name(other)
+            .map(GovernorChoice::Baseline)
+            .ok_or_else(|| format!("unknown governor {other:?}")),
     }
 }
 
@@ -356,11 +356,7 @@ pub fn run_shard_warm(
             // into the fleet prior captures the workload without
             // multi-counting sessions.
             if gov_index == 0 {
-                partial.observe_prior(
-                    &draw.title.key(),
-                    draw.content.name(),
-                    &report.frame_cycles,
-                );
+                partial.observe_prior(&draw.title.key(), draw.content.name(), &report.frame_cycles);
             }
         }
     }
@@ -605,7 +601,9 @@ mod tests {
         assert!(report.frame_cycles.total_frames() > 0);
         assert_eq!(out.aggregate.prior.len(), 1);
         assert_eq!(
-            out.aggregate.prior.get(&draw.title.key(), draw.content.name()),
+            out.aggregate
+                .prior
+                .get(&draw.title.key(), draw.content.name()),
             Some(&report.frame_cycles)
         );
     }

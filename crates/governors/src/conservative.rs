@@ -70,31 +70,6 @@ impl Conservative {
             requested_khz: None,
         }
     }
-
-    /// The [`on_sample`](CpufreqGovernor::on_sample) decision over a
-    /// precomputed [`DecisionLut`](crate::kind::DecisionLut) — identical
-    /// step accumulation and final `>= requested - 1.0` selection.
-    pub(crate) fn decide_lut(
-        &mut self,
-        sample: &LoadSample,
-        lut: &crate::kind::DecisionLut,
-    ) -> OppIndex {
-        let max_khz = lut.khz_at(lut.max_index());
-        let min_khz = lut.khz_at(lut.min_index());
-        let step = self.tunables.freq_step_pct / 100.0 * lut.hw_max_khz();
-        let mut requested = self
-            .requested_khz
-            .unwrap_or(sample.cur_freq.khz() as f64)
-            .clamp(min_khz, max_khz);
-        let load = sample.load_pct();
-        if load > self.tunables.up_threshold {
-            requested = (requested + step).min(max_khz);
-        } else if load < self.tunables.down_threshold {
-            requested = (requested - step).max(min_khz);
-        }
-        self.requested_khz = Some(requested);
-        lut.lookup(requested - 1.0)
-    }
 }
 
 impl Default for Conservative {

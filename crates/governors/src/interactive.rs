@@ -95,48 +95,6 @@ impl Interactive {
         let khz = self.tunables.hispeed_freq_fraction * table.max_freq().khz() as f64;
         lowest_index_for_khz(table, limits, khz)
     }
-
-    /// The [`on_sample`](CpufreqGovernor::on_sample) decision over a
-    /// precomputed [`DecisionLut`](crate::kind::DecisionLut) — identical
-    /// burst/dwell/floor-timer transitions.
-    pub(crate) fn decide_lut(
-        &mut self,
-        sample: &LoadSample,
-        lut: &crate::kind::DecisionLut,
-    ) -> OppIndex {
-        let now = sample.now;
-        let cur = sample.cur_index;
-        match self.freq_since {
-            Some((idx, _)) if idx == cur => {}
-            _ => self.freq_since = Some((cur, now)),
-        }
-        let load = sample.load_pct();
-        let hispeed = lut.lookup(self.tunables.hispeed_freq_fraction * lut.hw_max_khz());
-
-        let desired_khz = load / self.tunables.target_load * sample.cur_freq.khz() as f64;
-        let mut target = lut.lookup(desired_khz);
-
-        if load >= self.tunables.go_hispeed_load && cur < hispeed {
-            target = target.max(hispeed);
-            self.hispeed_since = Some(now);
-        }
-        if target > hispeed && cur >= hispeed {
-            let since = *self.hispeed_since.get_or_insert(now);
-            if now.saturating_duration_since(since) < self.tunables.above_hispeed_delay {
-                target = hispeed.max(cur);
-            }
-        } else if cur < hispeed {
-            self.hispeed_since = None;
-        }
-
-        if target < cur {
-            let (_, since) = self.freq_since.expect("set above");
-            if now.saturating_duration_since(since) < self.tunables.min_sample_time {
-                target = cur;
-            }
-        }
-        lut.clamp(target)
-    }
 }
 
 impl Default for Interactive {

@@ -23,7 +23,6 @@
 pub mod conservative;
 pub mod governor;
 pub mod interactive;
-pub mod kind;
 pub mod ondemand;
 pub mod schedutil;
 pub mod static_govs;
@@ -31,7 +30,6 @@ pub mod static_govs;
 pub use conservative::{Conservative, ConservativeTunables};
 pub use governor::CpufreqGovernor;
 pub use interactive::{Interactive, InteractiveTunables};
-pub use kind::{DecisionLut, GovernorKind, LutCache};
 pub use ondemand::{Ondemand, OndemandTunables};
 pub use schedutil::{Schedutil, SchedutilTunables};
 pub use static_govs::{Performance, Powersave, Userspace};

@@ -75,26 +75,6 @@ impl Ondemand {
     pub fn tunables(&self) -> OndemandTunables {
         self.tunables
     }
-
-    /// The [`on_sample`](CpufreqGovernor::on_sample) decision over a
-    /// precomputed [`DecisionLut`](crate::kind::DecisionLut) — same state
-    /// transitions, same float comparisons, no table walk.
-    pub(crate) fn decide_lut(
-        &mut self,
-        sample: &LoadSample,
-        lut: &crate::kind::DecisionLut,
-    ) -> OppIndex {
-        let load = sample.load_pct();
-        if load > self.tunables.up_threshold {
-            self.down_skip = self.tunables.sampling_down_factor.saturating_sub(1);
-            return lut.max_index();
-        }
-        if self.down_skip > 0 && sample.cur_index == lut.max_index() {
-            self.down_skip -= 1;
-            return lut.max_index();
-        }
-        lut.lookup(load / 100.0 * lut.hw_max_khz())
-    }
 }
 
 impl CpufreqGovernor for Ondemand {

@@ -57,33 +57,6 @@ impl Schedutil {
             last_change: None,
         }
     }
-
-    /// The [`on_sample`](CpufreqGovernor::on_sample) decision over a
-    /// precomputed [`DecisionLut`](crate::kind::DecisionLut) — identical
-    /// headroom math and rate-limit anchoring.
-    pub(crate) fn decide_lut(
-        &mut self,
-        sample: &LoadSample,
-        lut: &crate::kind::DecisionLut,
-    ) -> OppIndex {
-        let consumed_khz = sample.busy_fraction * sample.cur_freq.khz() as f64;
-        let target_khz = self.tunables.headroom * consumed_khz;
-        let target = lut.lookup(target_khz);
-
-        match self.last_change {
-            Some((idx, at))
-                if target != idx
-                    && sample.now.saturating_duration_since(at) < self.tunables.rate_limit =>
-            {
-                idx
-            }
-            Some((idx, _)) if target == idx => idx,
-            _ => {
-                self.last_change = Some((target, sample.now));
-                target
-            }
-        }
-    }
 }
 
 impl Default for Schedutil {

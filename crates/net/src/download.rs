@@ -12,7 +12,7 @@ use std::sync::Arc;
 use crate::bandwidth::BandwidthTrace;
 use crate::radio::ActivityInterval;
 use eavs_sim::fingerprint::Fingerprinter;
-use eavs_sim::time::{SimDuration, SimTime};
+use eavs_sim::time::{round_u64, SimDuration, SimTime};
 
 /// Retry behavior for failed (stalled or corrupt) segment downloads.
 ///
@@ -68,7 +68,7 @@ impl RetryPolicy {
                 break;
             }
         }
-        SimDuration::from_nanos(nanos.min(cap).round() as u64)
+        SimDuration::from_nanos(round_u64(nanos.min(cap)))
     }
 
     /// Feed every policy knob into a fingerprint.

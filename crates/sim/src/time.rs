@@ -25,6 +25,43 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// Number of nanoseconds per second.
 pub const NANOS_PER_SEC: u64 = 1_000_000_000;
 
+/// 2^52: from here up every `f64` is an integer.
+const TWO_POW_52: f64 = 4_503_599_627_370_496.0;
+
+/// `x.round() as u64` (round half away from zero, saturating) without a
+/// libm call.
+///
+/// On the x86-64 baseline `f64::round` is an out-of-line call. Below
+/// 2^52 this truncates once, takes the fractional part (an exact
+/// subtraction: it only drops `x`'s integer bits) and rounds it up at
+/// one half; from 2^52 up `x` is already integral. Equal to
+/// `x.round() as u64` for every input, NaN and negatives (0) and values
+/// past 2^64 (`u64::MAX`) included; the clock's callers assert
+/// `0 <= x <= 2^64` before calling.
+#[inline]
+pub fn round_u64(x: f64) -> u64 {
+    if x >= TWO_POW_52 {
+        return x as u64;
+    }
+    let t = x as u64;
+    t + u64::from(x - t as f64 >= 0.5)
+}
+
+/// `x.round() as i128` without a libm call and, below 2^52 in
+/// magnitude, without the out-of-line `f64 → i128` conversion: the
+/// signed form of [`round_u64`], equal to `x.round() as i128` for every
+/// input.
+#[inline]
+pub fn round_i128(x: f64) -> i128 {
+    if x.abs() < TWO_POW_52 {
+        let t = x as i64;
+        let frac = x - t as f64;
+        i128::from(t + i64::from(frac >= 0.5) - i64::from(frac <= -0.5))
+    } else {
+        x as i128
+    }
+}
+
 /// An absolute instant on the simulation clock, in nanoseconds since the
 /// start of the simulation.
 ///
@@ -149,7 +186,7 @@ impl SimDuration {
             nanos <= u64::MAX as f64,
             "duration {secs} s overflows the simulation clock"
         );
-        SimDuration(nanos.round() as u64)
+        SimDuration(round_u64(nanos))
     }
 
     /// The duration in whole nanoseconds.
@@ -209,20 +246,22 @@ impl SimDuration {
         );
         let nanos = self.0 as f64 * factor;
         assert!(nanos <= u64::MAX as f64, "duration multiply overflow");
-        SimDuration(nanos.round() as u64)
+        SimDuration(round_u64(nanos))
     }
 
     /// Divides by a float factor, rounding to the nearest nanosecond.
     ///
     /// # Panics
     ///
-    /// Panics if `divisor` is not strictly positive.
+    /// Panics if `divisor` is not strictly positive, or on overflow.
     pub fn div_f64(self, divisor: f64) -> SimDuration {
         assert!(
             divisor.is_finite() && divisor > 0.0,
             "duration divisor must be positive, got {divisor}"
         );
-        SimDuration((self.0 as f64 / divisor).round() as u64)
+        let nanos = self.0 as f64 / divisor;
+        assert!(nanos <= u64::MAX as f64, "duration divide overflow");
+        SimDuration(round_u64(nanos))
     }
 
     /// The ratio of this duration to another, as a float.
@@ -452,5 +491,65 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn negative_seconds_panics() {
         let _ = SimDuration::from_secs_f64(-1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "duration divide overflow")]
+    fn div_overflow_panics() {
+        let _ = SimDuration::from_secs(1).div_f64(1e-20);
+    }
+
+    #[test]
+    fn rounding_helpers_match_std_round_on_edges() {
+        let p52 = TWO_POW_52;
+        let p53 = 2.0 * p52;
+        let p63 = 9_223_372_036_854_775_808.0;
+        let p64 = 2.0 * p63;
+        let mut edges = vec![
+            0.0,
+            0.25,
+            0.5,
+            0.75,
+            1.5,
+            2.5,
+            0.5 - f64::EPSILON / 4.0, // largest double below 1/2
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),                     // smallest subnormal
+            f64::MIN_POSITIVE - f64::from_bits(1), // largest subnormal
+            p63,
+            p64,
+            1e300,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        // k + 1/2 and its neighbours around 2^52 and 2^53, where the
+        // spacing of doubles passes 1/2 and then 1.
+        for base in [p52, p53] {
+            for k in -4..=4 {
+                let x = base + f64::from(k) - 0.5;
+                edges.extend([x, x.next_down(), x.next_up()]);
+            }
+        }
+        // Saturation at 2^63 (i64 range) and 2^64 (u64 range).
+        for base in [p63, p64] {
+            edges.extend([base.next_down(), base.next_up()]);
+        }
+        for x in edges.clone() {
+            edges.push(-x);
+        }
+        for x in edges {
+            assert_eq!(round_u64(x), x.round() as u64, "round_u64({x:e})");
+            assert_eq!(round_i128(x), x.round() as i128, "round_i128({x:e})");
+        }
+    }
+
+    #[test]
+    fn float_constructors_round_half_away() {
+        assert_eq!(SimDuration::from_secs_f64(2.5e-9).as_nanos(), 3);
+        assert_eq!(SimDuration::from_secs_f64(1.5e-9).as_nanos(), 2);
+        assert_eq!(SimDuration::from_nanos(5).mul_f64(0.5).as_nanos(), 3);
+        assert_eq!(SimDuration::from_nanos(5).div_f64(2.0).as_nanos(), 3);
+        assert_eq!(SimDuration::from_nanos(7).div_f64(4.0).as_nanos(), 2);
     }
 }

@@ -1,7 +1,37 @@
 //! Property-based tests for the simulation kernel.
 
 use eavs_sim::prelude::*;
+use eavs_sim::time::{round_i128, round_u64};
 use proptest::prelude::*;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+    /// The libm-free rounding helpers equal `f64::round` followed by the
+    /// saturating cast, over uniformly random bit patterns (every
+    /// exponent, sign, NaN payload and subnormal alike).
+    #[test]
+    fn rounding_helpers_match_std_on_random_bits(bits in any::<u64>()) {
+        let x = f64::from_bits(bits);
+        prop_assert_eq!(round_u64(x), x.round() as u64);
+        prop_assert_eq!(round_i128(x), x.round() as i128);
+    }
+
+    /// ... and over the magnitudes the clock actually rounds, where the
+    /// fractional part decides: random integers plus random fractions,
+    /// half-way points included.
+    #[test]
+    fn rounding_helpers_match_std_near_halves(
+        k in 0u64..1 << 54,
+        frac in prop_oneof![Just(0.5), Just(0.0), 0.0f64..1.0],
+        negate in any::<bool>(),
+    ) {
+        let x: f64 = k as f64 + frac;
+        let x = if negate { -x } else { x };
+        prop_assert_eq!(round_u64(x), x.round() as u64);
+        prop_assert_eq!(round_i128(x), x.round() as i128);
+    }
+}
 
 proptest! {
     /// Instant/duration arithmetic round-trips.

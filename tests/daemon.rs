@@ -61,7 +61,11 @@ fn wait_terminal(addr: &str, id: &str) -> String {
             .expect("progress poll");
         assert_eq!(status, 200, "{body}");
         let v = json::parse(&body).unwrap();
-        let phase = v.get("phase").and_then(json::Value::as_str).unwrap().to_owned();
+        let phase = v
+            .get("phase")
+            .and_then(json::Value::as_str)
+            .unwrap()
+            .to_owned();
         if phase != "running" {
             return phase;
         }
@@ -82,7 +86,11 @@ fn http_campaign_matches_direct_run_bytes() {
         client::request_text(&addr, "POST", "/campaigns", &codec::encode_spec(&spec)).unwrap();
     assert_eq!(status, 200, "{body}");
     let v = json::parse(&body).unwrap();
-    let id = v.get("id").and_then(json::Value::as_str).unwrap().to_owned();
+    let id = v
+        .get("id")
+        .and_then(json::Value::as_str)
+        .unwrap()
+        .to_owned();
     assert_eq!(id, registry::campaign_id(&spec));
     assert_eq!(v.get("resumed").and_then(json::Value::as_bool), Some(false));
 
@@ -90,27 +98,41 @@ fn http_campaign_matches_direct_run_bytes() {
     let (status, served) =
         client::request_text(&addr, "GET", &format!("/campaigns/{id}/result"), "").unwrap();
     assert_eq!(status, 200);
-    assert_eq!(served, expected, "HTTP result must be byte-identical to a direct run");
+    assert_eq!(
+        served, expected,
+        "HTTP result must be byte-identical to a direct run"
+    );
 
     // The progress body reports real throughput and full lane snapshots.
     let (_, progress) =
         client::request_text(&addr, "GET", &format!("/campaigns/{id}"), "").unwrap();
     let v = json::parse(&progress).unwrap();
     assert_eq!(v.get("shards_done").and_then(json::Value::as_u64), Some(3));
-    assert_eq!(v.get("sessions_done").and_then(json::Value::as_u64), Some(12));
+    assert_eq!(
+        v.get("sessions_done").and_then(json::Value::as_u64),
+        Some(12)
+    );
     let govs = v.get("govs").and_then(json::Value::as_arr).unwrap();
     assert_eq!(govs.len(), spec.governors.len());
-    assert!(govs[0].get("mean_cpu_j").and_then(json::Value::as_f64).unwrap() > 0.0);
+    assert!(
+        govs[0]
+            .get("mean_cpu_j")
+            .and_then(json::Value::as_f64)
+            .unwrap()
+            > 0.0
+    );
 
     // /metrics serves the fleet families with the 0.0.4 content type,
     // scrape-conformant.
-    let (status, content_type, page) =
-        client::request_full(&addr, "GET", "/metrics", b"").unwrap();
+    let (status, content_type, page) = client::request_full(&addr, "GET", "/metrics", b"").unwrap();
     assert_eq!(status, 200);
     assert_eq!(content_type, eavs_obs::TEXT_FORMAT);
     let page = String::from_utf8(page).unwrap();
     eavs_obs::check_conformance(&page).unwrap();
-    assert!(page.contains(&format!("campaign=\"{}\"", spec.name)), "{page}");
+    assert!(
+        page.contains(&format!("campaign=\"{}\"", spec.name)),
+        "{page}"
+    );
 
     let (status, body) = client::request_text(&addr, "GET", "/healthz", "").unwrap();
     assert_eq!((status, body.as_str()), (200, "ok\n"));
@@ -132,8 +154,7 @@ fn http_campaign_matches_direct_run_bytes() {
     );
 
     // POST /priors merges a document in and reports the new totals.
-    let (status, body) =
-        client::request_text(&addr, "POST", "/priors", &served_prior).unwrap();
+    let (status, body) = client::request_text(&addr, "POST", "/priors", &served_prior).unwrap();
     assert_eq!(status, 200, "{body}");
     let v = json::parse(&body).unwrap();
     assert_eq!(
@@ -172,8 +193,7 @@ fn two_http_workers_and_a_daemon_restart_stay_byte_identical() {
             .collect();
 
         let (status, body) =
-            client::request_text(&addr, "POST", "/campaigns", &codec::encode_spec(&spec))
-                .unwrap();
+            client::request_text(&addr, "POST", "/campaigns", &codec::encode_spec(&spec)).unwrap();
         assert_eq!(status, 200, "{body}");
         first_id = json::parse(&body)
             .unwrap()
@@ -187,11 +207,14 @@ fn two_http_workers_and_a_daemon_restart_stay_byte_identical() {
         let deadline = Instant::now() + Duration::from_secs(120);
         loop {
             let (_, body) =
-                client::request_text(&addr, "GET", &format!("/campaigns/{first_id}"), "")
-                    .unwrap();
+                client::request_text(&addr, "GET", &format!("/campaigns/{first_id}"), "").unwrap();
             let v = json::parse(&body).unwrap();
             let done = v.get("shards_done").and_then(json::Value::as_u64).unwrap();
-            let phase = v.get("phase").and_then(json::Value::as_str).unwrap().to_owned();
+            let phase = v
+                .get("phase")
+                .and_then(json::Value::as_str)
+                .unwrap()
+                .to_owned();
             if done >= 1 || phase != "running" {
                 break;
             }
@@ -216,8 +239,7 @@ fn two_http_workers_and_a_daemon_restart_stay_byte_identical() {
         let addr = daemon.addr();
 
         let (status, body) =
-            client::request_text(&addr, "POST", "/campaigns", &codec::encode_spec(&spec))
-                .unwrap();
+            client::request_text(&addr, "POST", "/campaigns", &codec::encode_spec(&spec)).unwrap();
         assert_eq!(status, 200, "{body}");
         let v = json::parse(&body).unwrap();
         assert_eq!(
@@ -317,8 +339,7 @@ fn malformed_input_maps_to_structured_errors() {
     }
 
     // Unknown ids and routes.
-    let (status, body) =
-        client::request_text(&addr, "GET", "/campaigns/deadbeef", "").unwrap();
+    let (status, body) = client::request_text(&addr, "GET", "/campaigns/deadbeef", "").unwrap();
     assert_eq!(status, 404, "{body}");
     let (status, _) = client::request_text(&addr, "GET", "/nope", "").unwrap();
     assert_eq!(status, 404);
