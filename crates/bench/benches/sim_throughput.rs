@@ -1,13 +1,10 @@
 //! Simulator kernel throughput: events per second through the engine and
-//! raw queue operations.
+//! queue churn at the live-event counts a session reaches.
 //!
-//! The `legacy_*` benchmarks drive an inline copy of the pre-slab queue
-//! (`BinaryHeap` keys + `HashMap` payloads + `HashSet` tombstones) so the
-//! before/after effect of the slab rewrite stays measurable from this tree
-//! alone. Keep them in sync with nothing — they are a frozen baseline.
-
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+//! A session keeps a handful of events pending (2.7 on average over a fleet
+//! campaign, never more than about a dozen), and the queue's operations are
+//! O(live), so the queue benches hold 4 and 16 live events rather than
+//! thousands.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use eavs_sim::prelude::*;
@@ -26,57 +23,28 @@ impl World for PingPong {
     }
 }
 
-/// The seed's hash-based event queue, frozen as a benchmark baseline.
-struct LegacyQueue<E> {
-    heap: BinaryHeap<Reverse<(SimTime, u64)>>,
-    entries: HashMap<u64, (SimTime, E)>,
-    cancelled: HashSet<u64>,
-    next_seq: u64,
+fn pseudo_delay(i: u64) -> SimDuration {
+    SimDuration::from_nanos(1 + i.wrapping_mul(2_654_435_761) % 1_000_000)
 }
 
-impl<E> LegacyQueue<E> {
-    fn new() -> Self {
-        LegacyQueue {
-            heap: BinaryHeap::new(),
-            entries: HashMap::new(),
-            cancelled: HashSet::new(),
-            next_seq: 0,
-        }
+/// Holds `live` events pending for `steps` steps. Each step pops the
+/// earliest event, schedules and cancels a victim, and re-arms the popped
+/// event later: the session loop's pattern (a timer fires and re-arms, a
+/// vsync or timeout is cancelled and re-set).
+fn churn(live: u64, steps: u64) -> u64 {
+    let mut q = EventQueue::new();
+    for i in 0..live {
+        q.push(SimTime::ZERO + pseudo_delay(i), i);
     }
-
-    fn push(&mut self, time: SimTime, event: E) -> u64 {
-        let id = self.next_seq;
-        self.next_seq += 1;
-        self.entries.insert(id, (time, event));
-        self.heap.push(Reverse((time, id)));
-        id
+    let mut acc = 0u64;
+    for i in 0..steps {
+        let (now, v) = q.pop().expect("live events pending");
+        acc = acc.wrapping_add(v);
+        let victim = q.push(now + pseudo_delay(i + 7), i);
+        assert!(q.cancel(victim));
+        q.push(now + pseudo_delay(i), v);
     }
-
-    fn cancel(&mut self, id: u64) -> bool {
-        if self.entries.remove(&id).is_some() {
-            self.cancelled.insert(id);
-            true
-        } else {
-            false
-        }
-    }
-
-    fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(&Reverse((_, id))) = self.heap.peek() {
-            if self.cancelled.remove(&id) {
-                self.heap.pop();
-            } else {
-                break;
-            }
-        }
-        let Reverse((time, id)) = self.heap.pop()?;
-        let (_, event) = self.entries.remove(&id).expect("live entry");
-        Some((time, event))
-    }
-}
-
-fn pseudo_time(i: u64) -> SimTime {
-    SimTime::from_nanos((i.wrapping_mul(2_654_435_761)) % 1_000_000)
+    acc
 }
 
 fn bench_engine(c: &mut Criterion) {
@@ -92,88 +60,14 @@ fn bench_engine(c: &mut Criterion) {
         })
     });
 
-    group.throughput(Throughput::Elements(10_000));
-    group.bench_function("queue_push_pop_10k", |b| {
-        b.iter(|| {
-            let mut q = EventQueue::new();
-            for i in 0..10_000u64 {
-                q.push(pseudo_time(i), i);
-            }
-            let mut acc = 0u64;
-            while let Some((_, v)) = q.pop() {
-                acc = acc.wrapping_add(v);
-            }
-            black_box(acc)
-        })
-    });
-
-    // Schedule-then-cancel churn: the pattern the session inner loop performs
-    // for every frame (decode timer re-armed, vsync timer cancelled/re-set).
-    group.throughput(Throughput::Elements(10_000));
-    group.bench_function("queue_cancel_churn_10k", |b| {
-        b.iter(|| {
-            let mut q = EventQueue::new();
-            let mut acc = 0u64;
-            for i in 0..10_000u64 {
-                let keep = q.push(pseudo_time(i), i);
-                let victim = q.push(pseudo_time(i + 7), i + 7);
-                assert!(q.cancel(victim));
-                if i % 2 == 0 {
-                    if let Some((_, v)) = q.pop() {
-                        acc = acc.wrapping_add(v);
-                    }
-                } else {
-                    black_box(keep);
-                }
-            }
-            while let Some((_, v)) = q.pop() {
-                acc = acc.wrapping_add(v);
-            }
-            black_box(acc)
-        })
-    });
+    const STEPS: u64 = 10_000;
+    for live in [4, 16] {
+        group.throughput(Throughput::Elements(STEPS));
+        group.bench_function(&format!("queue_churn_live{live}_10k"), |b| {
+            b.iter(|| black_box(churn(live, STEPS)))
+        });
+    }
     group.finish();
-
-    let mut legacy = c.benchmark_group("sim_legacy");
-    legacy.throughput(Throughput::Elements(10_000));
-    legacy.bench_function("queue_push_pop_10k", |b| {
-        b.iter(|| {
-            let mut q = LegacyQueue::new();
-            for i in 0..10_000u64 {
-                q.push(pseudo_time(i), i);
-            }
-            let mut acc = 0u64;
-            while let Some((_, v)) = q.pop() {
-                acc = acc.wrapping_add(v);
-            }
-            black_box(acc)
-        })
-    });
-
-    legacy.throughput(Throughput::Elements(10_000));
-    legacy.bench_function("queue_cancel_churn_10k", |b| {
-        b.iter(|| {
-            let mut q = LegacyQueue::new();
-            let mut acc = 0u64;
-            for i in 0..10_000u64 {
-                let keep = q.push(pseudo_time(i), i);
-                let victim = q.push(pseudo_time(i + 7), i + 7);
-                assert!(q.cancel(victim));
-                if i % 2 == 0 {
-                    if let Some((_, v)) = q.pop() {
-                        acc = acc.wrapping_add(v);
-                    }
-                } else {
-                    black_box(keep);
-                }
-            }
-            while let Some((_, v)) = q.pop() {
-                acc = acc.wrapping_add(v);
-            }
-            black_box(acc)
-        })
-    });
-    legacy.finish();
 }
 
 criterion_group!(benches, bench_engine);

@@ -204,8 +204,10 @@ pub fn decode(text: &str) -> Result<FleetAggregate, String> {
     let shards_done = lines.parse("shards_done")?;
     let sessions_done = lines.parse("sessions_done")?;
     let arrivals = lines.hist("arrivals")?;
+    // The count is untrusted input: lanes are pushed as they parse, so a
+    // huge count fails on the missing lines instead of allocating.
     let gov_count: usize = lines.parse("govs")?;
-    let mut govs = Vec::with_capacity(gov_count);
+    let mut govs = Vec::new();
     for _ in 0..gov_count {
         let name = lines.field("gov")?.to_owned();
         let sessions = lines.parse("sessions")?;
@@ -420,5 +422,15 @@ mod tests {
         // Field corruption.
         let bad = text.replace("shards_done 1", "shards_done banana");
         assert!(decode(&bad).unwrap_err().contains("shards_done"));
+    }
+
+    #[test]
+    fn a_huge_lane_count_is_an_error_not_an_allocation() {
+        let (spec, agg) = populated_aggregate();
+        assert_eq!(spec.governors.len(), 2);
+        let text = encode(&agg);
+        let huge = text.replace("govs 2\n", "govs 1000000000\n");
+        assert_ne!(huge, text);
+        assert!(decode(&huge).is_err());
     }
 }

@@ -141,11 +141,6 @@ impl<E> Scheduler<E> {
         self.queue.len()
     }
 
-    /// Time of the next pending event.
-    pub fn next_event_time(&mut self) -> Option<SimTime> {
-        self.queue.peek_time()
-    }
-
     /// Whether a handler has requested the run loop stop. Cleared at the
     /// start of every [`Simulation::run_until`] call; incremental drivers
     /// built on [`Simulation::step_until`] observe it through the
@@ -245,19 +240,7 @@ impl<W: World> Simulation<W> {
     /// Handles a single event if one is pending. Returns `false` when the
     /// queue is empty.
     pub fn step(&mut self) -> bool {
-        match self.sched.queue.pop() {
-            Some((time, event)) => {
-                debug_assert!(time >= self.sched.now, "event queue went backwards");
-                self.sched.now = time;
-                self.sched.processed += 1;
-                if let Some(tap) = self.sched.tap.as_mut() {
-                    tap(time, &event);
-                }
-                self.world.handle(&mut self.sched, event);
-                true
-            }
-            None => false,
-        }
+        self.step_until(SimTime::MAX) != StepOutcome::QueueEmpty
     }
 
     /// Runs until the queue is empty or a handler calls stop.
@@ -288,14 +271,20 @@ impl<W: World> Simulation<W> {
     /// counterpart semantics in `run_until`, or simply treat the lane as
     /// retired (the session kernel does the latter).
     pub fn step_until(&mut self, horizon: SimTime) -> StepOutcome {
-        match self.sched.queue.peek_time() {
-            None => StepOutcome::QueueEmpty,
-            Some(t) if t > horizon => {
+        match self.sched.queue.pop_until(horizon) {
+            Err(None) => StepOutcome::QueueEmpty,
+            Err(Some(_)) => {
                 self.sched.now = horizon.max(self.sched.now);
                 StepOutcome::HorizonReached
             }
-            Some(_) => {
-                self.step();
+            Ok((time, event)) => {
+                debug_assert!(time >= self.sched.now, "event queue went backwards");
+                self.sched.now = time;
+                self.sched.processed += 1;
+                if let Some(tap) = self.sched.tap.as_mut() {
+                    tap(time, &event);
+                }
+                self.world.handle(&mut self.sched, event);
                 if self.sched.stop_requested {
                     StepOutcome::Stopped
                 } else {

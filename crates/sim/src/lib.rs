@@ -8,8 +8,8 @@
 //!
 //! * [`time`] — integer-nanosecond [`time::SimTime`] /
 //!   [`time::SimDuration`] clock types.
-//! * [`queue`] — a priority event queue with stable FIFO ordering for
-//!   same-instant events and O(log n) cancellation.
+//! * [`queue`] — a live-list event queue with stable FIFO ordering for
+//!   same-instant events; O(live) per operation.
 //! * [`engine`] — the [`engine::Simulation`] loop driving a
 //!   user [`engine::World`].
 //! * [`rng`] — seedable, forkable deterministic randomness with the

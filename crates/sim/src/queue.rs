@@ -1,65 +1,43 @@
 //! The pending-event queue.
 //!
-//! A slab-backed, generation-tagged indexed priority queue. Event payloads
-//! live in a `Vec` slab; the binary heap holds only compact `(time, seq,
-//! slot)` keys, so scheduling, cancellation and popping never touch a hash
-//! table. Events scheduled for the same instant pop in FIFO order (ordered by
-//! the monotonically increasing `seq`) — a property several state machines in
-//! the simulator rely on (e.g. "frequency applied" must be observed before a
-//! decode-completion check scheduled afterwards at the same instant).
+//! One unordered `Vec` of live events, each keyed `time << 64 | seq`, where
+//! `seq` counts every push over the queue's lifetime. Events pop in key
+//! order, so events scheduled for the same instant pop in FIFO order — a
+//! property several state machines in the simulator rely on (e.g.
+//! "frequency applied" must be observed before a decode-completion check
+//! scheduled afterwards at the same instant).
 //!
-//! [`EventId`] carries `(slot, generation)`. The generation is bumped every
-//! time a slot is vacated, so a stale id — one whose event already fired or
-//! was cancelled — can never cancel an unrelated event that happens to reuse
-//! the same slot.
+//! Every operation is O(live): `pop` is a scan for the minimum key plus a
+//! `swap_remove`, `cancel` and `contains` a scan for the seq. A session
+//! holds at most one pending event per kind (nine kinds) plus its scripted
+//! ambient steps — about three on average — so a scan over a few cache
+//! lines beats any heap. A queue holding thousands of live events wants a
+//! different structure.
 //!
-//! Cancellation is an *O(1)* tombstone write: the slab entry is cleared and
-//! the heap key is left behind, to be purged lazily when it surfaces at the
-//! top of the heap (a key is stale when its `seq` no longer matches the
-//! slot's live entry). This keeps `push` and `pop` `O(log n)` amortized and
-//! `cancel` `O(1)`, with zero per-event hashing anywhere.
+//! [`EventId`] is the event's `seq`. No two pushes share a seq, so an id
+//! whose event already fired or was cancelled can never name a later one.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::fmt;
 
 use crate::time::SimTime;
 
 /// A handle identifying a scheduled event, usable for cancellation.
 ///
-/// Packs the slab slot and its generation at scheduling time; both must still
-/// match for [`EventQueue::cancel`] to take effect, so ids are immune to slot
-/// reuse.
+/// Ids are never reused: a stale id stays stale forever.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct EventId {
-    slot: u32,
-    gen: u32,
-}
+pub struct EventId(u64);
 
 impl EventId {
-    /// The raw packed representation (`generation << 32 | slot`). Mostly
-    /// useful for logging.
+    /// The raw sequence number. Mostly useful for logging.
     pub fn as_u64(self) -> u64 {
-        (self.gen as u64) << 32 | self.slot as u64
+        self.0
     }
 }
 
 impl fmt::Display for EventId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ev#{}g{}", self.slot, self.gen)
+        write!(f, "ev#{}", self.0)
     }
-}
-
-/// One slab cell. `gen` counts how many times the cell has been vacated.
-struct Slot<E> {
-    gen: u32,
-    entry: Option<SlotEntry<E>>,
-}
-
-struct SlotEntry<E> {
-    time: SimTime,
-    seq: u64,
-    event: E,
 }
 
 /// A time-ordered queue of pending simulation events.
@@ -77,26 +55,17 @@ struct SlotEntry<E> {
 /// assert!(q.pop().is_none());
 /// ```
 pub struct EventQueue<E> {
-    /// Min-heap (via `Reverse`) of `(time, seq, slot)`. `seq` is unique and
-    /// monotonic, so ties at the same time break FIFO; `slot` is never
-    /// reached during comparison and merely locates the payload.
-    heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
-    slab: Vec<Slot<E>>,
-    /// Vacated slots available for reuse, most recently freed last.
-    free: Vec<u32>,
+    /// Live events keyed `time << 64 | seq`, in no particular order.
+    live: Vec<(u128, E)>,
     next_seq: u64,
-    live: usize,
 }
 
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
-            slab: Vec::new(),
-            free: Vec::new(),
+            live: Vec::new(),
             next_seq: 0,
-            live: 0,
         }
     }
 
@@ -104,98 +73,75 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, time: SimTime, event: E) -> EventId {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let entry = SlotEntry { time, seq, event };
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slab[slot as usize].entry = Some(entry);
-                slot
-            }
-            None => {
-                let slot = u32::try_from(self.slab.len()).expect("event slab exceeded u32 slots");
-                self.slab.push(Slot {
-                    gen: 0,
-                    entry: Some(entry),
-                });
-                slot
-            }
-        };
-        self.heap.push(Reverse((time, seq, slot)));
-        self.live += 1;
-        EventId {
-            slot,
-            gen: self.slab[slot as usize].gen,
-        }
+        let key = (time.as_nanos() as u128) << 64 | seq as u128;
+        self.live.push((key, event));
+        EventId(seq)
     }
 
-    /// Cancels a previously scheduled event in O(1).
+    /// Cancels a previously scheduled event.
     ///
     /// Returns `true` if the event was still pending, `false` if it had
-    /// already fired or been cancelled (including when its slot has since
-    /// been reused by a newer event — the generation tag disambiguates).
+    /// already fired or been cancelled.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        match self.slab.get_mut(id.slot as usize) {
-            Some(slot) if slot.gen == id.gen && slot.entry.is_some() => {
-                slot.entry = None;
-                slot.gen = slot.gen.wrapping_add(1);
-                self.free.push(id.slot);
-                self.live -= 1;
+        match self.position(id) {
+            Some(i) => {
+                self.live.swap_remove(i);
                 true
             }
-            _ => false,
+            None => false,
         }
     }
 
     /// `true` if `id` still names a pending (not fired, not cancelled)
-    /// event. Stale ids whose slot has been recycled report `false`.
+    /// event.
     pub fn contains(&self, id: EventId) -> bool {
-        matches!(
-            self.slab.get(id.slot as usize),
-            Some(slot) if slot.gen == id.gen && slot.entry.is_some()
-        )
-    }
-
-    /// The time of the earliest pending event, if any.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        while let Some(&Reverse((time, seq, slot))) = self.heap.peek() {
-            if self.key_is_live(seq, slot) {
-                return Some(time);
-            }
-            self.heap.pop();
-        }
-        None
+        self.position(id).is_some()
     }
 
     /// Removes and returns the earliest pending event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(Reverse((time, seq, slot))) = self.heap.pop() {
-            if !self.key_is_live(seq, slot) {
-                continue; // stale key: cancelled, or the slot was reused
-            }
-            let cell = &mut self.slab[slot as usize];
-            let entry = cell.entry.take().expect("live key without slab entry");
-            cell.gen = cell.gen.wrapping_add(1);
-            self.free.push(slot);
-            self.live -= 1;
-            debug_assert_eq!(entry.time, time);
-            return Some((time, entry.event));
+        self.pop_until(SimTime::MAX).ok()
+    }
+
+    /// Removes and returns the earliest pending event if it is due at or
+    /// before `horizon`. Otherwise the queue is left as it was and the
+    /// error holds the earliest pending time, or `None` if the queue is
+    /// empty.
+    pub fn pop_until(&mut self, horizon: SimTime) -> Result<(SimTime, E), Option<SimTime>> {
+        let Some(i) = self.min_index() else {
+            return Err(None);
+        };
+        let time = SimTime::from_nanos((self.live[i].0 >> 64) as u64);
+        if time > horizon {
+            return Err(Some(time));
         }
-        None
+        Ok((time, self.live.swap_remove(i).1))
     }
 
-    /// Number of live (non-cancelled) pending events.
+    /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.live
+        self.live.len()
     }
 
-    /// `true` if no live events are pending.
+    /// `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.live.is_empty()
     }
 
-    /// A heap key is live iff the slot still holds the entry it was pushed
-    /// for; `seq` is globally unique, so one comparison settles it.
-    fn key_is_live(&self, seq: u64, slot: u32) -> bool {
-        matches!(&self.slab[slot as usize].entry, Some(e) if e.seq == seq)
+    fn min_index(&self) -> Option<usize> {
+        let mut keys = self.live.iter().map(|&(key, _)| key).enumerate();
+        let (mut best, mut min) = keys.next()?;
+        for (i, key) in keys {
+            if key < min {
+                best = i;
+                min = key;
+            }
+        }
+        Some(best)
+    }
+
+    fn position(&self, id: EventId) -> Option<usize> {
+        self.live.iter().position(|&(key, _)| key as u64 == id.0)
     }
 }
 
@@ -208,9 +154,8 @@ impl<E> Default for EventQueue<E> {
 impl<E> fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("EventQueue")
-            .field("live", &self.live)
+            .field("live", &self.live.len())
             .field("scheduled_total", &self.next_seq)
-            .field("slab_slots", &self.slab.len())
             .finish()
     }
 }
@@ -257,12 +202,24 @@ mod tests {
     }
 
     #[test]
-    fn peek_time_skips_cancelled() {
+    fn pop_until_reports_the_earliest_uncancelled_time() {
         let mut q = EventQueue::new();
         let a = q.push(t(1), 'a');
         q.push(t(2), 'b');
         q.cancel(a);
-        assert_eq!(q.peek_time(), Some(t(2)));
+        assert_eq!(q.pop_until(t(1)), Err(Some(t(2))));
+    }
+
+    #[test]
+    fn pop_until_dispatches_at_horizon_and_keeps_later_events() {
+        let mut q = EventQueue::new();
+        assert_eq!(q.pop_until(t(5)), Err(None));
+        q.push(t(5), 'a');
+        q.push(t(6), 'b');
+        assert_eq!(q.pop_until(t(5)), Ok((t(5), 'a')));
+        assert_eq!(q.pop_until(t(5)), Err(Some(t(6))));
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop_until(t(6)), Ok((t(6), 'b')));
     }
 
     #[test]
@@ -298,32 +255,46 @@ mod tests {
     }
 
     #[test]
-    fn stale_id_cannot_cancel_reused_slot() {
+    fn ids_are_never_reused() {
         let mut q = EventQueue::new();
-        let a = q.push(t(1), "old");
-        assert!(q.cancel(a));
-        // The vacated slot is reused immediately, but with a bumped
-        // generation: the stale id must bounce off the new tenant.
-        let b = q.push(t(2), "new");
-        assert_ne!(a, b);
-        assert_ne!(a.as_u64(), b.as_u64());
-        assert!(!q.cancel(a), "stale id cancelled a reused slot");
-        assert_eq!(q.pop(), Some((t(2), "new")));
+        let mut seen = std::collections::HashSet::new();
+        for i in 0..100u64 {
+            let id = q.push(t(i % 3), i);
+            assert!(seen.insert(id), "id {id} handed out twice");
+            match i % 3 {
+                0 => assert!(q.cancel(id)),
+                1 => assert!(q.pop().is_some()),
+                _ => {}
+            }
+        }
     }
 
     #[test]
-    fn popped_slot_reuse_bumps_generation() {
+    fn cancelled_id_cannot_cancel_a_later_event() {
+        let mut q = EventQueue::new();
+        let a = q.push(t(1), "old");
+        assert!(q.cancel(a));
+        let b = q.push(t(1), "new");
+        assert_ne!(a, b);
+        assert!(!q.cancel(a), "stale id cancelled a later event");
+        assert!(!q.contains(a));
+        assert_eq!(q.pop(), Some((t(1), "new")));
+    }
+
+    #[test]
+    fn popped_id_cannot_cancel_a_later_event() {
         let mut q = EventQueue::new();
         let a = q.push(t(1), 1u32);
         assert_eq!(q.pop(), Some((t(1), 1)));
         let b = q.push(t(2), 2u32);
         assert!(!q.cancel(a), "id of a popped event cancelled its successor");
+        assert!(q.contains(b));
         assert!(q.cancel(b));
         assert!(q.is_empty());
     }
 
     #[test]
-    fn slab_slots_are_reused_not_grown() {
+    fn memory_follows_peak_live_count() {
         let mut q = EventQueue::new();
         for round in 0..10u64 {
             let ids: Vec<_> = (0..8).map(|i| q.push(t(round * 10 + i), i)).collect();
@@ -332,7 +303,8 @@ mod tests {
             }
         }
         // 80 events total but never more than 8 alive at once.
-        assert!(q.slab.len() <= 8, "slab grew to {} slots", q.slab.len());
+        let capacity = q.live.capacity();
+        assert!(capacity <= 8, "grew to {capacity} entries");
         assert!(q.is_empty());
     }
 }

@@ -163,77 +163,101 @@ proptest! {
         }
     }
 
-    /// The slab queue agrees with a naive sorted-Vec reference model under
-    /// arbitrary interleavings of push, cancel and pop, including FIFO order
-    /// among same-instant events and `is_empty`/`len` bookkeeping.
+    /// The queue agrees with a naive reference model under arbitrary
+    /// interleavings of push, cancel, pop, `pop_until` and `contains`,
+    /// including FIFO order among same-instant events, the horizon rule,
+    /// `is_empty`/`len` bookkeeping, and ids that stay dead once their
+    /// event was popped or cancelled.
     #[test]
-    fn queue_matches_naive_model(ops in proptest::collection::vec((0u8..4, 0u64..16, 0u64..1 << 32), 1..300)) {
-        // Model entry: (time, insertion seq, payload). Kept unsorted; the
-        // model "pops" by scanning for the (time, seq) minimum, which is the
-        // contract the slab queue must match exactly.
+    fn queue_matches_naive_model(ops in proptest::collection::vec((0u8..6, 0u64..16, 0u64..1 << 32), 1..300)) {
+        // Model entry: (time, insertion seq, id). Kept unsorted; the model
+        // "pops" by scanning for the (time, seq) minimum, which is the
+        // contract the queue must match exactly. Payloads are the seq.
         let mut q = EventQueue::new();
-        let mut model: Vec<(u64, u64, u64)> = Vec::new();
-        let mut live: Vec<(EventId, u64)> = Vec::new(); // (handle, model seq)
+        let mut model: Vec<(u64, u64, EventId)> = Vec::new();
+        let mut retired: Vec<EventId> = Vec::new();
         let mut next_seq = 0u64;
         for &(op, time, sel) in &ops {
+            let earliest = model
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, &(t, s, _))| (t, s))
+                .map(|(i, &(t, s, _))| (i, t, s));
             match op {
                 // Push. Times are drawn from a tiny range so same-instant
                 // collisions are common, exercising the FIFO tiebreak.
                 0 | 1 => {
-                    let payload = next_seq;
-                    let id = q.push(SimTime::from_nanos(time), payload);
-                    model.push((time, next_seq, payload));
-                    live.push((id, next_seq));
+                    let id = q.push(SimTime::from_nanos(time), next_seq);
+                    prop_assert!(q.contains(id));
+                    model.push((time, next_seq, id));
                     next_seq += 1;
                 }
                 // Cancel a pseudo-random live event.
                 2 => {
-                    if !live.is_empty() {
-                        let (id, seq) = live.swap_remove(sel as usize % live.len());
+                    if !model.is_empty() {
+                        let (_, _, id) = model.swap_remove(sel as usize % model.len());
                         prop_assert!(q.cancel(id), "live handle must cancel");
                         prop_assert!(!q.cancel(id), "double cancel must fail");
-                        model.retain(|&(_, s, _)| s != seq);
+                        retired.push(id);
                     }
                 }
                 // Pop and compare against the model minimum.
+                3 => match (q.pop(), earliest) {
+                    (None, None) => {}
+                    (Some((qt, qp)), Some((i, mt, ms))) => {
+                        prop_assert_eq!((qt.as_nanos(), qp), (mt, ms));
+                        retired.push(model.remove(i).2);
+                    }
+                    (got, want) => {
+                        return Err(TestCaseError::fail(format!(
+                            "pop mismatch: queue={got:?} model={want:?}"
+                        )));
+                    }
+                },
+                // Pop up to a horizon: an event at or before it pops, a
+                // later one stays queued and its time is reported.
+                4 => match (q.pop_until(SimTime::from_nanos(time)), earliest) {
+                    (Err(None), None) => {}
+                    (Ok((qt, qp)), Some((i, mt, ms))) if mt <= time => {
+                        prop_assert_eq!((qt.as_nanos(), qp), (mt, ms));
+                        retired.push(model.remove(i).2);
+                    }
+                    (Err(Some(qt)), Some((_, mt, _))) if mt > time => {
+                        prop_assert_eq!(qt.as_nanos(), mt);
+                    }
+                    (got, want) => {
+                        return Err(TestCaseError::fail(format!(
+                            "pop_until({time}) mismatch: queue={got:?} model={want:?}"
+                        )));
+                    }
+                },
+                // A retired id is neither pending nor cancellable, however
+                // many events were pushed after it.
                 _ => {
-                    let expect = model
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, &(t, s, _))| (t, s))
-                        .map(|(i, &(t, _, p))| (i, t, p));
-                    match (q.pop(), expect) {
-                        (None, None) => {}
-                        (Some((qt, qp)), Some((i, mt, mp))) => {
-                            prop_assert_eq!(qt.as_nanos(), mt);
-                            prop_assert_eq!(qp, mp);
-                            let (_, seq, _) = model.remove(i);
-                            live.retain(|&(_, s)| s != seq);
-                        }
-                        (got, want) => {
-                            return Err(TestCaseError::fail(format!(
-                                "pop mismatch: queue={got:?} model={want:?}"
-                            )));
-                        }
+                    if !retired.is_empty() {
+                        let old = retired[sel as usize % retired.len()];
+                        prop_assert!(!q.contains(old), "retired id {old} resurrected");
+                        prop_assert!(!q.cancel(old), "retired id {old} cancelled an event");
                     }
                 }
             }
             prop_assert_eq!(q.len(), model.len());
             prop_assert_eq!(q.is_empty(), model.is_empty());
+            for &(_, _, id) in &model {
+                prop_assert!(q.contains(id), "live id {id} not pending");
+            }
         }
         // Drain: remaining events come out in exact (time, seq) order.
         model.sort_unstable_by_key(|&(t, s, _)| (t, s));
-        for &(t, _, p) in &model {
+        for &(t, s, _) in &model {
             let (qt, qp) = q.pop().expect("queue drained early");
-            prop_assert_eq!(qt.as_nanos(), t);
-            prop_assert_eq!(qp, p);
+            prop_assert_eq!((qt.as_nanos(), qp), (t, s));
         }
         prop_assert!(q.pop().is_none());
     }
 
-    /// Slot reuse never resurrects a retired handle: once an event has been
-    /// popped or cancelled, its `EventId` stays dead forever, no matter how
-    /// many later events recycle the same slab slot.
+    /// Once an event has been popped or cancelled, its `EventId` stays
+    /// dead forever, no matter how many events are pushed after it.
     #[test]
     fn queue_retired_ids_stay_dead(ops in proptest::collection::vec((0u8..3, 0u64..8), 1..200)) {
         let mut q = EventQueue::new();
@@ -251,11 +275,8 @@ proptest! {
                 }
                 _ => {
                     if q.pop().is_some() {
-                        // We popped *some* live handle; find and retire it:
-                        // exactly one live id must now fail to cancel... but
-                        // probing with cancel would itself retire survivors.
-                        // Instead retire lazily: ids whose slot got recycled
-                        // are caught by the sweep below either way.
+                        // Some live handle was popped; `contains` finds it
+                        // without disturbing the survivors.
                         live.retain(|&id| {
                             let alive = q.contains(id);
                             if !alive {
@@ -266,8 +287,7 @@ proptest! {
                     }
                 }
             }
-            // No retired handle may be visible or cancellable, even though
-            // new pushes keep reusing the same slots with fresh generations.
+            // No retired handle may be visible or cancellable.
             for &old in &retired {
                 prop_assert!(!q.contains(old), "retired id {old} resurrected");
             }

@@ -361,6 +361,25 @@ fn malformed_input_maps_to_structured_errors() {
 }
 
 #[test]
+fn a_shard_partial_with_a_huge_lane_count_is_refused_and_the_daemon_stays_up() {
+    let daemon = Daemon::start(daemon_opts("huge-govs"), pooled()).unwrap();
+    let addr = daemon.addr();
+    // A well-formed partial whose lane count no allocation could hold,
+    // followed by only two lanes. Decoding must fail on the missing
+    // lines; sizing a vector from the count would abort the process.
+    let partial = checkpoint::encode(&eavs_fleet::FleetAggregate::new(&small_spec("huge")));
+    let huge = partial.replace("govs 2\n", "govs 1000000000\n");
+    assert_ne!(huge, partial);
+    let (status, body) =
+        client::request_text(&addr, "POST", "/campaigns/deadbeef/shards/0", &huge).unwrap();
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("bad shard partial"), "{body}");
+    let (status, body) = client::request_text(&addr, "GET", "/healthz", "").unwrap();
+    assert_eq!((status, body.as_str()), (200, "ok\n"));
+    daemon.shutdown();
+}
+
+#[test]
 fn a_tampered_checkpoint_is_refused_on_restart() {
     let spec = small_spec("daemon-tamper");
     let state = temp_dir("tamper");
