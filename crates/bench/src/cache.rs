@@ -96,50 +96,18 @@ fn insert_bounded(inner: &mut CacheInner, cap: u64, key: u128, report: &Arc<Sess
     }
 }
 
-/// `true` when `EAVS_EMPTY_FAULTS` is set: every session without a
-/// fault plan gets an explicit *empty* [`FaultPlan`] attached. An empty
-/// plan must be a perfect no-op, so this mode is CI's proof that the
-/// fault-injection wiring leaves every committed figure byte-identical.
-fn force_empty_faults() -> bool {
-    static FORCE: OnceLock<bool> = OnceLock::new();
-    *FORCE.get_or_init(|| std::env::var_os("EAVS_EMPTY_FAULTS").is_some())
-}
-
-/// `true` when `EAVS_NULL_POWER` is set: every session without a power
-/// model gets an explicit zero-power [`DevicePowerModel::none`]
-/// attached. The none() model must be a perfect no-op (its accounting
-/// is post-hoc and all-zero), so this mode is CI's proof that the
-/// whole-device power wiring leaves every committed figure
-/// byte-identical.
-///
-/// [`DevicePowerModel::none`]: eavs_power::DevicePowerModel::none
-fn force_null_power() -> bool {
-    static FORCE: OnceLock<bool> = OnceLock::new();
-    *FORCE.get_or_init(|| std::env::var_os("EAVS_NULL_POWER").is_some())
-}
-
-/// `true` when `EAVS_NULL_PRIOR` is set: every session without a
-/// workload prior gets an explicit *empty*
-/// [`SessionPrior`](eavs_core::predictor::SessionPrior) attached. An
-/// empty prior carries no per-type evidence, so the builder never wraps
-/// the predictor and the fingerprint keeps its tag-0 byte — this mode
-/// is CI's proof that the fleet-prior wiring leaves every committed
-/// figure byte-identical.
-fn force_null_prior() -> bool {
-    static FORCE: OnceLock<bool> = OnceLock::new();
-    *FORCE.get_or_init(crate::executor::null_prior)
-}
-
 /// A shared no-op trace sink attached to every session when
-/// `EAVS_NULL_TRACE` is set — the observability mirror of
-/// [`force_empty_faults`]. A [`NullSink`](eavs_obs::NullSink) must be a
-/// perfect behavioral no-op, so this mode is CI's proof that the
-/// tracing wiring leaves every committed figure byte-identical.
+/// `EAVS_NULL_TRACE` is set. Unlike an empty fault plan, power model or
+/// prior, which the builder stores as absent, a
+/// [`NullSink`](eavs_obs::NullSink) is a real sink: the tap is installed
+/// and every emit closure runs. It must still be a perfect behavioral
+/// no-op, so this mode is CI's proof that the tracing wiring leaves
+/// every committed figure byte-identical.
 fn forced_null_trace() -> Option<eavs_obs::SharedSink> {
     static FORCE: OnceLock<Option<eavs_obs::SharedSink>> = OnceLock::new();
     FORCE
         .get_or_init(|| {
-            std::env::var_os("EAVS_NULL_TRACE").map(|_| {
+            crate::executor::env_knob::<String>("EAVS_NULL_TRACE").map(|_| {
                 let sink: eavs_obs::SharedSink = eavs_obs::shared(eavs_obs::NullSink);
                 sink
             })
@@ -147,32 +115,17 @@ fn forced_null_trace() -> Option<eavs_obs::SharedSink> {
         .clone()
 }
 
-/// Attaches the forced no-op decorations of the golden CI legs and
-/// returns the builder with its cache key: `None` (counted as
-/// uncacheable) when it must run uncached.
+/// Attaches the forced `EAVS_NULL_TRACE` sink and returns the builder
+/// with its cache key: `None` (counted as uncacheable) when it must run
+/// uncached.
 ///
 /// Builders carrying an observer (trace sink or profiler) always run —
 /// a cache hit would skip the observer's side effects. The forced
-/// `EAVS_NULL_TRACE` sink is attached *after* that check: it is not a
-/// caller observer, and sessions must stay cacheable under it so the CI
-/// golden pass exercises the identical hit/miss pattern. Builders whose
-/// components carry learned state cannot be fingerprinted.
+/// sink is attached *after* that check: it is not a caller observer,
+/// and sessions must stay cacheable under it so the CI golden pass
+/// exercises the identical hit/miss pattern. Builders whose components
+/// carry learned state cannot be fingerprinted.
 fn prepare(builder: SessionBuilder) -> (SessionBuilder, Option<u128>) {
-    let builder = if force_empty_faults() && !builder.has_faults() {
-        builder.faults(eavs_faults::FaultPlan::default())
-    } else {
-        builder
-    };
-    let builder = if force_null_power() && !builder.has_power() {
-        builder.power(eavs_power::DevicePowerModel::none())
-    } else {
-        builder
-    };
-    let builder = if force_null_prior() && !builder.has_prior() {
-        builder.prior(eavs_core::predictor::SessionPrior::default())
-    } else {
-        builder
-    };
     if builder.has_observer() {
         UNCACHEABLE.fetch_add(1, Ordering::Relaxed);
         return (builder, None);

@@ -6,7 +6,7 @@
 //! (download activity intervals, chosen bitrates, manifest, seed), so the
 //! sessions here are byte-identical to their unmodeled twins, and the
 //! committed golden CSVs of the other 28 experiments are provably
-//! untouched (`tests/power_noop.rs`).
+//! untouched (`tests/attachments.rs`).
 
 use crate::harness::{
     governor, manifest_1080p30, run_parallel_labeled, run_session, single_manifest,

@@ -128,8 +128,9 @@ fn worker_loop(shared: &Shared, me: usize) {
 ///
 /// Every `EAVS_*` tuning variable — `EAVS_JOBS` here, `EAVS_CHAOS_CASES`
 /// in the chaos fuzz, the fleet campaign knobs, the daemon knobs
-/// (`EAVS_DAEMON_ADDR`, `EAVS_DAEMON_THREADS`, `EAVS_CHECKPOINT_EVERY`)
-/// and the fleet-prior knobs (`EAVS_NULL_PRIOR`, `EAVS_PRIOR_PATH`) —
+/// (`EAVS_DAEMON_ADDR`, `EAVS_DAEMON_THREADS`, `EAVS_CHECKPOINT_EVERY`),
+/// the fleet-prior file (`EAVS_PRIOR_PATH`) and the golden-pass trace
+/// sink (`EAVS_NULL_TRACE`) —
 /// goes through this one helper so they all share the trim/parse/warn
 /// behavior. The warning is emitted once per variable name: sweeps
 /// consult knobs per job, and a malformed value must not flood stderr
@@ -159,8 +160,8 @@ pub const REGISTERED_KNOBS: [&str; 9] = [
     "EAVS_DAEMON_ADDR",
     "EAVS_DAEMON_THREADS",
     "EAVS_CHECKPOINT_EVERY",
-    "EAVS_NULL_PRIOR",
     "EAVS_PRIOR_PATH",
+    "EAVS_NULL_TRACE",
 ];
 
 /// Default `eavsd` listen/connect address from `EAVS_DAEMON_ADDR`
@@ -195,16 +196,6 @@ pub fn checkpoint_every() -> Option<u64> {
 /// preset's timer.
 pub fn power_tail_ms() -> Option<u64> {
     env_knob::<u64>("EAVS_POWER_TAIL_MS")
-}
-
-/// `true` when `EAVS_NULL_PRIOR` is set (to anything): the session
-/// cache attaches an explicit *empty* workload prior to every session
-/// that has none, proving the attach path is a byte-exact no-op (the
-/// fleet-prior mirror of `EAVS_NULL_POWER`). Routed through
-/// [`env_knob`] — `String::from_str` is infallible, so the warn-once
-/// path never triggers — to keep every registered knob on one code path.
-pub fn null_prior() -> bool {
-    env_knob::<String>("EAVS_NULL_PRIOR").is_some()
 }
 
 /// Fleet-prior file location from `EAVS_PRIOR_PATH`.
@@ -370,8 +361,8 @@ mod tests {
 
     #[test]
     fn knob_registry_matches_the_documented_list() {
-        // The docs (env_knob's rustdoc, DESIGN.md §19, the README knob
-        // table) enumerate exactly these variables; a knob added to the
+        // The docs (env_knob's rustdoc and the README knob table)
+        // enumerate exactly these variables; a knob added to the
         // code without updating the registry — or vice versa — must fail
         // here, not silently drift.
         let documented = [
@@ -382,8 +373,8 @@ mod tests {
             "EAVS_DAEMON_ADDR",
             "EAVS_DAEMON_THREADS",
             "EAVS_CHECKPOINT_EVERY",
-            "EAVS_NULL_PRIOR",
             "EAVS_PRIOR_PATH",
+            "EAVS_NULL_TRACE",
         ];
         assert_eq!(REGISTERED_KNOBS, documented);
         // Registry hygiene: EAVS_-prefixed and duplicate-free.

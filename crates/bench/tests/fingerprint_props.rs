@@ -3,6 +3,7 @@
 //! single-knob change produces a different fingerprint, so the cache can
 //! never serve a stale report for a perturbed configuration).
 
+use eavs_core::predictor::SessionPrior;
 use eavs_core::session::{ClusterSelect, SessionBuilder, StreamingSession};
 use eavs_cpu::soc::SocModel;
 use eavs_faults::{
@@ -10,6 +11,7 @@ use eavs_faults::{
 };
 use eavs_net::abr::FixedAbr;
 use eavs_net::download::RetryPolicy;
+use eavs_power::{DecoderModel, DevicePowerModel, DisplayModel, RrcRadioModel};
 use eavs_sim::time::{SimDuration, SimTime};
 use eavs_trace::content::ContentProfile;
 use eavs_video::display::LatePolicy;
@@ -166,6 +168,23 @@ proptest! {
                 backoff_cap: SimDuration::from_secs(9),
                 ..RetryPolicy::default()
             })),
+            // Each power component and any prior evidence must perturb
+            // the digest on its own.
+            ("power/radio", mk().power(DevicePowerModel {
+                radio: Some(RrcRadioModel::lte()),
+                ..DevicePowerModel::none()
+            })),
+            ("power/display", mk().power(DevicePowerModel {
+                display: Some(DisplayModel::phone(0.6)),
+                ..DevicePowerModel::none()
+            })),
+            ("power/decoder", mk().power(DevicePowerModel {
+                decoder: Some(DecoderModel::phone_1080p()),
+                ..DevicePowerModel::none()
+            })),
+            ("prior/one-type", mk().prior(SessionPrior {
+                types: [Some((2.0e6, 8.0)), None, None],
+            })),
         ];
         for (knob, b) in perturbed {
             let fp = b.fingerprint().expect("cacheable");
@@ -185,8 +204,14 @@ proptest! {
         prop_assert!(stall != corrupt, "stall and corruption lists collided");
 
         // And the no-op guarantee at the digest level: an explicitly
-        // empty plan hashes exactly like no plan at all.
-        let empty = mk().faults(FaultPlan::default()).fingerprint().expect("cacheable");
-        prop_assert_eq!(empty, base);
+        // empty plan, power model or prior hashes exactly like none.
+        let empties = [
+            mk().faults(FaultPlan::default()),
+            mk().power(DevicePowerModel::none()),
+            mk().prior(SessionPrior::default()),
+        ];
+        for empty in empties {
+            prop_assert_eq!(empty.fingerprint().expect("cacheable"), base);
+        }
     }
 }

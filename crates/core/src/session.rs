@@ -253,46 +253,31 @@ impl SessionBuilder {
 
     /// Injects a fault plan: network blackouts, stalled/corrupt segment
     /// downloads, decode spikes and stalls, ambient temperature steps.
-    /// An empty plan is a guaranteed behavioral no-op.
+    /// An empty plan is stored as no plan at all, so it is a no-op by
+    /// construction.
     pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(plan);
+        self.faults = (!plan.is_empty()).then_some(plan);
         self
-    }
-
-    /// `true` if a non-empty fault plan is attached.
-    pub fn has_faults(&self) -> bool {
-        self.faults.as_ref().is_some_and(|p| !p.is_empty())
     }
 
     /// Attaches a whole-device power model (radio RRC + display +
     /// decoder). Accounting is post-hoc over the finished session's
-    /// timeline, so [`DevicePowerModel::none`] — and any other model —
-    /// is a guaranteed behavioral no-op: only the report's power
-    /// counters change.
+    /// timeline, so any model is a behavioral no-op: only the report's
+    /// power counters change. [`DevicePowerModel::none`] is stored as no
+    /// model at all.
     pub fn power(mut self, model: DevicePowerModel) -> Self {
-        self.power = Some(model);
+        self.power = (!model.is_none()).then_some(model);
         self
-    }
-
-    /// `true` if a non-trivial (some component modeled) power model is
-    /// attached.
-    pub fn has_power(&self) -> bool {
-        self.power.as_ref().is_some_and(|m| !m.is_none())
     }
 
     /// Seeds the EAVS predictor with a fleet-learned population prior:
     /// the governor's predictor is wrapped in a
     /// [`FleetPrior`](crate::predictor::FleetPrior) at session start. An
-    /// empty prior is a guaranteed behavioral no-op (≡ no prior at all),
-    /// and baselines ignore priors entirely.
+    /// empty prior is stored as no prior at all, and baselines ignore
+    /// priors entirely.
     pub fn prior(mut self, prior: SessionPrior) -> Self {
-        self.prior = Some(prior);
+        self.prior = (!prior.is_empty()).then_some(prior);
         self
-    }
-
-    /// `true` if a non-empty workload prior is attached.
-    pub fn has_prior(&self) -> bool {
-        self.prior.as_ref().is_some_and(|p| !p.is_empty())
     }
 
     /// Sets the download retry policy (timeout, retry cap, exponential
@@ -501,37 +486,32 @@ impl SessionBuilder {
             LatePolicy::Stall => 0,
             LatePolicy::Drop => 1,
         });
-        // An empty plan and no plan are the same session (the no-op
-        // guarantee), so they share a tag; any real fault perturbs the
-        // digest, including randomized plans (fully described by their
-        // seed + probabilities).
+        // The setters store an empty fault plan, the none() power model
+        // and an empty prior as `None`, so each of them shares the
+        // absent attachment's tag 0. Any real fault (randomized plans
+        // included), modeled component or population evidence perturbs
+        // the digest by its exact content.
         match &self.faults {
-            Some(plan) if !plan.is_empty() => {
+            None => fp.write_u8(0),
+            Some(plan) => {
                 fp.write_u8(1);
                 plan.fingerprint(&mut fp);
             }
-            _ => fp.write_u8(0),
         }
         self.retry.fingerprint(&mut fp);
-        // The none() power model and no model at all are the same
-        // session (the zero-power no-op guarantee), so they share a tag;
-        // any modeled component perturbs the digest.
         match &self.power {
-            Some(model) if !model.is_none() => {
+            None => fp.write_u8(0),
+            Some(model) => {
                 fp.write_u8(1);
                 model.fingerprint(&mut fp);
             }
-            _ => fp.write_u8(0),
         }
-        // An empty prior and no prior are the same session (the no-op
-        // guarantee), so they share a tag; any population evidence
-        // perturbs the digest by its exact f64 content.
         match &self.prior {
-            Some(prior) if !prior.is_empty() => {
+            None => fp.write_u8(0),
+            Some(prior) => {
                 fp.write_u8(1);
                 prior.fingerprint(&mut fp);
             }
-            _ => fp.write_u8(0),
         }
         fp.finish()
     }
@@ -670,10 +650,9 @@ impl SessionState {
         truth_scratch.clear();
         truth_scratch.reserve(frames_per_segment);
         // Seed the EAVS predictor from the fleet prior before any decision
-        // is taken; empty priors are dropped (≡ absent) and baselines have
-        // no predictor to seed.
+        // is taken; baselines have no predictor to seed.
         let mut governor = b.governor;
-        if let Some(prior) = b.prior.filter(|p| !p.is_empty()) {
+        if let Some(prior) = b.prior {
             if let GovernorChoice::Eavs(g) = &mut governor {
                 g.seed_prior(prior);
             }

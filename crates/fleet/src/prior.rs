@@ -23,6 +23,7 @@ use std::path::Path;
 
 use eavs_core::framestats::FrameCycleStats;
 use eavs_core::predictor::SessionPrior;
+use eavs_metrics::stats::ExactSum;
 use eavs_video::frame::FrameType;
 
 use crate::checkpoint::{push_hist, push_sum, Lines};
@@ -161,8 +162,8 @@ pub(crate) fn decode_body(lines: &mut Lines<'_>, entries: usize) -> Result<Prior
             .ok_or(format!("prior: bad key line {key:?}"))?;
         let mut stats = FrameCycleStats::new();
         for t in 0..3 {
-            stats.mcycles[t] = lines.sum(&format!("mc{t}"))?;
-            stats.mcycles_sq[t] = lines.sum(&format!("mcsq{t}"))?;
+            stats.mcycles[t] = cycle_sum(lines, &format!("mc{t}"))?;
+            stats.mcycles_sq[t] = cycle_sum(lines, &format!("mcsq{t}"))?;
             stats.hist[t] = lines.hist(&format!("hist{t}"))?;
         }
         if store
@@ -174,6 +175,17 @@ pub(crate) fn decode_body(lines: &mut Lines<'_>, entries: usize) -> Result<Prior
         }
     }
     Ok(store)
+}
+
+/// Reads a cycle (or squared-cycle) sum. Frame costs are never negative,
+/// so neither is an honest sum; a negative one would seed a predictor
+/// with a negative cycle count.
+fn cycle_sum(lines: &mut Lines<'_>, key: &str) -> Result<ExactSum, String> {
+    let sum = lines.sum(key)?;
+    if sum.raw().0 < 0 {
+        return Err(format!("prior: negative {key} sum"));
+    }
+    Ok(sum)
 }
 
 /// Encodes a store as standalone `eavs-prior/v1` text.
@@ -264,6 +276,20 @@ mod tests {
         // Empty stores roundtrip too.
         let empty = PriorStore::new();
         assert_eq!(decode(&encode(&empty)).unwrap(), empty);
+    }
+
+    #[test]
+    fn negative_cycle_sums_are_rejected() {
+        let text = encode(&populated());
+        for key in ["mc0", "mcsq2"] {
+            let line = text
+                .lines()
+                .find(|l| l.starts_with(&format!("{key} ")))
+                .unwrap();
+            let bad = text.replacen(line, &format!("{key} -875206582137000 80"), 1);
+            let err = decode(&bad).unwrap_err();
+            assert!(err.contains(&format!("negative {key} sum")), "{err}");
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! from the session RNG, so attaching any model — including
 //! [`DevicePowerModel::none`], the zero-power default — cannot perturb
 //! the simulation by construction. The no-op contract is still proven by
-//! test (`tests/power_noop.rs`), not by this argument alone.
+//! test (`tests/attachments.rs`), not by this argument alone.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

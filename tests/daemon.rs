@@ -361,6 +361,36 @@ fn malformed_input_maps_to_structured_errors() {
 }
 
 #[test]
+fn a_prior_with_a_negative_cycle_sum_is_refused_and_the_store_is_unchanged() {
+    let daemon = Daemon::start(daemon_opts("bad-prior"), pooled()).unwrap();
+    let addr = daemon.addr();
+    let mut stats = eavs::scaling::framestats::FrameCycleStats::new();
+    for mc in [9.0, 11.0, 30.0] {
+        stats.observe(
+            eavs::video::frame::FrameType::I,
+            eavs::cpu::freq::Cycles::from_mega(mc),
+        );
+    }
+    let mut store = eavs_fleet::PriorStore::new();
+    store.observe("3000kbps-1280x720@30", "film", &stats);
+    let good = eavs_fleet::prior::encode(&store);
+    let (status, body) = client::request_text(&addr, "POST", "/priors", &good).unwrap();
+    assert_eq!(status, 200, "{body}");
+    let (_, before) = client::request_text(&addr, "GET", "/priors", "").unwrap();
+
+    // Such a prior would panic the first EAVS session seeded from it.
+    let line = good.lines().find(|l| l.starts_with("mc0 ")).unwrap();
+    let bad = good.replacen(line, "mc0 -875206582137000 80", 1);
+    let (status, body) = client::request_text(&addr, "POST", "/priors", &bad).unwrap();
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("negative mc0 sum"), "{body}");
+    let (status, after) = client::request_text(&addr, "GET", "/priors", "").unwrap();
+    assert_eq!(status, 200);
+    assert_eq!(after, before);
+    daemon.shutdown();
+}
+
+#[test]
 fn a_shard_partial_with_a_huge_lane_count_is_refused_and_the_daemon_stays_up() {
     let daemon = Daemon::start(daemon_opts("huge-govs"), pooled()).unwrap();
     let addr = daemon.addr();

@@ -1,104 +1,27 @@
-//! The no-op guarantee: an *empty* fault plan (and the default retry
-//! policy) must be invisible — same fingerprint, same event count, same
-//! report, field for field — across governors and player configurations.
-//! This is what lets the fault subsystem ride in every build without
-//! perturbing a single committed figure.
+//! The empty fault plan's row of the attachment table in `common`: with
+//! the default retry policy it is invisible across governors, schedules
+//! the same events and shares the plain fingerprint.
 
+mod common;
+
+use common::{
+    assert_fingerprint_split, assert_invisible_across_governors, assert_same_events, row,
+};
 use eavs::faults::FaultPlan;
-use eavs::net::download::RetryPolicy;
-use eavs::scaling::governor::{EavsConfig, EavsGovernor};
-use eavs::scaling::predictor::predictor_by_name;
-use eavs::scaling::report::SessionReport;
-use eavs::scaling::session::{GovernorChoice, SessionBuilder, StreamingSession};
-use eavs::sim::time::SimDuration;
-use eavs::tracegen::content::ContentProfile;
-use eavs::video::manifest::Manifest;
-use eavs_governors::by_name;
-
-fn governor(name: &str) -> GovernorChoice {
-    if name == "eavs" {
-        GovernorChoice::Eavs(EavsGovernor::new(
-            predictor_by_name("hybrid").unwrap(),
-            EavsConfig::default(),
-        ))
-    } else {
-        GovernorChoice::Baseline(by_name(name).unwrap())
-    }
-}
-
-fn base(gov: &str, seed: u64) -> SessionBuilder {
-    StreamingSession::builder(governor(gov))
-        .manifest(Manifest::single(
-            3_000,
-            1280,
-            720,
-            SimDuration::from_secs(8),
-            30,
-        ))
-        .content(ContentProfile::Sport)
-        .seed(seed)
-}
-
-fn assert_reports_identical(plain: &SessionReport, faulted: &SessionReport, label: &str) {
-    // Debug covers every field, including the energy floats and the
-    // fault counters (which must all be zero on both sides).
-    assert_eq!(
-        format!("{plain:?}"),
-        format!("{faulted:?}"),
-        "{label}: empty fault plan changed the report"
-    );
-    assert_eq!(faulted.download_retries, 0, "{label}");
-    assert_eq!(faulted.download_timeouts, 0, "{label}");
-    assert_eq!(faulted.corrupt_downloads, 0, "{label}");
-    assert_eq!(faulted.segments_abandoned, 0, "{label}");
-    assert_eq!(faulted.decode_spikes, 0, "{label}");
-    assert_eq!(faulted.decode_stalls, 0, "{label}");
-    assert_eq!(faulted.panic_races, 0, "{label}");
-}
 
 #[test]
 fn empty_plan_is_invisible_across_governors() {
-    for gov in ["performance", "powersave", "ondemand", "schedutil", "eavs"] {
-        let plain = base(gov, 11).run();
-        let faulted = base(gov, 11)
-            .faults(FaultPlan::default())
-            .retry(RetryPolicy::default())
-            .run();
-        assert_reports_identical(&plain, &faulted, gov);
-    }
+    assert_invisible_across_governors(&[row("faults/empty")]);
 }
 
 #[test]
 fn empty_plan_shares_the_fingerprint() {
-    // Same digest ⇒ the session cache will serve a faultless session's
-    // report for an empty-plan builder and vice versa — which is only
-    // sound because the reports are identical (test above).
-    let plain = base("eavs", 23).fingerprint().expect("cacheable");
-    let faulted = base("eavs", 23)
-        .faults(FaultPlan::default())
-        .fingerprint()
-        .expect("cacheable");
-    assert_eq!(plain, faulted);
-
-    // A non-empty plan must split off immediately.
-    let storm = base("eavs", 23)
-        .faults(FaultPlan::standard_storm())
-        .fingerprint()
-        .expect("cacheable");
-    assert_ne!(plain, storm);
+    assert_fingerprint_split(row("faults/empty"), |b| {
+        b.faults(FaultPlan::standard_storm())
+    });
 }
 
 #[test]
 fn empty_plan_processes_the_same_events() {
-    // Stronger than report equality alone: the simulator must schedule
-    // the exact same event stream (no dormant watchdogs, no ambient
-    // tick, no extra governor decisions).
-    let plain = base("eavs", 31).record_series(true).run();
-    let faulted = base("eavs", 31)
-        .record_series(true)
-        .faults(FaultPlan::default())
-        .run();
-    assert_eq!(plain.events_processed, faulted.events_processed);
-    assert_eq!(plain.freq_series, faulted.freq_series);
-    assert_eq!(plain.buffer_series, faulted.buffer_series);
+    assert_same_events(row("faults/empty"));
 }

@@ -1,123 +1,34 @@
-//! The observability no-op guarantee, mirroring `faults_noop.rs`: a
-//! session with a [`NullSink`] trace attached must be invisible — same
-//! report field for field, same fingerprint, same event stream — across
-//! governors and configurations. This is what lets the tracing wiring
-//! ride in every build without perturbing a single committed figure.
+//! The trace sinks' rows of the attachment table in `common`: a
+//! `NullSink`, and a recording `RingSink`, are invisible across governors
+//! and schedule the same events, for any draw.
 
-use eavs::obs::{shared, NullSink, RingSink, SharedSink};
-use eavs::scaling::governor::{EavsConfig, EavsGovernor};
-use eavs::scaling::predictor::predictor_by_name;
-use eavs::scaling::report::SessionReport;
-use eavs::scaling::session::{GovernorChoice, SessionBuilder, StreamingSession};
-use eavs::sim::time::SimDuration;
-use eavs::tracegen::content::ContentProfile;
-use eavs::video::manifest::Manifest;
-use eavs_governors::by_name;
+mod common;
+
+use common::{
+    assert_invisible_across_governors, assert_same_events, check_invisible_for_draw, row,
+};
 use proptest::prelude::*;
-
-fn governor(name: &str) -> GovernorChoice {
-    if name == "eavs" {
-        GovernorChoice::Eavs(EavsGovernor::new(
-            predictor_by_name("hybrid").unwrap(),
-            EavsConfig::default(),
-        ))
-    } else {
-        GovernorChoice::Baseline(by_name(name).unwrap())
-    }
-}
-
-fn base(gov: &str, seed: u64) -> SessionBuilder {
-    StreamingSession::builder(governor(gov))
-        .manifest(Manifest::single(
-            3_000,
-            1280,
-            720,
-            SimDuration::from_secs(8),
-            30,
-        ))
-        .content(ContentProfile::Sport)
-        .seed(seed)
-}
-
-fn null_sink() -> SharedSink {
-    shared(NullSink)
-}
-
-fn assert_reports_identical(plain: &SessionReport, traced: &SessionReport, label: &str) {
-    // Debug covers every field, including the energy floats. Neither
-    // side carries a profile, so the comparison is host-independent.
-    assert!(plain.profile.is_none() && traced.profile.is_none());
-    assert_eq!(
-        format!("{plain:?}"),
-        format!("{traced:?}"),
-        "{label}: a NullSink trace changed the report"
-    );
-}
 
 #[test]
 fn null_sink_is_invisible_across_governors() {
-    for gov in ["performance", "powersave", "ondemand", "schedutil", "eavs"] {
-        let plain = base(gov, 11).run();
-        let traced = base(gov, 11).trace(null_sink()).run();
-        assert_reports_identical(&plain, &traced, gov);
-    }
-}
-
-#[test]
-fn observers_never_enter_the_fingerprint() {
-    // Observers are deliberately not hashed (a trace must be able to
-    // replay a cached workload's exact timeline), so the fingerprint is
-    // unchanged — and the cache layer is what refuses to serve observed
-    // builders from memo (covered in eavs-bench).
-    let plain = base("eavs", 23).fingerprint().expect("cacheable");
-    let traced = base("eavs", 23)
-        .trace(null_sink())
-        .fingerprint()
-        .expect("cacheable");
-    assert_eq!(plain, traced);
-    assert!(base("eavs", 23).trace(null_sink()).has_observer());
-    assert!(base("eavs", 23).profile(true).has_observer());
-    assert!(!base("eavs", 23).has_observer());
+    assert_invisible_across_governors(&[row("trace/null")]);
 }
 
 #[test]
 fn null_sink_processes_the_same_events() {
-    // Stronger than report equality alone: the simulator must schedule
-    // the exact same event stream. A RingSink run rides along to prove
-    // a *recording* sink is behaviorally inert too.
-    let plain = base("eavs", 31).record_series(true).run();
-    let nulled = base("eavs", 31)
-        .record_series(true)
-        .trace(null_sink())
-        .run();
-    let ringed = base("eavs", 31)
-        .record_series(true)
-        .trace(shared(RingSink::new(65_536)))
-        .run();
-    assert_eq!(plain.events_processed, nulled.events_processed);
-    assert_eq!(plain.freq_series, nulled.freq_series);
-    assert_eq!(plain.buffer_series, nulled.buffer_series);
-    assert_eq!(plain.events_processed, ringed.events_processed);
-    assert_eq!(plain.freq_series, ringed.freq_series);
+    assert_same_events(row("trace/null"));
+    assert_same_events(row("trace/ring"));
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// For any governor/content/seed draw, attaching a NullSink leaves
-    /// the report byte-identical (Debug covers every field).
     #[test]
     fn null_sink_is_invisible_for_any_draw(
         gov_pick in 0u8..5,
         content_pick in 0u8..3,
         seed in 1u64..400,
     ) {
-        let gov = ["performance", "powersave", "ondemand", "schedutil", "eavs"]
-            [gov_pick as usize];
-        let content = ContentProfile::ALL[content_pick as usize];
-        let mk = || base(gov, seed).content(content);
-        let plain = mk().run();
-        let traced = mk().trace(null_sink()).run();
-        prop_assert_eq!(format!("{plain:?}"), format!("{traced:?}"));
+        check_invisible_for_draw(&[row("trace/null")], gov_pick, content_pick, seed)?;
     }
 }

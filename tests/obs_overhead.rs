@@ -1,8 +1,10 @@
 //! Allocation guards on the session hot path, measured by a counting
 //! global allocator:
 //!
-//! - Zero cost when off: attaching a [`NullSink`] (the sink CI forces
-//!   onto every session via `EAVS_NULL_TRACE`) must not add heap
+//! - Zero cost when off: attaching a [`NullSink`] (the sink the golden
+//!   `EAVS_NULL_TRACE` pass forces onto every cached session; unlike an
+//!   empty fault plan, power model or prior, the builder keeps it, so
+//!   its tap runs) must not add heap
 //!   allocations beyond the constant handful for the shared sink handle
 //!   and the dispatch tap. Event payloads are built lazily behind the
 //!   `Option<SharedSink>` branch, so the no-sink path allocates nothing

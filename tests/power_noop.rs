@@ -1,164 +1,49 @@
-//! The zero-power no-op guarantee, mirroring `faults_noop.rs` and
-//! `obs_noop.rs`: a session with the default [`DevicePowerModel::none`]
-//! attached must be invisible — same report field for field, same
-//! fingerprint, same event stream, same golden CSV bytes — across
-//! governors and configurations. Stronger still: because accounting is
-//! post-hoc, *any* power model (e.g. the phone preset) may only change
-//! the report's power counters, never the simulation. This is what lets
-//! the whole-device energy wiring ride in every build without perturbing
-//! a single committed figure.
+//! The `DevicePowerModel::none()` row of the attachment table in
+//! `common`: it is invisible across governors, schedules the same events
+//! and shares the plain fingerprint. Because accounting is post-hoc, the
+//! phone model may change only the report's power block, for any draw.
 
+mod common;
+
+use common::{
+    assert_fingerprint_split, assert_invisible_across_governors, assert_same_events, base,
+    check_invisible_for_draw, row, GOVERNORS,
+};
 use eavs::power::DevicePowerModel;
-use eavs::scaling::governor::{EavsConfig, EavsGovernor};
-use eavs::scaling::predictor::predictor_by_name;
-use eavs::scaling::report::SessionReport;
-use eavs::scaling::session::{GovernorChoice, SessionBuilder, StreamingSession};
-use eavs::sim::time::SimDuration;
 use eavs::tracegen::content::ContentProfile;
-use eavs::video::manifest::Manifest;
-use eavs_governors::by_name;
 use proptest::prelude::*;
-
-fn governor(name: &str) -> GovernorChoice {
-    if name == "eavs" {
-        GovernorChoice::Eavs(EavsGovernor::new(
-            predictor_by_name("hybrid").unwrap(),
-            EavsConfig::default(),
-        ))
-    } else {
-        GovernorChoice::Baseline(by_name(name).unwrap())
-    }
-}
-
-fn base(gov: &str, seed: u64) -> SessionBuilder {
-    StreamingSession::builder(governor(gov))
-        .manifest(Manifest::single(
-            3_000,
-            1280,
-            720,
-            SimDuration::from_secs(8),
-            30,
-        ))
-        .content(ContentProfile::Sport)
-        .seed(seed)
-}
-
-fn assert_reports_identical(plain: &SessionReport, powered: &SessionReport, label: &str) {
-    // Debug covers every field, including the new power counters (which
-    // must all be zero on both sides under the no-op model).
-    assert_eq!(
-        format!("{plain:?}"),
-        format!("{powered:?}"),
-        "{label}: the zero-power model changed the report"
-    );
-    assert_eq!(powered.power.total_j(), 0.0, "{label}");
-    assert_eq!(powered.power.radio_promotions, 0, "{label}");
-}
 
 #[test]
 fn none_model_is_invisible_across_governors() {
-    for gov in ["performance", "powersave", "ondemand", "schedutil", "eavs"] {
-        let plain = base(gov, 11).run();
-        let powered = base(gov, 11).power(DevicePowerModel::none()).run();
-        assert_reports_identical(&plain, &powered, gov);
-    }
+    assert_invisible_across_governors(&[row("power/none")]);
 }
 
 #[test]
 fn none_model_shares_the_fingerprint() {
-    // Same digest ⇒ the session cache will serve an unmodeled session's
-    // report for a none()-model builder and vice versa — which is only
-    // sound because the reports are identical (test above).
-    let plain = base("eavs", 23).fingerprint().expect("cacheable");
-    let powered = base("eavs", 23)
-        .power(DevicePowerModel::none())
-        .fingerprint()
-        .expect("cacheable");
-    assert_eq!(plain, powered);
-
-    // A modeled component must split off immediately.
-    let phone = base("eavs", 23)
-        .power(DevicePowerModel::phone())
-        .fingerprint()
-        .expect("cacheable");
-    assert_ne!(plain, phone);
+    assert_fingerprint_split(row("power/none"), |b| b.power(DevicePowerModel::phone()));
 }
 
 #[test]
 fn none_model_processes_the_same_events() {
-    // Stronger than report equality alone: the simulator must schedule
-    // the exact same event stream (power accounting happens after the
-    // loop has fully drained).
-    let plain = base("eavs", 31).record_series(true).run();
-    let powered = base("eavs", 31)
-        .record_series(true)
-        .power(DevicePowerModel::none())
-        .run();
-    assert_eq!(plain.events_processed, powered.events_processed);
-    assert_eq!(plain.freq_series, powered.freq_series);
-    assert_eq!(plain.buffer_series, powered.buffer_series);
-}
-
-#[test]
-fn any_model_changes_only_the_power_counters() {
-    // The post-hoc contract, tested from the outside: a full phone model
-    // leaves every simulation outcome untouched and only fills in the
-    // power block of the report.
-    let plain = base("eavs", 47).record_series(true).run();
-    let mut phone = base("eavs", 47)
-        .record_series(true)
-        .power(DevicePowerModel::phone())
-        .run();
-    assert!(phone.power.total_j() > 0.0);
-    assert!(phone.power.radio_j > 0.0);
-    assert!(phone.power.display_j > 0.0);
-    assert!(phone.power.decoder_j > 0.0);
-    assert!(phone.power.radio_promotions > 0);
-    // Zero the power block; everything else must be byte-identical.
-    phone.power = Default::default();
-    assert_eq!(format!("{plain:?}"), format!("{phone:?}"));
-}
-
-#[test]
-fn null_power_golden_pass_reproduces_committed_csv() {
-    // The in-process version of CI's EAVS_NULL_POWER=1 golden job: force
-    // the explicit none() model onto every cached session, regenerate a
-    // committed figure, and demand the exact bytes of the golden CSV.
-    // This test binary is the only user of the session cache in this
-    // process, so the env gate is read here first.
-    std::env::set_var("EAVS_NULL_POWER", "1");
-    let table = eavs::bench::comparison::f5_energy_by_governor();
-    let committed = std::fs::read_to_string("results/f5_energy_by_governor.csv")
-        .expect("committed golden CSV present");
-    assert_eq!(
-        table.to_csv(),
-        committed,
-        "EAVS_NULL_POWER pass must leave the golden CSV byte-identical"
-    );
+    assert_same_events(row("power/none"));
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// For any governor/content/seed draw, the none() model leaves the
-    /// report byte-identical, and the phone model touches only the power
-    /// block.
     #[test]
     fn power_models_are_behaviorally_inert_for_any_draw(
         gov_pick in 0u8..5,
         content_pick in 0u8..3,
         seed in 1u64..400,
     ) {
-        let gov = ["performance", "powersave", "ondemand", "schedutil", "eavs"]
-            [gov_pick as usize];
-        let content = ContentProfile::ALL[content_pick as usize];
-        let mk = || base(gov, seed).content(content);
+        check_invisible_for_draw(&[row("power/none")], gov_pick, content_pick, seed)?;
+        let mk = || base(GOVERNORS[gov_pick as usize], seed)
+            .content(ContentProfile::ALL[content_pick as usize]);
         let plain = mk().run();
-        let noop = mk().power(DevicePowerModel::none()).run();
-        prop_assert_eq!(format!("{plain:?}"), format!("{noop:?}"));
         let mut phone = mk().power(DevicePowerModel::phone()).run();
         prop_assert!(phone.power.total_j() > 0.0);
         phone.power = Default::default();
-        prop_assert_eq!(format!("{plain:?}"), format!("{phone:?}"));
+        prop_assert_eq!(format!("{phone:?}"), format!("{plain:?}"));
     }
 }
