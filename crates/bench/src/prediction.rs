@@ -50,7 +50,7 @@ pub fn replay_with(
     let mut n = 0u64;
     for segment in generator.all_segments(0) {
         for frame in segment.frames() {
-            let meta = FrameMeta::from(frame);
+            let meta = FrameMeta::from(&frame);
             let predicted = predictor.predict(meta).get();
             let actual = frame.decode_cycles.get();
             let e = ((predicted - actual) / actual).abs();

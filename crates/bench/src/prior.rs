@@ -76,7 +76,7 @@ pub fn replay(prior: SessionPrior, content: ContentProfile) -> PriorReplay {
     let mut n = 0u64;
     for segment in generator.all_segments(0) {
         for frame in segment.frames() {
-            let meta = FrameMeta::from(frame);
+            let meta = FrameMeta::from(&frame);
             let predicted = eavs_core::predictor::WorkloadPredictor::predict(&predictor, meta);
             let actual = frame.decode_cycles.get();
             let e = ((predicted.get() - actual) / actual).abs();

@@ -10,13 +10,19 @@
 //! follows, and it is what makes the persisted `eavs-prior/v1` artifact
 //! deterministic across `EAVS_JOBS` settings.
 //!
+//! A session records into a [`FrameCycleTally`], whose dense bins live
+//! inline in the session (no heap: recording never allocates), and
+//! hands its report a span-trimmed [`FrameCycleStats`] once at the end:
+//! reports stay resident in the session cache for a whole campaign, and
+//! a typical one occupies about a sixth of its 3 × 64 bins.
+//!
 //! Costs are accounted in **Mcycles** (millions of cycles). A 1080p frame
 //! costs tens of Mcycles, so per-frame squared magnitudes stay far below
 //! the `ExactSum` fixed-point overflow horizon even for billion-frame
 //! campaigns.
 
 use eavs_cpu::freq::Cycles;
-use eavs_metrics::histogram::Histogram;
+use eavs_metrics::histogram::{locate, Histogram, Slot};
 use eavs_metrics::stats::ExactSum;
 use eavs_video::frame::FrameType;
 
@@ -45,7 +51,7 @@ pub struct FrameCycleStats {
 }
 
 impl FrameCycleStats {
-    /// An empty summary.
+    /// An empty summary. Allocates nothing.
     pub fn new() -> Self {
         let hist = || Histogram::new(0.0, PRIOR_HIST_HI_MCYCLES, PRIOR_HIST_BINS);
         FrameCycleStats {
@@ -53,15 +59,6 @@ impl FrameCycleStats {
             mcycles_sq: [ExactSum::new(), ExactSum::new(), ExactSum::new()],
             hist: [hist(), hist(), hist()],
         }
-    }
-
-    /// Records one decoded frame's actual cost.
-    pub fn observe(&mut self, frame_type: FrameType, actual: Cycles) {
-        let t = frame_type.index();
-        let mc = actual.mega();
-        self.mcycles[t].add(mc);
-        self.mcycles_sq[t].add(mc * mc);
-        self.hist[t].record(mc);
     }
 
     /// Folds another summary in. Order-free: integer addition throughout.
@@ -104,15 +101,72 @@ impl FrameCycleStats {
         })
     }
 
-    /// Heap footprint (the histogram bins; everything else is inline).
-    pub fn approx_heap_bytes() -> usize {
-        3 * PRIOR_HIST_BINS * std::mem::size_of::<u64>()
+    /// Heap bytes held: the histograms' occupied bin spans (everything
+    /// else is inline).
+    pub fn heap_bytes(&self) -> usize {
+        self.hist.iter().map(Histogram::heap_bytes).sum()
     }
 }
 
 impl Default for FrameCycleStats {
     fn default() -> Self {
         FrameCycleStats::new()
+    }
+}
+
+/// A session's running [`FrameCycleStats`]: its sums, with the
+/// histograms left empty and dense per-type bins stored inline beside
+/// them, so recording a frame never allocates. [`finish`](Self::finish)
+/// trims the bins into the report's histograms.
+#[derive(Clone, Debug)]
+pub struct FrameCycleTally {
+    stats: FrameCycleStats,
+    bins: [[u64; PRIOR_HIST_BINS]; 3],
+    underflow: [u64; 3],
+    overflow: [u64; 3],
+}
+
+impl FrameCycleTally {
+    /// Records one decoded frame's actual cost.
+    pub fn observe(&mut self, frame_type: FrameType, actual: Cycles) {
+        let t = frame_type.index();
+        let mc = actual.mega();
+        self.stats.mcycles[t].add(mc);
+        self.stats.mcycles_sq[t].add(mc * mc);
+        match locate(0.0, PRIOR_HIST_HI_MCYCLES, PRIOR_HIST_BINS, mc) {
+            Slot::Underflow => self.underflow[t] += 1,
+            Slot::Bin(i) => self.bins[t][i] += 1,
+            Slot::Overflow => self.overflow[t] += 1,
+        }
+    }
+
+    /// The summary of every frame observed, with span-trimmed histograms
+    /// (one allocation per frame type seen).
+    pub fn finish(&self) -> FrameCycleStats {
+        let hist = |t: usize| {
+            Histogram::from_parts(
+                0.0,
+                PRIOR_HIST_HI_MCYCLES,
+                &self.bins[t],
+                self.underflow[t],
+                self.overflow[t],
+            )
+        };
+        FrameCycleStats {
+            hist: [hist(0), hist(1), hist(2)],
+            ..self.stats
+        }
+    }
+}
+
+impl Default for FrameCycleTally {
+    fn default() -> Self {
+        FrameCycleTally {
+            stats: FrameCycleStats::new(),
+            bins: [[0; PRIOR_HIST_BINS]; 3],
+            underflow: [0; 3],
+            overflow: [0; 3],
+        }
     }
 }
 
@@ -130,12 +184,17 @@ mod tests {
         ]
     }
 
+    fn tally(data: &[(FrameType, f64)]) -> FrameCycleStats {
+        let mut t = FrameCycleTally::default();
+        for &(ft, mc) in data {
+            t.observe(ft, Cycles::from_mega(mc));
+        }
+        t.finish()
+    }
+
     #[test]
     fn observe_accumulates_per_type() {
-        let mut s = FrameCycleStats::new();
-        for (t, mc) in sample() {
-            s.observe(t, Cycles::from_mega(mc));
-        }
+        let s = tally(&sample());
         assert_eq!(s.count(FrameType::I), 2);
         assert_eq!(s.count(FrameType::P), 2);
         assert_eq!(s.count(FrameType::B), 1);
@@ -151,22 +210,19 @@ mod tests {
         assert!(s.is_empty());
         assert_eq!(s.mean_mcycles(FrameType::I), None);
         assert_eq!(s.variance_mcycles(FrameType::B), None);
+        assert_eq!(FrameCycleTally::default().finish(), s);
+        assert_eq!(s.heap_bytes(), 0);
     }
 
     #[test]
     fn merge_matches_sequential_fold_exactly() {
         let data = sample();
-        let mut whole = FrameCycleStats::new();
-        for (t, mc) in &data {
-            whole.observe(*t, Cycles::from_mega(*mc));
-        }
+        let whole = tally(&data);
         // Split, fold in reverse shard order: must be bit-identical.
-        let mut a = FrameCycleStats::new();
-        let mut b = FrameCycleStats::new();
-        for (i, (t, mc)) in data.iter().enumerate() {
-            let shard = if i % 2 == 0 { &mut a } else { &mut b };
-            shard.observe(*t, Cycles::from_mega(*mc));
-        }
+        let (even, odd): (Vec<_>, Vec<_>) = data.iter().enumerate().partition(|(i, _)| i % 2 == 0);
+        let strip =
+            |v: Vec<(usize, &(FrameType, f64))>| v.into_iter().map(|(_, x)| *x).collect::<Vec<_>>();
+        let (a, b) = (tally(&strip(even)), tally(&strip(odd)));
         let mut folded = FrameCycleStats::new();
         folded.merge(&b);
         folded.merge(&a);
@@ -174,11 +230,26 @@ mod tests {
     }
 
     #[test]
-    fn variance_is_nonnegative_and_exact_for_constant_input() {
-        let mut s = FrameCycleStats::new();
-        for _ in 0..10 {
-            s.observe(FrameType::P, Cycles::from_mega(20.0));
+    fn tally_matches_recording_histograms_directly() {
+        let data: Vec<(FrameType, f64)> = (0..400)
+            .map(|i| (FrameType::ALL[i % 3], (i as f64 * 0.731).fract() * 300.0))
+            .collect();
+        let s = tally(&data);
+        let mut direct: [Histogram; 3] =
+            std::array::from_fn(|_| Histogram::new(0.0, PRIOR_HIST_HI_MCYCLES, PRIOR_HIST_BINS));
+        for &(ft, mc) in &data {
+            direct[ft.index()].record(Cycles::from_mega(mc).mega());
         }
+        assert_eq!(s.hist, direct);
+        assert_eq!(
+            s.heap_bytes(),
+            direct.iter().map(Histogram::heap_bytes).sum::<usize>()
+        );
+    }
+
+    #[test]
+    fn variance_is_nonnegative_and_exact_for_constant_input() {
+        let s = tally(&[(FrameType::P, 20.0); 10]);
         assert_eq!(s.variance_mcycles(FrameType::P), Some(0.0));
     }
 }

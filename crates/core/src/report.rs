@@ -82,8 +82,10 @@ pub struct SessionReport {
     pub frame_cycles: crate::framestats::FrameCycleStats,
     /// Per-phase simulated/wall time breakdown (only when profiling was
     /// requested via the session builder; wall times are host-dependent
-    /// and never enter fingerprints, traces, or CSVs).
-    pub profile: Option<eavs_obs::PhaseProfile>,
+    /// and never enter fingerprints, traces, or CSVs). Boxed: reports
+    /// outside profiled runs stay resident in the session cache, and
+    /// `None` costs one word instead of the profile's size.
+    pub profile: Option<Box<eavs_obs::PhaseProfile>>,
 }
 
 impl SessionReport {
@@ -111,20 +113,26 @@ impl SessionReport {
         self.cpu_joules() * 1000.0 / self.qoe.frames_displayed as f64
     }
 
-    /// Approximate heap + inline footprint of this report in bytes.
+    /// Inline plus heap bytes this report holds, as allocated (capacity,
+    /// not length; the `Arc` header of `cluster`; a series' points).
     ///
     /// Used by the session cache and the fleet campaign runner to account
     /// resident memory (cache size, peak shard footprint) with one shared
     /// yardstick.
     pub fn approx_bytes(&self) -> u64 {
         let mut bytes = std::mem::size_of::<SessionReport>();
-        bytes += self.governor.len() + self.cluster.len();
-        bytes += std::mem::size_of_val(self.time_in_state.as_slice());
+        bytes += self.governor.capacity();
+        // `Arc<str>`: strong and weak counts, then the bytes.
+        bytes += 2 * std::mem::size_of::<usize>() + self.cluster.len();
+        bytes += self.time_in_state.capacity() * std::mem::size_of::<(Frequency, SimDuration)>();
         // A StepSeries point is (time, value): 16 bytes.
         for series in self.freq_series.iter().chain(self.buffer_series.iter()) {
             bytes += series.len() * 16;
         }
-        bytes += crate::framestats::FrameCycleStats::approx_heap_bytes();
+        bytes += self.frame_cycles.heap_bytes();
+        if self.profile.is_some() {
+            bytes += std::mem::size_of::<eavs_obs::PhaseProfile>();
+        }
         bytes as u64
     }
 

@@ -18,7 +18,7 @@
 //! sampling tick (baselines); every frequency change recomputes and
 //! reschedules the in-flight decode's completion event.
 
-use crate::framestats::FrameCycleStats;
+use crate::framestats::FrameCycleTally;
 use crate::governor::{EavsGovernor, InFlightMeta, PipelineSnapshot};
 use crate::predictor::{FrameMeta, SessionPrior};
 use crate::report::SessionReport;
@@ -718,7 +718,7 @@ impl SessionState {
             profile: b.profile.then(PhaseProfile::new),
             pipeline_epoch: 0,
             steady: std::mem::take(&mut scratch.steady).reset(),
-            frame_cycles: FrameCycleStats::new(),
+            frame_cycles: FrameCycleTally::default(),
         };
         let mut sim = Simulation::new(world);
         if let Some(sink) = sim.world().trace.clone() {
@@ -983,7 +983,7 @@ struct SessionWorld {
     /// Per-frame-type actual decode-cost summary, recorded on every
     /// decode completion regardless of governor (the raw material fleet
     /// campaigns fold into workload priors).
-    frame_cycles: FrameCycleStats,
+    frame_cycles: FrameCycleTally,
 }
 
 /// The steady-tick demand cache (see [`SessionWorld::govern`]): between
@@ -1257,12 +1257,11 @@ impl SessionWorld {
             self.truth_scratch.extend(
                 segment
                     .frames()
-                    .iter()
-                    .map(|f| (FrameMeta::from(f), f.decode_cycles)),
+                    .map(|f| (FrameMeta::from(&f), f.decode_cycles)),
             );
             g.preload(&self.truth_scratch);
         }
-        self.pipeline.push_frames(segment.frames().iter().copied());
+        self.pipeline.push_frames(segment.frames());
         self.record_buffer(now);
         self.try_start_decode(sched, now);
         self.maybe_begin_playback(sched, now);
@@ -2083,8 +2082,8 @@ impl SessionWorld {
             decode_spikes: self.decode_spikes,
             decode_stalls: self.decode_stalls,
             panic_races,
-            frame_cycles: self.frame_cycles,
-            profile: self.profile,
+            frame_cycles: self.frame_cycles.finish(),
+            profile: self.profile.map(Box::new),
         }
     }
 }

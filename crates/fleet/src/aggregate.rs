@@ -200,7 +200,8 @@ impl GovAggregate {
         }
     }
 
-    /// Approximate resident footprint of the lane, bytes.
+    /// Resident footprint bound of the lane, bytes: every histogram bin
+    /// is counted, the size the occupied spans can grow to.
     pub fn approx_bytes(&self) -> u64 {
         let hists = self.cpu_j.num_bins() + self.qoe.num_bins() + self.startup_ms.num_bins();
         (std::mem::size_of::<GovAggregate>() + self.name.len() + hists * 8) as u64

@@ -180,7 +180,7 @@ impl<'a> Lines<'a> {
         if bins.is_empty() {
             return Err(format!("checkpoint: {key} has no bins"));
         }
-        Ok(Histogram::from_parts(lo, hi, bins, underflow, overflow))
+        Ok(Histogram::from_parts(lo, hi, &bins, underflow, overflow))
     }
 }
 

@@ -128,10 +128,7 @@ impl PriorStore {
         self.entries
             .iter()
             .map(|((t, c), s)| {
-                (t.len()
-                    + c.len()
-                    + std::mem::size_of_val(s)
-                    + FrameCycleStats::approx_heap_bytes()) as u64
+                (t.len() + c.len() + std::mem::size_of_val(s) + s.heap_bytes()) as u64
             })
             .sum()
     }
@@ -248,15 +245,16 @@ pub fn load(path: &Path) -> Result<PriorStore, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eavs_core::framestats::FrameCycleTally;
     use eavs_cpu::freq::Cycles;
 
     fn stats(base_mc: f64, frames: u64) -> FrameCycleStats {
-        let mut s = FrameCycleStats::new();
+        let mut s = FrameCycleTally::default();
         for i in 0..frames {
             let t = FrameType::ALL[(i % 3) as usize];
             s.observe(t, Cycles::from_mega(base_mc + (i % 7) as f64));
         }
-        s
+        s.finish()
     }
 
     fn populated() -> PriorStore {
@@ -319,9 +317,9 @@ mod tests {
             .is_empty());
         // Sparse evidence keeps its true count as the weight.
         let mut sparse = PriorStore::new();
-        let mut s = FrameCycleStats::new();
+        let mut s = FrameCycleTally::default();
         s.observe(FrameType::I, Cycles::from_mega(40.0));
-        sparse.observe("t", "c", &s);
+        sparse.observe("t", "c", &s.finish());
         let p = sparse.session_prior("t", "c");
         assert_eq!(p.types[FrameType::I.index()], Some((40.0 * 1e6, 1.0)));
         assert_eq!(p.types[FrameType::P.index()], None);

@@ -2,7 +2,48 @@
 
 use std::fmt;
 
+/// Where one observation lands in a histogram of `bins` equal-width bins
+/// over `[lo, hi)`.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Slot {
+    /// Below `lo`.
+    Underflow,
+    /// In bin `i`.
+    Bin(usize),
+    /// At or above `hi`.
+    Overflow,
+}
+
+/// Locates `x` among `bins` equal-width bins over `[lo, hi)`: the one
+/// binning rule [`Histogram::record`] and dense tallies that are later
+/// handed to [`Histogram::from_parts`] share.
+///
+/// # Panics
+///
+/// Panics on NaN.
+#[inline]
+pub fn locate(lo: f64, hi: f64, bins: usize, x: f64) -> Slot {
+    assert!(!x.is_nan(), "NaN observation");
+    if x < lo {
+        Slot::Underflow
+    } else if x >= hi {
+        Slot::Overflow
+    } else {
+        let idx = ((x - lo) / (hi - lo) * bins as f64) as usize;
+        // Floating rounding can land exactly on `bins` for x just below
+        // hi; clamp.
+        Slot::Bin(idx.min(bins - 1))
+    }
+}
+
 /// A linear-bin histogram over `[lo, hi)` with overflow/underflow counters.
+///
+/// Only the occupied span of bins is stored: the run from the first to
+/// the last non-zero bin. Every other bin is zero, and every accessor
+/// ([`bin_count`](Self::bin_count), [`iter`](Self::iter), equality,
+/// [`merge`](Self::merge)) sees all `num_bins` logical bins. A fleet
+/// report's frame-cost histograms occupy about a sixth of their 64 bins,
+/// so this keeps resident reports small.
 ///
 /// ```
 /// use eavs_metrics::histogram::Histogram;
@@ -16,17 +57,25 @@ use std::fmt;
 /// assert_eq!(h.underflow(), 1);
 /// assert_eq!(h.overflow(), 1);
 /// ```
+// The span is canonical (empty with `first == 0`, or starting and ending
+// with a non-zero count), so the derived equality is logical equality.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Histogram {
     lo: f64,
     hi: f64,
-    bins: Vec<u64>,
+    /// Logical bin count.
+    bins: usize,
+    /// Logical index of `span[0]`.
+    first: usize,
+    /// Counts of bins `first..first + span.len()`.
+    span: Box<[u64]>,
     underflow: u64,
     overflow: u64,
 }
 
 impl Histogram {
     /// Creates a histogram over `[lo, hi)` with `bins` equal-width bins.
+    /// Allocates nothing until the first in-range observation.
     ///
     /// # Panics
     ///
@@ -37,7 +86,9 @@ impl Histogram {
         Histogram {
             lo,
             hi,
-            bins: vec![0; bins],
+            bins,
+            first: 0,
+            span: Box::default(),
             underflow: 0,
             overflow: 0,
         }
@@ -49,18 +100,32 @@ impl Histogram {
     ///
     /// Panics on NaN.
     pub fn record(&mut self, x: f64) {
-        assert!(!x.is_nan(), "NaN observation");
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let idx = ((x - self.lo) / (self.hi - self.lo) * self.bins.len() as f64) as usize;
-            // Floating rounding can land exactly on bins.len() for x just
-            // below hi; clamp.
-            let idx = idx.min(self.bins.len() - 1);
-            self.bins[idx] += 1;
+        match locate(self.lo, self.hi, self.bins, x) {
+            Slot::Underflow => self.underflow += 1,
+            Slot::Overflow => self.overflow += 1,
+            Slot::Bin(i) => {
+                self.cover(i, i + 1);
+                self.span[i - self.first] += 1;
+            }
         }
+    }
+
+    /// Widens the stored span to include bins `start..end` (non-empty).
+    fn cover(&mut self, start: usize, end: usize) {
+        let (start, end) = if self.span.is_empty() {
+            (start, end)
+        } else {
+            let stored_end = self.first + self.span.len();
+            if start >= self.first && end <= stored_end {
+                return;
+            }
+            (start.min(self.first), end.max(stored_end))
+        };
+        let mut span = vec![0; end - start].into_boxed_slice();
+        let offset = self.first.saturating_sub(start);
+        span[offset..offset + self.span.len()].copy_from_slice(&self.span);
+        self.first = start;
+        self.span = span;
     }
 
     /// Count in bin `i`.
@@ -69,19 +134,23 @@ impl Histogram {
     ///
     /// Panics if `i` is out of range.
     pub fn bin_count(&self, i: usize) -> u64 {
-        self.bins[i]
+        assert!(i < self.bins, "bin {i} out of range");
+        i.checked_sub(self.first)
+            .and_then(|j| self.span.get(j))
+            .copied()
+            .unwrap_or(0)
     }
 
     /// The `[lo, hi)` edges of bin `i`.
     pub fn bin_edges(&self, i: usize) -> (f64, f64) {
-        assert!(i < self.bins.len(), "bin {i} out of range");
-        let w = (self.hi - self.lo) / self.bins.len() as f64;
+        assert!(i < self.bins, "bin {i} out of range");
+        let w = (self.hi - self.lo) / self.bins as f64;
         (self.lo + w * i as f64, self.lo + w * (i + 1) as f64)
     }
 
     /// Number of bins.
     pub fn num_bins(&self) -> usize {
-        self.bins.len()
+        self.bins
     }
 
     /// Lower edge of the range.
@@ -94,21 +163,29 @@ impl Histogram {
         self.hi
     }
 
-    /// Rebuilds a histogram from its raw parts (checkpoint decoding).
+    /// Rebuilds a histogram from its dense per-bin counts (checkpoint
+    /// decoding, dense tallies), keeping only the occupied span.
     ///
     /// # Panics
     ///
     /// Panics on an empty range or zero bins, like [`Histogram::new`].
-    pub fn from_parts(lo: f64, hi: f64, bins: Vec<u64>, underflow: u64, overflow: u64) -> Self {
-        assert!(lo < hi, "histogram range [{lo}, {hi}) is empty");
-        assert!(!bins.is_empty(), "histogram needs at least one bin");
-        Histogram {
-            lo,
-            hi,
-            bins,
-            underflow,
-            overflow,
+    pub fn from_parts(lo: f64, hi: f64, bins: &[u64], underflow: u64, overflow: u64) -> Self {
+        let mut h = Histogram::new(lo, hi, bins.len());
+        h.underflow = underflow;
+        h.overflow = overflow;
+        if let (Some(first), Some(last)) = (
+            bins.iter().position(|&c| c > 0),
+            bins.iter().rposition(|&c| c > 0),
+        ) {
+            h.first = first;
+            h.span = bins[first..=last].into();
         }
+        h
+    }
+
+    /// Heap bytes held: the occupied span of bins.
+    pub fn heap_bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.span)
     }
 
     /// Observations below the range.
@@ -123,24 +200,28 @@ impl Histogram {
 
     /// Total observations recorded, including out-of-range ones.
     pub fn total(&self) -> u64 {
-        self.bins.iter().sum::<u64>() + self.underflow + self.overflow
+        self.in_range() + self.underflow + self.overflow
+    }
+
+    fn in_range(&self) -> u64 {
+        self.span.iter().sum()
     }
 
     /// Fraction of in-range observations falling in bin `i`.
     pub fn bin_fraction(&self, i: usize) -> f64 {
-        let in_range: u64 = self.bins.iter().sum();
+        let in_range = self.in_range();
         if in_range == 0 {
             0.0
         } else {
-            self.bins[i] as f64 / in_range as f64
+            self.bin_count(i) as f64 / in_range as f64
         }
     }
 
-    /// Iterates `(bin_lo, bin_hi, count)` triples.
+    /// Iterates `(bin_lo, bin_hi, count)` triples over every bin.
     pub fn iter(&self) -> impl Iterator<Item = (f64, f64, u64)> + '_ {
-        (0..self.bins.len()).map(|i| {
+        (0..self.bins).map(|i| {
             let (lo, hi) = self.bin_edges(i);
-            (lo, hi, self.bins[i])
+            (lo, hi, self.bin_count(i))
         })
     }
 
@@ -149,7 +230,7 @@ impl Histogram {
     pub fn same_shape(&self, other: &Histogram) -> bool {
         self.lo.to_bits() == other.lo.to_bits()
             && self.hi.to_bits() == other.hi.to_bits()
-            && self.bins.len() == other.bins.len()
+            && self.bins == other.bins
     }
 
     /// Merges `other` into `self` by summing bin, underflow and overflow
@@ -166,13 +247,17 @@ impl Histogram {
             "merging histograms of different shape: [{}, {}) x{} vs [{}, {}) x{}",
             self.lo,
             self.hi,
-            self.bins.len(),
+            self.bins,
             other.lo,
             other.hi,
-            other.bins.len()
+            other.bins
         );
-        for (a, b) in self.bins.iter_mut().zip(&other.bins) {
-            *a += *b;
+        if !other.span.is_empty() {
+            self.cover(other.first, other.first + other.span.len());
+            let offset = other.first - self.first;
+            for (a, b) in self.span[offset..].iter_mut().zip(&*other.span) {
+                *a += *b;
+            }
         }
         self.underflow += other.underflow;
         self.overflow += other.overflow;
@@ -191,33 +276,33 @@ impl Histogram {
     /// Panics if `q` is outside [0, 1].
     pub fn quantile(&self, q: f64) -> Option<f64> {
         assert!((0.0..=1.0).contains(&q), "quantile {q} outside [0,1]");
-        let in_range: u64 = self.bins.iter().sum();
+        let in_range = self.in_range();
         if in_range == 0 {
             return None;
         }
         let target = q * in_range as f64;
         let mut cum = 0u64;
-        for (i, &count) in self.bins.iter().enumerate() {
+        for (j, &count) in self.span.iter().enumerate() {
             if count == 0 {
                 continue;
             }
             let next = cum + count;
             if next as f64 >= target {
-                let (lo, hi) = self.bin_edges(i);
+                let (lo, hi) = self.bin_edges(self.first + j);
                 let within = ((target - cum as f64) / count as f64).clamp(0.0, 1.0);
                 return Some(lo + (hi - lo) * within);
             }
             cum = next;
         }
-        // Rounding pushed the target past the last occupied bin.
-        let last = self.bins.iter().rposition(|&c| c > 0).unwrap_or(0);
-        Some(self.bin_edges(last).1)
+        // Rounding pushed the target past the last occupied bin, which
+        // ends the canonical span.
+        Some(self.bin_edges(self.first + self.span.len() - 1).1)
     }
 }
 
 impl fmt::Display for Histogram {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let max = self.bins.iter().copied().max().unwrap_or(0).max(1);
+        let max = self.span.iter().copied().max().unwrap_or(0).max(1);
         for (lo, hi, count) in self.iter() {
             let width = (count * 40 / max) as usize;
             writeln!(

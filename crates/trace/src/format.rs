@@ -44,7 +44,11 @@ impl VideoTrace {
         let fps = self.manifest.frames_per_segment;
         let start = (index * fps) as usize;
         let end = start + fps as usize;
-        Segment::new(index, rep_id, self.frames[rep_id][start..end].to_vec())
+        Segment::new(
+            index,
+            rep_id,
+            self.frames[rep_id][start..end].iter().copied(),
+        )
     }
 }
 
@@ -131,13 +135,26 @@ pub fn parse_video_trace(text: &str) -> Result<VideoTrace, ParseError> {
                         "video needs: fps frames_per_segment num_segments",
                     ));
                 }
-                let fps = rest[0].parse().map_err(|_| err(lineno, "bad fps"))?;
-                let fseg = rest[1]
+                // Each must be positive: fps divides the frame duration
+                // and the manifest needs a non-empty stream.
+                let fps: u32 = rest[0]
                     .parse()
-                    .map_err(|_| err(lineno, "bad frames_per_segment"))?;
-                let nseg = rest[2]
+                    .ok()
+                    .filter(|&n| n > 0)
+                    .ok_or_else(|| err(lineno, "bad fps"))?;
+                let fseg: u64 = rest[1]
                     .parse()
-                    .map_err(|_| err(lineno, "bad num_segments"))?;
+                    .ok()
+                    .filter(|&n| n > 0)
+                    .ok_or_else(|| err(lineno, "bad frames_per_segment"))?;
+                let nseg: u64 = rest[2]
+                    .parse()
+                    .ok()
+                    .filter(|&n| n > 0)
+                    .ok_or_else(|| err(lineno, "bad num_segments"))?;
+                if fseg.checked_mul(nseg).is_none() {
+                    return Err(err(lineno, "frames_per_segment × num_segments overflows"));
+                }
                 header = Some((fps, fseg, nseg));
             }
             "rep" => {
@@ -151,9 +168,13 @@ pub fn parse_video_trace(text: &str) -> Result<VideoTrace, ParseError> {
                         format!("rep ids must be dense, expected {}", reps.len()),
                     ));
                 }
+                let bitrate_kbps = rest[1].parse().map_err(|_| err(lineno, "bad bitrate"))?;
+                if reps.last().is_some_and(|r| bitrate_kbps <= r.bitrate_kbps) {
+                    return Err(err(lineno, "ladder bitrates must strictly increase"));
+                }
                 reps.push(Representation {
                     id,
-                    bitrate_kbps: rest[1].parse().map_err(|_| err(lineno, "bad bitrate"))?,
+                    bitrate_kbps,
                     width: rest[2].parse().map_err(|_| err(lineno, "bad width"))?,
                     height: rest[3].parse().map_err(|_| err(lineno, "bad height"))?,
                 });
@@ -198,6 +219,8 @@ pub fn parse_video_trace(text: &str) -> Result<VideoTrace, ParseError> {
     if reps.is_empty() {
         return Err(err(0, "no representations"));
     }
+    // The header checks make `Manifest::new` infallible here: non-zero
+    // fps and counts, dense ids, strictly increasing bitrates.
     let expected = fseg * nseg;
     for (rep_id, fs) in frames.iter().enumerate() {
         if fs.len() as u64 != expected {
@@ -256,7 +279,15 @@ pub fn parse_bandwidth_trace(text: &str) -> Result<BandwidthTrace, ParseError> {
         if !bps.is_finite() || bps < 0.0 {
             return Err(err(lineno, "bad rate"));
         }
-        points.push((SimTime::from_nanos(t), bps));
+        let t = SimTime::from_nanos(t);
+        match points.last() {
+            None if t != SimTime::ZERO => return Err(err(lineno, "trace must start at time 0")),
+            Some(&(prev, _)) if t <= prev => {
+                return Err(err(lineno, "times must strictly increase"))
+            }
+            _ => {}
+        }
+        points.push((t, bps));
     }
     if points.is_empty() {
         return Err(err(0, "empty bandwidth trace"));

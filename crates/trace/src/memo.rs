@@ -19,13 +19,17 @@ use std::sync::{Arc, Mutex, OnceLock};
 use eavs_net::bandwidth::BandwidthTrace;
 use eavs_video::segment::Segment;
 
-/// Hit/miss counters of one cache since process start.
+/// Hit/miss counters and resident size of one cache since process start.
 #[derive(Clone, Copy, PartialEq, Eq, Default, Debug)]
 pub struct CacheStats {
     /// Lookups served from the cache.
     pub hits: u64,
     /// Lookups that had to build the value.
     pub misses: u64,
+    /// Inline plus heap bytes of the cached values (entries are never
+    /// dropped, so this only grows). Counted for segments only: the
+    /// trace cache reports 0.
+    pub resident_bytes: u64,
 }
 
 impl CacheStats {
@@ -44,14 +48,19 @@ struct Memo<K, V> {
     map: Mutex<HashMap<K, Arc<V>>>,
     hits: AtomicU64,
     misses: AtomicU64,
+    resident_bytes: AtomicU64,
+    /// Inline plus heap bytes of one value.
+    bytes_of: fn(&V) -> usize,
 }
 
 impl<K: Eq + Hash + Clone, V> Memo<K, V> {
-    fn new() -> Self {
+    fn new(bytes_of: fn(&V) -> usize) -> Self {
         Memo {
             map: Mutex::new(HashMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            resident_bytes: AtomicU64::new(0),
+            bytes_of,
         }
     }
 
@@ -62,19 +71,20 @@ impl<K: Eq + Hash + Clone, V> Memo<K, V> {
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let built = Arc::new(build());
-        Arc::clone(
-            self.map
-                .lock()
-                .expect("memo poisoned")
-                .entry(key)
-                .or_insert(built),
-        )
+        let mut map = self.map.lock().expect("memo poisoned");
+        let entry = map.entry(key).or_insert_with(|| {
+            let bytes = (self.bytes_of)(&built) as u64;
+            self.resident_bytes.fetch_add(bytes, Ordering::Relaxed);
+            Arc::clone(&built)
+        });
+        Arc::clone(entry)
     }
 
     fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
+            resident_bytes: self.resident_bytes.load(Ordering::Relaxed),
         }
     }
 }
@@ -86,12 +96,12 @@ type TraceKey = (&'static str, u64, u64, u64);
 
 fn segments() -> &'static Memo<SegmentKey, Segment> {
     static CACHE: OnceLock<Memo<SegmentKey, Segment>> = OnceLock::new();
-    CACHE.get_or_init(Memo::new)
+    CACHE.get_or_init(|| Memo::new(Segment::approx_bytes))
 }
 
 fn traces() -> &'static Memo<TraceKey, BandwidthTrace> {
     static CACHE: OnceLock<Memo<TraceKey, BandwidthTrace>> = OnceLock::new();
-    CACHE.get_or_init(Memo::new)
+    CACHE.get_or_init(|| Memo::new(|_| 0))
 }
 
 pub(crate) fn shared_segment(key: SegmentKey, build: impl FnOnce() -> Segment) -> Arc<Segment> {
@@ -136,20 +146,25 @@ mod tests {
 
     #[test]
     fn memo_returns_same_arc_and_counts() {
-        let memo: Memo<u32, String> = Memo::new();
+        let memo: Memo<u32, String> = Memo::new(String::len);
         let a = memo.get_or_build(1, || "one".to_owned());
         let b = memo.get_or_build(1, || unreachable!("must hit"));
         assert!(Arc::ptr_eq(&a, &b));
         let s = memo.stats();
-        assert_eq!((s.hits, s.misses), (1, 1));
-        let _ = memo.get_or_build(2, || "two".to_owned());
+        assert_eq!((s.hits, s.misses, s.resident_bytes), (1, 1, 3));
+        let _ = memo.get_or_build(2, || "four".to_owned());
         assert_eq!(memo.stats().misses, 2);
+        assert_eq!(memo.stats().resident_bytes, 7);
     }
 
     #[test]
     fn hit_rate_handles_empty_and_counts() {
         assert_eq!(CacheStats::default().hit_rate(), 0.0);
-        let s = CacheStats { hits: 3, misses: 1 };
+        let s = CacheStats {
+            hits: 3,
+            misses: 1,
+            resident_bytes: 0,
+        };
         assert!((s.hit_rate() - 0.75).abs() < 1e-12);
     }
 }

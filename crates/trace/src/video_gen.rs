@@ -157,9 +157,7 @@ impl VideoGenerator {
         let frame_duration = self.manifest.frame_duration();
         let gop_len = u64::from(self.gop.gop_length());
 
-        let mut frames = Vec::with_capacity(frames_per_seg as usize);
-        for i in 0..frames_per_seg {
-            let global = first + i;
+        let frames = (first..first + frames_per_seg).map(|global| {
             let ftype = self.gop.frame_type_at(global);
             let gop_start = global - global % gop_len;
             let boost = if self.is_scene_change(gop_start) {
@@ -180,14 +178,14 @@ impl VideoGenerator {
             let cycles = rng
                 .lognormal_mean_cv(cycle_mean, self.profile.cycle_cv())
                 .max(10_000.0);
-            frames.push(Frame {
+            Frame {
                 index: global,
                 frame_type: ftype,
                 size_bytes: size.round() as u32,
                 decode_cycles: Cycles::new(cycles),
                 duration: frame_duration,
-            });
-        }
+            }
+        });
         Segment::new(index, rep_id, frames)
     }
 
@@ -327,7 +325,7 @@ mod tests {
         let cv = |g: &VideoGenerator| {
             let mut xs = Vec::new();
             for seg in g.all_segments(3) {
-                xs.extend(seg.frames().iter().map(|f| f.decode_cycles.get()));
+                xs.extend(seg.frames().map(|f| f.decode_cycles.get()));
             }
             let mean = xs.iter().sum::<f64>() / xs.len() as f64;
             let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / xs.len() as f64;

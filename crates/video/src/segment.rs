@@ -1,50 +1,94 @@
 //! Media segments: the unit of download.
 
-use crate::frame::Frame;
+use crate::frame::{Frame, FrameType};
+use eavs_cpu::freq::Cycles;
 use eavs_sim::time::SimDuration;
+
+/// The per-frame part of a [`Frame`]: what differs from one frame of a
+/// segment to the next. 16 bytes, against a `Frame`'s 32.
+#[derive(Clone, Copy, PartialEq, Debug)]
+struct PackedFrame {
+    decode_cycles: Cycles,
+    size_bytes: u32,
+    frame_type: FrameType,
+}
 
 /// One downloadable media segment: an ordered run of frames at one
 /// representation.
+///
+/// Frames of a segment have consecutive indices and one duration (1/fps),
+/// so the segment stores the first index and the duration once and keeps
+/// only each frame's type, size and decode cost. Generated segments stay
+/// resident in the process-wide memo (`eavs_trace::memo`) for the whole
+/// run, which is why the per-frame record is kept small.
 #[derive(Clone, PartialEq, Debug)]
 pub struct Segment {
     /// Segment index within the stream.
     pub index: u64,
     /// Ladder index this segment was encoded at.
     pub representation_id: usize,
-    /// The frames, in decode order.
-    frames: Vec<Frame>,
+    first_frame_index: u64,
+    frame_duration: SimDuration,
+    frames: Box<[PackedFrame]>,
 }
 
 impl Segment {
-    /// Builds a segment.
+    /// Builds a segment from its frames in decode order.
     ///
     /// # Panics
     ///
-    /// Panics if `frames` is empty or frame indices are not consecutive.
-    pub fn new(index: u64, representation_id: usize, frames: Vec<Frame>) -> Self {
-        assert!(!frames.is_empty(), "segment {index} has no frames");
-        for pair in frames.windows(2) {
-            assert_eq!(
-                pair[1].index,
-                pair[0].index + 1,
-                "segment {index}: frame indices must be consecutive"
-            );
-        }
+    /// Panics if `frames` is empty, frame indices are not consecutive, or
+    /// frame durations differ.
+    pub fn new(
+        index: u64,
+        representation_id: usize,
+        frames: impl IntoIterator<Item = Frame>,
+    ) -> Self {
+        let mut frames = frames.into_iter().peekable();
+        let first = *frames
+            .peek()
+            .unwrap_or_else(|| panic!("segment {index} has no frames"));
+        let frames = frames
+            .zip(first.index..)
+            .map(|(f, expected)| {
+                assert_eq!(
+                    f.index, expected,
+                    "segment {index}: frame indices must be consecutive"
+                );
+                assert_eq!(
+                    f.duration, first.duration,
+                    "segment {index}: frame durations differ"
+                );
+                PackedFrame {
+                    decode_cycles: f.decode_cycles,
+                    size_bytes: f.size_bytes,
+                    frame_type: f.frame_type,
+                }
+            })
+            .collect();
         Segment {
             index,
             representation_id,
+            first_frame_index: first.index,
+            frame_duration: first.duration,
             frames,
         }
     }
 
     /// The frames in decode order.
-    pub fn frames(&self) -> &[Frame] {
-        &self.frames
+    pub fn frames(&self) -> impl ExactSizeIterator<Item = Frame> + '_ {
+        self.frames.iter().enumerate().map(|(i, p)| Frame {
+            index: self.first_frame_index + i as u64,
+            frame_type: p.frame_type,
+            size_bytes: p.size_bytes,
+            decode_cycles: p.decode_cycles,
+            duration: self.frame_duration,
+        })
     }
 
     /// Consumes the segment, yielding its frames.
     pub fn into_frames(self) -> Vec<Frame> {
-        self.frames
+        self.frames().collect()
     }
 
     /// Number of frames.
@@ -59,20 +103,23 @@ impl Segment {
 
     /// Media duration of the segment.
     pub fn duration(&self) -> SimDuration {
-        self.frames.iter().map(|f| f.duration).sum()
+        self.frame_duration * self.frames.len() as u64
     }
 
     /// Global index of the first frame.
     pub fn first_frame_index(&self) -> u64 {
-        self.frames[0].index
+        self.first_frame_index
+    }
+
+    /// Inline plus heap bytes this segment holds.
+    pub fn approx_bytes(&self) -> usize {
+        std::mem::size_of::<Segment>() + std::mem::size_of_val(&*self.frames)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::FrameType;
-    use eavs_cpu::freq::Cycles;
 
     fn frame(index: u64, size: u32) -> Frame {
         Frame {
@@ -103,6 +150,13 @@ mod tests {
     }
 
     #[test]
+    fn packed_frames_are_16_bytes() {
+        assert_eq!(std::mem::size_of::<PackedFrame>(), 16);
+        let s = Segment::new(0, 0, (0..60).map(|i| frame(i, 1)));
+        assert_eq!(s.approx_bytes(), std::mem::size_of::<Segment>() + 60 * 16);
+    }
+
+    #[test]
     #[should_panic(expected = "no frames")]
     fn empty_segment_rejected() {
         Segment::new(0, 0, vec![]);
@@ -112,5 +166,13 @@ mod tests {
     #[should_panic(expected = "consecutive")]
     fn gap_in_frames_rejected() {
         Segment::new(0, 0, vec![frame(0, 1), frame(2, 1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "durations differ")]
+    fn mixed_durations_rejected() {
+        let mut second = frame(1, 1);
+        second.duration = SimDuration::from_nanos(16_666_667);
+        Segment::new(0, 0, vec![frame(0, 1), second]);
     }
 }

@@ -646,14 +646,17 @@ pub fn run_fleet(args: &FleetArgs) -> Result<String, String> {
     let outcome = eavs_bench::fleet::run_campaign(&spec, &opts)?;
     let table = outcome.aggregate.table(&spec);
     let mut out = table.render();
+    let mib = |bytes: u64| bytes as f64 / (1 << 20) as f64;
     out.push_str(&format!(
         "{}/{} shards done; {} session-runs this invocation ({:.0} runs/sec); \
-         peak shard {:.1} KiB\n",
+         peak shard {:.1} KiB; resident: session cache {:.1} MiB, segment memo {:.1} MiB\n",
         outcome.aggregate.shards_done,
         spec.num_shards(),
         outcome.session_runs,
         outcome.session_runs as f64 / outcome.wall_s.max(1e-9),
         outcome.peak_shard_bytes as f64 / 1024.0,
+        mib(eavs_bench::cache::stats().bytes),
+        mib(eavs_trace::memo::segment_cache_stats().resident_bytes),
     ));
     if outcome.status == eavs_fleet::CampaignStatus::Halted {
         out.push_str("halted at --halt-after-shards; rerun with the same --checkpoint to resume\n");

@@ -364,15 +364,15 @@ fn malformed_input_maps_to_structured_errors() {
 fn a_prior_with_a_negative_cycle_sum_is_refused_and_the_store_is_unchanged() {
     let daemon = Daemon::start(daemon_opts("bad-prior"), pooled()).unwrap();
     let addr = daemon.addr();
-    let mut stats = eavs::scaling::framestats::FrameCycleStats::new();
+    let mut tally = eavs::scaling::framestats::FrameCycleTally::default();
     for mc in [9.0, 11.0, 30.0] {
-        stats.observe(
+        tally.observe(
             eavs::video::frame::FrameType::I,
             eavs::cpu::freq::Cycles::from_mega(mc),
         );
     }
     let mut store = eavs_fleet::PriorStore::new();
-    store.observe("3000kbps-1280x720@30", "film", &stats);
+    store.observe("3000kbps-1280x720@30", "film", &tally.finish());
     let good = eavs_fleet::prior::encode(&store);
     let (status, body) = client::request_text(&addr, "POST", "/priors", &good).unwrap();
     assert_eq!(status, 200, "{body}");

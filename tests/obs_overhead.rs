@@ -13,6 +13,11 @@
 //!   per thread, so a second session on the same thread allocates only
 //!   what a session cannot share with its predecessor.
 //!
+//! - Resident size: a finished report's `approx_bytes` must match the
+//!   bytes it really holds, since the session cache and the fleet runner
+//!   account resident memory with it, and a 60 s 1080p EAVS report has a
+//!   size ceiling.
+//!
 //! The allocator counts per thread, so the tests of this binary, which
 //! run concurrently, never see each other's allocations.
 
@@ -33,33 +38,43 @@ thread_local! {
     /// Allocation calls made by this thread. A `const` initialiser and a
     /// type without a destructor, so counting never allocates itself.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread holds: allocated minus freed, by layout size.
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
-fn count_one() {
-    // `try_with`: the slot is gone while the thread itself is torn down.
-    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+/// Counts one allocation call that changes this thread's live bytes by
+/// `delta`; `calls` is 0 for a free.
+fn count(calls: u64, delta: i64) {
+    // `try_with`: the slots are gone while the thread itself is torn down.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + calls));
+    let _ = LIVE_BYTES.try_with(|n| n.set(n.get() + delta));
 }
 
-// SAFETY: delegates verbatim to `System`; the counter is a thread-local
-// `Cell` that never allocates.
+// SAFETY: delegates verbatim to `System`; the counters are thread-local
+// `Cell`s that never allocate.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count(1, layout.size() as i64);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count(0, -(layout.size() as i64));
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count(1, new_size as i64 - layout.size() as i64);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
+
+fn live_bytes() -> i64 {
+    LIVE_BYTES.with(Cell::get)
+}
 
 fn builder(manifest: &Arc<Manifest>) -> SessionBuilder {
     StreamingSession::builder(GovernorChoice::Eavs(EavsGovernor::new(
@@ -139,5 +154,34 @@ fn second_run_on_a_thread_reuses_its_scratch() {
         second <= 40,
         "second run on one thread allocated {second} times (first {first}); \
          is SessionBuilder::run still recycling its thread's SessionScratch?"
+    );
+}
+
+#[test]
+fn approx_bytes_matches_what_a_report_holds_and_stays_under_its_ceiling() {
+    // 60 s of 1080p30 EAVS: the report shape a fleet campaign caches.
+    let manifest = Arc::new(Manifest::single(
+        6_000,
+        1920,
+        1080,
+        SimDuration::from_secs(60),
+        30,
+    ));
+    // Warm the memos and this thread's scratch, so the measured run
+    // leaves nothing behind but its report.
+    builder(&manifest).run();
+    let before = live_bytes();
+    let report = Box::new(builder(&manifest).run());
+    let held = live_bytes() - before;
+    let approx = report.approx_bytes() as i64;
+    assert!(
+        (approx - held).abs() * 10 <= held,
+        "approx_bytes {approx} is more than 10% off the {held} bytes the report holds"
+    );
+    // About 1.3 KB: 2.6 KB before the histograms kept only their
+    // occupied bins and the profile was boxed.
+    assert!(
+        approx <= 1_400,
+        "a 60 s 1080p EAVS report takes {approx} bytes (ceiling 1400)"
     );
 }
