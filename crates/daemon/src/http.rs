@@ -450,8 +450,8 @@ pub mod client {
     ///
     /// # Errors
     ///
-    /// Propagates [`request`] errors; non-UTF-8 bodies are replaced
-    /// lossily.
+    /// Propagates [`request`] errors. A UTF-8 body becomes the string
+    /// without a copy; a non-UTF-8 one is replaced lossily.
     pub fn request_text(
         addr: &str,
         method: &str,
@@ -459,7 +459,9 @@ pub mod client {
         body: &str,
     ) -> Result<(u16, String), String> {
         let (status, bytes) = request(addr, method, path, body.as_bytes())?;
-        Ok((status, String::from_utf8_lossy(&bytes).into_owned()))
+        let text = String::from_utf8(bytes)
+            .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned());
+        Ok((status, text))
     }
 }
 

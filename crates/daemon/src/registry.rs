@@ -23,6 +23,7 @@
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -148,6 +149,10 @@ pub struct Registry {
     /// completes here folds its trained prior in, and clients exchange
     /// it via `GET`/`POST /priors`. Locked strictly after `campaigns`.
     prior: Mutex<eavs_fleet::PriorStore>,
+    /// The last `/metrics` page's length over the campaigns it held:
+    /// the next page's buffer is sized from it (see
+    /// [`metrics_page`](Self::metrics_page)).
+    page_bytes_per_campaign: AtomicUsize,
 }
 
 /// Formats a campaign id from a spec fingerprint.
@@ -180,6 +185,7 @@ impl Registry {
             config,
             campaigns: Mutex::new(BTreeMap::new()),
             prior: Mutex::new(prior),
+            page_bytes_per_campaign: AtomicUsize::new(0),
         };
         registry.recover()?;
         Ok(registry)
@@ -345,7 +351,8 @@ impl Registry {
     /// # Errors
     ///
     /// `Err((status, message))` with 404 for an unknown campaign, 409
-    /// for a partial that does not belong to this campaign or an
+    /// for a partial that does not belong to this campaign, does not
+    /// have its shape (lanes, histogram layouts) or names an
     /// out-of-range shard, 500 for checkpoint I/O failure.
     pub fn complete(
         &self,
@@ -372,6 +379,11 @@ impl Registry {
                 format!("shard {shard} out of range ({} shards)", c.total_shards),
             ));
         }
+        // The fold below asserts the shape; a worker's upload is checked
+        // here, before it is queued, so a bad one never poisons the lock.
+        c.aggregate
+            .check_shape(&partial)
+            .map_err(|e| (409, format!("partial does not fit campaign {id}: {e}")))?;
         c.leases.remove(&shard);
         if shard < c.aggregate.shards_done || c.ready.contains_key(&shard) {
             return Ok(c.aggregate.shards_done); // duplicate — already folded or queued
@@ -503,9 +515,18 @@ impl Registry {
     /// each family appears exactly once) plus daemon-level gauges.
     /// Scrape-conformant by construction — see
     /// [`eavs_obs::check_conformance`].
+    ///
+    /// The page is rendered into one buffer sized up front, with room
+    /// for one campaign more than the last page held per campaign. A
+    /// buffer that grows by doubling frees each smaller one, and freeing
+    /// such large blocks raises the allocator's threshold for serving
+    /// blocks from fresh mappings, which kept about 4 MiB more resident
+    /// in a served round (DESIGN §13.4).
     pub fn metrics_page(&self) -> String {
         let campaigns = self.campaigns.lock().expect("registry lock");
-        let mut w = eavs_obs::PromWriter::new();
+        let held = campaigns.len();
+        let per_campaign = self.page_bytes_per_campaign.load(Ordering::Relaxed);
+        let mut w = eavs_obs::PromWriter::with_capacity(per_campaign * (held + 1));
         let pairs: Vec<(&FleetAggregate, &CampaignSpec)> = campaigns
             .values()
             .map(|c| (&c.aggregate, &*c.spec))
@@ -539,7 +560,10 @@ impl Registry {
         .type_("eavsd_prior_entries", "gauge");
         let prior = self.prior.lock().expect("prior lock");
         w.sample("eavsd_prior_entries", &[], prior.len() as f64);
-        w.finish()
+        let page = w.finish();
+        self.page_bytes_per_campaign
+            .store(page.len() / held.max(1), Ordering::Relaxed);
+        page
     }
 
     /// The resident fleet prior as standalone `eavs-prior/v1` text —

@@ -298,6 +298,48 @@ impl FleetAggregate {
         self.prior.merge(&other.prior);
     }
 
+    /// Checks that [`merge`](Self::merge) can fold `other` in: the same
+    /// governor lanes in the same order, with the same histogram layouts.
+    /// `merge` asserts all of this, so a partial from outside the process
+    /// (a worker's shard upload) must pass here first. The campaign
+    /// fingerprint is the caller's check, and the prior needs none: a
+    /// [`PriorStore`](crate::prior::PriorStore) holds only the
+    /// `FrameCycleStats` layout, since its decoder refuses any other.
+    ///
+    /// # Errors
+    ///
+    /// Names the first mismatch.
+    pub fn check_shape(&self, other: &FleetAggregate) -> Result<(), String> {
+        if !self.arrivals.same_shape(&other.arrivals) {
+            return Err("arrivals histogram layout differs".to_owned());
+        }
+        if self.govs.len() != other.govs.len() {
+            return Err(format!(
+                "{} governor lanes, want {}",
+                other.govs.len(),
+                self.govs.len()
+            ));
+        }
+        for (mine, theirs) in self.govs.iter().zip(&other.govs) {
+            if mine.name != theirs.name {
+                return Err(format!("lane {:?}, want {:?}", theirs.name, mine.name));
+            }
+            for (what, a, b) in [
+                ("cpu_j", &mine.cpu_j, &theirs.cpu_j),
+                ("qoe", &mine.qoe, &theirs.qoe),
+                ("startup_ms", &mine.startup_ms, &theirs.startup_ms),
+            ] {
+                if !a.same_shape(b) {
+                    return Err(format!(
+                        "lane {:?}: {what} histogram layout differs",
+                        mine.name
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Approximate resident footprint, bytes. The point of the exercise:
     /// this is O(bins × governors) plus O(title × content catalog) for
     /// the prior store — independent of the session count either way.
@@ -415,6 +457,30 @@ mod tests {
             folded.merge(p);
         }
         assert_eq!(folded, whole);
+    }
+
+    #[test]
+    fn check_shape_names_each_mismatch() {
+        let spec = CampaignSpec::smoke();
+        let whole = FleetAggregate::new(&spec);
+        assert_eq!(whole.check_shape(&FleetAggregate::new(&spec)), Ok(()));
+        let mut one_lane = whole.clone();
+        one_lane.govs.truncate(1);
+        let mut swapped = whole.clone();
+        swapped.govs.swap(0, 1);
+        let mut wide_qoe = whole.clone();
+        wide_qoe.govs[1].qoe = Histogram::new(0.0, 2.0, 40);
+        let mut arrivals = whole.clone();
+        arrivals.arrivals = Histogram::new(0.0, 1.0, 48);
+        for (partial, want) in [
+            (one_lane, "1 governor lanes, want 2"),
+            (swapped, "lane"),
+            (wide_qoe, "qoe histogram layout"),
+            (arrivals, "arrivals histogram layout"),
+        ] {
+            let err = whole.check_shape(&partial).unwrap_err();
+            assert!(err.contains(want), "{err}");
+        }
     }
 
     #[test]

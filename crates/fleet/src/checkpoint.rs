@@ -8,6 +8,7 @@
 //! temp file + rename, so a kill mid-write leaves the previous
 //! checkpoint intact.
 
+use std::fmt::Write as _;
 use std::path::Path;
 
 use eavs_metrics::histogram::Histogram;
@@ -18,29 +19,36 @@ use crate::aggregate::{FleetAggregate, GovAggregate};
 /// Format magic + version line.
 const MAGIC: &str = "eavs-fleet-checkpoint/v1";
 
+// Every line is written straight into the output buffer: `write!` into
+// a `String` formats in place, so encoding allocates only as the buffer
+// grows. The result route and every worker upload encode a checkpoint.
+
 pub(crate) fn push_hist(out: &mut String, key: &str, h: &Histogram) {
-    out.push_str(key);
-    out.push(' ');
-    out.push_str(&format!(
-        "{:016x} {:016x} {} {}",
+    let _ = write!(
+        out,
+        "{key} {:016x} {:016x} {} {}",
         h.lo().to_bits(),
         h.hi().to_bits(),
         h.underflow(),
         h.overflow()
-    ));
+    );
     for i in 0..h.num_bins() {
-        out.push_str(&format!(" {}", h.bin_count(i)));
+        let _ = write!(out, " {}", h.bin_count(i));
     }
     out.push('\n');
 }
 
 pub(crate) fn push_sum(out: &mut String, key: &str, s: &ExactSum) {
     let (nanos, count) = s.raw();
-    out.push_str(&format!("{key} {nanos} {count}\n"));
+    let _ = writeln!(out, "{key} {nanos} {count}");
 }
 
 fn push_f64_bits(out: &mut String, key: &str, v: f64) {
-    out.push_str(&format!("{key} {:016x}\n", v.to_bits()));
+    let _ = writeln!(out, "{key} {:016x}", v.to_bits());
+}
+
+fn push_u64(out: &mut String, key: &str, v: u64) {
+    let _ = writeln!(out, "{key} {v}");
 }
 
 /// Encodes an aggregate as checkpoint text.
@@ -48,14 +56,14 @@ pub fn encode(agg: &FleetAggregate) -> String {
     let mut out = String::new();
     out.push_str(MAGIC);
     out.push('\n');
-    out.push_str(&format!("campaign {:032x}\n", agg.campaign));
-    out.push_str(&format!("shards_done {}\n", agg.shards_done));
-    out.push_str(&format!("sessions_done {}\n", agg.sessions_done));
+    let _ = writeln!(out, "campaign {:032x}", agg.campaign);
+    push_u64(&mut out, "shards_done", agg.shards_done);
+    push_u64(&mut out, "sessions_done", agg.sessions_done);
     push_hist(&mut out, "arrivals", &agg.arrivals);
-    out.push_str(&format!("govs {}\n", agg.govs.len()));
+    push_u64(&mut out, "govs", agg.govs.len() as u64);
     for g in &agg.govs {
-        out.push_str(&format!("gov {}\n", g.name));
-        out.push_str(&format!("sessions {}\n", g.sessions));
+        let _ = writeln!(out, "gov {}", g.name);
+        push_u64(&mut out, "sessions", g.sessions);
         push_hist(&mut out, "cpu_j", &g.cpu_j);
         push_sum(&mut out, "cpu_j_sum", &g.cpu_j_sum);
         push_f64_bits(&mut out, "cpu_j_min", g.cpu_j_min);
@@ -64,24 +72,24 @@ pub fn encode(agg: &FleetAggregate) -> String {
         push_sum(&mut out, "device_radio_j_sum", &g.device_radio_j_sum);
         push_sum(&mut out, "device_display_j_sum", &g.device_display_j_sum);
         push_sum(&mut out, "device_decoder_j_sum", &g.device_decoder_j_sum);
-        out.push_str(&format!("radio_promotions {}\n", g.radio_promotions));
+        push_u64(&mut out, "radio_promotions", g.radio_promotions);
         push_hist(&mut out, "qoe", &g.qoe);
         push_sum(&mut out, "qoe_sum", &g.qoe_sum);
         push_hist(&mut out, "startup_ms", &g.startup_ms);
         push_sum(&mut out, "startup_ms_sum", &g.startup_ms_sum);
-        out.push_str(&format!("rebuffer_events {}\n", g.rebuffer_events));
+        push_u64(&mut out, "rebuffer_events", g.rebuffer_events);
         push_sum(&mut out, "rebuffer_secs", &g.rebuffer_secs);
-        out.push_str(&format!("late_vsyncs {}\n", g.late_vsyncs));
-        out.push_str(&format!("frames_dropped {}\n", g.frames_dropped));
-        out.push_str(&format!("frames_displayed {}\n", g.frames_displayed));
-        out.push_str(&format!("total_frames {}\n", g.total_frames));
-        out.push_str(&format!("transitions {}\n", g.transitions));
+        push_u64(&mut out, "late_vsyncs", g.late_vsyncs);
+        push_u64(&mut out, "frames_dropped", g.frames_dropped);
+        push_u64(&mut out, "frames_displayed", g.frames_displayed);
+        push_u64(&mut out, "total_frames", g.total_frames);
+        push_u64(&mut out, "transitions", g.transitions);
         push_sum(&mut out, "mean_freq_mhz_sum", &g.mean_freq_mhz_sum);
         push_sum(&mut out, "bitrate_kbps_sum", &g.bitrate_kbps_sum);
         push_sum(&mut out, "session_secs", &g.session_secs);
-        out.push_str(&format!("perfect_sessions {}\n", g.perfect_sessions));
-        out.push_str(&format!("panic_races {}\n", g.panic_races));
-        out.push_str(&format!("download_retries {}\n", g.download_retries));
+        push_u64(&mut out, "perfect_sessions", g.perfect_sessions);
+        push_u64(&mut out, "panic_races", g.panic_races);
+        push_u64(&mut out, "download_retries", g.download_retries);
     }
     // The workload-prior section rides between the governor lanes and the
     // terminator. An empty store still writes its `prior 0` header, but
@@ -166,6 +174,11 @@ impl<'a> Lines<'a> {
         };
         let lo = bits("lo")?;
         let hi = bits("hi")?;
+        if !(lo.is_finite() && hi.is_finite() && lo < hi) {
+            return Err(format!(
+                "checkpoint: {key} range [{lo}, {hi}) is not finite and non-empty"
+            ));
+        }
         let mut ints = parts.map(|p| {
             p.parse::<u64>()
                 .map_err(|_| format!("checkpoint: bad {key} count {p:?}"))
@@ -422,6 +435,41 @@ mod tests {
         // Field corruption.
         let bad = text.replace("shards_done 1", "shards_done banana");
         assert!(decode(&bad).unwrap_err().contains("shards_done"));
+    }
+
+    /// Replaces the `lo`/`hi` fields of the first line starting with
+    /// `key ` by the given bit patterns.
+    fn with_range(text: &str, key: &str, lo: u64, hi: u64) -> String {
+        let line = text
+            .lines()
+            .find(|l| l.starts_with(&format!("{key} ")))
+            .unwrap();
+        let mut fields: Vec<String> = line.split(' ').map(str::to_owned).collect();
+        fields[1] = format!("{lo:016x}");
+        fields[2] = format!("{hi:016x}");
+        text.replacen(line, &fields.join(" "), 1)
+    }
+
+    #[test]
+    fn hostile_histogram_ranges_are_errors_not_panics() {
+        let (_, agg) = populated_aggregate();
+        let text = encode(&agg);
+        let (one, two) = (1f64.to_bits(), 2f64.to_bits());
+        for key in ["arrivals", "cpu_j", "startup_ms"] {
+            for (lo, hi) in [
+                (two, one),
+                (one, one),
+                (f64::NAN.to_bits(), two),
+                (one, f64::NAN.to_bits()),
+                (f64::NEG_INFINITY.to_bits(), two),
+                (one, f64::INFINITY.to_bits()),
+            ] {
+                let bad = with_range(&text, key, lo, hi);
+                assert_ne!(bad, text);
+                let err = decode(&bad).unwrap_err();
+                assert!(err.contains(key) && err.contains("range"), "{err}");
+            }
+        }
     }
 
     #[test]

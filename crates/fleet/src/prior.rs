@@ -19,14 +19,20 @@
 //! evidence weight.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::path::Path;
 
-use eavs_core::framestats::FrameCycleStats;
+use eavs_core::framestats::{FrameCycleStats, PRIOR_HIST_BINS, PRIOR_HIST_HI_MCYCLES};
 use eavs_core::predictor::SessionPrior;
 use eavs_metrics::stats::ExactSum;
 use eavs_video::frame::FrameType;
 
 use crate::checkpoint::{push_hist, push_sum, Lines};
+
+/// Per-frame-type line keys of an entry, indexed like [`FrameCycleStats`].
+const MC_KEYS: [&str; 3] = ["mc0", "mc1", "mc2"];
+const MCSQ_KEYS: [&str; 3] = ["mcsq0", "mcsq1", "mcsq2"];
+const HIST_KEYS: [&str; 3] = ["hist0", "hist1", "hist2"];
 
 /// Format magic + version line of the standalone prior file.
 pub const PRIOR_MAGIC: &str = "eavs-prior/v1";
@@ -138,13 +144,13 @@ impl PriorStore {
 /// shared section format of the standalone file and the campaign
 /// checkpoint.
 pub(crate) fn encode_body(out: &mut String, store: &PriorStore) {
-    out.push_str(&format!("prior {}\n", store.entries.len()));
+    let _ = writeln!(out, "prior {}", store.entries.len());
     for ((title, content), stats) in &store.entries {
-        out.push_str(&format!("key {title} {content}\n"));
+        let _ = writeln!(out, "key {title} {content}");
         for t in 0..3 {
-            push_sum(out, &format!("mc{t}"), &stats.mcycles[t]);
-            push_sum(out, &format!("mcsq{t}"), &stats.mcycles_sq[t]);
-            push_hist(out, &format!("hist{t}"), &stats.hist[t]);
+            push_sum(out, MC_KEYS[t], &stats.mcycles[t]);
+            push_sum(out, MCSQ_KEYS[t], &stats.mcycles_sq[t]);
+            push_hist(out, HIST_KEYS[t], &stats.hist[t]);
         }
     }
 }
@@ -159,9 +165,22 @@ pub(crate) fn decode_body(lines: &mut Lines<'_>, entries: usize) -> Result<Prior
             .ok_or(format!("prior: bad key line {key:?}"))?;
         let mut stats = FrameCycleStats::new();
         for t in 0..3 {
-            stats.mcycles[t] = cycle_sum(lines, &format!("mc{t}"))?;
-            stats.mcycles_sq[t] = cycle_sum(lines, &format!("mcsq{t}"))?;
-            stats.hist[t] = lines.hist(&format!("hist{t}"))?;
+            stats.mcycles[t] = cycle_sum(lines, MC_KEYS[t])?;
+            stats.mcycles_sq[t] = cycle_sum(lines, MCSQ_KEYS[t])?;
+            let hist = lines.hist(HIST_KEYS[t])?;
+            // `observe` and `merge` assert this layout, so decoding is the
+            // one way another could enter a store, and the first merge
+            // would panic on it.
+            if !hist.same_shape(&stats.hist[t]) {
+                return Err(format!(
+                    "prior: {} layout [{}, {}) x{} is not [0, {PRIOR_HIST_HI_MCYCLES}) x{PRIOR_HIST_BINS}",
+                    HIST_KEYS[t],
+                    hist.lo(),
+                    hist.hi(),
+                    hist.num_bins()
+                ));
+            }
+            stats.hist[t] = hist;
         }
         if store
             .entries
@@ -287,6 +306,43 @@ mod tests {
             let bad = text.replacen(line, &format!("{key} -875206582137000 80"), 1);
             let err = decode(&bad).unwrap_err();
             assert!(err.contains(&format!("negative {key} sum")), "{err}");
+        }
+    }
+
+    #[test]
+    fn foreign_histogram_layouts_are_errors_not_panics() {
+        let text = encode(&populated());
+        let line = text.lines().find(|l| l.starts_with("hist1 ")).unwrap();
+        let fields: Vec<&str> = line.split(' ').collect();
+        let (lo, hi) = (fields[1], fields[2]);
+        let mut fewer_bins = fields.clone();
+        fewer_bins.pop();
+        let mut more_bins = fields.clone();
+        more_bins.push("0");
+        let wider = format!("{:016x}", 512f64.to_bits());
+        let shifted = format!("{:016x}", 1f64.to_bits());
+        let hostile: [(Vec<&str>, &str); 6] = [
+            (fewer_bins, "layout"),
+            (more_bins, "layout"),
+            (
+                [&fields[..2], &[wider.as_str()], &fields[3..]].concat(),
+                "layout",
+            ),
+            (
+                [&fields[..1], &[shifted.as_str()], &fields[2..]].concat(),
+                "layout",
+            ),
+            ([&fields[..1], &[hi, lo], &fields[3..]].concat(), "range"),
+            (
+                [&fields[..1], &["7ff8000000000000", hi], &fields[3..]].concat(),
+                "range",
+            ),
+        ];
+        for (bad_line, why) in hostile {
+            let bad = text.replacen(line, &bad_line.join(" "), 1);
+            assert_ne!(bad, text);
+            let err = decode(&bad).unwrap_err();
+            assert!(err.contains("hist1") && err.contains(why), "{err}");
         }
     }
 

@@ -95,9 +95,54 @@ pub fn check_conformance(page: &str) -> Result<(), String> {
 }
 
 /// Builds a Prometheus text-exposition page.
+///
+/// Every line is written straight into the page: label values are
+/// escaped in place, counts are formatted in place, and a histogram
+/// series renders its label prefix once and reuses it on every bucket
+/// line. Bucket edges are rendered once per histogram layout (range and
+/// bin count) for the life of the writer, since a page repeats the same
+/// few layouts across every campaign and governor.
 #[derive(Debug, Default)]
 pub struct PromWriter {
     out: String,
+    /// The current histogram series' `name_bucket{labels,le="` prefix,
+    /// kept so its allocation is reused from series to series.
+    prefix: String,
+    /// Rendered bucket edges, one table per layout seen so far.
+    edges: Vec<EdgeTable>,
+}
+
+/// The `le` edges of one histogram layout, rendered once.
+#[derive(Debug)]
+struct EdgeTable {
+    /// `lo` bits, `hi` bits and bin count: the layout's identity, the
+    /// same inputs [`Histogram::bin_edges`] computes from.
+    layout: (u64, u64, usize),
+    /// Each bin's upper edge followed by `"} `, back to back.
+    text: String,
+    /// End offset of each bin's fragment in `text`.
+    ends: Vec<usize>,
+}
+
+impl EdgeTable {
+    fn new(h: &Histogram) -> Self {
+        let mut text = String::new();
+        let mut ends = Vec::with_capacity(h.num_bins());
+        for i in 0..h.num_bins() {
+            push_num(&mut text, h.bin_edges(i).1);
+            text.push_str("\"} ");
+            ends.push(text.len());
+        }
+        EdgeTable {
+            layout: layout_of(h),
+            text,
+            ends,
+        }
+    }
+}
+
+fn layout_of(h: &Histogram) -> (u64, u64, usize) {
+    (h.lo().to_bits(), h.hi().to_bits(), h.num_bins())
 }
 
 impl PromWriter {
@@ -106,15 +151,29 @@ impl PromWriter {
         Self::default()
     }
 
+    /// Creates an empty page with room for `bytes` of text, so a caller
+    /// that knows roughly how large the page will be renders it into one
+    /// allocation.
+    pub fn with_capacity(bytes: usize) -> Self {
+        PromWriter {
+            out: String::with_capacity(bytes),
+            ..Self::default()
+        }
+    }
+
     /// Adds a `# HELP` line for `name`.
     pub fn help(&mut self, name: &str, text: &str) -> &mut Self {
-        let _ = writeln!(self.out, "# HELP {name} {text}");
+        for part in ["# HELP ", name, " ", text, "\n"] {
+            self.out.push_str(part);
+        }
         self
     }
 
     /// Adds a `# TYPE` line for `name` (`counter`, `gauge`, `histogram`...).
     pub fn type_(&mut self, name: &str, kind: &str) -> &mut Self {
-        let _ = writeln!(self.out, "# TYPE {name} {kind}");
+        for part in ["# TYPE ", name, " ", kind, "\n"] {
+            self.out.push_str(part);
+        }
         self
     }
 
@@ -123,9 +182,17 @@ impl PromWriter {
     /// `labels` are `(key, value)` pairs; pass `&[]` for none. Label
     /// values are escaped per the exposition format.
     pub fn sample(&mut self, name: &str, labels: &[(&str, &str)], value: f64) -> &mut Self {
-        self.out.push_str(name);
-        write_labels(&mut self.out, labels);
-        let _ = writeln!(self.out, " {}", PromNum(value));
+        let out = &mut self.out;
+        out.push_str(name);
+        if !labels.is_empty() {
+            out.push('{');
+            push_labels(out, labels);
+            out.pop(); // the last label's separator
+            out.push('}');
+        }
+        out.push(' ');
+        push_num(out, value);
+        out.push('\n');
         self
     }
 
@@ -141,30 +208,47 @@ impl PromWriter {
         h: &Histogram,
         sum: f64,
     ) -> &mut Self {
+        let PromWriter { out, prefix, edges } = self;
+        prefix.clear();
+        prefix.push_str(name);
+        prefix.push_str("_bucket{");
+        let labels_at = prefix.len();
+        push_labels(prefix, labels);
+        let labels_end = prefix.len();
+        prefix.push_str("le=\"");
+
+        let layout = layout_of(h);
+        let table = match edges.iter().position(|t| t.layout == layout) {
+            Some(i) => &edges[i],
+            None => {
+                edges.push(EdgeTable::new(h));
+                &edges[edges.len() - 1]
+            }
+        };
         let mut cumulative = h.underflow();
-        for i in 0..h.num_bins() {
+        let mut start = 0;
+        for (i, &end) in table.ends.iter().enumerate() {
             cumulative += h.bin_count(i);
-            let (_, hi) = h.bin_edges(i);
-            self.out.push_str(name);
-            self.out.push_str("_bucket");
-            write_labels_with_le(&mut self.out, labels, &PromNum(hi).to_string());
-            let _ = writeln!(self.out, " {cumulative}");
+            out.push_str(prefix);
+            out.push_str(&table.text[start..end]);
+            push_u64(out, cumulative);
+            out.push('\n');
+            start = end;
         }
         cumulative += h.overflow();
-        self.out.push_str(name);
-        self.out.push_str("_bucket");
-        write_labels_with_le(&mut self.out, labels, "+Inf");
-        let _ = writeln!(self.out, " {cumulative}");
+        out.push_str(prefix);
+        out.push_str("+Inf\"} ");
+        push_u64(out, cumulative);
+        out.push('\n');
 
-        self.out.push_str(name);
-        self.out.push_str("_count");
-        write_labels(&mut self.out, labels);
-        let _ = writeln!(self.out, " {}", h.total());
-
-        self.out.push_str(name);
-        self.out.push_str("_sum");
-        write_labels(&mut self.out, labels);
-        let _ = writeln!(self.out, " {}", PromNum(sum));
+        // `_count` and `_sum` carry the same labels without `le`.
+        let labels = prefix[labels_at..labels_end].strip_suffix(',');
+        push_series(out, name, "_count", labels);
+        push_u64(out, h.total());
+        out.push('\n');
+        push_series(out, name, "_sum", labels);
+        push_num(out, sum);
+        out.push('\n');
         self
     }
 
@@ -179,66 +263,173 @@ impl PromWriter {
     }
 }
 
-/// Renders a float the Prometheus way: integers without a trailing
-/// `.0`, everything else via shortest-round-trip `Display`.
-struct PromNum(f64);
-
-impl std::fmt::Display for PromNum {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let v = self.0;
-        if v.is_infinite() {
-            return f.write_str(if v > 0.0 { "+Inf" } else { "-Inf" });
-        }
-        if v.is_nan() {
-            return f.write_str("NaN");
-        }
-        if v == v.trunc() && v.abs() < 1e15 {
-            write!(f, "{}", v as i64)
-        } else {
-            write!(f, "{v}")
-        }
+/// Appends `name` + `suffix`, the already escaped `labels` in braces if
+/// there are any, and the space before the value.
+fn push_series(out: &mut String, name: &str, suffix: &str, labels: Option<&str>) {
+    out.push_str(name);
+    out.push_str(suffix);
+    if let Some(labels) = labels {
+        out.push('{');
+        out.push_str(labels);
+        out.push('}');
     }
+    out.push(' ');
 }
 
-fn write_labels(out: &mut String, labels: &[(&str, &str)]) {
-    if labels.is_empty() {
-        return;
-    }
-    out.push('{');
-    for (i, (k, v)) in labels.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{k}=\"{}\"", escape_label(v));
-    }
-    out.push('}');
-}
-
-fn write_labels_with_le(out: &mut String, labels: &[(&str, &str)], le: &str) {
-    out.push('{');
+/// Appends `key="value",` for every label, escaping each value.
+fn push_labels(out: &mut String, labels: &[(&str, &str)]) {
     for (k, v) in labels {
-        let _ = write!(out, "{k}=\"{}\",", escape_label(v));
+        out.push_str(k);
+        out.push_str("=\"");
+        push_escaped(out, v);
+        out.push_str("\",");
     }
-    let _ = write!(out, "le=\"{le}\"");
-    out.push('}');
 }
 
-fn escape_label(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
-    for c in v.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
+/// Appends a label value with `\`, `"` and newline escaped per the
+/// exposition format. All three are ASCII, so the value is copied in
+/// runs between them.
+fn push_escaped(out: &mut String, mut v: &str) {
+    while let Some(i) = v.find(['\\', '"', '\n']) {
+        out.push_str(&v[..i]);
+        out.push_str(match v.as_bytes()[i] {
+            b'\\' => "\\\\",
+            b'"' => "\\\"",
+            _ => "\\n",
+        });
+        v = &v[i + 1..];
+    }
+    out.push_str(v);
+}
+
+/// Appends a count in decimal.
+fn push_u64(out: &mut String, v: u64) {
+    let _ = write!(out, "{v}");
+}
+
+/// Appends a float the Prometheus way: integers without a trailing
+/// `.0`, everything else via shortest-round-trip `Display`.
+fn push_num(out: &mut String, v: f64) {
+    if v.is_infinite() {
+        out.push_str(if v > 0.0 { "+Inf" } else { "-Inf" });
+    } else if v.is_nan() {
+        out.push_str("NaN");
+    } else if v == v.trunc() && v.abs() < 1e15 {
+        let _ = write!(out, "{}", v as i64);
+    } else {
+        let _ = write!(out, "{v}");
+    }
+}
+
+/// The writer as it was before series prefixes and edge tables: every
+/// line formatted on its own, through temporary strings. Kept as the
+/// byte-identity oracle for [`PromWriter`].
+#[cfg(test)]
+mod reference {
+    use std::fmt::Write as _;
+
+    use eavs_metrics::histogram::Histogram;
+
+    pub fn sample(out: &mut String, name: &str, labels: &[(&str, &str)], value: f64) {
+        out.push_str(name);
+        write_labels(out, labels);
+        let _ = writeln!(out, " {}", PromNum(value));
+    }
+
+    pub fn histogram(
+        out: &mut String,
+        name: &str,
+        labels: &[(&str, &str)],
+        h: &Histogram,
+        sum: f64,
+    ) {
+        let mut cumulative = h.underflow();
+        for i in 0..h.num_bins() {
+            cumulative += h.bin_count(i);
+            let (_, hi) = h.bin_edges(i);
+            out.push_str(name);
+            out.push_str("_bucket");
+            write_labels_with_le(out, labels, &PromNum(hi).to_string());
+            let _ = writeln!(out, " {cumulative}");
+        }
+        cumulative += h.overflow();
+        out.push_str(name);
+        out.push_str("_bucket");
+        write_labels_with_le(out, labels, "+Inf");
+        let _ = writeln!(out, " {cumulative}");
+
+        out.push_str(name);
+        out.push_str("_count");
+        write_labels(out, labels);
+        let _ = writeln!(out, " {}", h.total());
+
+        out.push_str(name);
+        out.push_str("_sum");
+        write_labels(out, labels);
+        let _ = writeln!(out, " {}", PromNum(sum));
+    }
+
+    struct PromNum(f64);
+
+    impl std::fmt::Display for PromNum {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            let v = self.0;
+            if v.is_infinite() {
+                return f.write_str(if v > 0.0 { "+Inf" } else { "-Inf" });
+            }
+            if v.is_nan() {
+                return f.write_str("NaN");
+            }
+            if v == v.trunc() && v.abs() < 1e15 {
+                write!(f, "{}", v as i64)
+            } else {
+                write!(f, "{v}")
+            }
         }
     }
-    out
+
+    fn write_labels(out: &mut String, labels: &[(&str, &str)]) {
+        if labels.is_empty() {
+            return;
+        }
+        out.push('{');
+        for (i, (k, v)) in labels.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "{k}=\"{}\"", escape_label(v));
+        }
+        out.push('}');
+    }
+
+    fn write_labels_with_le(out: &mut String, labels: &[(&str, &str)], le: &str) {
+        out.push('{');
+        for (k, v) in labels {
+            let _ = write!(out, "{k}=\"{}\",", escape_label(v));
+        }
+        let _ = write!(out, "le=\"{le}\"");
+        out.push('}');
+    }
+
+    fn escape_label(v: &str) -> String {
+        let mut out = String::with_capacity(v.len());
+        for c in v.chars() {
+            match c {
+                '\\' => out.push_str("\\\\"),
+                '"' => out.push_str("\\\""),
+                '\n' => out.push_str("\\n"),
+                c => out.push(c),
+            }
+        }
+        out
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection;
+    use proptest::prelude::*;
 
     #[test]
     fn samples_and_headers_render() {
@@ -287,10 +478,15 @@ mod tests {
 
     #[test]
     fn numbers_render_deterministically() {
-        assert_eq!(PromNum(3.0).to_string(), "3");
-        assert_eq!(PromNum(0.1).to_string(), "0.1");
-        assert_eq!(PromNum(f64::INFINITY).to_string(), "+Inf");
-        assert_eq!(PromNum(-0.0).to_string(), "0");
+        let num = |v: f64| {
+            let mut s = String::new();
+            push_num(&mut s, v);
+            s
+        };
+        assert_eq!(num(3.0), "3");
+        assert_eq!(num(0.1), "0.1");
+        assert_eq!(num(f64::INFINITY), "+Inf");
+        assert_eq!(num(-0.0), "0");
     }
 
     #[test]
@@ -340,5 +536,66 @@ mod tests {
         assert!(check_conformance(w.as_str())
             .unwrap_err()
             .contains("eavs_n_count"));
+    }
+
+    /// A histogram over `[lo, lo + width)` with one observation at
+    /// `lo + u * width` per `u`, so `u < 0` underflows and `u >= 1`
+    /// overflows.
+    fn filled(lo: f64, width: f64, bins: usize, us: &[f64]) -> Histogram {
+        let mut h = Histogram::new(lo, lo + width, bins);
+        for u in us {
+            h.record(lo + u * width);
+        }
+        h
+    }
+
+    /// Label values mix plain text with every escaped character and
+    /// non-ASCII text.
+    const LABEL_VALUE: &str = "[a-z\\\"\n é漢]{0,8}";
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn writer_matches_the_per_line_reference(
+            lo in prop_oneof![-1e3f64..1e3, Just(0.0), 1e14f64..1e17],
+            rel in prop_oneof![1e-3f64..10.0, Just(10.0)],
+            shift in prop_oneof![-5.5f64..5.5, Just(0.5)],
+            bins in 1usize..40,
+            us_a in collection::vec(-0.5f64..1.5, 0..40),
+            us_b in collection::vec(prop_oneof![-0.5f64..1.5, Just(0.25)], 0..40),
+            labels in collection::vec(("[a-z_]{1,6}", LABEL_VALUE), 0..3),
+            sums in (
+                prop_oneof![
+                    -1e6f64..1e6,
+                    Just(f64::INFINITY),
+                    Just(f64::NEG_INFINITY),
+                    Just(f64::NAN),
+                    Just(42.0),
+                ],
+                prop_oneof![-1e20f64..1e20, Just(f64::NAN), Just(-0.0)],
+            ),
+        ) {
+            let width = f64::abs(lo).max(1.0) * rel;
+            // Two layouts with the same bin count and different ranges,
+            // rendered interleaved through one writer's edge tables.
+            let a = filled(lo, width, bins, &us_a);
+            let b = filled(lo + shift * width, width * 0.75, bins, &us_b);
+            let labels: Vec<(&str, &str)> =
+                labels.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
+            let mut w = PromWriter::new();
+            let mut want = String::new();
+            for (name, h, sum) in [("m_a", &a, sums.0), ("m_b", &b, sums.1), ("m_a", &a, sums.1)] {
+                w.histogram(name, &labels, h, sum);
+                reference::histogram(&mut want, name, &labels, h, sum);
+                w.histogram(name, &[], h, sum);
+                reference::histogram(&mut want, name, &[], h, sum);
+                w.sample(name, &labels, sum);
+                reference::sample(&mut want, name, &labels, sum);
+                w.sample(name, &[], lo);
+                reference::sample(&mut want, name, &[], lo);
+            }
+            prop_assert_eq!(w.as_str(), want.as_str());
+        }
     }
 }

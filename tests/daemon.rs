@@ -410,6 +410,74 @@ fn a_shard_partial_with_a_huge_lane_count_is_refused_and_the_daemon_stays_up() {
 }
 
 #[test]
+fn a_shard_partial_of_the_wrong_shape_is_refused_and_the_daemon_stays_up() {
+    let spec = small_spec("daemon-shape");
+    let expected = reference_bytes(&spec);
+    // No local workers: nothing folds until the remote worker below
+    // starts, so the bad uploads reach an untouched campaign.
+    let mut opts = daemon_opts("shape");
+    opts.workers = 0;
+    let daemon = Daemon::start(opts, pooled()).unwrap();
+    let addr = daemon.addr();
+    let (status, body) =
+        client::request_text(&addr, "POST", "/campaigns", &codec::encode_spec(&spec)).unwrap();
+    assert_eq!(status, 200, "{body}");
+    let id = registry::campaign_id(&spec);
+
+    // Partials that carry the right campaign digest and decode cleanly
+    // but would trip `FleetAggregate::merge`'s asserts under the
+    // registry lock.
+    let empty = eavs_fleet::FleetAggregate::new(&spec);
+    let mut one_lane = empty.clone();
+    one_lane.govs.truncate(1);
+    let mut swapped = empty.clone();
+    swapped.govs.swap(0, 1);
+    let mut wide = empty.clone();
+    wide.govs[0].cpu_j = eavs_metrics::histogram::Histogram::new(0.0, 1.0, 3);
+    for (partial, why) in [
+        (one_lane, "governor lanes"),
+        (swapped, "lane"),
+        (wide, "cpu_j histogram layout"),
+    ] {
+        let (status, body) = client::request_text(
+            &addr,
+            "POST",
+            &format!("/campaigns/{id}/shards/0"),
+            &checkpoint::encode(&partial),
+        )
+        .unwrap();
+        assert_eq!(status, 409, "{body}");
+        assert!(body.contains(why), "{body}");
+    }
+
+    // Every route that takes the registry lock still answers.
+    let (status, body) = client::request_text(&addr, "GET", "/healthz", "").unwrap();
+    assert_eq!((status, body.as_str()), (200, "ok\n"));
+    let (status, body) =
+        client::request_text(&addr, "GET", &format!("/campaigns/{id}"), "").unwrap();
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("\"shards_done\":0"), "{body}");
+    let (status, page) = client::request_text(&addr, "GET", "/metrics", "").unwrap();
+    assert_eq!(status, 200);
+    eavs_obs::check_conformance(&page).unwrap();
+
+    // A good worker then finishes the campaign to the reference bytes.
+    let stop = Arc::new(AtomicBool::new(false));
+    let worker = {
+        let (addr, stop) = (addr.clone(), Arc::clone(&stop));
+        std::thread::spawn(move || run_worker(&addr, &pooled(), &stop))
+    };
+    assert_eq!(wait_terminal(&addr, &id), "complete");
+    stop.store(true, Ordering::SeqCst);
+    worker.join().unwrap();
+    let (status, served) =
+        client::request_text(&addr, "GET", &format!("/campaigns/{id}/result"), "").unwrap();
+    assert_eq!(status, 200);
+    assert_eq!(served, expected);
+    daemon.shutdown();
+}
+
+#[test]
 fn a_tampered_checkpoint_is_refused_on_restart() {
     let spec = small_spec("daemon-tamper");
     let state = temp_dir("tamper");
