@@ -5,7 +5,7 @@
 //! LTE drive scenario. Accounting is post-hoc over the finished timeline
 //! (download activity intervals, chosen bitrates, manifest, seed), so the
 //! sessions here are byte-identical to their unmodeled twins, and the
-//! committed golden CSVs of the other 28 experiments are provably
+//! committed golden CSVs of the other 30 experiments are provably
 //! untouched (`tests/attachments.rs`).
 
 use crate::harness::{
@@ -33,12 +33,6 @@ fn lte_session(gov: GovernorChoice, power: DevicePowerModel) -> SessionBuilder {
         .radio(RadioModel::lte())
         .power(power)
         .seed(SEED)
-}
-
-/// The F28 workload on the EAVS governor under the phone model — the
-/// probe session `bench_report` runs for its `power` counter block.
-pub fn powered_lte_session() -> SessionBuilder {
-    lte_session(governor("eavs"), DevicePowerModel::phone())
 }
 
 /// F28: whole-device energy breakdown by governor.

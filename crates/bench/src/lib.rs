@@ -1,8 +1,11 @@
 //! # eavs-bench — the experiment harness
 //!
-//! One module per experiment family; one binary per table/figure (see
-//! `src/bin/`), each printing the paper-style rows and writing CSV under
-//! `results/`. `run_all` regenerates everything. Criterion microbenches
+//! One module per experiment family. Each registered table/figure prints
+//! its paper-style rows and writes CSV under `results/`; the one entry
+//! point is the `run_all` binary, which regenerates everything, or the
+//! experiments named on its command line (`run_all f5_energy_by_governor`,
+//! see [`select_experiments`]). The fleet figures F26/F27 have their own
+//! binaries and write under `results/fleet/`. Criterion microbenches
 //! (`benches/`) cover the governor-overhead figure (F14) and simulator
 //! performance.
 //!
@@ -105,4 +108,71 @@ pub fn all_experiments() -> Vec<Experiment> {
         ("t3_confidence", extensions::t3_confidence),
         ("t4_soc_matrix", extensions::t4_soc_matrix),
     ]
+}
+
+/// The registered experiments named by `ids`, in presentation order (the
+/// order of [`all_experiments`], not of `ids`); a repeated id selects its
+/// experiment once, and no ids select every experiment.
+///
+/// # Errors
+///
+/// Returns the first id that names no registered experiment.
+pub fn select_experiments<S: AsRef<str>>(ids: &[S]) -> Result<Vec<Experiment>, String> {
+    let all = all_experiments();
+    let known = |id: &str| all.iter().any(|(name, _)| *name == id);
+    if let Some(unknown) = ids.iter().map(AsRef::as_ref).find(|id| !known(id)) {
+        return Err(unknown.to_owned());
+    }
+    Ok(all
+        .into_iter()
+        .filter(|(name, _)| ids.is_empty() || ids.iter().any(|id| id.as_ref() == *name))
+        .collect())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn ids(experiments: &[Experiment]) -> Vec<&'static str> {
+        experiments.iter().map(|(id, _)| *id).collect()
+    }
+
+    #[test]
+    fn no_ids_select_every_experiment() {
+        let none: [&str; 0] = [];
+        let all = select_experiments(&none).unwrap();
+        assert_eq!(ids(&all), ids(&all_experiments()));
+        assert_eq!(all.len(), 32);
+    }
+
+    #[test]
+    fn a_subset_keeps_presentation_order() {
+        let picked =
+            select_experiments(&["t2_summary", "f30_prior_coldstart", "f5_energy_by_governor"])
+                .unwrap();
+        assert_eq!(
+            ids(&picked),
+            ["f5_energy_by_governor", "f30_prior_coldstart", "t2_summary"]
+        );
+    }
+
+    #[test]
+    fn a_repeated_id_runs_once() {
+        let picked =
+            select_experiments(&["f1_power_curve", "t1_opp_table", "f1_power_curve"]).unwrap();
+        assert_eq!(ids(&picked), ["t1_opp_table", "f1_power_curve"]);
+    }
+
+    #[test]
+    fn an_unknown_id_is_an_error_that_names_it() {
+        assert_eq!(
+            select_experiments(&["f5_energy_by_governor", "nope", "f99"]).err(),
+            Some("nope".to_owned())
+        );
+        // The fleet figures have their own binaries; they are not registered.
+        assert_eq!(
+            select_experiments(&["f26_fleet_population"]).err(),
+            Some("f26_fleet_population".to_owned())
+        );
+    }
 }

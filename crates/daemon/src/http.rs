@@ -11,7 +11,9 @@
 //! Request bodies are capped at [`MAX_BODY_BYTES`]; anything larger is
 //! answered `413` without being stored (what the client still sends is
 //! discarded, so the close does not reset the connection under the
-//! response). Headers are capped too. The
+//! response). The head (request line and headers) is capped at 16 KiB
+//! as it is read, so a line that never ends costs at most that much
+//! memory before its `413`; a head that is not UTF-8 is a `400`. The
 //! matching [`client`] speaks exactly this dialect and is what
 //! `eavsctl` and worker mode use.
 
@@ -28,7 +30,8 @@ use std::time::{Duration, Instant};
 /// hostile client from ballooning memory.
 pub const MAX_BODY_BYTES: u64 = 1 << 20;
 
-/// Largest request head (request line + headers) accepted, bytes.
+/// Largest request head (request line + headers, line terminators
+/// included) accepted, bytes.
 const MAX_HEAD_BYTES: u64 = 16 * 1024;
 
 /// Per-connection socket timeout. Generous: a coordinator may stall a
@@ -211,14 +214,9 @@ fn serve_connection(stream: TcpStream, handler: &Handler) -> std::io::Result<()>
     let mut reader = BufReader::new(stream);
     let (response, refused) = match read_request(&mut reader) {
         Ok(request) => (handler(request), false),
-        Err(ReadError::TooLarge) => (
-            Response::error(
-                413,
-                "payload too large",
-                &format!("request bodies are capped at {MAX_BODY_BYTES} bytes"),
-            ),
-            true,
-        ),
+        Err(ReadError::TooLarge(detail)) => {
+            (Response::error(413, "payload too large", &detail), true)
+        }
         Err(ReadError::Malformed(detail)) => {
             (Response::error(400, "malformed request", &detail), true)
         }
@@ -255,7 +253,7 @@ fn linger(stream: &mut TcpStream) {
 }
 
 enum ReadError {
-    TooLarge,
+    TooLarge(String),
     Malformed(String),
     Io(std::io::Error),
 }
@@ -267,8 +265,9 @@ impl From<std::io::Error> for ReadError {
 }
 
 fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, ReadError> {
+    let mut head_left = MAX_HEAD_BYTES;
     let mut line = String::new();
-    take_line(reader, &mut line)?;
+    take_line(reader, &mut line, &mut head_left)?;
     let mut parts = line.split_whitespace();
     let method = parts
         .next()
@@ -280,14 +279,8 @@ fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, ReadError>
     let path = target.split('?').next().unwrap_or("").to_owned();
 
     let mut content_length: u64 = 0;
-    let mut head_bytes = line.len() as u64;
     loop {
-        line.clear();
-        take_line(reader, &mut line)?;
-        head_bytes += line.len() as u64 + 2;
-        if head_bytes > MAX_HEAD_BYTES {
-            return Err(ReadError::TooLarge);
-        }
+        take_line(reader, &mut line, &mut head_left)?;
         if line.is_empty() {
             break;
         }
@@ -301,23 +294,41 @@ fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, ReadError>
         }
     }
     if content_length > MAX_BODY_BYTES {
-        return Err(ReadError::TooLarge);
+        return Err(ReadError::TooLarge(format!(
+            "request bodies are capped at {MAX_BODY_BYTES} bytes"
+        )));
     }
     let mut body = vec![0u8; content_length as usize];
     reader.read_exact(&mut body)?;
     Ok(Request { method, path, body })
 }
 
-/// Reads one CRLF-terminated line (without the terminator).
-fn take_line(reader: &mut BufReader<TcpStream>, line: &mut String) -> Result<(), ReadError> {
-    line.clear();
-    let n = reader.read_line(line)?;
+/// Reads one CRLF-terminated line (without the terminator) into `line`
+/// and charges its bytes to the head's remaining budget `left`. The read
+/// stops one byte past the budget, so a line that never ends is refused
+/// as soon as it outgrows the head instead of being buffered whole.
+fn take_line(
+    reader: &mut BufReader<TcpStream>,
+    line: &mut String,
+    left: &mut u64,
+) -> Result<(), ReadError> {
+    let mut bytes = std::mem::take(line).into_bytes();
+    bytes.clear();
+    let n = reader
+        .by_ref()
+        .take(*left + 1)
+        .read_until(b'\n', &mut bytes)? as u64;
     if n == 0 {
         return Err(ReadError::Malformed("connection closed mid-request".into()));
     }
-    if line.len() as u64 > MAX_HEAD_BYTES {
-        return Err(ReadError::TooLarge);
+    if n > *left {
+        return Err(ReadError::TooLarge(format!(
+            "request heads are capped at {MAX_HEAD_BYTES} bytes"
+        )));
     }
+    *left -= n;
+    *line = String::from_utf8(bytes)
+        .map_err(|_| ReadError::Malformed("request head is not UTF-8".into()))?;
     while line.ends_with('\n') || line.ends_with('\r') {
         line.pop();
     }
@@ -556,6 +567,50 @@ mod tests {
             response.starts_with("HTTP/1.1 400") || response.starts_with("HTTP/1.1 413"),
             "{response}"
         );
+        server.shutdown();
+    }
+
+    /// Writes `bytes` and keeps the connection open (no FIN), then reads
+    /// the whole response, giving up after five seconds.
+    fn reply_to_open_request(addr: &str, bytes: &[u8]) -> String {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        stream.write_all(bytes).unwrap();
+        let mut response = Vec::new();
+        let read = stream.read_to_end(&mut response);
+        let response = String::from_utf8_lossy(&response).into_owned();
+        assert!(
+            read.is_ok(),
+            "no complete response within 5 s: {read:?} {response:?}"
+        );
+        response
+    }
+
+    #[test]
+    fn an_unterminated_head_line_gets_413_as_soon_as_it_passes_the_cap() {
+        let server = echo_server();
+        let addr = server.addr().to_string();
+        let line = vec![b'A'; MAX_HEAD_BYTES as usize + 1];
+        let response = reply_to_open_request(&addr, &line);
+        assert!(response.starts_with("HTTP/1.1 413"), "{response}");
+        assert!(response.contains("request heads are capped"), "{response}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_non_utf8_head_gets_400() {
+        let server = echo_server();
+        let addr = server.addr().to_string();
+        for head in [
+            &b"GET /\xff\xfe HTTP/1.1\r\n\r\n"[..],
+            &b"GET / HTTP/1.1\r\nX-Bad: \xc3\x28\r\n\r\n"[..],
+        ] {
+            let response = reply_to_open_request(&addr, head);
+            assert!(response.starts_with("HTTP/1.1 400"), "{response}");
+            assert!(response.contains("not UTF-8"), "{response}");
+        }
         server.shutdown();
     }
 

@@ -10,8 +10,9 @@
 //!   handlers (non-deterministic by nature, reported for perf work and
 //!   explicitly excluded from trace dumps and fingerprints).
 //!
-//! `bench_report --profile` embeds one of these per benchmark run in
-//! `BENCH_sim.json`.
+//! `eavsctl run --profile` prints one as JSON after the session summary;
+//! perfbench's `session` workload splits its `core.step_us` layer into
+//! per-phase shares with their wall times.
 
 use crate::event::Phase;
 
