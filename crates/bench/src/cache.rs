@@ -65,16 +65,10 @@ fn cache() -> &'static Mutex<CacheInner> {
     MAP.get_or_init(|| Mutex::new(CacheInner::default()))
 }
 
-/// Resident-byte cap: `EAVS_SESSION_CACHE_MB` (default 64). Reports are
-/// a few KB each (tens of KB with series), so the default holds every
-/// figure of a full `run_all` with room to spare while bounding
-/// pathological callers.
-fn cap_bytes() -> u64 {
-    static CAP: OnceLock<u64> = OnceLock::new();
-    *CAP.get_or_init(|| {
-        crate::executor::env_knob::<u64>("EAVS_SESSION_CACHE_MB").unwrap_or(64) << 20
-    })
-}
+/// Resident-byte cap: 64 MiB. Reports are a few KB each (tens of KB with
+/// series), so the cap holds every figure of a full `run_all` with room
+/// to spare while bounding pathological callers.
+const CAP_BYTES: u64 = 64 << 20;
 
 /// Inserts under the cap, evicting oldest-inserted entries first. The
 /// just-inserted report is never evicted (the loop stops at one resident
@@ -172,7 +166,7 @@ pub fn run_session(builder: SessionBuilder) -> Arc<SessionReport> {
     if let Some(r) = inner.map.get(&key) {
         return Arc::clone(r); // a racer inserted first; identical by determinism
     }
-    insert_bounded(&mut inner, cap_bytes(), key, &report);
+    insert_bounded(&mut inner, CAP_BYTES, key, &report);
     report
 }
 
@@ -228,7 +222,7 @@ pub fn run_sessions(jobs: Vec<(String, SessionBuilder)>) -> Vec<Arc<SessionRepor
         let mut inner = cache().lock().expect("session cache poisoned");
         for (key, report) in keys.iter().zip(&reports) {
             if let Some(key) = key {
-                insert_bounded(&mut inner, cap_bytes(), *key, report);
+                insert_bounded(&mut inner, CAP_BYTES, *key, report);
             }
         }
     }
@@ -338,8 +332,7 @@ mod tests {
 
     #[test]
     fn eviction_is_insertion_ordered_and_spares_the_newest() {
-        // Drive the bounded store directly (not through env knobs, which
-        // are process-wide OnceLocks) with a cap below one report.
+        // Drive the bounded store directly with a cap below one report.
         let mut inner = CacheInner::default();
         let report = Arc::new(builder().run());
         let before = EVICTIONS.load(Ordering::Relaxed);

@@ -127,14 +127,13 @@ fn worker_loop(shared: &Shared, me: usize) {
 /// set and parses, `None` (after a warning on garbage) otherwise.
 ///
 /// Every `EAVS_*` tuning variable — `EAVS_JOBS` here, `EAVS_CHAOS_CASES`
-/// in the chaos fuzz, the fleet campaign knobs, the daemon knobs
-/// (`EAVS_DAEMON_ADDR`, `EAVS_DAEMON_THREADS`, `EAVS_CHECKPOINT_EVERY`),
-/// the fleet-prior file (`EAVS_PRIOR_PATH`) and the golden-pass trace
-/// sink (`EAVS_NULL_TRACE`) —
-/// goes through this one helper so they all share the trim/parse/warn
-/// behavior. The warning is emitted once per variable name: sweeps
-/// consult knobs per job, and a malformed value must not flood stderr
-/// thousands of times. [`REGISTERED_KNOBS`] is the authoritative list.
+/// in the chaos fuzz, the daemon address (`EAVS_DAEMON_ADDR`), the
+/// golden-pass trace sink (`EAVS_NULL_TRACE`) and the experiment output
+/// directory (`EAVS_RESULTS_DIR`) — goes through this one helper so they
+/// all share the trim/parse/warn behavior. The warning is emitted once
+/// per variable name: sweeps consult knobs per job, and a malformed
+/// value must not flood stderr thousands of times. [`REGISTERED_KNOBS`]
+/// is the authoritative list.
 pub fn env_knob<T: std::str::FromStr>(name: &str) -> Option<T> {
     let v = std::env::var(name).ok()?;
     match v.trim().parse::<T>() {
@@ -152,16 +151,12 @@ pub fn env_knob<T: std::str::FromStr>(name: &str) -> Option<T> {
 /// registered in one place so the warn-once contract can be proven for
 /// each of them (a malformed value warns exactly once per variable, no
 /// matter how many jobs consult it).
-pub const REGISTERED_KNOBS: [&str; 9] = [
+pub const REGISTERED_KNOBS: [&str; 5] = [
     "EAVS_JOBS",
     "EAVS_CHAOS_CASES",
-    "EAVS_SESSION_CACHE_MB",
-    "EAVS_POWER_TAIL_MS",
     "EAVS_DAEMON_ADDR",
-    "EAVS_DAEMON_THREADS",
-    "EAVS_CHECKPOINT_EVERY",
-    "EAVS_PRIOR_PATH",
     "EAVS_NULL_TRACE",
+    "EAVS_RESULTS_DIR",
 ];
 
 /// Default `eavsd` listen/connect address from `EAVS_DAEMON_ADDR`
@@ -173,39 +168,6 @@ pub fn daemon_addr() -> Option<String> {
     // `env_knob` never triggers here; it is still routed through the
     // helper to keep every registered knob on one code path.
     env_knob::<String>("EAVS_DAEMON_ADDR").filter(|s| !s.is_empty())
-}
-
-/// `eavsd` HTTP thread-pool size from `EAVS_DAEMON_THREADS`.
-pub fn daemon_threads() -> Option<usize> {
-    env_knob::<usize>("EAVS_DAEMON_THREADS")
-}
-
-/// Checkpoint cadence (shards between writes) from
-/// `EAVS_CHECKPOINT_EVERY`. Read by `eavsd` when `--checkpoint-every`
-/// is absent; `eavsctl fleet` keeps its explicit flag.
-pub fn checkpoint_every() -> Option<u64> {
-    env_knob::<u64>("EAVS_CHECKPOINT_EVERY")
-}
-
-/// Radio tail-timer override from `EAVS_POWER_TAIL_MS`, milliseconds.
-///
-/// Consulted by `eavsctl`'s `--power` presets when building a
-/// [`eavs_power::DevicePowerModel`], so a fleet operator can sweep the
-/// RRC inactivity timer without touching the spec. Goes through
-/// [`env_knob`], so a malformed value warns once and falls back to the
-/// preset's timer.
-pub fn power_tail_ms() -> Option<u64> {
-    env_knob::<u64>("EAVS_POWER_TAIL_MS")
-}
-
-/// Fleet-prior file location from `EAVS_PRIOR_PATH`.
-///
-/// Consulted by `eavsd` for where to persist (and serve) the fleet
-/// prior store when `--prior-path` is absent, so one exported variable
-/// points the daemon and `eavsctl` scripts at the same
-/// `eavs-prior/v1` file.
-pub fn prior_path() -> Option<String> {
-    env_knob::<String>("EAVS_PRIOR_PATH").filter(|s| !s.is_empty())
 }
 
 /// Records that `name` warned; `true` only on the first call per name.
@@ -333,6 +295,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     #[test]
     fn env_knob_parses_trims_and_rejects() {
@@ -359,39 +322,83 @@ mod tests {
         assert_eq!(env_knob::<u64>("EAVS_TEST_KNOB_ONCE_C"), None);
     }
 
-    #[test]
-    fn knob_registry_matches_the_documented_list() {
-        // The docs (env_knob's rustdoc and the README knob table)
-        // enumerate exactly these variables; a knob added to the
-        // code without updating the registry — or vice versa — must fail
-        // here, not silently drift.
-        let documented = [
-            "EAVS_JOBS",
-            "EAVS_CHAOS_CASES",
-            "EAVS_SESSION_CACHE_MB",
-            "EAVS_POWER_TAIL_MS",
-            "EAVS_DAEMON_ADDR",
-            "EAVS_DAEMON_THREADS",
-            "EAVS_CHECKPOINT_EVERY",
-            "EAVS_PRIOR_PATH",
-            "EAVS_NULL_TRACE",
-        ];
-        assert_eq!(REGISTERED_KNOBS, documented);
-        // Registry hygiene: EAVS_-prefixed and duplicate-free.
-        let unique: std::collections::BTreeSet<&str> = REGISTERED_KNOBS.into_iter().collect();
-        assert_eq!(unique.len(), REGISTERED_KNOBS.len());
-        for name in REGISTERED_KNOBS {
-            assert!(name.starts_with("EAVS_"), "{name} must be EAVS_-prefixed");
+    /// Collects every `"EAVS_…"` literal passed to `env_knob` or
+    /// `std::env::var` in the `.rs` files under `dir`, skipping
+    /// `target/` and hidden directories and the `EAVS_TEST_*` fixtures.
+    fn scan_knob_reads(dir: &std::path::Path, found: &mut BTreeSet<String>) {
+        let mut entries: Vec<_> = std::fs::read_dir(dir)
+            .expect("readable source dir")
+            .map(|e| e.expect("dir entry").path())
+            .collect();
+        entries.sort();
+        for path in entries {
+            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            if path.is_dir() {
+                if name != "target" && !name.starts_with('.') {
+                    scan_knob_reads(&path, found);
+                }
+            } else if name.ends_with(".rs") {
+                let text = std::fs::read_to_string(&path).expect("utf-8 source");
+                for (at, _) in text.match_indices("\"EAVS_") {
+                    let literal = &text[at + 1..];
+                    let knob = &literal[..literal.find('"').expect("closed literal")];
+                    let Some(callee) = text[..at].trim_end().strip_suffix('(') else {
+                        continue;
+                    };
+                    let callee = callee.trim_end();
+                    // `env_knob::<T>(…)`: drop the turbofish.
+                    let callee = match callee.strip_suffix('>') {
+                        Some(c) => &c[..c.rfind("::<").unwrap_or(c.len())],
+                        None => callee,
+                    };
+                    let reads = ["env_knob", "env::var"];
+                    if reads.iter().any(|r| callee.ends_with(r)) && !knob.starts_with("EAVS_TEST_")
+                    {
+                        found.insert(knob.to_owned());
+                    }
+                }
+            }
         }
     }
 
     #[test]
+    fn knob_registry_matches_the_source_and_the_readme() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let registered: BTreeSet<String> = REGISTERED_KNOBS.map(str::to_owned).into();
+        assert_eq!(registered.len(), REGISTERED_KNOBS.len(), "duplicate knob");
+        // Every `EAVS_*` variable the code reads is registered, and every
+        // registered name is read somewhere.
+        let mut read = BTreeSet::new();
+        scan_knob_reads(&root, &mut read);
+        assert_eq!(
+            read, registered,
+            "knobs read by the source vs REGISTERED_KNOBS"
+        );
+        // The README's knob table rows are exactly the registry.
+        let readme = std::fs::read_to_string(root.join("README.md")).expect("README.md");
+        let documented: BTreeSet<String> = readme
+            .lines()
+            .filter_map(|l| l.strip_prefix("| `EAVS_"))
+            .map(|rest| {
+                format!(
+                    "EAVS_{}",
+                    &rest[..rest.find('`').expect("closed code span")]
+                )
+            })
+            .collect();
+        assert_eq!(
+            documented, registered,
+            "README knob table vs REGISTERED_KNOBS"
+        );
+    }
+
+    #[test]
     fn every_registered_knob_warns_once() {
-        // The once-per-name latch must hold for every registered knob —
-        // including the power tail-timer override — so a sweep that
-        // consults a malformed knob per job emits one warning, not
-        // thousands. The latch is exercised directly (setting the real
-        // variables would race with parallel tests that read them).
+        // The once-per-name latch must hold for every registered knob, so
+        // a sweep that consults a malformed knob per job emits one
+        // warning, not thousands. The latch is exercised directly
+        // (setting the real variables would race with parallel tests that
+        // read them).
         for name in REGISTERED_KNOBS {
             let latch = format!("{name}_WARN_ONCE_TEST");
             assert!(first_warning_for(&latch), "{name}: first call must warn");

@@ -91,8 +91,8 @@ pub fn manifest_1080p30(secs: u64) -> Manifest {
 
 /// Where experiment CSVs land.
 pub fn results_dir() -> PathBuf {
-    let dir = std::env::var("EAVS_RESULTS_DIR").unwrap_or_else(|_| "results".to_owned());
-    PathBuf::from(dir)
+    let dir = crate::executor::env_knob::<String>("EAVS_RESULTS_DIR");
+    PathBuf::from(dir.unwrap_or_else(|| "results".to_owned()))
 }
 
 /// Prints a table and writes its CSV under `results/<id>.csv`.

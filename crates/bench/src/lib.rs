@@ -5,9 +5,8 @@
 //! point is the `run_all` binary, which regenerates everything, or the
 //! experiments named on its command line (`run_all f5_energy_by_governor`,
 //! see [`select_experiments`]). The fleet figures F26/F27 have their own
-//! binaries and write under `results/fleet/`. Criterion microbenches
-//! (`benches/`) cover the governor-overhead figure (F14) and simulator
-//! performance.
+//! binaries and write under `results/fleet/`. The one criterion bench
+//! (`benches/governor_overhead.rs`) is the governor-overhead figure (F14).
 //!
 //! | experiment | function |
 //! |---|---|

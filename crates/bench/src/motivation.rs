@@ -3,7 +3,6 @@
 
 use crate::harness::{self, governor, manifest_1080p30, SEED};
 use eavs_core::session::StreamingSession;
-use eavs_cpu::power::PowerModel;
 use eavs_cpu::soc::SocModel;
 use eavs_metrics::quantile::Quantiles;
 use eavs_metrics::stats::OnlineStats;

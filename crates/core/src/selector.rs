@@ -10,7 +10,7 @@
 use eavs_cpu::cluster::PolicyLimits;
 use eavs_cpu::freq::Cycles;
 use eavs_cpu::opp::{OppIndex, OppTable};
-use eavs_cpu::power::PowerModel;
+use eavs_cpu::power::CmosPowerModel;
 use eavs_sim::time::SimTime;
 
 /// One pending work item: cycles that must retire by a deadline.
@@ -67,7 +67,7 @@ pub fn required_hz_split(now: SimTime, head: Option<DemandItem>, tail: &[DemandI
 /// the energy floor the EAVS governor clamps to (ablated in F13).
 pub fn critical_speed_index(
     table: &OppTable,
-    power: &dyn PowerModel,
+    power: &CmosPowerModel,
     deep_idle_w: f64,
 ) -> OppIndex {
     let mut best = 0;
@@ -278,7 +278,6 @@ mod tests {
 
     #[test]
     fn critical_speed_is_interior_with_deep_idle() {
-        use eavs_cpu::power::CmosPowerModel;
         use eavs_cpu::soc::SocModel;
         // With deep idle nearly free, the U-shape has an interior minimum
         // on the flagship table (see F1): not the lowest OPP.

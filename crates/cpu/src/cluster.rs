@@ -17,7 +17,7 @@ use crate::core::{CoreState, CpuCore};
 use crate::cstate::CStateTable;
 use crate::freq::{Cycles, Frequency};
 use crate::opp::{OppIndex, OppTable};
-use crate::power::{PowerLut, PowerModel};
+use crate::power::{CmosPowerModel, PowerLut};
 use eavs_metrics::residency::ResidencyTracker;
 use eavs_sim::time::{SimDuration, SimTime};
 
@@ -73,7 +73,7 @@ pub struct ClusterConfig {
     /// The OPP table.
     pub opps: OppTable,
     /// Power model.
-    pub power: Box<dyn PowerModel>,
+    pub power: CmosPowerModel,
     /// Idle states.
     pub cstates: CStateTable,
     /// Number of cores sharing the domain.
@@ -89,7 +89,7 @@ pub struct ClusterConfig {
 pub struct Cluster {
     name: &'static str,
     opps: OppTable,
-    power: Box<dyn PowerModel>,
+    power: CmosPowerModel,
     /// Per-OPP watts precomputed from `power` at construction; the per-frame
     /// energy integration reads this instead of re-evaluating the model.
     lut: PowerLut,
@@ -135,7 +135,7 @@ impl Cluster {
             .map(|id| CpuCore::new(id, start))
             .collect();
         let residency = ResidencyTracker::new(config.opps.len(), config.initial_index, start);
-        let lut = PowerLut::derive(config.power.as_ref(), &config.opps);
+        let lut = PowerLut::derive(&config.power, &config.opps);
         Cluster {
             name: config.name,
             limits: PolicyLimits::full(&config.opps),
@@ -437,8 +437,8 @@ impl Cluster {
     }
 
     /// The power model (for inspection and analytic figures).
-    pub fn power_model(&self) -> &dyn PowerModel {
-        self.power.as_ref()
+    pub fn power_model(&self) -> &CmosPowerModel {
+        &self.power
     }
 
     /// The state of every core (diagnostics).
@@ -456,7 +456,7 @@ mod tests {
         Cluster::new(ClusterConfig {
             name: "test",
             opps: OppTable::from_mhz_mv(&[(500, 900), (1000, 1000), (2000, 1250)]).unwrap(),
-            power: Box::new(CmosPowerModel::new(1e-9, 0.1, 0.05)),
+            power: CmosPowerModel::new(1e-9, 0.1, 0.05),
             cstates: CStateTable::mobile_default(0.08),
             num_cores: 2,
             transition_latency: SimDuration::from_micros(latency_us),

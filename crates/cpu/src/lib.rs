@@ -8,7 +8,7 @@
 //!
 //! * [`freq`] — `Frequency` (kHz), `Voltage` (mV) and `Cycles` units.
 //! * [`opp`] — validated OPP tables ([`OppTable`]).
-//! * [`power`] — `P = Ceff·V²·f + leak·V` and measured-table power models.
+//! * [`power`] — the `P = Ceff·V²·f + leak·V` power model and its per-OPP table.
 //! * [`cstate`] — idle-state ladders with target residencies.
 //! * [`core`] — single-core execution (jobs as cycle bags).
 //! * [`cluster`] — the governor-controlled frequency domain:
@@ -53,6 +53,6 @@ pub use cstate::{CState, CStateTable};
 pub use freq::{Cycles, Frequency, Voltage};
 pub use load::{LoadMonitor, LoadSample};
 pub use opp::{Opp, OppIndex, OppTable};
-pub use power::{CmosPowerModel, PowerModel, TablePowerModel};
+pub use power::CmosPowerModel;
 pub use soc::SocModel;
 pub use thermal::{ThermalModel, ThrottleController};

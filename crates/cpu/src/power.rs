@@ -1,38 +1,16 @@
-//! CPU power models.
+//! CPU power model.
 //!
-//! Converts an operating point and activity state into watts. Two models
-//! are provided:
-//!
-//! * [`CmosPowerModel`] — the analytic `P = Ceff·V²·f + P_static(V)` form,
-//!   the standard first-order model for CMOS dynamic power. Its convexity
-//!   in frequency (through the voltage/frequency curve) is what makes
-//!   "race-to-max" energy-suboptimal and the paper's approach win.
-//! * [`TablePowerModel`] — per-OPP measured watts, for SoCs where published
-//!   measurements exist.
+//! Converts an operating point and activity state into watts with one
+//! model, [`CmosPowerModel`]: the analytic `P = Ceff·V²·f + P_static(V)`
+//! form, the standard first-order model for CMOS dynamic power. Its
+//! convexity in frequency (through the voltage/frequency curve) is what
+//! makes "race-to-max" energy-suboptimal and the paper's approach win.
+//! [`PowerLut`] evaluates it once per operating point for the hot path.
 //!
 //! All powers are per-core; cluster-shared (uncore) power is represented by
 //! the model's `domain_static_w`.
 
 use crate::opp::{Opp, OppTable};
-
-/// Converts operating points to per-core power draw in watts.
-pub trait PowerModel: std::fmt::Debug + Send {
-    /// Power of one core actively executing at `opp`.
-    fn active_power(&self, opp: Opp) -> f64;
-
-    /// Power of one idle (clock-gated, WFI) core while the domain sits at
-    /// `opp`. Voltage-dependent leakage keeps this non-zero.
-    fn idle_power(&self, opp: Opp) -> f64;
-
-    /// Always-on power of the frequency domain itself (uncore, L2, PLLs),
-    /// drawn whenever the cluster is powered regardless of core activity.
-    fn domain_static_power(&self) -> f64;
-
-    /// Energy cost of one frequency transition, in joules.
-    fn transition_energy(&self) -> f64 {
-        20e-6 // 20 µJ, order of magnitude from published DVFS measurements
-    }
-}
 
 /// First-order CMOS power model.
 ///
@@ -43,7 +21,7 @@ pub trait PowerModel: std::fmt::Debug + Send {
 /// ```
 /// use eavs_cpu::freq::{Frequency, Voltage};
 /// use eavs_cpu::opp::Opp;
-/// use eavs_cpu::power::{CmosPowerModel, PowerModel};
+/// use eavs_cpu::power::CmosPowerModel;
 ///
 /// let m = CmosPowerModel::new(0.9e-9, 0.12, 0.05);
 /// let slow = Opp { freq: Frequency::from_mhz(500), volt: Voltage::from_mv(900) };
@@ -93,134 +71,36 @@ impl CmosPowerModel {
     pub fn leakage_power(&self, opp: Opp) -> f64 {
         self.leak * opp.volt.volts()
     }
-}
 
-impl PowerModel for CmosPowerModel {
-    fn active_power(&self, opp: Opp) -> f64 {
+    /// Power of one core actively executing at `opp`.
+    pub fn active_power(&self, opp: Opp) -> f64 {
         self.dynamic_power(opp) + self.leakage_power(opp)
     }
 
-    fn idle_power(&self, opp: Opp) -> f64 {
+    /// Power of one idle (clock-gated, WFI) core while the domain sits at
+    /// `opp`. Voltage-dependent leakage keeps this non-zero.
+    pub fn idle_power(&self, opp: Opp) -> f64 {
         self.leakage_power(opp)
     }
 
-    fn domain_static_power(&self) -> f64 {
+    /// Always-on power of the frequency domain itself (uncore, L2, PLLs),
+    /// drawn whenever the cluster is powered regardless of core activity.
+    pub fn domain_static_power(&self) -> f64 {
         self.domain_static_w
     }
-}
 
-/// Per-OPP measured power table.
-#[derive(Clone, Debug)]
-pub struct TablePowerModel {
-    active_w: Vec<f64>,
-    idle_w: Vec<f64>,
-    domain_static_w: f64,
-}
-
-impl TablePowerModel {
-    /// Creates a table model with per-OPP active and idle watts, index-
-    /// aligned with the OPP table it will be used with.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the vectors differ in length, are empty, or contain
-    /// negative/NaN entries, or if active < idle anywhere.
-    pub fn new(active_w: Vec<f64>, idle_w: Vec<f64>, domain_static_w: f64) -> Self {
-        assert_eq!(active_w.len(), idle_w.len(), "power table length mismatch");
-        assert!(!active_w.is_empty(), "empty power table");
-        for (i, (&a, &idle)) in active_w.iter().zip(&idle_w).enumerate() {
-            assert!(
-                a.is_finite() && a >= 0.0 && idle.is_finite() && idle >= 0.0,
-                "bad power entry at {i}"
-            );
-            assert!(a >= idle, "active < idle at index {i}");
-        }
-        assert!(domain_static_w >= 0.0, "bad static power");
-        TablePowerModel {
-            active_w,
-            idle_w,
-            domain_static_w,
-        }
-    }
-
-    /// Validates that this table covers every index of `opps`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on size mismatch.
-    pub fn check_covers(&self, opps: &OppTable) {
-        assert_eq!(
-            self.active_w.len(),
-            opps.len(),
-            "power table does not cover the OPP table"
-        );
-    }
-
-    /// Active power at table index `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if out of range.
-    pub fn active_at(&self, idx: usize) -> f64 {
-        self.active_w[idx]
-    }
-
-    /// Idle power at table index `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if out of range.
-    pub fn idle_at(&self, idx: usize) -> f64 {
-        self.idle_w[idx]
+    /// Energy cost of one frequency transition, in joules.
+    pub fn transition_energy(&self) -> f64 {
+        20e-6 // 20 µJ, order of magnitude from published DVFS measurements
     }
 }
 
-/// A power model bound to a specific [`OppTable`] so the `Opp`-based trait
-/// methods resolve by exact frequency match.
-#[derive(Clone, Debug)]
-pub struct BoundTablePowerModel {
-    table: TablePowerModel,
-    opps: OppTable,
-}
-
-impl BoundTablePowerModel {
-    /// Binds a measurement table to its OPP table.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    pub fn new(table: TablePowerModel, opps: OppTable) -> Self {
-        table.check_covers(&opps);
-        BoundTablePowerModel { table, opps }
-    }
-
-    fn idx(&self, opp: Opp) -> usize {
-        self.opps
-            .index_of(opp.freq)
-            .expect("opp not in bound table")
-    }
-}
-
-impl PowerModel for BoundTablePowerModel {
-    fn active_power(&self, opp: Opp) -> f64 {
-        self.table.active_at(self.idx(opp))
-    }
-
-    fn idle_power(&self, opp: Opp) -> f64 {
-        self.table.idle_at(self.idx(opp))
-    }
-
-    fn domain_static_power(&self) -> f64 {
-        self.table.domain_static_w
-    }
-}
-
-/// Per-OPP power lookup table derived once from a [`PowerModel`].
+/// Per-OPP power lookup table derived once from a [`CmosPowerModel`].
 ///
 /// The energy-integration hot path runs for every frame of every simulated
-/// session; evaluating an analytic model (`Ceff·V²·f + leak·V`) or a
-/// dyn-dispatched table probe per segment is wasted work when the OPP table
-/// is fixed at cluster construction. `PowerLut::derive` evaluates the model
+/// session; evaluating the analytic model (`Ceff·V²·f + leak·V`) per
+/// segment is wasted work when the OPP table is fixed at cluster
+/// construction. `PowerLut::derive` evaluates the model
 /// once per operating point and the tick then reads plain `f64`s by index.
 #[derive(Clone, Debug)]
 pub struct PowerLut {
@@ -232,7 +112,7 @@ pub struct PowerLut {
 
 impl PowerLut {
     /// Evaluates `model` at every operating point of `opps`.
-    pub fn derive(model: &dyn PowerModel, opps: &OppTable) -> Self {
+    pub fn derive(model: &CmosPowerModel, opps: &OppTable) -> Self {
         PowerLut {
             active_w: opps.iter().map(|&o| model.active_power(o)).collect(),
             idle_w: opps.iter().map(|&o| model.idle_power(o)).collect(),
@@ -333,28 +213,6 @@ mod tests {
             .unwrap()
             .0;
         assert_ne!(min_idx, 3, "racing to max should not be optimal: {e:?}");
-    }
-
-    #[test]
-    fn table_model_lookup() {
-        let opps = OppTable::from_mhz_mv(&[(500, 900), (1000, 1000)]).unwrap();
-        let t = TablePowerModel::new(vec![0.3, 1.0], vec![0.05, 0.09], 0.04);
-        let bound = BoundTablePowerModel::new(t, opps.clone());
-        assert_eq!(bound.active_power(opps.opp(0)), 0.3);
-        assert_eq!(bound.idle_power(opps.opp(1)), 0.09);
-        assert_eq!(bound.domain_static_power(), 0.04);
-    }
-
-    #[test]
-    #[should_panic(expected = "active < idle")]
-    fn table_rejects_inverted_powers() {
-        TablePowerModel::new(vec![0.1], vec![0.2], 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn table_rejects_mismatched_lengths() {
-        TablePowerModel::new(vec![0.1, 0.2], vec![0.05], 0.0);
     }
 
     #[test]

@@ -115,7 +115,7 @@ impl SocModel {
         ClusterConfig {
             name: self.name(),
             initial_index: 0,
-            power: Box::new(self.power_model()),
+            power: self.power_model(),
             cstates: self.cstates(),
             num_cores: self.num_cores(),
             transition_latency: self.transition_latency(),
@@ -181,7 +181,7 @@ impl SocModel {
         ClusterConfig {
             name: self.little_name(),
             initial_index: 0,
-            power: Box::new(self.little_power_model()),
+            power: self.little_power_model(),
             cstates: CStateTable::mobile_default(match self {
                 SocModel::BigLittle2013 => 0.08,
                 SocModel::Flagship2016 => 0.10,
@@ -208,7 +208,6 @@ impl std::fmt::Display for SocModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::power::PowerModel;
 
     #[test]
     fn all_presets_build() {

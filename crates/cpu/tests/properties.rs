@@ -18,7 +18,7 @@ fn cluster_of(num_cores: usize, latency_us: u64) -> Cluster {
         name: "prop",
         opps: OppTable::from_mhz_mv(&[(500, 900), (1000, 1000), (1500, 1100), (2000, 1250)])
             .unwrap(),
-        power: Box::new(CmosPowerModel::new(1e-9, 0.1, 0.05)),
+        power: CmosPowerModel::new(1e-9, 0.1, 0.05),
         cstates: CStateTable::mobile_default(0.08),
         num_cores,
         transition_latency: SimDuration::from_micros(latency_us),

@@ -3,13 +3,14 @@
 //!
 //! This workspace builds hermetically with no registry access, so the upstream
 //! crate cannot be fetched. The shim keeps the same bench-source syntax
-//! (`criterion_group!` / `criterion_main!`, `Criterion`, benchmark groups,
-//! `Throughput`, `black_box`) and implements a simple but honest measurement
-//! loop: a warm-up to size the batch, then fixed-iteration timed batches,
-//! reporting the mean, the best batch, and derived element throughput.
+//! (`criterion_group!` / `criterion_main!`, `Criterion::bench_function`,
+//! `black_box`) and implements a simple but honest measurement loop: a
+//! warm-up to size the batch, then fixed-iteration timed batches, reporting
+//! the mean and the best batch.
 //!
-//! Not implemented (not used in this repo): statistical regression analysis,
-//! HTML reports, parameterised benches, async benching.
+//! Not implemented (not used in this repo): benchmark groups, throughput
+//! units, statistical regression analysis, HTML reports, parameterised
+//! benches, async benching.
 
 use std::time::{Duration, Instant};
 
@@ -19,15 +20,6 @@ pub use std::hint::black_box;
 const BATCH_TARGET: Duration = Duration::from_millis(80);
 /// Warm-up budget per benchmark.
 const WARMUP_TARGET: Duration = Duration::from_millis(60);
-
-/// Units for normalising reported timings.
-#[derive(Clone, Copy, Debug)]
-pub enum Throughput {
-    /// The benchmarked body processes this many logical elements per iteration.
-    Elements(u64),
-    /// The benchmarked body processes this many bytes per iteration.
-    Bytes(u64),
-}
 
 /// Drives individual timing loops inside a benchmark body.
 #[derive(Debug, Default)]
@@ -62,60 +54,12 @@ impl Default for Criterion {
 impl Criterion {
     /// Run a standalone benchmark.
     pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, name: &str, f: F) -> &mut Self {
-        run_bench(name, self.sample_count, None, f);
+        run_bench(name, self.sample_count, f);
         self
-    }
-
-    /// Open a named group of related benchmarks.
-    pub fn benchmark_group(&mut self, name: &str) -> BenchmarkGroup<'_> {
-        BenchmarkGroup {
-            _parent: self,
-            name: name.to_string(),
-            throughput: None,
-            sample_count: 10,
-        }
     }
 }
 
-/// A named group of benchmarks sharing throughput/sample settings.
-#[derive(Debug)]
-pub struct BenchmarkGroup<'a> {
-    _parent: &'a mut Criterion,
-    name: String,
-    throughput: Option<Throughput>,
-    sample_count: usize,
-}
-
-impl BenchmarkGroup<'_> {
-    /// Normalise reported timings by this per-iteration workload size.
-    pub fn throughput(&mut self, throughput: Throughput) -> &mut Self {
-        self.throughput = Some(throughput);
-        self
-    }
-
-    /// Number of timed batches per benchmark.
-    pub fn sample_size(&mut self, n: usize) -> &mut Self {
-        self.sample_count = n.max(2);
-        self
-    }
-
-    /// Run one benchmark inside the group.
-    pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, name: &str, f: F) -> &mut Self {
-        let full = format!("{}/{}", self.name, name);
-        run_bench(&full, self.sample_count, self.throughput, f);
-        self
-    }
-
-    /// Finish the group (reports are printed eagerly, so this is a no-op).
-    pub fn finish(self) {}
-}
-
-fn run_bench<F: FnMut(&mut Bencher)>(
-    name: &str,
-    samples: usize,
-    throughput: Option<Throughput>,
-    mut f: F,
-) {
+fn run_bench<F: FnMut(&mut Bencher)>(name: &str, samples: usize, mut f: F) {
     // Warm-up: find an iteration count whose batch lands near BATCH_TARGET.
     let mut iters: u64 = 1;
     let warmup_start = Instant::now();
@@ -149,20 +93,11 @@ fn run_bench<F: FnMut(&mut Bencher)>(
         best_ns = best_ns.min(ns);
     }
 
-    let mut line = format!(
+    println!(
         "{name:<44} time: [{} mean, {} best] ({batch_iters} iters x {samples})",
         fmt_ns(mean_ns),
         fmt_ns(best_ns),
     );
-    if let Some(t) = throughput {
-        let (count, unit) = match t {
-            Throughput::Elements(n) => (n, "elem/s"),
-            Throughput::Bytes(n) => (n, "B/s"),
-        };
-        let rate = count as f64 / (mean_ns / 1e9);
-        line.push_str(&format!("  thrpt: {} {unit}", fmt_si(rate)));
-    }
-    println!("{line}");
 }
 
 fn fmt_ns(ns: f64) -> String {
@@ -174,18 +109,6 @@ fn fmt_ns(ns: f64) -> String {
         format!("{:.2} ms", ns / 1e6)
     } else {
         format!("{:.3} s", ns / 1e9)
-    }
-}
-
-fn fmt_si(rate: f64) -> String {
-    if rate >= 1e9 {
-        format!("{:.2}G", rate / 1e9)
-    } else if rate >= 1e6 {
-        format!("{:.2}M", rate / 1e6)
-    } else if rate >= 1e3 {
-        format!("{:.2}k", rate / 1e3)
-    } else {
-        format!("{rate:.1}")
     }
 }
 

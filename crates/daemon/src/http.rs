@@ -15,7 +15,9 @@
 //! as it is read, so a line that never ends costs at most that much
 //! memory before its `413`; a head that is not UTF-8 is a `400`. The
 //! matching [`client`] speaks exactly this dialect and is what
-//! `eavsctl` and worker mode use.
+//! `eavsctl` and worker mode use; it reads reply heads through the same
+//! capped line reader and never trusts a reply's `Content-Length` for
+//! more than 64 MiB of memory up front.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -33,6 +35,13 @@ pub const MAX_BODY_BYTES: u64 = 1 << 20;
 /// Largest request head (request line + headers, line terminators
 /// included) accepted, bytes.
 const MAX_HEAD_BYTES: u64 = 16 * 1024;
+
+/// Most of a reply's declared `Content-Length` the client reserves up
+/// front, bytes. A reply up to this size lands in one exact allocation
+/// (a `/metrics` page with a few dozen campaigns resident passes 1 MiB);
+/// a larger one grows as its bytes arrive, so a length the peer never
+/// delivers costs only untouched address space.
+const MAX_REPLY_RESERVE: u64 = 64 << 20;
 
 /// Per-connection socket timeout. Generous: a coordinator may stall a
 /// worker's claim briefly while folding, but nothing legitimate holds a
@@ -258,6 +267,15 @@ enum ReadError {
     Io(std::io::Error),
 }
 
+impl std::fmt::Display for ReadError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ReadError::TooLarge(detail) | ReadError::Malformed(detail) => f.write_str(detail),
+            ReadError::Io(e) => write!(f, "{e}"),
+        }
+    }
+}
+
 impl From<std::io::Error> for ReadError {
     fn from(e: std::io::Error) -> Self {
         ReadError::Io(e)
@@ -267,7 +285,7 @@ impl From<std::io::Error> for ReadError {
 fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, ReadError> {
     let mut head_left = MAX_HEAD_BYTES;
     let mut line = String::new();
-    take_line(reader, &mut line, &mut head_left)?;
+    take_line(reader, &mut line, &mut head_left, "request")?;
     let mut parts = line.split_whitespace();
     let method = parts
         .next()
@@ -280,7 +298,7 @@ fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, ReadError>
 
     let mut content_length: u64 = 0;
     loop {
-        take_line(reader, &mut line, &mut head_left)?;
+        take_line(reader, &mut line, &mut head_left, "request")?;
         if line.is_empty() {
             break;
         }
@@ -303,14 +321,17 @@ fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, ReadError>
     Ok(Request { method, path, body })
 }
 
-/// Reads one CRLF-terminated line (without the terminator) into `line`
-/// and charges its bytes to the head's remaining budget `left`. The read
-/// stops one byte past the budget, so a line that never ends is refused
-/// as soon as it outgrows the head instead of being buffered whole.
+/// Reads one CRLF-terminated line (without the terminator) of a
+/// `side` (`"request"` or `"response"`) head into `line` and charges its
+/// bytes to the head's remaining budget `left`. The read stops one byte
+/// past the budget, so a line that never ends is refused as soon as it
+/// outgrows the head instead of being buffered whole. The server reads
+/// request heads and the [`client`] response heads through it.
 fn take_line(
-    reader: &mut BufReader<TcpStream>,
+    reader: &mut impl BufRead,
     line: &mut String,
     left: &mut u64,
+    side: &str,
 ) -> Result<(), ReadError> {
     let mut bytes = std::mem::take(line).into_bytes();
     bytes.clear();
@@ -319,16 +340,18 @@ fn take_line(
         .take(*left + 1)
         .read_until(b'\n', &mut bytes)? as u64;
     if n == 0 {
-        return Err(ReadError::Malformed("connection closed mid-request".into()));
+        return Err(ReadError::Malformed(format!(
+            "connection closed mid-{side}"
+        )));
     }
     if n > *left {
         return Err(ReadError::TooLarge(format!(
-            "request heads are capped at {MAX_HEAD_BYTES} bytes"
+            "{side} heads are capped at {MAX_HEAD_BYTES} bytes"
         )));
     }
     *left -= n;
     *line = String::from_utf8(bytes)
-        .map_err(|_| ReadError::Malformed("request head is not UTF-8".into()))?;
+        .map_err(|_| ReadError::Malformed(format!("{side} head is not UTF-8")))?;
     while line.ends_with('\n') || line.ends_with('\r') {
         line.pop();
     }
@@ -405,13 +428,15 @@ pub mod client {
             .and_then(|()| stream.flush());
 
         let mut reader = BufReader::new(stream);
+        let mut head_left = MAX_HEAD_BYTES;
         let mut line = String::new();
-        match (reader.read_line(&mut line), &send) {
-            (Err(_), Err(e)) | (Ok(0), Err(e)) => {
-                return Err(format!("send {method} {path}: {e}"));
-            }
+        match (
+            take_line(&mut reader, &mut line, &mut head_left, "response"),
+            &send,
+        ) {
+            (Err(_), Err(e)) => return Err(format!("send {method} {path}: {e}")),
             (Err(e), Ok(())) => return Err(format!("read status: {e}")),
-            (Ok(_), _) => {}
+            (Ok(()), _) => {}
         }
         let status: u16 = line
             .split_whitespace()
@@ -421,18 +446,12 @@ pub mod client {
         let mut content_length: Option<u64> = None;
         let mut content_type = String::new();
         loop {
-            line.clear();
-            let n = reader
-                .read_line(&mut line)
+            take_line(&mut reader, &mut line, &mut head_left, "response")
                 .map_err(|e| format!("read headers: {e}"))?;
-            if n == 0 {
-                return Err("connection closed mid-headers".to_owned());
-            }
-            let trimmed = line.trim_end_matches(['\r', '\n']);
-            if trimmed.is_empty() {
+            if line.is_empty() {
                 break;
             }
-            if let Some((name, value)) = trimmed.split_once(':') {
+            if let Some((name, value)) = line.split_once(':') {
                 if name.eq_ignore_ascii_case("content-length") {
                     content_length = value.trim().parse().ok();
                 } else if name.eq_ignore_ascii_case("content-type") {
@@ -440,19 +459,14 @@ pub mod client {
                 }
             }
         }
-        let mut body = Vec::new();
-        match content_length {
-            Some(n) => {
-                body.resize(n as usize, 0);
-                reader
-                    .read_exact(&mut body)
-                    .map_err(|e| format!("read body: {e}"))?;
-            }
-            None => {
-                reader
-                    .read_to_end(&mut body)
-                    .map_err(|e| format!("read body: {e}"))?;
-            }
+        let reserve = content_length.unwrap_or(0).min(MAX_REPLY_RESERVE);
+        let mut body = Vec::with_capacity(reserve as usize);
+        reader
+            .take(content_length.unwrap_or(u64::MAX))
+            .read_to_end(&mut body)
+            .map_err(|e| format!("read body: {e}"))?;
+        if let Some(n) = content_length.filter(|&n| body.len() as u64 != n) {
+            return Err(format!("read body: {} of {n} bytes arrived", body.len()));
         }
         Ok((status, content_type, body))
     }
@@ -612,6 +626,52 @@ mod tests {
             assert!(response.contains("not UTF-8"), "{response}");
         }
         server.shutdown();
+    }
+
+    /// A one-connection stub server: reads the request head, writes
+    /// `reply`, then either closes or holds the socket open until the
+    /// client hangs up. Returns its address and its thread.
+    fn stub_reply(reply: Vec<u8>, hold_open: bool) -> (String, JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let stub = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(stream);
+            let mut line = String::new();
+            while reader.read_line(&mut line).unwrap_or(0) > 2 {
+                line.clear();
+            }
+            let mut stream = reader.into_inner();
+            let _ = stream.write_all(&reply);
+            if hold_open {
+                let _ = stream.read_to_end(&mut Vec::new());
+            }
+        });
+        (addr, stub)
+    }
+
+    #[test]
+    fn a_reply_shorter_than_its_huge_content_length_is_an_error() {
+        let (addr, stub) = stub_reply(
+            b"HTTP/1.1 200 OK\r\nContent-Length: 1000000000000000\r\n\r\npartial".to_vec(),
+            false,
+        );
+        let err = client::request(&addr, "GET", "/", b"").unwrap_err();
+        assert!(err.contains("7 of 1000000000000000 bytes"), "{err}");
+        stub.join().unwrap();
+    }
+
+    #[test]
+    fn an_unterminated_reply_header_is_an_error_as_soon_as_it_passes_the_cap() {
+        let mut reply = b"HTTP/1.1 200 OK\r\nX-Long: ".to_vec();
+        reply.resize(reply.len() + MAX_HEAD_BYTES as usize, b'A');
+        let (addr, stub) = stub_reply(reply, true);
+        let started = Instant::now();
+        let err = client::request(&addr, "GET", "/", b"").unwrap_err();
+        assert!(err.contains("response heads are capped"), "{err}");
+        // Refused at the cap, not after the socket timeout.
+        assert!(started.elapsed() < Duration::from_secs(10), "{err}");
+        stub.join().unwrap();
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //!   user [`engine::World`].
 //! * [`rng`] — seedable, forkable deterministic randomness with the
 //!   distributions used by the workload generators.
-//! * [`timer`] — periodic-tick and inactivity-timeout helpers.
-//! * [`trace`] — an optional bounded trace log for timeline debugging.
+//! * [`fingerprint`] — stable 128-bit content fingerprints used as
+//!   memoization keys.
 //!
 //! Determinism is a design requirement: given the same seed and
 //! configuration, every experiment in the repository reproduces
@@ -51,8 +51,6 @@ pub mod fingerprint;
 pub mod queue;
 pub mod rng;
 pub mod time;
-pub mod timer;
-pub mod trace;
 
 /// Convenient glob-import of the commonly used types.
 pub mod prelude {
@@ -61,8 +59,6 @@ pub mod prelude {
     pub use crate::queue::{EventId, EventQueue};
     pub use crate::rng::SimRng;
     pub use crate::time::{SimDuration, SimTime};
-    pub use crate::timer::{InactivityTimer, Periodic};
-    pub use crate::trace::{TraceEntry, TraceLog};
 }
 
 pub use engine::{RunOutcome, Scheduler, Simulation, StepOutcome, World};

@@ -27,14 +27,13 @@ OPTIONS (with defaults):
   --state-dir eavsd-state campaign specs + checkpoints live here; a killed
                           daemon restarted on the same dir resumes every
                           in-flight campaign from its last checkpoint
-  --threads 4             HTTP serving threads ($EAVS_DAEMON_THREADS)
+  --threads 4             HTTP serving threads
   --workers 1             in-process shard workers (0 = coordinator only,
                           shards then run on remote --worker processes)
   --checkpoint-every 8    shards between checkpoint writes
-                          ($EAVS_CHECKPOINT_EVERY)
   --lease-secs 60         claimed-shard lease before re-handout
-  --prior-path FILE       fleet workload-prior file ($EAVS_PRIOR_PATH,
-                          then <state-dir>/fleet.prior); every campaign
+  --prior-path FILE       fleet workload-prior file (default
+                          <state-dir>/fleet.prior); every campaign
                           completing here folds its trained prior in
 
 ENDPOINTS:
@@ -60,15 +59,6 @@ struct Flags {
 fn parse(args: &[String]) -> Result<Option<Flags>, String> {
     let mut opts = DaemonOptions::new("eavsd-state");
     opts.addr = eavs::bench::executor::daemon_addr().unwrap_or_else(|| "127.0.0.1:7026".to_owned());
-    if let Some(n) = eavs::bench::executor::daemon_threads() {
-        opts.http_threads = n.max(1);
-    }
-    if let Some(n) = eavs::bench::executor::checkpoint_every() {
-        opts.checkpoint_every = n;
-    }
-    if let Some(path) = eavs::bench::executor::prior_path() {
-        opts.prior_path = Some(path.into());
-    }
     let mut worker = None;
     let mut it = args.iter();
     while let Some(flag) = it.next() {

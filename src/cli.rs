@@ -284,7 +284,6 @@ OPTIONS (with defaults):
   --power none            none | phone | phone:<brightness 0..1> — whole-device
                           energy co-model (RRC radio + display + decoder);
                           accounting is post-hoc and never perturbs the session
-                          (EAVS_POWER_TAIL_MS overrides the radio tail timer)
   --retry <none>          balanced | <timeout_ms>,<retries>,<base_ms>
                           (download watchdog + exponential backoff)
   --prior PATH            seed the predictor from a fleet-trained prior
@@ -978,11 +977,9 @@ fn build_faults(spec: &str) -> Result<Option<FaultPlan>, String> {
 }
 
 /// Builds the whole-device power model from its CLI spec: `none`,
-/// `phone` or `phone:<brightness>`. `EAVS_POWER_TAIL_MS` (a registered
-/// warn-once env knob) overrides the modeled radio's RRC tail timer —
-/// the knob behind the F29 sensitivity sweep.
+/// `phone` or `phone:<brightness>`.
 fn build_power(spec: &str) -> Result<Option<DevicePowerModel>, String> {
-    let mut model = if spec == "none" {
+    let model = if spec == "none" {
         return Ok(None);
     } else if spec == "phone" {
         DevicePowerModel::phone()
@@ -999,9 +996,6 @@ fn build_power(spec: &str) -> Result<Option<DevicePowerModel>, String> {
             "unknown power model {spec:?}: want none, phone or phone:<brightness>"
         ));
     };
-    if let (Some(ms), Some(radio)) = (eavs_bench::executor::power_tail_ms(), &mut model.radio) {
-        *radio = radio.with_tail_timer(SimDuration::from_millis(ms));
-    }
     Ok(Some(model))
 }
 
