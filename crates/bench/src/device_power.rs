@@ -65,7 +65,7 @@ pub fn f28_device_breakdown() -> Table {
     ]);
     t.set_title("F28: whole-device energy breakdown — 60 s 1080p30 film, LTE drive, phone model");
     for (name, r) in COMPARISON_GOVERNORS.iter().zip(&reports) {
-        let device = r.cpu_joules() + r.power.total_j();
+        let device = r.device_joules();
         t.row(&[
             name,
             &format!("{:.1}", r.cpu_joules()),

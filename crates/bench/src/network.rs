@@ -68,7 +68,7 @@ pub fn f9_network_abr() -> Table {
                 &r.governor,
                 &format!("{:.2}", r.cpu_joules()),
                 &format!("{:.2}", r.radio.energy_j),
-                &format!("{:.2}", r.total_joules()),
+                &format!("{:.2}", r.device_joules()),
                 &format!("{:.0}", r.qoe.mean_bitrate_kbps),
                 &r.qoe.bitrate_switches.to_string(),
                 &r.qoe.rebuffer_events.to_string(),

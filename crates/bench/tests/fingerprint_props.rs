@@ -102,7 +102,6 @@ proptest! {
             ("startup_frames", mk().startup_frames(9)),
             ("resume_frames", mk().resume_frames(11)),
             ("record_series", mk().record_series(true)),
-            ("drive_via_sysfs", mk().drive_via_sysfs(true)),
             ("horizon", mk().horizon(SimTime::from_secs(1))),
             ("late_policy", mk().late_policy(LatePolicy::Drop)),
             ("cluster", mk().cluster(ClusterSelect::Little)),

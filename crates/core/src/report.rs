@@ -94,10 +94,19 @@ impl SessionReport {
         self.cpu_energy.total()
     }
 
-    /// Whole-device-relevant energy: CPU + radio, plus the co-model's
-    /// components when one is attached (zero under the no-op default).
-    pub fn total_joules(&self) -> f64 {
-        self.cpu_joules() + self.radio.energy_j + self.power.total_j()
+    /// Whole-device energy: CPU plus every modeled component, with the
+    /// radio counted once. When the power model accounted a radio, that
+    /// radio is the device's and the session's legacy `radio` is left
+    /// out; otherwise the legacy radio is the device's radio.
+    pub fn device_joules(&self) -> f64 {
+        // A modeled radio's four residencies partition the session.
+        let p = &self.power;
+        let rrc = p.radio_idle_time + p.radio_promo_time + p.radio_active_time + p.radio_tail_time;
+        if rrc.is_zero() {
+            self.cpu_joules() + self.radio.energy_j + p.total_j()
+        } else {
+            self.cpu_joules() + p.total_j()
+        }
     }
 
     /// Mean CPU power over the session, watts.
@@ -238,7 +247,7 @@ mod tests {
     fn energy_aggregation() {
         let r = report();
         assert!((r.cpu_joules() - 10.0).abs() < 1e-12);
-        assert!((r.total_joules() - 15.0).abs() < 1e-12);
+        assert!((r.device_joules() - 15.0).abs() < 1e-12);
         assert!((r.mean_cpu_power() - 1.0).abs() < 1e-12);
     }
 

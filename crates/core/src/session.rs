@@ -41,7 +41,6 @@ use eavs_sim::engine::{Scheduler, Simulation, StepOutcome, World};
 use eavs_sim::fingerprint::{Fingerprint, Fingerprinter};
 use eavs_sim::queue::EventId;
 use eavs_sim::time::{SimDuration, SimTime};
-use eavs_sysfs::CpufreqFs;
 use eavs_trace::content::ContentProfile;
 use eavs_trace::memo;
 use eavs_trace::video_gen::VideoGenerator;
@@ -141,7 +140,6 @@ pub struct SessionBuilder {
     resume_frames: usize,
     rtt: SimDuration,
     record_series: bool,
-    drive_via_sysfs: bool,
     horizon: Option<SimTime>,
     thermal: Option<(ThermalModel, ThrottleController)>,
     background: Option<BackgroundLoad>,
@@ -207,7 +205,6 @@ impl SessionBuilder {
             resume_frames: 60,
             rtt: SimDuration::from_millis(50),
             record_series: false,
-            drive_via_sysfs: false,
             horizon: None,
             thermal: None,
             background: None,
@@ -405,14 +402,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Drives EAVS frequency changes through the simulated cpufreq sysfs
-    /// (`userspace` governor + `scaling_setspeed`) instead of the direct
-    /// cluster API — the deployment path on a rooted device.
-    pub fn drive_via_sysfs(mut self, via_sysfs: bool) -> Self {
-        self.drive_via_sysfs = via_sysfs;
-        self
-    }
-
     /// Overrides the safety horizon (default: 6× content length + 60 s).
     pub fn horizon(mut self, horizon: SimTime) -> Self {
         self.horizon = Some(horizon);
@@ -458,7 +447,6 @@ impl SessionBuilder {
         fp.write_usize(self.resume_frames);
         fp.write_u64(self.rtt.as_nanos());
         fp.write_bool(self.record_series);
-        fp.write_bool(self.drive_via_sysfs);
         fp.write_opt_u64(self.horizon.map(|h| h.as_nanos()));
         match &self.thermal {
             None => fp.write_u8(0),
@@ -616,7 +604,6 @@ impl SessionState {
                 (b.soc.build_cluster(), Some(little))
             }
         };
-        let fs = CpufreqFs::new(&cluster);
         let faults = b
             .faults
             .as_ref()
@@ -689,9 +676,7 @@ impl SessionState {
             freq_series: b.record_series.then(StepSeries::new),
             buffer_series: b.record_series.then(StepSeries::new),
             cluster,
-            fs,
             governor,
-            drive_via_sysfs: b.drive_via_sysfs,
             playback,
             abr: b.abr,
             generator,
@@ -758,24 +743,7 @@ impl SessionState {
                 }
                 GovernorChoice::Eavs(_) => world.cluster.limits().max_index,
             };
-            if world.drive_via_sysfs {
-                world
-                    .fs
-                    .write(
-                        &mut world.cluster,
-                        "scaling_governor",
-                        "userspace",
-                        sched_now,
-                    )
-                    .expect("userspace governor available");
-                let khz = world.cluster.opps().freq(initial).khz().to_string();
-                world
-                    .fs
-                    .write(&mut world.cluster, "scaling_setspeed", &khz, sched_now)
-                    .expect("initial setspeed");
-            } else {
-                world.cluster.set_target(sched_now, initial);
-            }
+            world.cluster.set_target(sched_now, initial);
             if let Some(s) = &mut world.freq_series {
                 s.set(sched_now, world.cluster.opps().freq(initial).mhz() as f64);
             }
@@ -899,9 +867,7 @@ impl Ev {
 
 struct SessionWorld {
     cluster: Cluster,
-    fs: CpufreqFs,
     governor: GovernorChoice,
-    drive_via_sysfs: bool,
     pipeline: DecodePipeline,
     playback: Playback,
     downloader: Downloader,
@@ -1908,19 +1874,7 @@ impl SessionWorld {
 
     fn apply_target(&mut self, sched: &mut Scheduler<Ev>, now: SimTime, idx: usize) {
         let before = self.cluster.target_index();
-        if self.drive_via_sysfs {
-            let khz = self.cluster.opps().freq(self.cluster.limits().clamp(idx));
-            self.fs
-                .write(
-                    &mut self.cluster,
-                    "scaling_setspeed",
-                    &khz.khz().to_string(),
-                    now,
-                )
-                .expect("setspeed write");
-        } else {
-            self.cluster.set_target(now, idx);
-        }
+        self.cluster.set_target(now, idx);
         if self.cluster.target_index() != before {
             self.emit(now, || TraceEvent::FreqChange {
                 from_khz: u64::from(self.cluster.opps().freq(before).khz()),
@@ -2170,22 +2124,6 @@ mod tests {
         assert_eq!(a.qoe.frames_displayed, b.qoe.frames_displayed);
         assert_eq!(a.transitions, b.transitions);
         assert_eq!(a.events_processed, b.events_processed);
-    }
-
-    #[test]
-    fn sysfs_driven_eavs_matches_direct() {
-        let direct = StreamingSession::builder(eavs())
-            .manifest(short_manifest())
-            .seed(5)
-            .run();
-        let via_sysfs = StreamingSession::builder(eavs())
-            .manifest(short_manifest())
-            .seed(5)
-            .drive_via_sysfs(true)
-            .run();
-        assert_eq!(direct.cpu_joules(), via_sysfs.cpu_joules());
-        assert_eq!(direct.transitions, via_sysfs.transitions);
-        assert_eq!(direct.qoe.frames_displayed, via_sysfs.qoe.frames_displayed);
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! - **Bounded inputs.** Parse depth is capped so a hostile request
 //!   body cannot blow the stack; the HTTP layer caps the byte size.
 
+use eavs_sim::fingerprint::parse_fixed_hex;
 use std::fmt::Write as _;
 
 /// Maximum nesting depth accepted by the parser.
@@ -371,9 +372,9 @@ impl Parser<'_> {
             .get(self.pos..self.pos + 4)
             .ok_or_else(|| self.err("truncated \\u escape"))?;
         let s = std::str::from_utf8(slice).map_err(|_| self.err("non-ASCII \\u escape"))?;
-        let v = u32::from_str_radix(s, 16).map_err(|_| self.err("bad \\u hex"))?;
+        let v = parse_fixed_hex(s, 4, true).ok_or_else(|| self.err("bad \\u hex"))?;
         self.pos += 4;
-        Ok(v)
+        Ok(v as u32)
     }
 
     fn number(&mut self) -> Result<Value, String> {
@@ -452,6 +453,20 @@ mod tests {
         let v = parse(r#""é😀x""#).unwrap();
         assert_eq!(v.as_str(), Some("é😀x"));
         assert!(parse(r#""\ud83d""#).is_err(), "lone surrogate");
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(parse(r#""\u0041\u00e9\u00E9""#).unwrap(), Value::str("Aéé"));
+        for bad in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u 041""#,
+            r#""\u04g1""#,
+            r#""\u041""#,
+        ] {
+            assert!(parse(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

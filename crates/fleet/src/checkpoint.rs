@@ -13,6 +13,7 @@ use std::path::Path;
 
 use eavs_metrics::histogram::Histogram;
 use eavs_metrics::stats::ExactSum;
+use eavs_sim::fingerprint::parse_fixed_hex;
 
 use crate::aggregate::{FleetAggregate, GovAggregate};
 
@@ -143,9 +144,9 @@ impl<'a> Lines<'a> {
 
     fn f64_bits(&mut self, key: &str) -> Result<f64, String> {
         let raw = self.field(key)?;
-        u64::from_str_radix(raw, 16)
-            .map(f64::from_bits)
-            .map_err(|_| format!("checkpoint: bad {key} bits {raw:?}"))
+        parse_fixed_hex(raw, 16, false)
+            .map(|v| f64::from_bits(v as u64))
+            .ok_or(format!("checkpoint: bad {key} bits {raw:?}"))
     }
 
     pub(crate) fn sum(&mut self, key: &str) -> Result<ExactSum, String> {
@@ -168,8 +169,8 @@ impl<'a> Lines<'a> {
         let mut bits = |what: &str| -> Result<f64, String> {
             parts
                 .next()
-                .and_then(|p| u64::from_str_radix(p, 16).ok())
-                .map(f64::from_bits)
+                .and_then(|p| parse_fixed_hex(p, 16, false))
+                .map(|v| f64::from_bits(v as u64))
                 .ok_or(format!("checkpoint: bad {key} {what}"))
         };
         let lo = bits("lo")?;
@@ -212,7 +213,7 @@ pub fn decode(text: &str) -> Result<FleetAggregate, String> {
     }
     let campaign = {
         let raw = lines.field("campaign")?;
-        u128::from_str_radix(raw, 16).map_err(|_| format!("bad campaign fingerprint {raw:?}"))?
+        parse_fixed_hex(raw, 32, false).ok_or(format!("bad campaign fingerprint {raw:?}"))?
     };
     let shards_done = lines.parse("shards_done")?;
     let sessions_done = lines.parse("sessions_done")?;
@@ -469,6 +470,35 @@ mod tests {
                 let err = decode(&bad).unwrap_err();
                 assert!(err.contains(key) && err.contains("range"), "{err}");
             }
+        }
+    }
+
+    const SMOKE: &str = include_str!("../../../results/fleet/smoke.ckpt");
+
+    #[test]
+    fn the_committed_smoke_checkpoint_reencodes_byte_identical() {
+        assert_eq!(encode(&decode(SMOKE).unwrap()), SMOKE);
+    }
+
+    #[test]
+    fn hex_fields_accept_only_the_writers_spelling() {
+        for (from, to) in [
+            // A sign `from_str_radix` would accept, changing the bits.
+            ("cpu_j_min 3ff7be7449096881", "cpu_j_min +ff7be7449096881"),
+            ("cpu_j_min 3ff7be7449096881", "cpu_j_min 3FF7BE7449096881"),
+            ("cpu_j_min 3ff7be7449096881", "cpu_j_min 3ff7be744909688"),
+            ("cpu_j_min 3ff7be7449096881", "cpu_j_min 03ff7be7449096881"),
+            ("arrivals 0000000000000000", "arrivals +000000000000000"),
+            (
+                "arrivals 0000000000000000 40ac2",
+                "arrivals 0000000000000000 40AC2",
+            ),
+            ("campaign 24d501282eae84d1", "campaign +4d501282eae84d1"),
+            ("campaign 24d501282eae84d1", "campaign 24D501282EAE84D1"),
+        ] {
+            let bad = SMOKE.replacen(from, to, 1);
+            assert_ne!(bad, SMOKE, "{from:?} not in the smoke checkpoint");
+            assert!(decode(&bad).is_err(), "{to:?} decoded");
         }
     }
 

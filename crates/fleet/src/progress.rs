@@ -22,7 +22,9 @@ pub struct GovSnapshot {
     /// Mean per-session CPU energy, joules (0 when empty).
     pub mean_cpu_j: f64,
     /// Mean whole-device energy (CPU + radio + display + decoder),
-    /// joules (0 when empty).
+    /// joules (0 when empty). The radio is the power model's when the
+    /// spec models one and the session's legacy radio otherwise, as in
+    /// `SessionReport::device_joules`.
     pub mean_device_j: f64,
     /// Mean composite QoE score (0 when empty).
     pub mean_qoe: f64,
@@ -33,7 +35,7 @@ pub struct GovSnapshot {
 }
 
 impl GovSnapshot {
-    fn capture(g: &GovAggregate) -> Self {
+    fn capture(g: &GovAggregate, models_radio: bool) -> Self {
         let mean = |sum: f64| {
             if g.sessions == 0 {
                 0.0
@@ -41,8 +43,13 @@ impl GovSnapshot {
                 sum / g.sessions as f64
             }
         };
+        let radio = if models_radio {
+            &g.device_radio_j_sum
+        } else {
+            &g.radio_j_sum
+        };
         let device_j = g.cpu_j_sum.value()
-            + g.device_radio_j_sum.value()
+            + radio.value()
             + g.device_display_j_sum.value()
             + g.device_decoder_j_sum.value();
         GovSnapshot {
@@ -85,7 +92,11 @@ impl ProgressSnapshot {
             shards_total: spec.num_shards(),
             sessions_done: agg.sessions_done,
             sessions_total: spec.sessions,
-            govs: agg.govs.iter().map(GovSnapshot::capture).collect(),
+            govs: agg
+                .govs
+                .iter()
+                .map(|g| GovSnapshot::capture(g, spec.power.radio.is_some()))
+                .collect(),
         }
     }
 
@@ -102,7 +113,8 @@ impl ProgressSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{run_campaign, serial_runner, RunOptions};
+    use crate::campaign::{builder_for, draw_session, run_campaign, serial_runner, RunOptions};
+    use eavs_power::DevicePowerModel;
 
     #[test]
     fn snapshot_tracks_the_aggregate() {
@@ -119,19 +131,26 @@ mod tests {
             assert_eq!(g.mean_cpu_j, 0.0);
         }
 
-        let out = run_campaign(&spec, &RunOptions::default(), &serial_runner).unwrap();
-        let done = ProgressSnapshot::capture(&spec, &out.aggregate);
-        assert_eq!(done.shards_done, 2);
-        assert_eq!(done.sessions_done, 4);
-        assert_eq!(done.fraction_done(), 1.0);
-        assert_eq!(done.govs.len(), spec.governors.len());
-        for (g, name) in done.govs.iter().zip(&spec.governors) {
-            assert_eq!(&g.governor, name);
-            assert_eq!(g.sessions, 4);
-            assert!(g.mean_cpu_j > 0.0);
-            assert!(g.mean_device_j >= g.mean_cpu_j);
+        for power in [DevicePowerModel::none(), DevicePowerModel::phone()] {
+            spec.power = power;
+            let out = run_campaign(&spec, &RunOptions::default(), &serial_runner).unwrap();
+            let done = ProgressSnapshot::capture(&spec, &out.aggregate);
+            assert_eq!(done.shards_done, 2);
+            assert_eq!(done.sessions_done, 4);
+            assert_eq!(done.fraction_done(), 1.0);
+            assert_eq!(done.govs.len(), spec.governors.len());
+            for (g, name) in done.govs.iter().zip(&spec.governors) {
+                assert_eq!(&g.governor, name);
+                assert_eq!(g.sessions, 4);
+                assert!(g.mean_cpu_j > 0.0);
+                // The lane mean of `device_joules`, up to `ExactSum`'s 1 nJ
+                // rounding of each of four summed components per session.
+                let run = |id| builder_for(&draw_session(&spec, id), name).unwrap().run();
+                let mean = (0..4).map(|id| run(id).device_joules()).sum::<f64>() / 4.0;
+                assert!((g.mean_device_j - mean).abs() <= 2e-9, "{power:?} {g:?}");
+            }
+            // Pure projection: capturing twice is identical.
+            assert_eq!(done, ProgressSnapshot::capture(&spec, &out.aggregate));
         }
-        // Pure projection: capturing twice is identical.
-        assert_eq!(done, ProgressSnapshot::capture(&spec, &out.aggregate));
     }
 }

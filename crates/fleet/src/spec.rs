@@ -86,6 +86,10 @@ impl TitleSpec {
 /// Histogram shape: `(lo, hi, bins)` for one aggregated metric.
 pub type HistShape = (f64, f64, usize);
 
+/// Most bins a campaign histogram may have (the presets use at most
+/// 120; every bin is resident in every lane and checkpoint).
+pub const MAX_HIST_BINS: usize = 4096;
+
 /// A declarative fleet campaign.
 ///
 /// All mixes are weighted; weights need not sum to 1 (they are
@@ -296,8 +300,9 @@ impl CampaignSpec {
     ///
     /// # Errors
     ///
-    /// Returns a human-readable message on empty mixes, bad weights or
-    /// degenerate sizes.
+    /// Returns a human-readable message on empty mixes, bad weights,
+    /// degenerate sizes or histogram shapes that are not finite, not
+    /// ordered, or outside `1..=MAX_HIST_BINS` bins.
     pub fn validate(&self) -> Result<(), String> {
         if self.sessions == 0 {
             return Err("campaign needs at least one session".to_owned());
@@ -340,6 +345,22 @@ impl CampaignSpec {
         }
         if self.arrival_span_s == 0 {
             return Err("arrival span must be positive".to_owned());
+        }
+        for (what, (lo, hi, bins)) in [
+            ("energy", self.energy_hist),
+            ("qoe", self.qoe_hist),
+            ("startup", self.startup_hist_ms),
+        ] {
+            if !(lo.is_finite() && hi.is_finite() && lo < hi) {
+                return Err(format!(
+                    "{what} histogram needs finite bounds with lo < hi, got [{lo}, {hi})"
+                ));
+            }
+            if !(1..=MAX_HIST_BINS).contains(&bins) {
+                return Err(format!(
+                    "{what} histogram needs 1..={MAX_HIST_BINS} bins, got {bins}"
+                ));
+            }
         }
         Ok(())
     }
@@ -474,5 +495,45 @@ mod tests {
         s.networks[0].1 = -1.0;
         s.networks.truncate(1);
         assert!(s.validate().is_err());
+    }
+
+    fn with_energy_hist(shape: HistShape) -> Result<(), String> {
+        let mut s = CampaignSpec::smoke();
+        s.energy_hist = shape;
+        s.validate()
+    }
+
+    #[test]
+    fn validate_rejects_non_finite_histogram_bounds() {
+        for shape in [
+            (f64::NAN, 30.0, 60),
+            (0.0, f64::NAN, 60),
+            (f64::NEG_INFINITY, 30.0, 60),
+            (0.0, f64::INFINITY, 60),
+        ] {
+            let err = with_energy_hist(shape).unwrap_err();
+            assert!(err.contains("energy histogram"), "{shape:?}: {err}");
+        }
+        let mut s = CampaignSpec::smoke();
+        s.startup_hist_ms.1 = f64::NAN;
+        assert!(s.validate().unwrap_err().contains("startup histogram"));
+    }
+
+    #[test]
+    fn validate_rejects_empty_histogram_ranges() {
+        assert!(with_energy_hist((30.0, 30.0, 60)).is_err());
+        assert!(with_energy_hist((30.0, 0.0, 60)).is_err());
+        let mut s = CampaignSpec::smoke();
+        s.qoe_hist = (10.0, -100.0, 110);
+        assert!(s.validate().unwrap_err().contains("qoe histogram"));
+    }
+
+    #[test]
+    fn validate_rejects_histogram_bin_counts_outside_the_cap() {
+        assert!(with_energy_hist((0.0, 30.0, 0)).is_err());
+        assert!(with_energy_hist((0.0, 30.0, MAX_HIST_BINS + 1)).is_err());
+        assert!(with_energy_hist((0.0, 30.0, usize::MAX)).is_err());
+        with_energy_hist((0.0, 30.0, 1)).unwrap();
+        with_energy_hist((0.0, 30.0, MAX_HIST_BINS)).unwrap();
     }
 }

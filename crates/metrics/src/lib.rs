@@ -3,7 +3,7 @@
 //! Statistics utilities shared by every layer of the EAVS reproduction:
 //!
 //! * [`stats`] — streaming mean/variance ([`stats::OnlineStats`]).
-//! * [`quantile`] — exact and P² streaming quantiles.
+//! * [`quantile`] — exact quantiles over stored samples.
 //! * [`histogram`] — fixed-bin histograms and labeled counters.
 //! * [`residency`] — time-in-state tracking (cpufreq `time_in_state`).
 //! * [`timeseries`] — piecewise-constant signals with time-weighted means.
@@ -29,7 +29,7 @@ pub mod timeseries;
 pub use ci::{mean_confidence_interval, ConfidenceInterval};
 pub use energy::EnergyAccount;
 pub use histogram::{Counter, Histogram};
-pub use quantile::{P2Quantile, Quantiles};
+pub use quantile::Quantiles;
 pub use residency::ResidencyTracker;
 pub use stats::{OnlineStats, Summary};
 pub use table::Table;

@@ -1,10 +1,9 @@
-//! Quantile estimation: exact (stored samples) and streaming (P²).
+//! Exact quantile estimation over stored samples.
 
 /// Exact quantiles over a stored sample set.
 ///
 /// Stores all observations; suitable for per-run experiment metrics
-/// (thousands to millions of points), not unbounded streams — use
-/// [`P2Quantile`] for those.
+/// (thousands to millions of points), not unbounded streams.
 ///
 /// ```
 /// use eavs_metrics::quantile::Quantiles;
@@ -107,153 +106,6 @@ impl FromIterator<f64> for Quantiles {
     }
 }
 
-/// Streaming quantile estimation with the P² algorithm (Jain & Chlamtac,
-/// 1985): five markers, O(1) memory, no stored samples.
-///
-/// Accuracy is adequate for dashboards and long traces; experiment tables
-/// use [`Quantiles`] for exactness.
-#[derive(Clone, Debug)]
-pub struct P2Quantile {
-    p: f64,
-    /// Marker heights.
-    q: [f64; 5],
-    /// Marker positions (1-based).
-    n: [f64; 5],
-    /// Desired marker positions.
-    np: [f64; 5],
-    /// Position increments.
-    dn: [f64; 5],
-    count: usize,
-    initial: Vec<f64>,
-}
-
-impl P2Quantile {
-    /// Creates an estimator for the `p`-quantile.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < p < 1`.
-    pub fn new(p: f64) -> Self {
-        assert!(p > 0.0 && p < 1.0, "P² requires 0 < p < 1, got {p}");
-        P2Quantile {
-            p,
-            q: [0.0; 5],
-            n: [1.0, 2.0, 3.0, 4.0, 5.0],
-            np: [1.0, 1.0 + 2.0 * p, 1.0 + 4.0 * p, 3.0 + 2.0 * p, 5.0],
-            dn: [0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0],
-            count: 0,
-            initial: Vec::with_capacity(5),
-        }
-    }
-
-    /// Adds one observation.
-    ///
-    /// # Panics
-    ///
-    /// Panics on NaN.
-    pub fn push(&mut self, x: f64) {
-        assert!(!x.is_nan(), "NaN observation");
-        self.count += 1;
-        if self.initial.len() < 5 {
-            self.initial.push(x);
-            if self.initial.len() == 5 {
-                self.initial
-                    .sort_unstable_by(|a, b| a.partial_cmp(b).expect("NaN"));
-                for i in 0..5 {
-                    self.q[i] = self.initial[i];
-                }
-            }
-            return;
-        }
-
-        // Find the cell k containing x and update extreme markers.
-        let k = if x < self.q[0] {
-            self.q[0] = x;
-            0
-        } else if x > self.q[4] {
-            self.q[4] = x;
-            3
-        } else {
-            // q[0] <= x <= q[4]; find the first marker above x.
-            let mut k = 3;
-            for i in 1..5 {
-                if x < self.q[i] {
-                    k = i - 1;
-                    break;
-                }
-            }
-            k
-        };
-
-        for i in (k + 1)..5 {
-            self.n[i] += 1.0;
-        }
-        for i in 0..5 {
-            self.np[i] += self.dn[i];
-        }
-
-        // Adjust interior markers with parabolic (or linear) interpolation.
-        for i in 1..4 {
-            let d = self.np[i] - self.n[i];
-            let right = self.n[i + 1] - self.n[i];
-            let left = self.n[i - 1] - self.n[i];
-            if (d >= 1.0 && right > 1.0) || (d <= -1.0 && left < -1.0) {
-                let d_sign = d.signum();
-                let qp = self.parabolic(i, d_sign);
-                self.q[i] = if self.q[i - 1] < qp && qp < self.q[i + 1] {
-                    qp
-                } else {
-                    self.linear(i, d_sign)
-                };
-                self.n[i] += d_sign;
-            }
-        }
-    }
-
-    fn parabolic(&self, i: usize, d: f64) -> f64 {
-        let n = &self.n;
-        let q = &self.q;
-        q[i] + d / (n[i + 1] - n[i - 1])
-            * ((n[i] - n[i - 1] + d) * (q[i + 1] - q[i]) / (n[i + 1] - n[i])
-                + (n[i + 1] - n[i] - d) * (q[i] - q[i - 1]) / (n[i] - n[i - 1]))
-    }
-
-    fn linear(&self, i: usize, d: f64) -> f64 {
-        let j = if d > 0.0 { i + 1 } else { i - 1 };
-        self.q[i] + d * (self.q[j] - self.q[i]) / (self.n[j] - self.n[i])
-    }
-
-    /// The current estimate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no observations have been added.
-    pub fn estimate(&self) -> f64 {
-        assert!(self.count > 0, "estimate with no observations");
-        if self.initial.len() < 5 {
-            // Fewer than 5 samples: exact quantile of what we have.
-            let mut v = self.initial.clone();
-            v.sort_unstable_by(|a, b| a.partial_cmp(b).expect("NaN"));
-            let pos = self.p * (v.len() - 1) as f64;
-            let lo = pos.floor() as usize;
-            let hi = pos.ceil() as usize;
-            let frac = pos - lo as f64;
-            return v[lo] * (1.0 - frac) + v[hi] * frac;
-        }
-        self.q[2]
-    }
-
-    /// The target quantile.
-    pub fn p(&self) -> f64 {
-        self.p
-    }
-
-    /// Number of observations seen.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -301,50 +153,5 @@ mod tests {
         let mut q: Quantiles = (0..10_000).map(|i| (i as f64).powf(1.3)).collect();
         let [p50, p90, p95, p99] = q.standard_percentiles();
         assert!(p50 <= p90 && p90 <= p95 && p95 <= p99);
-    }
-
-    #[test]
-    fn p2_close_to_exact_on_uniform() {
-        let mut exact = Quantiles::new();
-        let mut p2 = P2Quantile::new(0.9);
-        // Deterministic pseudo-uniform sequence.
-        let mut x = 0.5f64;
-        for _ in 0..50_000 {
-            x = (x * 9301.0 + 49297.0) % 233280.0 / 233280.0;
-            exact.push(x);
-            p2.push(x);
-        }
-        let truth = exact.quantile(0.9);
-        assert!(
-            (p2.estimate() - truth).abs() < 0.01,
-            "p2={} exact={}",
-            p2.estimate(),
-            truth
-        );
-    }
-
-    #[test]
-    fn p2_exact_below_five_samples() {
-        let mut p2 = P2Quantile::new(0.5);
-        p2.push(1.0);
-        p2.push(3.0);
-        assert_eq!(p2.estimate(), 2.0);
-        assert_eq!(p2.count(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "0 < p < 1")]
-    fn p2_rejects_bad_p() {
-        P2Quantile::new(1.0);
-    }
-
-    #[test]
-    fn p2_monotone_input() {
-        let mut p2 = P2Quantile::new(0.5);
-        for i in 0..10_001 {
-            p2.push(f64::from(i));
-        }
-        let est = p2.estimate();
-        assert!((est - 5000.0).abs() < 150.0, "estimate {est}");
     }
 }

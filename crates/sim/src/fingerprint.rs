@@ -39,6 +39,26 @@ impl std::fmt::Display for Fingerprint {
     }
 }
 
+/// Parses exactly `width` (at most 32) hex digits with no sign, prefix
+/// or whitespace: the one spelling a fixed-width `{:0width$x}` writer
+/// emits, so each value has exactly one accepted text. Uppercase digits
+/// are accepted only with `any_case` (JSON's `\u` escapes allow both).
+/// `from_str_radix` is not strict enough: it takes a leading `+`.
+pub fn parse_fixed_hex(s: &str, width: usize, any_case: bool) -> Option<u128> {
+    if s.len() != width || width > 32 {
+        return None;
+    }
+    s.bytes().try_fold(0u128, |acc, b| {
+        let digit = match b {
+            b'0'..=b'9' => b - b'0',
+            b'a'..=b'f' => b - b'a' + 10,
+            b'A'..=b'F' if any_case => b - b'A' + 10,
+            _ => return None,
+        };
+        Some(acc << 4 | u128::from(digit))
+    })
+}
+
 /// FNV-1a 128-bit offset basis.
 const FNV128_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
 /// FNV-1a 128-bit prime.

@@ -4,9 +4,9 @@
 //! [`Cluster`]: a userspace governor (like EAVS deployed on a rooted
 //! Android phone) interacts *only* through these reads and writes —
 //! selecting the `userspace` governor and echoing kHz values into
-//! `scaling_setspeed`. The integration tests verify that driving the
-//! cluster through this interface is decision-for-decision identical to
-//! calling it directly.
+//! `scaling_setspeed`. The crate's property tests verify that driving a
+//! cluster through this interface is step-for-step identical to calling
+//! `Cluster::set_target` directly.
 //!
 //! Supported files (relative to the policy directory):
 //!

@@ -3,9 +3,11 @@
 //! The deployment surface of the EAVS governor on a real (rooted) Android
 //! device is the cpufreq sysfs tree: select the `userspace` governor, then
 //! echo kHz values into `scaling_setspeed`. This crate simulates exactly
-//! that file protocol over the [`eavs_cpu`] cluster model so the governor
-//! code can be exercised through the same interface it would use on
-//! hardware (the "sysfs governor doable" path of the reproduction plan).
+//! that file protocol over the [`eavs_cpu`] cluster model (the "sysfs
+//! governor doable" path of the reproduction plan). Sessions set the OPP
+//! with `Cluster::set_target`; `tests/properties.rs` proves that
+//! `scaling_setspeed` writes of the clamped OPP's kHz drive a cluster
+//! identically, on every preset's big and LITTLE cluster.
 //!
 //! ```
 //! use eavs_cpu::soc::SocModel;

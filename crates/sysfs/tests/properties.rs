@@ -1,8 +1,12 @@
 //! Property-based tests: the sysfs surface never panics on arbitrary
-//! input, and its state machine mirrors kernel semantics.
+//! input, its state machine mirrors kernel semantics, and a `userspace`
+//! governor writing `scaling_setspeed` drives a cluster exactly as
+//! `Cluster::set_target` does.
 
+use eavs_cpu::cluster::PolicyLimits;
+use eavs_cpu::freq::{Cycles, Frequency};
 use eavs_cpu::soc::SocModel;
-use eavs_sim::time::SimTime;
+use eavs_sim::time::{SimDuration, SimTime};
 use eavs_sysfs::{CpufreqFs, SysfsError, AVAILABLE_GOVERNORS};
 use proptest::prelude::*;
 
@@ -73,5 +77,64 @@ proptest! {
             .collect();
         let result = fs.write(&mut cluster, "scaling_setspeed", &khz.to_string(), now);
         prop_assert_eq!(result.is_ok(), advertised.contains(&khz));
+    }
+
+    /// `scaling_setspeed` is `Cluster::set_target` in deployment form: on
+    /// every preset's big and LITTLE cluster, under random limit writes,
+    /// a cluster driven by OPP indices and its twin driven by `userspace`
+    /// writes of the clamped OPP's kHz (same jobs on both) stay in
+    /// lockstep and end with bit-identical energy and residency.
+    #[test]
+    fn setspeed_writes_match_set_target(
+        soc in 0usize..3,
+        little in any::<bool>(),
+        ops in proptest::collection::vec((0u8..5, any::<u64>(), 0u64..5_000_000), 1..80),
+    ) {
+        let soc = SocModel::ALL[soc];
+        let build = if little { SocModel::build_little_cluster } else { SocModel::build_cluster };
+        let (mut direct, mut driven) = (build(soc), build(soc));
+        let mut fs = CpufreqFs::new(&driven);
+        fs.write(&mut driven, "scaling_governor", "userspace", SimTime::ZERO).unwrap();
+        let opps = direct.opps().clone();
+        let (mut min, mut max) = (opps.min_freq(), opps.max_freq());
+        let mut now = SimTime::ZERO;
+        for (kind, value, dt_ns) in ops {
+            now += SimDuration::from_nanos(dt_ns);
+            if kind < 2 {
+                // Indices past the table's top are clamped too.
+                let idx = (value % (opps.len() as u64 + 2)) as usize;
+                direct.set_target(now, idx);
+                let khz = opps.freq(driven.limits().clamp(idx)).khz().to_string();
+                fs.write(&mut driven, "scaling_setspeed", &khz, now).unwrap();
+            } else if kind == 2 {
+                // A core seen busy may have finished by `now`; both skip it.
+                let core = (value % direct.num_cores() as u64) as usize;
+                if !direct.is_core_busy(core) {
+                    let cycles = Cycles::new((value >> 8) as f64 % 2e7);
+                    direct.start_job(now, core, cycles);
+                    driven.start_job(now, core, cycles);
+                }
+            } else {
+                // Kernel limit semantics: min rounds up, max rounds down,
+                // an inverted pair collapses onto the max.
+                let khz = (value % 3_000_000) as u32;
+                let (path, bound) =
+                    if kind == 3 { ("scaling_min_freq", &mut min) } else { ("scaling_max_freq", &mut max) };
+                *bound = Frequency::from_khz(khz);
+                let hi = opps.highest_at_most(max).unwrap_or(0);
+                let lo = opps.lowest_at_least(min).unwrap_or(opps.max_index()).min(hi);
+                direct.set_limits(PolicyLimits { min_index: lo, max_index: hi });
+                fs.write(&mut driven, path, &khz.to_string(), now).unwrap();
+            }
+            prop_assert_eq!(direct.target_index(), driven.target_index());
+            prop_assert_eq!(direct.transitions(), driven.transitions());
+        }
+        let end = now + SimDuration::from_millis(10);
+        let (a, b) = (direct.energy_at(end), driven.energy_at(end));
+        prop_assert_eq!(
+            [a.busy_j, a.idle_j, a.static_j, a.transition_j].map(f64::to_bits),
+            [b.busy_j, b.idle_j, b.static_j, b.transition_j].map(f64::to_bits)
+        );
+        prop_assert_eq!(direct.time_in_state(end), driven.time_in_state(end));
     }
 }

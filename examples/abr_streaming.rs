@@ -62,7 +62,7 @@ fn main() {
             label,
             &format!("{:.2}", report.cpu_joules()),
             &format!("{:.2}", report.radio.energy_j),
-            &format!("{:.2}", report.total_joules()),
+            &format!("{:.2}", report.device_joules()),
             &format!("{:.0}", report.qoe.mean_bitrate_kbps),
             &report.qoe.bitrate_switches.to_string(),
             &report.qoe.rebuffer_events.to_string(),

@@ -195,8 +195,6 @@ pub struct RunArgs {
     pub seed: u64,
     /// EAVS margin override (fraction).
     pub margin: Option<f64>,
-    /// Drive EAVS through the simulated sysfs.
-    pub sysfs: bool,
     /// Late-frame policy: `stall` (default) or `drop`.
     pub late_policy: String,
     /// Fault plan: `none`, `storm`, `light:<seed>` or `heavy:<seed>`.
@@ -231,7 +229,6 @@ impl Default for RunArgs {
             abr: None,
             seed: 42,
             margin: None,
-            sysfs: false,
             late_policy: "stall".to_owned(),
             faults: "none".to_owned(),
             power: "none".to_owned(),
@@ -277,7 +274,6 @@ OPTIONS (with defaults):
   --abr <none>            fixed | rate | buffer (switches to the 5-rung ladder)
   --seed 42
   --margin <default>      EAVS safety margin, e.g. 0.15
-  --sysfs                 drive EAVS through the simulated cpufreq sysfs
   --late-policy stall     stall | drop (what happens to late frames)
   --faults none           none | storm | light:<seed> | heavy:<seed>
                           (deterministic fault injection; see DESIGN.md §11)
@@ -454,7 +450,6 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
                         .map_err(|_| format!("bad margin {raw:?}"))?,
                 );
             }
-            "--sysfs" => out.sysfs = true,
             "--profile" => out.profile = true,
             "--late-policy" => out.late_policy = value("late-policy")?.clone(),
             "--faults" => out.faults = value("faults")?.clone(),
@@ -1100,7 +1095,6 @@ fn build_session(
         .network(build_network(&args.network, duration, args.seed)?)
         .radio(build_radio(&args.radio)?)
         .seed(args.seed)
-        .drive_via_sysfs(args.sysfs)
         .cluster(match args.cluster.as_str() {
             "big" => ClusterSelect::Big,
             "little" => ClusterSelect::Little,
@@ -1293,7 +1287,7 @@ mod tests {
     #[test]
     fn run_with_flags() {
         let cmd = parse(&argv(
-            "run --governor ondemand --content sport --bitrate 3000 --fps 60 --seed 7 --sysfs",
+            "run --governor ondemand --content sport --bitrate 3000 --fps 60 --seed 7",
         ))
         .unwrap();
         let Command::Run(args) = cmd else {
@@ -1304,7 +1298,6 @@ mod tests {
         assert_eq!(args.bitrate_kbps, 3000);
         assert_eq!(args.fps, 60);
         assert_eq!(args.seed, 7);
-        assert!(args.sysfs);
     }
 
     #[test]

@@ -410,6 +410,31 @@ fn a_shard_partial_with_a_huge_lane_count_is_refused_and_the_daemon_stays_up() {
 }
 
 #[test]
+fn a_spec_with_a_bad_histogram_shape_is_refused_and_the_daemon_stays_up() {
+    let mut opts = daemon_opts("bad-hist");
+    opts.workers = 0;
+    let daemon = Daemon::start(opts, pooled()).unwrap();
+    let addr = daemon.addr();
+    // Each shape would panic `Histogram::new` (or size a lane past the
+    // bin cap) while the registry lock is held.
+    for shape in [(30.0, 0.0, 60), (0.0, 30.0, 0), (0.0, 30.0, 1_000_000)] {
+        let mut spec = small_spec("bad-hist");
+        spec.energy_hist = shape;
+        let (status, body) =
+            client::request_text(&addr, "POST", "/campaigns", &codec::encode_spec(&spec)).unwrap();
+        assert_eq!(status, 400, "{shape:?} → {body}");
+        assert!(body.contains("energy histogram"), "{body}");
+    }
+    let spec = small_spec("good-hist");
+    let (status, body) =
+        client::request_text(&addr, "POST", "/campaigns", &codec::encode_spec(&spec)).unwrap();
+    assert_eq!(status, 200, "{body}");
+    let (status, body) = client::request_text(&addr, "GET", "/healthz", "").unwrap();
+    assert_eq!((status, body.as_str()), (200, "ok\n"));
+    daemon.shutdown();
+}
+
+#[test]
 fn a_shard_partial_of_the_wrong_shape_is_refused_and_the_daemon_stays_up() {
     let spec = small_spec("daemon-shape");
     let expected = reference_bytes(&spec);

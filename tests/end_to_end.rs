@@ -205,6 +205,9 @@ fn radio_energy_scales_with_radio_model() {
     assert!(lte.radio.energy_j < umts.radio.energy_j);
     // CPU side is unaffected by the radio model.
     assert_eq!(wifi.cpu_joules().to_bits(), lte.cpu_joules().to_bits());
+    // Without a power model the device sum is F9's: CPU + legacy radio.
+    let f9_sum = lte.cpu_joules() + lte.radio.energy_j + lte.power.total_j();
+    assert_eq!(lte.device_joules().to_bits(), f9_sum.to_bits());
 }
 
 #[test]
@@ -266,27 +269,4 @@ fn horizon_caps_runaway_sessions() {
     // At 64 kbps the startup buffer never fills: playback never begins.
     assert_eq!(report.qoe.frames_displayed, 0);
     assert_eq!(report.qoe.startup_delay, report.session_length);
-}
-
-#[test]
-fn sysfs_and_direct_paths_agree_across_contents() {
-    for content in ContentProfile::ALL {
-        let direct = StreamingSession::builder(eavs())
-            .manifest(manifest_720p(8))
-            .content(content)
-            .seed(13)
-            .run();
-        let sysfs = StreamingSession::builder(eavs())
-            .manifest(manifest_720p(8))
-            .content(content)
-            .seed(13)
-            .drive_via_sysfs(true)
-            .run();
-        assert_eq!(
-            direct.cpu_joules().to_bits(),
-            sysfs.cpu_joules().to_bits(),
-            "{content}"
-        );
-        assert_eq!(direct.transitions, sysfs.transitions, "{content}");
-    }
 }

@@ -147,8 +147,8 @@ fn second_run_on_a_thread_reuses_its_scratch() {
     let second = allocs_for(|| {
         builder(&manifest).run();
     });
-    // Measured at 37 with the scratch recycled and 45 on fresh buffers
-    // (10 s 1080p30, warm memos). The bound leaves a little headroom yet
+    // Measured at 32 with the scratch recycled and 38 on a new thread's
+    // fresh buffers (10 s 1080p30, warm memos). The bound leaves a little headroom yet
     // fails if `run()` stops recycling the thread's scratch.
     assert!(
         second <= 40,
