@@ -1,12 +1,14 @@
 //! Whole-device energy experiments: the F28 component breakdown and the
 //! F29 radio tail-timer sensitivity sweep.
 //!
-//! Both figures attach the phone preset of [`DevicePowerModel`] to an
-//! LTE drive scenario. Accounting is post-hoc over the finished timeline
-//! (download activity intervals, chosen bitrates, manifest, seed), so the
-//! sessions here are byte-identical to their unmodeled twins, and the
-//! committed golden CSVs of the other 30 experiments are provably
-//! untouched (`tests/attachments.rs`).
+//! Both figures stream an LTE drive scenario through the one-tail LTE
+//! radio ([`RadioModel::lte_rrc`]) and attach the phone preset of
+//! [`DevicePowerModel`] (display and decoder). Radio and power accounting
+//! are post-hoc over the finished timeline (download activity intervals,
+//! chosen bitrates, manifest, seed), so the sessions here are
+//! byte-identical to their unmodeled twins, and the committed golden CSVs
+//! of the other 30 experiments are provably untouched
+//! (`tests/attachments.rs`).
 
 use crate::harness::{
     governor, manifest_1080p30, run_parallel_labeled, run_session, single_manifest,
@@ -15,23 +17,23 @@ use crate::harness::{
 use eavs_core::session::{GovernorChoice, SessionBuilder, StreamingSession};
 use eavs_metrics::table::Table;
 use eavs_net::radio::RadioModel;
-use eavs_power::{DevicePowerModel, RrcRadioModel};
+use eavs_power::DevicePowerModel;
 use eavs_sim::time::SimDuration;
 use eavs_trace::content::ContentProfile;
 use eavs_trace::net_gen::NetworkProfile;
 
-/// The shared workload of both figures: 60 s of 1080p30 film streamed
-/// over the LTE drive trace with the legacy net-layer LTE radio — bursty
+/// The F28 workload: 60 s of 1080p30 film streamed over the LTE drive
+/// trace with the one-tail LTE radio and the phone model — bursty
 /// downloads with real gaps, so the RRC state machine has promotions and
 /// tails to account.
-fn lte_session(gov: GovernorChoice, power: DevicePowerModel) -> SessionBuilder {
+fn lte_session(gov: GovernorChoice) -> SessionBuilder {
     let duration = SimDuration::from_secs(60);
     StreamingSession::builder(gov)
         .manifest(manifest_1080p30(60))
         .content(ContentProfile::Film)
         .network(NetworkProfile::LteDrive.generate(duration * 3, SEED))
-        .radio(RadioModel::lte())
-        .power(power)
+        .radio(RadioModel::lte_rrc())
+        .power(DevicePowerModel::phone())
         .seed(SEED)
 }
 
@@ -47,8 +49,7 @@ pub fn f28_device_breakdown() -> Table {
         COMPARISON_GOVERNORS
             .iter()
             .map(|&name| {
-                let job =
-                    move || run_session(lte_session(governor(name), DevicePowerModel::phone()));
+                let job = move || run_session(lte_session(governor(name)));
                 (format!("f28 {name}"), job)
             })
             .collect(),
@@ -69,8 +70,8 @@ pub fn f28_device_breakdown() -> Table {
         t.row(&[
             name,
             &format!("{:.1}", r.cpu_joules()),
-            &format!("{:.1}", r.power.radio_j),
-            &r.power.radio_promotions.to_string(),
+            &format!("{:.1}", r.radio.energy_j),
+            &r.radio.promotions.to_string(),
             &format!("{:.1}", r.power.display_j),
             &format!("{:.1}", r.power.decoder_j),
             &format!("{device:.1}"),
@@ -100,9 +101,6 @@ pub fn f29_radio_tail_sweep() -> Table {
             .into_iter()
             .map(|ms| {
                 let job = move || {
-                    let mut model = DevicePowerModel::phone();
-                    model.radio =
-                        Some(RrcRadioModel::lte().with_tail_timer(SimDuration::from_millis(ms)));
                     run_session(
                         StreamingSession::builder(governor("eavs"))
                             .manifest(single_manifest(1_200, 854, 480, 60, 30))
@@ -111,8 +109,10 @@ pub fn f29_radio_tail_sweep() -> Table {
                                 NetworkProfile::LteDrive
                                     .generate(SimDuration::from_secs(60) * 3, SEED),
                             )
-                            .radio(RadioModel::lte())
-                            .power(model)
+                            .radio(
+                                RadioModel::lte_rrc().with_tail_timer(SimDuration::from_millis(ms)),
+                            )
+                            .power(DevicePowerModel::phone())
                             .seed(SEED),
                     )
                 };
@@ -134,13 +134,13 @@ pub fn f29_radio_tail_sweep() -> Table {
     for (ms, r) in f29_tail_timers_ms().iter().zip(&reports) {
         t.row(&[
             &format!("{:.1}", *ms as f64 / 1000.0),
-            &r.power.radio_promotions.to_string(),
-            &format!("{:.1}", r.power.radio_idle_time.as_secs_f64()),
-            &format!("{:.2}", r.power.radio_promo_time.as_secs_f64()),
-            &format!("{:.1}", r.power.radio_active_time.as_secs_f64()),
-            &format!("{:.1}", r.power.radio_tail_time.as_secs_f64()),
-            &format!("{:.1}", r.power.radio_j),
-            &format!("{:.1}", r.power.total_j()),
+            &r.radio.promotions.to_string(),
+            &format!("{:.1}", r.radio.idle_time.as_secs_f64()),
+            &format!("{:.2}", r.radio.promo_time.as_secs_f64()),
+            &format!("{:.1}", r.radio.active_time.as_secs_f64()),
+            &format!("{:.1}", r.radio.tail_time.as_secs_f64()),
+            &format!("{:.1}", r.radio.energy_j),
+            &format!("{:.1}", r.radio.energy_j + r.power.total_j()),
         ]);
     }
     t

@@ -11,7 +11,8 @@ use eavs_faults::{
 };
 use eavs_net::abr::FixedAbr;
 use eavs_net::download::RetryPolicy;
-use eavs_power::{DecoderModel, DevicePowerModel, DisplayModel, RrcRadioModel};
+use eavs_net::radio::RadioModel;
+use eavs_power::{DecoderModel, DevicePowerModel, DisplayModel};
 use eavs_sim::time::{SimDuration, SimTime};
 use eavs_trace::content::ContentProfile;
 use eavs_video::display::LatePolicy;
@@ -167,12 +168,21 @@ proptest! {
                 backoff_cap: SimDuration::from_secs(9),
                 ..RetryPolicy::default()
             })),
+            // The radio (Wi-Fi by default): a preset and each promotion
+            // parameter must perturb the digest on its own.
+            ("radio/preset", mk().radio(RadioModel::lte_rrc())),
+            ("radio/promo_power_w", mk().radio(RadioModel {
+                promo_power_w: 0.5,
+                ..RadioModel::wifi()
+            })),
+            ("radio/promotion_latency", mk().radio(RadioModel {
+                promotion_latency: SimDuration::from_millis(5),
+                ..RadioModel::wifi()
+            })),
+            ("radio/tail_timer", mk().radio(
+                RadioModel::wifi().with_tail_timer(SimDuration::from_secs(1)))),
             // Each power component and any prior evidence must perturb
             // the digest on its own.
-            ("power/radio", mk().power(DevicePowerModel {
-                radio: Some(RrcRadioModel::lte()),
-                ..DevicePowerModel::none()
-            })),
             ("power/display", mk().power(DevicePowerModel {
                 display: Some(DisplayModel::phone(0.6)),
                 ..DevicePowerModel::none()

@@ -27,10 +27,10 @@ pub struct SessionReport {
     pub content: ContentProfile,
     /// CPU energy breakdown.
     pub cpu_energy: CpuEnergyBreakdown,
-    /// Radio time/energy breakdown.
+    /// Radio time/energy breakdown of the session's one radio.
     pub radio: RadioReport,
-    /// Whole-device power co-model counters (radio RRC, display,
-    /// decoder). All-zero under the default zero-power no-op model.
+    /// Whole-device power co-model counters (display, decoder).
+    /// All-zero under the default zero-power no-op model.
     pub power: DevicePowerReport,
     /// Playback quality metrics.
     pub qoe: QoeReport,
@@ -94,19 +94,10 @@ impl SessionReport {
         self.cpu_energy.total()
     }
 
-    /// Whole-device energy: CPU plus every modeled component, with the
-    /// radio counted once. When the power model accounted a radio, that
-    /// radio is the device's and the session's legacy `radio` is left
-    /// out; otherwise the legacy radio is the device's radio.
+    /// Whole-device energy: CPU, the session's radio, and the power
+    /// model's display and decoder (zero when not modeled), joules.
     pub fn device_joules(&self) -> f64 {
-        // A modeled radio's four residencies partition the session.
-        let p = &self.power;
-        let rrc = p.radio_idle_time + p.radio_promo_time + p.radio_active_time + p.radio_tail_time;
-        if rrc.is_zero() {
-            self.cpu_joules() + self.radio.energy_j + p.total_j()
-        } else {
-            self.cpu_joules() + p.total_j()
-        }
+        self.cpu_joules() + self.radio.energy_j + self.power.total_j()
     }
 
     /// Mean CPU power over the session, watts.

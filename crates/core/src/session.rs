@@ -257,11 +257,11 @@ impl SessionBuilder {
         self
     }
 
-    /// Attaches a whole-device power model (radio RRC + display +
-    /// decoder). Accounting is post-hoc over the finished session's
-    /// timeline, so any model is a behavioral no-op: only the report's
-    /// power counters change. [`DevicePowerModel::none`] is stored as no
-    /// model at all.
+    /// Attaches a whole-device power model (display + decoder; the
+    /// radio is [`SessionBuilder::radio`]). Accounting is post-hoc over
+    /// the finished session's timeline, so any model is a behavioral
+    /// no-op: only the report's power counters change.
+    /// [`DevicePowerModel::none`] is stored as no model at all.
     pub fn power(mut self, model: DevicePowerModel) -> Self {
         self.power = (!model.is_none()).then_some(model);
         self
@@ -343,7 +343,8 @@ impl SessionBuilder {
         self
     }
 
-    /// Selects the radio power model.
+    /// Selects the session's radio: the one modem whose energy the
+    /// report's `radio` block accounts (Wi-Fi by default).
     pub fn radio(mut self, radio: RadioModel) -> Self {
         self.radio = radio;
         self
@@ -431,14 +432,7 @@ impl SessionBuilder {
         // distinct allocations of the same ladder must collide.
         self.manifest.fingerprint(&mut fp);
         self.network.fingerprint(&mut fp);
-        fp.write_f64(self.radio.active_power_w);
-        fp.write_f64(self.radio.tail1_power_w);
-        fp.write_u64(self.radio.tail1.as_nanos());
-        fp.write_f64(self.radio.tail2_power_w);
-        fp.write_u64(self.radio.tail2.as_nanos());
-        fp.write_f64(self.radio.idle_power_w);
-        fp.write_f64(self.radio.promotion_energy_j);
-        fp.write_u64(self.radio.promotion_latency.as_nanos());
+        self.radio.fingerprint(&mut fp);
         self.abr.fingerprint(&mut fp);
         fp.write_u64(self.seed);
         fp.write_u64(self.max_buffer.as_nanos());
@@ -1917,9 +1911,6 @@ impl SessionWorld {
             cpu_energy.transition_j += other.transition_j;
         }
         cpu_energy.transition_j += Self::MIGRATION_ENERGY_J * self.migrations as f64;
-        let radio = self
-            .radio
-            .account(self.downloader.activity(end), session_length);
         let mut tis = std::mem::take(&mut scratch.tis);
         tis.clear();
         tis.reserve(self.cluster.opps().len());
@@ -1949,16 +1940,12 @@ impl SessionWorld {
             session_length,
         );
         // Whole-device power is accounted post-hoc from the finished
-        // timeline (download activity, chosen bitrates, manifest, seed):
-        // it reads event-loop products, never event-loop state, so the
-        // no-op model — and any other — cannot perturb the simulation.
-        let power = self.power.account(
-            self.seed,
-            self.downloader.activity(end),
-            &self.bitrates,
-            &self.manifest,
-            session_length,
-        );
+        // timeline (chosen bitrates, manifest, seed): it reads event-loop
+        // products, never event-loop state, so the no-op model — and any
+        // other — cannot perturb the simulation.
+        let power = self
+            .power
+            .account(self.seed, &self.bitrates, &self.manifest, session_length);
         // QoE and power were the last readers; hand the recycled buffers
         // back.
         self.bitrates.clear();
@@ -1972,13 +1959,14 @@ impl SessionWorld {
             GovernorChoice::Eavs(g) => g.panics(),
             _ => 0,
         };
+        // The download timeline, copied once: the profiler reads it, then
+        // the radio walk consumes it.
+        let activity = self.downloader.activity(end);
         if let Some(p) = &mut self.profile {
             // Simulated occupancy comes from the authoritative model
             // state, filled once here rather than summed incrementally,
             // so it cannot drift from the rest of the report.
-            let download: SimDuration = self
-                .downloader
-                .activity(end)
+            let download: SimDuration = activity
                 .iter()
                 .map(|a| a.end.saturating_duration_since(a.start))
                 .sum();
@@ -1995,6 +1983,7 @@ impl SessionWorld {
             // clock; their cost shows up in events and wall time only.
             p.set_sim_ns(Phase::Governor, 0);
         }
+        let radio = self.radio.account(activity, session_length);
         // Frames still upstream of the decoder (undecoded + in flight);
         // decoded-queue leftovers are already counted in frames_decoded.
         let frames_pending = (self.pipeline.frames_buffered() - self.pipeline.decoded_len()) as u64;

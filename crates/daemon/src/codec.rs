@@ -11,8 +11,7 @@
 
 use eavs_cpu::soc::SocModel;
 use eavs_fleet::spec::{AbrChoice, CampaignSpec, NetworkChoice, TitleSpec};
-use eavs_power::{DecoderModel, DevicePowerModel, DisplayModel, RrcRadioModel};
-use eavs_sim::time::SimDuration;
+use eavs_power::{DecoderModel, DevicePowerModel, DisplayModel};
 use eavs_trace::content::ContentProfile;
 use eavs_trace::net_gen::NetworkProfile;
 
@@ -41,10 +40,6 @@ pub fn encode_spec(spec: &CampaignSpec) -> String {
         Value::Null
     } else {
         Value::Obj(vec![
-            (
-                "radio".into(),
-                spec.power.radio.map_or(Value::Null, radio_to_json),
-            ),
             (
                 "display".into(),
                 spec.power.display.map_or(Value::Null, display_to_json),
@@ -131,20 +126,6 @@ pub fn encode_spec(spec: &CampaignSpec) -> String {
         ("startup_hist_ms".into(), hist(spec.startup_hist_ms)),
     ])
     .render()
-}
-
-fn radio_to_json(r: RrcRadioModel) -> Value {
-    Value::Obj(vec![
-        ("idle_power_w".into(), Value::f64(r.idle_power_w)),
-        ("promo_power_w".into(), Value::f64(r.promo_power_w)),
-        ("active_power_w".into(), Value::f64(r.active_power_w)),
-        ("tail_power_w".into(), Value::f64(r.tail_power_w)),
-        (
-            "promotion_latency_ns".into(),
-            Value::u64(r.promotion_latency.as_nanos()),
-        ),
-        ("tail_timer_ns".into(), Value::u64(r.tail_timer.as_nanos())),
-    ])
 }
 
 fn display_to_json(d: DisplayModel) -> Value {
@@ -274,21 +255,6 @@ fn decode_power(v: &Value) -> Result<DevicePowerModel, String> {
         let v = obj.required(key)?;
         Ok(if *v == Value::Null { None } else { Some(v) })
     };
-    let radio = component("radio")?
-        .map(|v| {
-            let o = Obj::new("spec.power.radio", v)?;
-            let m = RrcRadioModel {
-                idle_power_w: o.f64("idle_power_w")?,
-                promo_power_w: o.f64("promo_power_w")?,
-                active_power_w: o.f64("active_power_w")?,
-                tail_power_w: o.f64("tail_power_w")?,
-                promotion_latency: SimDuration::from_nanos(o.u64("promotion_latency_ns")?),
-                tail_timer: SimDuration::from_nanos(o.u64("tail_timer_ns")?),
-            };
-            o.finish()?;
-            Ok::<_, String>(m)
-        })
-        .transpose()?;
     let display = component("display")?
         .map(|v| {
             let o = Obj::new("spec.power.display", v)?;
@@ -316,11 +282,7 @@ fn decode_power(v: &Value) -> Result<DevicePowerModel, String> {
         })
         .transpose()?;
     obj.finish()?;
-    Ok(DevicePowerModel {
-        radio,
-        display,
-        decoder,
-    })
+    Ok(DevicePowerModel { display, decoder })
 }
 
 fn decode_hist(obj: &Obj<'_>, key: &str) -> Result<(f64, f64, usize), String> {
@@ -474,14 +436,15 @@ mod tests {
     #[test]
     fn partial_power_models_round_trip() {
         let mut spec = CampaignSpec::smoke();
-        spec.power = DevicePowerModel {
-            radio: Some(RrcRadioModel::lte().with_tail_timer(SimDuration::from_millis(1500))),
-            display: None,
-            decoder: Some(DecoderModel::phone_1080p()),
-        };
-        let back = decode_spec(&encode_spec(&spec)).unwrap();
-        assert_eq!(back, spec);
-        assert_eq!(back.fingerprint(), spec.fingerprint());
+        for (display, decoder) in [
+            (None, Some(DecoderModel::phone_1080p())),
+            (Some(DisplayModel::phone(0.9)), None),
+        ] {
+            spec.power = DevicePowerModel { display, decoder };
+            let back = decode_spec(&encode_spec(&spec)).unwrap();
+            assert_eq!(back, spec);
+            assert_eq!(back.fingerprint(), spec.fingerprint());
+        }
     }
 
     #[test]
@@ -496,6 +459,13 @@ mod tests {
         let json = encode_spec(&CampaignSpec::smoke()).replace("\"seed\"", "\"sede\"");
         let err = decode_spec(&json).unwrap_err();
         assert!(err.contains("seed") && err.contains("missing"), "{err}");
+
+        // The session's radio is a campaign's only radio: a spec that
+        // still sends the power model's former radio object is refused.
+        let json =
+            encode_spec(&powered_spec()).replacen("\"power\":{", "\"power\":{\"radio\":null,", 1);
+        let err = decode_spec(&json).unwrap_err();
+        assert_eq!(err, "spec.power.radio: unknown field");
 
         assert!(decode_spec("{]").unwrap_err().contains("invalid JSON"));
         assert!(decode_spec("[1,2]")

@@ -15,7 +15,7 @@
 //!   bit-exactly; spec fingerprints are stable across the wire.
 //! * [`codec`] — `CampaignSpec` ⇄ JSON, strict about unknown fields.
 //! * [`registry`] — the coordinator: campaign table, shard leases,
-//!   in-order fold, periodic `eavs-fleet-checkpoint/v1` persistence and
+//!   in-order fold, periodic `eavs-fleet-checkpoint/v2` persistence and
 //!   crash recovery from the state directory.
 //! * [`worker`] — shard execution, as in-process threads or as a
 //!   remote `eavsd --worker` loop speaking the same claim protocol.

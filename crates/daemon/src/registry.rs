@@ -12,7 +12,7 @@
 //! - completed partials are buffered in a `BTreeMap` and folded
 //!   **strictly in shard order** into the running aggregate, the same
 //!   fold `run_campaign` performs, so the merged bits (and therefore
-//!   the `eavs-fleet-checkpoint/v1` bytes) match a single-process run;
+//!   the `eavs-fleet-checkpoint/v2` bytes) match a single-process run;
 //! - the fold cursor is checkpointed every N shards to
 //!   `<state_dir>/<id>.ckpt` with the spec JSON alongside, so a killed
 //!   daemon resumes every in-flight campaign on restart.
@@ -486,7 +486,7 @@ impl Registry {
     }
 
     /// The final result for `GET /campaigns/{id}/result`: the merged
-    /// aggregate in `eavs-fleet-checkpoint/v1` text.
+    /// aggregate in `eavs-fleet-checkpoint/v2` text.
     ///
     /// # Errors
     ///

@@ -7,7 +7,7 @@
 //! | `POST /campaigns`                    | submit a `CampaignSpec` JSON              |
 //! | `GET /campaigns`                     | list campaigns                            |
 //! | `GET /campaigns/{id}`                | live progress                             |
-//! | `GET /campaigns/{id}/result`         | final aggregate (checkpoint/v1 text)      |
+//! | `GET /campaigns/{id}/result`         | final aggregate (checkpoint/v2 text)      |
 //! | `DELETE /campaigns/{id}`             | graceful cancel at a shard boundary       |
 //! | `GET /priors`                        | resident fleet prior (`eavs-prior/v1` text) |
 //! | `POST /priors`                       | merge an `eavs-prior/v1` document in      |

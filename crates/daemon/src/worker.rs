@@ -6,7 +6,7 @@
 //! directly, remote workers speak the same claim/complete protocol
 //! over HTTP (`POST /claim`, then
 //! `POST /campaigns/{id}/shards/{shard}` with the partial in
-//! `eavs-fleet-checkpoint/v1` text). Because a shard partial is a pure
+//! `eavs-fleet-checkpoint/v2` text). Because a shard partial is a pure
 //! function of `(spec, shard)` and the coordinator folds in shard
 //! order, worker count and placement cannot change a single result
 //! bit.

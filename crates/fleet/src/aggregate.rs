@@ -33,14 +33,11 @@ pub struct GovAggregate {
     pub cpu_j_max: f64,
     /// Radio energy sum, joules.
     pub radio_j_sum: ExactSum,
-    /// Whole-device RRC radio energy sum, joules (zero under the no-op
-    /// power model).
-    pub device_radio_j_sum: ExactSum,
     /// Whole-device display energy sum, joules.
     pub device_display_j_sum: ExactSum,
     /// Whole-device decoder energy sum, joules.
     pub device_decoder_j_sum: ExactSum,
-    /// RRC promotions across the population.
+    /// Radio IDLE→ACTIVE promotions across the population.
     pub radio_promotions: u64,
     /// Composite QoE score distribution.
     pub qoe: Histogram,
@@ -93,7 +90,6 @@ impl GovAggregate {
             cpu_j_min: f64::INFINITY,
             cpu_j_max: f64::NEG_INFINITY,
             radio_j_sum: ExactSum::new(),
-            device_radio_j_sum: ExactSum::new(),
             device_display_j_sum: ExactSum::new(),
             device_decoder_j_sum: ExactSum::new(),
             radio_promotions: 0,
@@ -126,10 +122,9 @@ impl GovAggregate {
         self.cpu_j_min = self.cpu_j_min.min(cpu);
         self.cpu_j_max = self.cpu_j_max.max(cpu);
         self.radio_j_sum.add(r.radio.energy_j);
-        self.device_radio_j_sum.add(r.power.radio_j);
         self.device_display_j_sum.add(r.power.display_j);
         self.device_decoder_j_sum.add(r.power.decoder_j);
-        self.radio_promotions += u64::from(r.power.radio_promotions);
+        self.radio_promotions += u64::from(r.radio.promotions);
         let score = r.qoe.score();
         self.qoe.record(score);
         self.qoe_sum.add(score);
@@ -166,7 +161,6 @@ impl GovAggregate {
         self.cpu_j_min = self.cpu_j_min.min(other.cpu_j_min);
         self.cpu_j_max = self.cpu_j_max.max(other.cpu_j_max);
         self.radio_j_sum.merge(&other.radio_j_sum);
-        self.device_radio_j_sum.merge(&other.device_radio_j_sum);
         self.device_display_j_sum.merge(&other.device_display_j_sum);
         self.device_decoder_j_sum.merge(&other.device_decoder_j_sum);
         self.radio_promotions += other.radio_promotions;

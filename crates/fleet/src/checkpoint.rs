@@ -18,7 +18,7 @@ use eavs_sim::fingerprint::parse_fixed_hex;
 use crate::aggregate::{FleetAggregate, GovAggregate};
 
 /// Format magic + version line.
-const MAGIC: &str = "eavs-fleet-checkpoint/v1";
+const MAGIC: &str = "eavs-fleet-checkpoint/v2";
 
 // Every line is written straight into the output buffer: `write!` into
 // a `String` formats in place, so encoding allocates only as the buffer
@@ -70,7 +70,6 @@ pub fn encode(agg: &FleetAggregate) -> String {
         push_f64_bits(&mut out, "cpu_j_min", g.cpu_j_min);
         push_f64_bits(&mut out, "cpu_j_max", g.cpu_j_max);
         push_sum(&mut out, "radio_j_sum", &g.radio_j_sum);
-        push_sum(&mut out, "device_radio_j_sum", &g.device_radio_j_sum);
         push_sum(&mut out, "device_display_j_sum", &g.device_display_j_sum);
         push_sum(&mut out, "device_decoder_j_sum", &g.device_decoder_j_sum);
         push_u64(&mut out, "radio_promotions", g.radio_promotions);
@@ -230,7 +229,6 @@ pub fn decode(text: &str) -> Result<FleetAggregate, String> {
         let cpu_j_min = lines.f64_bits("cpu_j_min")?;
         let cpu_j_max = lines.f64_bits("cpu_j_max")?;
         let radio_j_sum = lines.sum("radio_j_sum")?;
-        let device_radio_j_sum = lines.sum("device_radio_j_sum")?;
         let device_display_j_sum = lines.sum("device_display_j_sum")?;
         let device_decoder_j_sum = lines.sum("device_decoder_j_sum")?;
         let radio_promotions = lines.parse("radio_promotions")?;
@@ -259,7 +257,6 @@ pub fn decode(text: &str) -> Result<FleetAggregate, String> {
             cpu_j_min,
             cpu_j_max,
             radio_j_sum,
-            device_radio_j_sum,
             device_display_j_sum,
             device_decoder_j_sum,
             radio_promotions,
@@ -376,7 +373,7 @@ mod tests {
     #[test]
     fn roundtrip_is_bit_exact() {
         let (_, agg) = populated_aggregate();
-        assert!(agg.govs[0].device_radio_j_sum.value() > 0.0);
+        assert!(agg.govs[0].device_display_j_sum.value() > 0.0);
         assert!(agg.govs[0].radio_promotions > 0);
         let decoded = decode(&encode(&agg)).unwrap();
         assert_eq!(decoded, agg);
@@ -421,6 +418,17 @@ mod tests {
         let decoded = decode(&legacy).unwrap();
         assert_eq!(decoded, agg);
         assert!(decoded.prior.is_empty());
+    }
+
+    #[test]
+    fn a_v1_checkpoint_is_refused_naming_both_versions() {
+        let (_, agg) = populated_aggregate();
+        let v1 = encode(&agg).replacen(MAGIC, "eavs-fleet-checkpoint/v1", 1);
+        let err = decode(&v1).unwrap_err();
+        assert!(
+            err.contains("eavs-fleet-checkpoint/v1") && err.contains("eavs-fleet-checkpoint/v2"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! A store persists standalone in the versioned `eavs-prior/v1` line
 //! format (same exact-roundtrip conventions as the campaign checkpoint:
 //! floats as hex bit patterns, sums as raw fixed-point integers) and also
-//! rides inside `eavs-fleet-checkpoint/v1`, so a killed campaign resumes
+//! rides inside `eavs-fleet-checkpoint/v2`, so a killed campaign resumes
 //! its knowledge along with its aggregates.
 //!
 //! [`PriorStore::session_prior`] projects the population posterior for

@@ -22,9 +22,7 @@ pub struct GovSnapshot {
     /// Mean per-session CPU energy, joules (0 when empty).
     pub mean_cpu_j: f64,
     /// Mean whole-device energy (CPU + radio + display + decoder),
-    /// joules (0 when empty). The radio is the power model's when the
-    /// spec models one and the session's legacy radio otherwise, as in
-    /// `SessionReport::device_joules`.
+    /// joules (0 when empty), as in `SessionReport::device_joules`.
     pub mean_device_j: f64,
     /// Mean composite QoE score (0 when empty).
     pub mean_qoe: f64,
@@ -35,7 +33,7 @@ pub struct GovSnapshot {
 }
 
 impl GovSnapshot {
-    fn capture(g: &GovAggregate, models_radio: bool) -> Self {
+    fn capture(g: &GovAggregate) -> Self {
         let mean = |sum: f64| {
             if g.sessions == 0 {
                 0.0
@@ -43,13 +41,8 @@ impl GovSnapshot {
                 sum / g.sessions as f64
             }
         };
-        let radio = if models_radio {
-            &g.device_radio_j_sum
-        } else {
-            &g.radio_j_sum
-        };
         let device_j = g.cpu_j_sum.value()
-            + radio.value()
+            + g.radio_j_sum.value()
             + g.device_display_j_sum.value()
             + g.device_decoder_j_sum.value();
         GovSnapshot {
@@ -92,11 +85,7 @@ impl ProgressSnapshot {
             shards_total: spec.num_shards(),
             sessions_done: agg.sessions_done,
             sessions_total: spec.sessions,
-            govs: agg
-                .govs
-                .iter()
-                .map(|g| GovSnapshot::capture(g, spec.power.radio.is_some()))
-                .collect(),
+            govs: agg.govs.iter().map(GovSnapshot::capture).collect(),
         }
     }
 

@@ -7,7 +7,6 @@
 //! * [`histogram`] — fixed-bin histograms and labeled counters.
 //! * [`residency`] — time-in-state tracking (cpufreq `time_in_state`).
 //! * [`timeseries`] — piecewise-constant signals with time-weighted means.
-//! * [`energy`] — per-component joule accounting.
 //! * [`ci`] — Student-t confidence intervals for repeated runs.
 //! * [`table`] — ASCII table / CSV rendering for the bench harness.
 //!
@@ -18,7 +17,6 @@
 #![warn(missing_docs)]
 
 pub mod ci;
-pub mod energy;
 pub mod histogram;
 pub mod quantile;
 pub mod residency;
@@ -27,7 +25,6 @@ pub mod table;
 pub mod timeseries;
 
 pub use ci::{mean_confidence_interval, ConfidenceInterval};
-pub use energy::EnergyAccount;
 pub use histogram::{Counter, Histogram};
 pub use quantile::Quantiles;
 pub use residency::ResidencyTracker;

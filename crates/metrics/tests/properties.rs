@@ -1,8 +1,7 @@
 //! Property-based tests for the metrics crate.
 
 use eavs_metrics::{
-    mean_confidence_interval, EnergyAccount, Histogram, OnlineStats, Quantiles, ResidencyTracker,
-    StepSeries,
+    mean_confidence_interval, Histogram, OnlineStats, Quantiles, ResidencyTracker, StepSeries,
 };
 use eavs_sim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
@@ -71,22 +70,6 @@ proptest! {
         let end = now + SimDuration::from_millis(17);
         let total: SimDuration = r.snapshot(end).into_iter().sum();
         prop_assert_eq!(total, end - SimTime::ZERO);
-    }
-
-    /// Energy accounts never decrease and total equals the sum of parts.
-    #[test]
-    fn energy_total_is_sum(parts in proptest::collection::vec((0usize..3, 0.0f64..100.0), 0..60)) {
-        let names = ["cpu", "radio", "display"];
-        let mut acc = EnergyAccount::new();
-        let mut expect = [0.0f64; 3];
-        for (i, j) in parts {
-            acc.add_joules(names[i], j);
-            expect[i] += j;
-        }
-        for (i, name) in names.iter().enumerate() {
-            prop_assert!((acc.joules(name) - expect[i]).abs() < 1e-9);
-        }
-        prop_assert!((acc.total() - expect.iter().sum::<f64>()).abs() < 1e-9);
     }
 
     /// Step-series integral over adjacent windows is additive.

@@ -8,7 +8,8 @@
 //! * [`download`] — the sequential segment [`Downloader`] (one RTT per
 //!   request, activity recorded for radio accounting).
 //! * [`abr`] — fixed, throughput-based and buffer-based algorithms.
-//! * [`radio`] — 3G RRC / LTE DRX / WiFi PSM state-machine energy models.
+//! * [`radio`] — one RRC state machine (IDLE/PROMO/ACTIVE/two tails) with
+//!   3G RRC, LTE DRX and WiFi PSM presets.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,16 +1,21 @@
-//! Cellular radio power-state accounting.
+//! Radio power-state accounting: one RRC state machine for every radio.
 //!
-//! Models the RRC state machines of 3G UMTS (IDLE/FACH/DCH with the T1/T2
-//! inactivity timers) and LTE (IDLE/CONNECTED with continuous-reception
-//! and DRX tail phases). Given the session's traffic activity intervals,
-//! the model computes how long the radio spends in each state and the
-//! resulting energy — the "radio" component of whole-device energy in the
-//! network experiments (F9).
+//! A session's modem walks IDLE → PROMO → ACTIVE → TAIL₁ → TAIL₂ → IDLE
+//! over the session's traffic activity intervals. The same machine models
+//! 3G UMTS (DCH/FACH with the T1/T2 inactivity timers), LTE
+//! (CONNECTED with continuous-reception and DRX tail phases) and WiFi
+//! PSM: a preset is a set of state powers and timers. Promotion can be
+//! charged as timed signalling (a latency at a power), as a lump of
+//! energy, or both; a one-tail machine sets TAIL₂ to zero. The report
+//! gives the time in each state and the resulting energy — the "radio"
+//! component of whole-device energy (F9, F28, F29, the fleet's radio
+//! sums).
 //!
 //! State powers and timer values follow the published measurements the
 //! paper's group used (Huang et al. 4G LTE characterization; the TPDS'14
 //! web-browsing paper's UMTS numbers).
 
+use eavs_sim::fingerprint::Fingerprinter;
 use eavs_sim::time::{SimDuration, SimTime};
 
 /// A half-open interval of network activity.
@@ -23,31 +28,37 @@ pub struct ActivityInterval {
 }
 
 /// Merges possibly-overlapping activity intervals into a sorted disjoint
-/// list.
+/// list, in place: touching intervals merge too, so consecutive results
+/// are strictly separated.
 pub fn merge_intervals(mut intervals: Vec<ActivityInterval>) -> Vec<ActivityInterval> {
     intervals.retain(|iv| iv.end > iv.start);
-    intervals.sort_by_key(|iv| iv.start);
-    let mut merged: Vec<ActivityInterval> = Vec::with_capacity(intervals.len());
-    for iv in intervals {
-        match merged.last_mut() {
-            Some(last) if iv.start <= last.end => {
-                last.end = last.end.max(iv.end);
-            }
-            _ => merged.push(iv),
+    // Intervals sharing a start merge into one whatever their order, so
+    // an unstable (allocation-free) sort gives the same result.
+    intervals.sort_unstable_by_key(|iv| iv.start);
+    intervals.dedup_by(|next, last| {
+        let overlaps = next.start <= last.end;
+        if overlaps {
+            last.end = last.end.max(next.end);
         }
-    }
-    merged
+        overlaps
+    });
+    intervals
 }
 
-/// Radio energy/time breakdown.
+/// Radio energy/time breakdown. The four residencies partition the
+/// session exactly.
 #[derive(Clone, Copy, PartialEq, Debug, Default)]
 pub struct RadioReport {
     /// Time actively transferring (high-power state).
     pub active_time: SimDuration,
-    /// Time in promotion/tail states attributable to inactivity timers.
+    /// Time in the inactivity tail phases (both of them).
     pub tail_time: SimDuration,
     /// Time fully idle.
     pub idle_time: SimDuration,
+    /// Time spent in promotion signalling.
+    pub promo_time: SimDuration,
+    /// IDLE→ACTIVE promotions charged.
+    pub promotions: u32,
     /// Total radio energy, joules.
     pub energy_j: f64,
 }
@@ -63,13 +74,16 @@ pub struct RadioModel {
     pub tail1: SimDuration,
     /// Power during the second tail phase (PCH / long-DRX), watts.
     pub tail2_power_w: f64,
-    /// Duration of the second tail phase.
+    /// Duration of the second tail phase (zero for a one-tail machine).
     pub tail2: SimDuration,
     /// Idle (camped) power, watts.
     pub idle_power_w: f64,
-    /// Energy of an IDLE→ACTIVE promotion, joules.
+    /// Energy charged as a lump per IDLE→ACTIVE promotion, joules.
     pub promotion_energy_j: f64,
-    /// Latency of an IDLE→ACTIVE promotion.
+    /// Power while signalling a promotion, watts.
+    pub promo_power_w: f64,
+    /// Duration of promotion signalling at the head of a transfer that
+    /// finds the radio idle (zero when promotion is charged as a lump).
     pub promotion_latency: SimDuration,
 }
 
@@ -86,7 +100,8 @@ impl RadioModel {
             tail2: SimDuration::from_secs(15),
             idle_power_w: 0.02,
             promotion_energy_j: 1.8, // ~1.5 s of signaling at ~1.2 W
-            promotion_latency: SimDuration::from_millis(1500),
+            promo_power_w: 0.0,
+            promotion_latency: SimDuration::ZERO,
         }
     }
 
@@ -101,7 +116,8 @@ impl RadioModel {
             tail2: SimDuration::from_secs(10),
             idle_power_w: 0.015,
             promotion_energy_j: 0.35,
-            promotion_latency: SimDuration::from_millis(260),
+            promo_power_w: 0.0,
+            promotion_latency: SimDuration::ZERO,
         }
     }
 
@@ -115,65 +131,116 @@ impl RadioModel {
             tail2: SimDuration::from_millis(800),
             idle_power_w: 0.01,
             promotion_energy_j: 0.01,
-            promotion_latency: SimDuration::from_millis(10),
+            promo_power_w: 0.0,
+            promotion_latency: SimDuration::ZERO,
         }
     }
 
-    /// Computes the radio report for a session of `session_len` whose
-    /// traffic occupied `activity` (merged internally).
+    /// LTE as one inactivity tail with timed promotion (the F28/F29
+    /// radio): ~1.1 W connected, ~0.6 W tail for 10 s, 260 ms promotion
+    /// at ~1.3 W signalling power.
+    pub fn lte_rrc() -> Self {
+        RadioModel {
+            active_power_w: 1.1,
+            tail1_power_w: 0.6,
+            tail1: SimDuration::from_secs(10),
+            tail2_power_w: 0.0,
+            tail2: SimDuration::ZERO,
+            idle_power_w: 0.015,
+            promotion_energy_j: 0.0,
+            promo_power_w: 1.3,
+            promotion_latency: SimDuration::from_millis(260),
+        }
+    }
+
+    /// The same machine with a single inactivity tail of `tail_timer`
+    /// (the first tail phase, the second removed) — the F29 sweep knob.
+    pub fn with_tail_timer(self, tail_timer: SimDuration) -> Self {
+        RadioModel {
+            tail1: tail_timer,
+            tail2: SimDuration::ZERO,
+            ..self
+        }
+    }
+
+    /// Walks IDLE/PROMO/ACTIVE/TAIL₁/TAIL₂ over a session of
+    /// `session_len` whose traffic occupied `activity` (merged
+    /// internally) and returns the per-state residency and energy.
     ///
-    /// A new promotion is charged whenever activity begins while the radio
-    /// has fully demoted to idle (gap since previous activity exceeding
-    /// `tail1 + tail2`).
+    /// A promotion is charged whenever a transfer begins while the radio
+    /// is idle: at the first transfer, or after a gap longer than
+    /// `tail1 + tail2`. Promotion signalling occupies the head of that
+    /// transfer (clipped to its length), the rest is ACTIVE. After each
+    /// transfer the radio holds TAIL₁, then TAIL₂, truncated by the next
+    /// transfer or session end, then demotes to IDLE. Transfers are
+    /// clipped to the session; one that begins at or after its end is not
+    /// charged. IDLE is the remainder, so the four residencies partition
+    /// `session_len` exactly.
+    ///
+    /// Energy is summed in a fixed order: each gap's tail terms, then
+    /// ACTIVE, the lump promotion energy and IDLE, then the timed
+    /// promotion term.
     pub fn account(
         &self,
         activity: Vec<ActivityInterval>,
         session_len: SimDuration,
     ) -> RadioReport {
-        let end_of_session = SimTime::ZERO + session_len;
+        let end = SimTime::ZERO + session_len;
         let merged = merge_intervals(activity);
-        let mut report = RadioReport::default();
         let full_tail = self.tail1 + self.tail2;
-
-        let mut promotions = 0u32;
+        let mut r = RadioReport::default();
         let mut prev_end: Option<SimTime> = None;
-        for iv in &merged {
-            let iv_end = iv.end.min(end_of_session);
-            let iv_start = iv.start.min(iv_end);
-            // Promotion if coming from a fully-demoted radio.
+        for (i, iv) in merged.iter().enumerate() {
+            // Sorted: once a transfer starts at the session's end, so do
+            // all the rest.
+            if iv.start >= end {
+                break;
+            }
+            let iv_end = iv.end.min(end);
+            let len = iv_end - iv.start;
             let promoted = match prev_end {
                 None => true,
-                Some(pe) => iv_start.saturating_duration_since(pe) > full_tail,
+                Some(pe) => iv.start.saturating_duration_since(pe) > full_tail,
             };
             if promoted {
-                promotions += 1;
+                r.promotions += 1;
+                let promo = len.min(self.promotion_latency);
+                r.promo_time += promo;
+                r.active_time += len - promo;
+            } else {
+                r.active_time += len;
             }
-            report.active_time += iv_end - iv_start;
-
-            // Tail after this interval, truncated by the next activity or
-            // session end.
-            let next_start = merged
-                .iter()
-                .map(|n| n.start)
-                .find(|&s| s >= iv.end)
-                .unwrap_or(SimTime::MAX)
-                .min(end_of_session);
+            let next_start = merged.get(i + 1).map_or(end, |n| n.start.min(end));
             let gap = next_start.saturating_duration_since(iv_end);
             let t1 = gap.min(self.tail1);
             let t2 = gap.saturating_sub(self.tail1).min(self.tail2);
-            report.tail_time += t1 + t2;
-            report.energy_j +=
+            r.tail_time += t1 + t2;
+            r.energy_j +=
                 self.tail1_power_w * t1.as_secs_f64() + self.tail2_power_w * t2.as_secs_f64();
             prev_end = Some(iv_end);
         }
+        r.energy_j += self.active_power_w * r.active_time.as_secs_f64();
+        r.energy_j += self.promotion_energy_j * f64::from(r.promotions);
+        r.idle_time = session_len
+            .saturating_sub(r.active_time)
+            .saturating_sub(r.promo_time)
+            .saturating_sub(r.tail_time);
+        r.energy_j += self.idle_power_w * r.idle_time.as_secs_f64();
+        r.energy_j += self.promo_power_w * r.promo_time.as_secs_f64();
+        r
+    }
 
-        report.energy_j += self.active_power_w * report.active_time.as_secs_f64();
-        report.energy_j += self.promotion_energy_j * f64::from(promotions);
-        report.idle_time = session_len
-            .saturating_sub(report.active_time)
-            .saturating_sub(report.tail_time);
-        report.energy_j += self.idle_power_w * report.idle_time.as_secs_f64();
-        report
+    /// Hashes every parameter into `fp`.
+    pub fn fingerprint(&self, fp: &mut Fingerprinter) {
+        fp.write_f64(self.active_power_w);
+        fp.write_f64(self.tail1_power_w);
+        fp.write_u64(self.tail1.as_nanos());
+        fp.write_f64(self.tail2_power_w);
+        fp.write_u64(self.tail2.as_nanos());
+        fp.write_f64(self.idle_power_w);
+        fp.write_f64(self.promotion_energy_j);
+        fp.write_f64(self.promo_power_w);
+        fp.write_u64(self.promotion_latency.as_nanos());
     }
 }
 
@@ -263,7 +330,8 @@ mod tests {
     fn times_partition_session() {
         let m = RadioModel::umts_3g();
         let r = m.account(vec![iv(3, 8), iv(30, 31)], SimDuration::from_secs(60));
-        let total = r.active_time + r.tail_time + r.idle_time;
+        let total = r.active_time + r.promo_time + r.tail_time + r.idle_time;
         assert_eq!(total, SimDuration::from_secs(60));
+        assert_eq!(r.promotions, 2);
     }
 }

@@ -19,7 +19,7 @@
 //! | `scaling_min_freq` / `scaling_max_freq` | rw | policy limits, kHz |
 //! | `cpuinfo_min_freq` / `cpuinfo_max_freq` | r | hardware limits, kHz |
 //! | `cpuinfo_transition_latency` | r | nanoseconds |
-//! | `scaling_setspeed` | rw | kHz; only in `userspace` |
+//! | `scaling_setspeed` | rw | kHz, resolved to the lowest OPP at or above it (else the top), within the limits; only in `userspace` |
 //! | `scaling_driver` | r | `"eavs-sim"` |
 //! | `affected_cpus` / `related_cpus` | r | core ids |
 //! | `stats/time_in_state` | r | `kHz 10ms-ticks` lines |
@@ -202,15 +202,10 @@ impl CpufreqFs {
                         ),
                     });
                 }
-                let khz = parse_khz(path, value)?;
-                let freq = Frequency::from_khz(khz);
-                if cluster.opps().index_of(freq).is_none() {
-                    return Err(SysfsError::InvalidValue {
-                        path: path.to_owned(),
-                        value: value.to_owned(),
-                        reason: "not an available frequency".to_owned(),
-                    });
-                }
+                // Like the kernel's `userspace` governor, any kHz is
+                // accepted and resolved with CPUFREQ_RELATION_L within
+                // the policy limits.
+                let freq = Frequency::from_khz(parse_khz(path, value)?);
                 self.setspeed = Some(freq);
                 cluster.set_target_freq(now, freq);
                 Ok(())
@@ -340,12 +335,24 @@ mod tests {
     }
 
     #[test]
-    fn setspeed_rejects_unavailable_frequency() {
+    fn setspeed_resolves_any_khz_to_the_lowest_opp_at_or_above_it() {
         let (mut cluster, mut fs) = setup();
         fs.write(&mut cluster, "scaling_governor", "userspace", t(0))
             .unwrap();
+        let opps = cluster.opps().clone();
+        let between = (opps.freq(0).khz() + opps.freq(1).khz()) / 2;
+        for (khz, want) in [
+            (1, 0),
+            (between, 1),
+            (opps.freq(1).khz(), 1),
+            (opps.max_freq().khz() + 1, opps.max_index()),
+        ] {
+            fs.write(&mut cluster, "scaling_setspeed", &khz.to_string(), t(0))
+                .unwrap();
+            assert_eq!(cluster.target_index(), want, "{khz} kHz");
+        }
         let err = fs
-            .write(&mut cluster, "scaling_setspeed", "123456", t(0))
+            .write(&mut cluster, "scaling_setspeed", "fast", t(0))
             .unwrap_err();
         assert!(matches!(err, SysfsError::InvalidValue { .. }));
     }

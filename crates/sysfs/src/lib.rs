@@ -6,8 +6,9 @@
 //! that file protocol over the [`eavs_cpu`] cluster model (the "sysfs
 //! governor doable" path of the reproduction plan). Sessions set the OPP
 //! with `Cluster::set_target`; `tests/properties.rs` proves that
-//! `scaling_setspeed` writes of the clamped OPP's kHz drive a cluster
-//! identically, on every preset's big and LITTLE cluster.
+//! `scaling_setspeed` writes of any kHz drive a cluster identically to
+//! `set_target` of the OPP the kernel's `CPUFREQ_RELATION_L` rule picks
+//! within the policy limits, on every preset's big and LITTLE cluster.
 //!
 //! ```
 //! use eavs_cpu::soc::SocModel;

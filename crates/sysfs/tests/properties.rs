@@ -62,28 +62,30 @@ proptest! {
         prop_assert!(is_invalid);
     }
 
-    /// Userspace setspeed accepts exactly the advertised frequencies.
+    /// Userspace setspeed accepts any integer kHz, as the kernel does,
+    /// and refuses anything else without moving the cluster.
     #[test]
-    fn setspeed_accepts_exactly_available_frequencies(khz in 0u32..3_000_000) {
+    fn setspeed_accepts_any_khz_and_only_integers(khz in 0u32..3_000_000) {
         let mut cluster = SocModel::MidRange.build_cluster();
         let mut fs = CpufreqFs::new(&cluster);
         let now = SimTime::ZERO;
         fs.write(&mut cluster, "scaling_governor", "userspace", now)
             .unwrap();
-        let advertised: Vec<u32> = cluster
-            .opps()
-            .iter()
-            .map(|o| o.freq.khz())
-            .collect();
-        let result = fs.write(&mut cluster, "scaling_setspeed", &khz.to_string(), now);
-        prop_assert_eq!(result.is_ok(), advertised.contains(&khz));
+        prop_assert!(fs.write(&mut cluster, "scaling_setspeed", &khz.to_string(), now).is_ok());
+        let target = cluster.target_index();
+        for bad in [format!("-{khz}"), format!("{khz}kHz"), format!("{khz}.5")] {
+            let err = fs.write(&mut cluster, "scaling_setspeed", &bad, now).unwrap_err();
+            let is_invalid = matches!(err, SysfsError::InvalidValue { .. });
+            prop_assert!(is_invalid, "{} accepted", bad);
+            prop_assert_eq!(cluster.target_index(), target);
+        }
     }
 
     /// `scaling_setspeed` is `Cluster::set_target` in deployment form: on
     /// every preset's big and LITTLE cluster, under random limit writes,
     /// a cluster driven by OPP indices and its twin driven by `userspace`
-    /// writes of the clamped OPP's kHz (same jobs on both) stay in
-    /// lockstep and end with bit-identical energy and residency.
+    /// writes of arbitrary kHz (same jobs on both) stay in lockstep and
+    /// end with bit-identical energy and residency.
     #[test]
     fn setspeed_writes_match_set_target(
         soc in 0usize..3,
@@ -101,11 +103,18 @@ proptest! {
         for (kind, value, dt_ns) in ops {
             now += SimDuration::from_nanos(dt_ns);
             if kind < 2 {
-                // Indices past the table's top are clamped too.
-                let idx = (value % (opps.len() as u64 + 2)) as usize;
-                direct.set_target(now, idx);
-                let khz = opps.freq(driven.limits().clamp(idx)).khz().to_string();
-                fs.write(&mut driven, "scaling_setspeed", &khz, now).unwrap();
+                // Any kHz from 0 to a quarter past the top OPP: below,
+                // between, on and above the table's frequencies. The
+                // kernel's rule, computed here: the lowest OPP at or
+                // above the target, else the top OPP, then clamped to the
+                // policy limits.
+                let khz = (value % (u64::from(opps.max_freq().khz()) * 5 / 4 + 1)) as u32;
+                let idx = opps
+                    .iter()
+                    .position(|o| o.freq.khz() >= khz)
+                    .unwrap_or(opps.len() - 1);
+                direct.set_target(now, direct.limits().clamp(idx));
+                fs.write(&mut driven, "scaling_setspeed", &khz.to_string(), now).unwrap();
             } else if kind == 2 {
                 // A core seen busy may have finished by `now`; both skip it.
                 let core = (value % direct.num_cores() as u64) as usize;

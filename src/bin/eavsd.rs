@@ -40,7 +40,7 @@ ENDPOINTS:
   POST   /campaigns                submit a CampaignSpec JSON
   GET    /campaigns                list campaigns
   GET    /campaigns/{id}           live progress (shards, sessions/sec, lanes)
-  GET    /campaigns/{id}/result    final aggregate (eavs-fleet-checkpoint/v1)
+  GET    /campaigns/{id}/result    final aggregate (eavs-fleet-checkpoint/v2)
   DELETE /campaigns/{id}           cancel at the next shard boundary
   GET    /priors                   resident fleet prior (eavs-prior/v1 text)
   POST   /priors                   merge an eavs-prior/v1 document in

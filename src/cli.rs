@@ -278,8 +278,9 @@ OPTIONS (with defaults):
   --faults none           none | storm | light:<seed> | heavy:<seed>
                           (deterministic fault injection; see DESIGN.md §11)
   --power none            none | phone | phone:<brightness 0..1> — whole-device
-                          energy co-model (RRC radio + display + decoder);
-                          accounting is post-hoc and never perturbs the session
+                          energy co-model (display + decoder; --radio picks
+                          the radio); accounting is post-hoc and never
+                          perturbs the session
   --retry <none>          balanced | <timeout_ms>,<retries>,<base_ms>
                           (download watchdog + exponential backoff)
   --prior PATH            seed the predictor from a fleet-trained prior
@@ -336,7 +337,7 @@ EXAMPLES:
   eavsctl run --faults heavy:7 --retry balanced --panic
       fault injection with watchdog retries and EAVS panic recovery
   eavsctl run --power phone:0.8 --radio lte --network lte_drive
-      whole-device energy breakdown (radio RRC + display + decoder)
+      whole-device energy breakdown (radio + display + decoder)
   eavsctl compare ondemand,schedutil,eavs --duration 30
   eavsctl trace --seed 7 --duration 10 --out /tmp/session.jsonl
   eavsctl trace --chrome --out /tmp/session.trace.json
@@ -1235,12 +1236,12 @@ pub fn execute(command: Command) -> Result<String, String> {
             if args.power != "none" {
                 out.push_str(&format!(
                     "  device power: radio {:.2} J ({} promotions, tail {:.1} s), display {:.2} J, decoder {:.2} J, device total {:.2} J\n",
-                    report.power.radio_j,
-                    report.power.radio_promotions,
-                    report.power.radio_tail_time.as_secs_f64(),
+                    report.radio.energy_j,
+                    report.radio.promotions,
+                    report.radio.tail_time.as_secs_f64(),
                     report.power.display_j,
                     report.power.decoder_j,
-                    report.power.total_j(),
+                    report.radio.energy_j + report.power.total_j(),
                 ));
             }
             if let Some(profile) = &report.profile {
@@ -1476,7 +1477,7 @@ mod tests {
         };
         let powered = run_session(&args, "eavs").unwrap();
         assert!(powered.power.total_j() > 0.0);
-        assert!(powered.power.radio_promotions > 0);
+        assert!(powered.radio.promotions > 0);
         // The co-model is accounting-only: the identical session without
         // it decodes the same frames for the same CPU energy.
         let plain = run_session(
@@ -1489,6 +1490,7 @@ mod tests {
         .unwrap();
         assert_eq!(plain.cpu_joules().to_bits(), powered.cpu_joules().to_bits());
         assert_eq!(plain.frames_decoded, powered.frames_decoded);
+        assert_eq!(plain.radio, powered.radio);
         assert_eq!(plain.power.total_j(), 0.0);
 
         let out = execute(Command::Run(args)).unwrap();

@@ -361,6 +361,32 @@ fn malformed_input_maps_to_structured_errors() {
 }
 
 #[test]
+fn a_spec_with_a_power_radio_object_is_refused_naming_the_field() {
+    let mut opts = daemon_opts("power-radio");
+    opts.workers = 0;
+    let daemon = Daemon::start(opts, pooled()).unwrap();
+    let addr = daemon.addr();
+    // The session's radio is a campaign's only radio: the power model
+    // carries display and decoder, and a spec that still sends a
+    // `power.radio` object is refused, not silently run without it.
+    let mut spec = small_spec("power-radio");
+    spec.power = eavs::power::DevicePowerModel::phone();
+    let json = codec::encode_spec(&spec);
+    let sent = json.replacen(
+        "\"power\":{",
+        "\"power\":{\"radio\":{\"tail_timer_ns\":10000000000},",
+        1,
+    );
+    assert_ne!(sent, json);
+    let (status, body) = client::request_text(&addr, "POST", "/campaigns", &sent).unwrap();
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("spec.power.radio: unknown field"), "{body}");
+    let (status, body) = client::request_text(&addr, "POST", "/campaigns", &json).unwrap();
+    assert_eq!(status, 200, "{body}");
+    daemon.shutdown();
+}
+
+#[test]
 fn a_prior_with_a_negative_cycle_sum_is_refused_and_the_store_is_unchanged() {
     let daemon = Daemon::start(daemon_opts("bad-prior"), pooled()).unwrap();
     let addr = daemon.addr();

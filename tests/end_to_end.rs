@@ -205,7 +205,7 @@ fn radio_energy_scales_with_radio_model() {
     assert!(lte.radio.energy_j < umts.radio.energy_j);
     // CPU side is unaffected by the radio model.
     assert_eq!(wifi.cpu_joules().to_bits(), lte.cpu_joules().to_bits());
-    // Without a power model the device sum is F9's: CPU + legacy radio.
+    // Without a power model the device sum is F9's: CPU + radio.
     let f9_sum = lte.cpu_joules() + lte.radio.energy_j + lte.power.total_j();
     assert_eq!(lte.device_joules().to_bits(), f9_sum.to_bits());
 }

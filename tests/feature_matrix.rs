@@ -5,7 +5,7 @@
 use eavs::cli;
 use eavs::cpu::thermal::{ThermalModel, ThrottleController};
 use eavs::net::radio::RadioModel;
-use eavs::power::{DevicePowerModel, RrcRadioModel};
+use eavs::power::DevicePowerModel;
 use eavs::scaling::governor::{EavsConfig, EavsGovernor};
 use eavs::scaling::predictor::Hybrid;
 use eavs::scaling::session::{ClusterSelect, GovernorChoice, StreamingSession};
@@ -116,10 +116,10 @@ fn radio_and_network_presets_compose() {
 #[test]
 fn power_model_composes_with_thermal_and_radio() {
     // The whole-device power model stacks on every other extension:
-    // thermal throttling, background load, and the legacy net-layer
-    // radio accounting all run in the same session while the device
-    // model fills in its own component counters post-hoc.
-    let build = |power: DevicePowerModel| {
+    // thermal throttling, background load, and the session's radio
+    // accounting all run in the same session while the device model
+    // fills in its own component counters post-hoc.
+    let build = |radio: RadioModel| {
         StreamingSession::builder(eavs())
             .manifest(manifest_480p(15))
             .content(ContentProfile::Sport)
@@ -128,39 +128,33 @@ fn power_model_composes_with_thermal_and_radio() {
                 ThrottleController::phone_default(),
             )
             .background_load(0.2, SimDuration::from_millis(100))
-            .radio(RadioModel::lte())
-            .power(power)
+            .radio(radio)
+            .power(DevicePowerModel::phone())
             .seed(17)
             .run()
     };
-    let report = build(DevicePowerModel::phone());
+    let report = build(RadioModel::lte_rrc());
     assert!(report.peak_temp_c.expect("thermal on") > 25.0);
-    assert!(
-        report.radio.energy_j > 0.0,
-        "legacy net radio still charged"
-    );
-    assert!(report.power.radio_j > 0.0);
+    assert!(report.radio.energy_j > 0.0);
+    assert!(report.radio.promotions > 0);
     assert!(report.power.display_j > 0.0);
     assert!(report.power.decoder_j > 0.0);
-    // With an RRC radio attached, the device sum counts that radio only.
+    // The device sum counts the session's one radio once.
     assert_eq!(
         report.device_joules().to_bits(),
-        (report.cpu_joules() + report.power.total_j()).to_bits()
+        (report.cpu_joules() + report.radio.energy_j + report.power.total_j()).to_bits()
     );
-    // The RRC residencies partition the whole session.
-    let residency = report.power.radio_idle_time
-        + report.power.radio_promo_time
-        + report.power.radio_active_time
-        + report.power.radio_tail_time;
+    // The radio's residencies partition the whole session.
+    let r = &report.radio;
+    let residency = r.idle_time + r.promo_time + r.active_time + r.tail_time;
     assert_eq!(residency, report.session_length);
 
     // A longer tail timer keeps the radio out of IDLE for longer and can
     // only raise energy — and the rest of the session is untouched.
-    let mut long_tail = DevicePowerModel::phone();
-    long_tail.radio = Some(RrcRadioModel::lte().with_tail_timer(SimDuration::from_secs(30)));
-    let long = build(long_tail);
-    assert!(long.power.radio_j >= report.power.radio_j);
-    assert!(long.power.radio_idle_time <= report.power.radio_idle_time);
+    let long = build(RadioModel::lte_rrc().with_tail_timer(SimDuration::from_secs(30)));
+    assert!(long.radio.energy_j >= report.radio.energy_j);
+    assert!(long.radio.idle_time <= report.radio.idle_time);
+    assert_eq!(long.power, report.power);
     assert_eq!(long.cpu_joules().to_bits(), report.cpu_joules().to_bits());
     assert_eq!(long.events_processed, report.events_processed);
 }

@@ -91,7 +91,7 @@ fn kill_and_resume_is_byte_identical() {
     let cold = eavs_bench::fleet::run_campaign(&spec, &RunOptions::default()).unwrap();
     assert_eq!(cold.status, CampaignStatus::Complete);
     for lane in &cold.aggregate.govs {
-        assert!(lane.device_radio_j_sum.value() > 0.0);
+        assert!(lane.radio_j_sum.value() > 0.0);
         assert!(lane.device_display_j_sum.value() > 0.0);
         assert!(lane.device_decoder_j_sum.value() > 0.0);
         assert!(lane.radio_promotions > 0);

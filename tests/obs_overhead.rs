@@ -147,7 +147,7 @@ fn second_run_on_a_thread_reuses_its_scratch() {
     let second = allocs_for(|| {
         builder(&manifest).run();
     });
-    // Measured at 32 with the scratch recycled and 38 on a new thread's
+    // Measured at 30 with the scratch recycled and 36 on a new thread's
     // fresh buffers (10 s 1080p30, warm memos). The bound leaves a little headroom yet
     // fails if `run()` stops recycling the thread's scratch.
     assert!(

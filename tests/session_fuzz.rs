@@ -6,7 +6,8 @@ use eavs::faults::{
     AmbientStep, Blackout, DecodeSpike, DecoderStall, FaultPlan, RandomFaults, SegmentFault,
 };
 use eavs::net::download::RetryPolicy;
-use eavs::power::{DevicePowerModel, RrcRadioModel};
+use eavs::net::radio::RadioModel;
+use eavs::power::DevicePowerModel;
 use eavs::scaling::governor::{EavsConfig, EavsGovernor};
 use eavs::scaling::predictor::predictor_by_name;
 use eavs::scaling::session::{ClusterSelect, GovernorChoice, StreamingSession};
@@ -169,19 +170,18 @@ fn chaos_randomized_fault_plans() {
             backoff_factor: rng.uniform(1.0, 3.0),
             backoff_cap: SimDuration::from_secs(rng.uniform_u64(1, 10)),
         };
-        // Half the cases carry a randomized whole-device power model —
-        // brightness and radio tail timer drawn from the same corpus —
-        // which must never disturb the invariants below.
-        let power = if rng.bernoulli(0.5) {
-            let mut model = DevicePowerModel::phone_with_brightness(rng.uniform(0.1, 1.0));
-            model.radio = Some(
-                RrcRadioModel::lte().with_tail_timer(SimDuration::from_nanos(
-                    rng.uniform_u64(100_000_000, 30_000_000_000),
-                )),
-            );
-            model
+        // Half the cases carry a randomized whole-device power model and
+        // a one-tail LTE radio — brightness and radio tail timer drawn
+        // from the same corpus — which must never disturb the invariants
+        // below. The other half keep the default Wi-Fi radio.
+        let (power, radio) = if rng.bernoulli(0.5) {
+            let power = DevicePowerModel::phone_with_brightness(rng.uniform(0.1, 1.0));
+            let radio = RadioModel::lte_rrc().with_tail_timer(SimDuration::from_nanos(
+                rng.uniform_u64(100_000_000, 30_000_000_000),
+            ));
+            (power, radio)
         } else {
-            DevicePowerModel::none()
+            (DevicePowerModel::none(), RadioModel::wifi())
         };
         let manifest = Manifest::single(3_000, 1280, 720, SimDuration::from_secs(6), fps);
         let frames_per_segment = manifest.frames_per_segment;
@@ -196,6 +196,7 @@ fn chaos_randomized_fault_plans() {
             })
             .faults(plan.clone())
             .retry(retry)
+            .radio(radio)
             .power(power)
             .seed(seed)
             .record_series(true)
@@ -243,9 +244,18 @@ fn chaos_randomized_fault_plans() {
             "{}",
             ctx()
         );
-        // Whole-device power accounting stays physical too: finite,
-        // non-negative, with the RRC residencies partitioning the
-        // session exactly — or all-zero when no model is attached.
+        // The radio's four residencies partition the session exactly,
+        // and its energy is finite and non-negative.
+        let r = &report.radio;
+        assert_eq!(
+            r.idle_time + r.promo_time + r.active_time + r.tail_time,
+            report.session_length,
+            "{}",
+            ctx()
+        );
+        assert!(r.energy_j.is_finite() && r.energy_j >= 0.0, "{}", ctx());
+        // Whole-device power accounting stays physical too: finite and
+        // non-negative — or all-zero when no model is attached.
         if power.is_none() {
             assert_eq!(report.power.total_j(), 0.0, "{}", ctx());
         } else {
@@ -254,14 +264,8 @@ fn chaos_randomized_fault_plans() {
                 "{}",
                 ctx()
             );
-            assert!(report.power.radio_j >= 0.0, "{}", ctx());
             assert!(report.power.display_j >= 0.0, "{}", ctx());
             assert!(report.power.decoder_j >= 0.0, "{}", ctx());
-            let residency = report.power.radio_idle_time
-                + report.power.radio_promo_time
-                + report.power.radio_active_time
-                + report.power.radio_tail_time;
-            assert_eq!(residency, report.session_length, "{}", ctx());
         }
     }
 }
