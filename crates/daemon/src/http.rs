@@ -13,14 +13,16 @@
 //! discarded, so the close does not reset the connection under the
 //! response). The head (request line and headers) is capped at 16 KiB
 //! as it is read, so a line that never ends costs at most that much
-//! memory before its `413`; a head that is not UTF-8 is a `400`. The
-//! matching [`client`] speaks exactly this dialect and is what
-//! `eavsctl` and worker mode use; it reads reply heads through the same
-//! capped line reader and never trusts a reply's `Content-Length` for
-//! more than 64 MiB of memory up front.
+//! memory before its `413`; a head that is not UTF-8, or a request cut
+//! short, is a `400`. A handler that panics is answered `500` and its
+//! pool thread lives on. The matching [`client`] speaks exactly this
+//! dialect and is what `eavsctl` and worker mode use; it reads reply
+//! heads through the same capped line reader and never trusts a reply's
+//! `Content-Length` for more than 64 MiB of memory up front.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::{Arc, Mutex};
@@ -222,7 +224,7 @@ fn serve_connection(stream: TcpStream, handler: &Handler) -> std::io::Result<()>
     stream.set_write_timeout(Some(IO_TIMEOUT))?;
     let mut reader = BufReader::new(stream);
     let (response, refused) = match read_request(&mut reader) {
-        Ok(request) => (handler(request), false),
+        Ok(request) => (call_handler(handler, request), false),
         Err(ReadError::TooLarge(detail)) => {
             (Response::error(413, "payload too large", &detail), true)
         }
@@ -237,6 +239,22 @@ fn serve_connection(stream: TcpStream, handler: &Handler) -> std::io::Result<()>
         linger(&mut stream);
     }
     Ok(())
+}
+
+/// Runs `handler` on `request`, turning a panic into a `500` with the
+/// structured error body. A panic that unwound out of the worker would
+/// end its thread, and the pool is fixed: once every thread is gone the
+/// acceptor exits and the server stops answering while its process
+/// stays up.
+fn call_handler(handler: &Handler, request: Request) -> Response {
+    std::panic::catch_unwind(AssertUnwindSafe(|| handler(request))).unwrap_or_else(|payload| {
+        let detail = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("handler panicked");
+        Response::error(500, "internal error", detail)
+    })
 }
 
 /// Closing a socket that still holds unread request bytes makes the
@@ -282,7 +300,11 @@ impl From<std::io::Error> for ReadError {
     }
 }
 
-fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, ReadError> {
+/// Reads one request from `reader`. Total over its input: any bytes
+/// give a request or a refusal ([`ReadError::TooLarge`] or
+/// [`ReadError::Malformed`]); only a failing read is an
+/// [`ReadError::Io`].
+fn read_request(reader: &mut impl BufRead) -> Result<Request, ReadError> {
     let mut head_left = MAX_HEAD_BYTES;
     let mut line = String::new();
     take_line(reader, &mut line, &mut head_left, "request")?;
@@ -317,7 +339,12 @@ fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, ReadError>
         )));
     }
     let mut body = vec![0u8; content_length as usize];
-    reader.read_exact(&mut body)?;
+    reader.read_exact(&mut body).map_err(|e| match e.kind() {
+        std::io::ErrorKind::UnexpectedEof => {
+            ReadError::Malformed("connection closed mid-body".into())
+        }
+        _ => ReadError::Io(e),
+    })?;
     Ok(Request { method, path, body })
 }
 
@@ -325,8 +352,9 @@ fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, ReadError>
 /// `side` (`"request"` or `"response"`) head into `line` and charges its
 /// bytes to the head's remaining budget `left`. The read stops one byte
 /// past the budget, so a line that never ends is refused as soon as it
-/// outgrows the head instead of being buffered whole. The server reads
-/// request heads and the [`client`] response heads through it.
+/// outgrows the head instead of being buffered whole, and a line the
+/// peer ends without its `\n` is malformed. The server reads request
+/// heads and the [`client`] response heads through it.
 fn take_line(
     reader: &mut impl BufRead,
     line: &mut String,
@@ -339,14 +367,14 @@ fn take_line(
         .by_ref()
         .take(*left + 1)
         .read_until(b'\n', &mut bytes)? as u64;
-    if n == 0 {
-        return Err(ReadError::Malformed(format!(
-            "connection closed mid-{side}"
-        )));
-    }
     if n > *left {
         return Err(ReadError::TooLarge(format!(
             "{side} heads are capped at {MAX_HEAD_BYTES} bytes"
+        )));
+    }
+    if bytes.last() != Some(&b'\n') {
+        return Err(ReadError::Malformed(format!(
+            "connection closed mid-{side}"
         )));
     }
     *left -= n;
@@ -675,10 +703,157 @@ mod tests {
     }
 
     #[test]
+    fn a_panicking_handler_answers_500_and_keeps_the_pool() {
+        let handler: Handler = Arc::new(|req: Request| {
+            assert!(req.path != "/boom", "boom on {}", req.path);
+            Response::text(200, "ok")
+        });
+        let server = Server::bind("127.0.0.1:0", 2, handler).unwrap();
+        let addr = server.addr().to_string();
+        // More panics than pool threads: each must leave its thread alive.
+        for _ in 0..3 {
+            let response = reply_to_open_request(&addr, b"GET /boom HTTP/1.1\r\n\r\n");
+            assert!(response.starts_with("HTTP/1.1 500"), "{response}");
+            assert!(response.contains("boom on /boom"), "{response}");
+        }
+        let response = reply_to_open_request(&addr, b"GET /healthz HTTP/1.1\r\n\r\n");
+        assert!(response.starts_with("HTTP/1.1 200"), "{response}");
+        server.shutdown();
+    }
+
+    #[test]
     fn shutdown_joins_cleanly() {
         let server = echo_server();
         let addr = server.addr().to_string();
         server.shutdown();
         assert!(client::request_text(&addr, "GET", "/", "").is_err());
+    }
+
+    mod totality {
+        use super::super::{read_request, ReadError, MAX_BODY_BYTES};
+        use proptest::prelude::*;
+
+        /// A request as the client writes it.
+        fn valid_request(method: &str, path: &str, body: &[u8]) -> Vec<u8> {
+            let mut bytes = format!(
+                "{method} {path} HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+                body.len()
+            )
+            .into_bytes();
+            bytes.extend_from_slice(body);
+            bytes
+        }
+
+        /// Reads `bytes` as one request: any outcome is a request or a
+        /// 400/413-class refusal, never a panic or an I/O error.
+        fn read_is_total(bytes: &[u8]) -> Result<(), TestCaseError> {
+            match read_request(&mut &bytes[..]) {
+                Ok(request) => {
+                    prop_assert!(request.body.len() as u64 <= MAX_BODY_BYTES);
+                }
+                Err(ReadError::TooLarge(_) | ReadError::Malformed(_)) => {}
+                Err(ReadError::Io(e)) => {
+                    return Err(TestCaseError::fail(format!("I/O error on a slice: {e}")))
+                }
+            }
+            Ok(())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+            #[test]
+            fn arbitrary_bytes_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..128)) {
+                read_is_total(&bytes)?;
+            }
+
+            #[test]
+            fn valid_requests_round_trip(
+                path in "/[a-z0-9/]{0,24}",
+                body in proptest::collection::vec(any::<u8>(), 0..64),
+            ) {
+                let request = read_request(&mut &valid_request("POST", &path, &body)[..]);
+                let Ok(request) = request else {
+                    return Err(TestCaseError::fail(format!("refused {path:?}")));
+                };
+                prop_assert_eq!(request.method, "POST");
+                prop_assert_eq!(request.path, path);
+                prop_assert_eq!(request.body, body);
+            }
+
+            /// One byte of a valid request replaced: any outcome but a panic.
+            #[test]
+            fn single_byte_mutations_never_panic(
+                path in "/[a-z0-9/]{0,24}",
+                body in proptest::collection::vec(any::<u8>(), 0..64),
+                at in any::<usize>(),
+                byte in any::<u8>(),
+            ) {
+                let mut bytes = valid_request("PUT", &path, &body);
+                let at = at % bytes.len();
+                bytes[at] = byte;
+                read_is_total(&bytes)?;
+            }
+
+            /// Every proper prefix of a valid request is refused.
+            #[test]
+            fn truncations_are_refused(
+                path in "/[a-z0-9/]{0,24}",
+                body in proptest::collection::vec(any::<u8>(), 0..64),
+            ) {
+                let bytes = valid_request("POST", &path, &body);
+                for cut in 0..bytes.len() {
+                    let refused = matches!(
+                        read_request(&mut &bytes[..cut]),
+                        Err(ReadError::TooLarge(_) | ReadError::Malformed(_))
+                    );
+                    prop_assert!(refused, "prefix of {} bytes accepted", cut);
+                }
+            }
+
+            /// `Content-Length` anywhere in `u64` (and just past it): a
+            /// request only when the body is there and within the cap.
+            #[test]
+            fn content_length_sweeps_to_u64_max(
+                shift in 0u32..64,
+                low in any::<u64>(),
+                sent in 0usize..32,
+            ) {
+                let claimed = low >> shift;
+                let mut bytes = format!("POST /x HTTP/1.1\r\nContent-Length: {claimed}\r\n\r\n").into_bytes();
+                bytes.resize(bytes.len() + sent, b'z');
+                match read_request(&mut &bytes[..]) {
+                    Ok(request) => {
+                        prop_assert!(claimed <= sent as u64);
+                        prop_assert_eq!(request.body.len() as u64, claimed);
+                    }
+                    Err(ReadError::TooLarge(_)) => prop_assert!(claimed > MAX_BODY_BYTES),
+                    Err(ReadError::Malformed(_)) => prop_assert!(claimed > sent as u64),
+                    Err(ReadError::Io(e)) => {
+                        return Err(TestCaseError::fail(format!("I/O error on a slice: {e}")))
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn content_length_extremes() {
+            for claimed in [
+                "18446744073709551615",
+                "18446744073709551616",
+                "-1",
+                "1e3",
+                "",
+            ] {
+                let bytes = format!("GET / HTTP/1.1\r\nContent-Length: {claimed}\r\n\r\n");
+                assert!(
+                    matches!(
+                        read_request(&mut bytes.as_bytes()),
+                        Err(ReadError::TooLarge(_) | ReadError::Malformed(_))
+                    ),
+                    "Content-Length {claimed:?} accepted"
+                );
+            }
+        }
     }
 }

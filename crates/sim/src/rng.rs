@@ -152,12 +152,18 @@ impl SimRng {
     /// Panics unless `mean > 0` and `cv >= 0`.
     pub fn lognormal_mean_cv(&mut self, mean: f64, cv: f64) -> f64 {
         assert!(mean > 0.0 && cv >= 0.0, "bad lognormal mean={mean} cv={cv}");
-        if cv == 0.0 {
-            return mean;
-        }
-        let sigma2 = (1.0 + cv * cv).ln();
-        let mu = mean.ln() - sigma2 / 2.0;
-        self.lognormal(mu, sigma2.sqrt())
+        self.lognormal_cv(mean, &LogNormalCv::new(cv))
+    }
+
+    /// [`lognormal_mean_cv`](Self::lognormal_mean_cv) with the shape
+    /// precomputed: the same value, and the same draws, for the same
+    /// mean and CV.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `mean > 0`.
+    pub fn lognormal_cv(&mut self, mean: f64, shape: &LogNormalCv) -> f64 {
+        shape.with_mean(mean).sample(self)
     }
 
     /// An exponential variate with the given rate (events per unit).
@@ -214,6 +220,70 @@ impl SimRng {
             let j = self.uniform_u64(0, i as u64 + 1) as usize;
             items.swap(i, j);
         }
+    }
+}
+
+/// The shape of a lognormal fixed by its coefficient of variation:
+/// `σ² = ln(1 + cv²)` and `σ`, computed once for every draw that
+/// shares the CV.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub struct LogNormalCv {
+    cv: f64,
+    half_sigma2: f64,
+    sigma: f64,
+}
+
+impl LogNormalCv {
+    /// The shape for coefficient of variation `cv`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `cv >= 0`.
+    pub fn new(cv: f64) -> Self {
+        assert!(cv >= 0.0, "bad lognormal cv={cv}");
+        let sigma2 = (1.0 + cv * cv).ln();
+        LogNormalCv {
+            cv,
+            half_sigma2: sigma2 / 2.0,
+            sigma: sigma2.sqrt(),
+        }
+    }
+
+    /// The lognormal of this shape whose own mean is `mean`. Build it once
+    /// where the mean repeats, to take `ln(mean)` once.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `mean > 0`.
+    pub fn with_mean(&self, mean: f64) -> LogNormal {
+        assert!(mean > 0.0, "bad lognormal mean={mean} cv={}", self.cv);
+        LogNormal {
+            mean,
+            mu: mean.ln() - self.half_sigma2,
+            sigma: self.sigma,
+            degenerate: self.cv == 0.0,
+        }
+    }
+}
+
+/// A lognormal fully specified by its mean and [`LogNormalCv`] shape.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub struct LogNormal {
+    mean: f64,
+    mu: f64,
+    sigma: f64,
+    /// `cv == 0`: every draw is the mean and consumes no randomness.
+    degenerate: bool,
+}
+
+impl LogNormal {
+    /// One variate: `exp(N(mu, sigma))`, or the mean itself when the CV
+    /// is 0.
+    pub fn sample(&self, rng: &mut SimRng) -> f64 {
+        if self.degenerate {
+            return self.mean;
+        }
+        rng.lognormal(self.mu, self.sigma)
     }
 }
 
@@ -286,6 +356,45 @@ mod tests {
         let mean: f64 = (0..n).map(|_| r.lognormal_mean_cv(3.0, 0.4)).sum::<f64>() / n as f64;
         assert!((mean - 3.0).abs() < 0.03, "mean {mean}");
         assert_eq!(r.lognormal_mean_cv(2.0, 0.0), 2.0);
+    }
+
+    #[test]
+    fn lognormal_cv_matches_mean_cv_draw_for_draw() {
+        for cv in [0.0, 1e-300, 0.1, 0.35, 2.0] {
+            let shape = LogNormalCv::new(cv);
+            let mut a = SimRng::new(41);
+            let mut b = SimRng::new(41);
+            for mean in [1e-9, 0.5, 3.0, 64.0, 2.5e7] {
+                let dist = shape.with_mean(mean);
+                for _ in 0..3 {
+                    let want = a.lognormal_mean_cv(mean, cv).to_bits();
+                    assert_eq!(b.lognormal_cv(mean, &shape).to_bits(), want, "cv {cv}");
+                    assert_eq!(
+                        dist.sample(&mut b).to_bits(),
+                        a.lognormal_mean_cv(mean, cv).to_bits()
+                    );
+                }
+            }
+            // Both paths consumed the same draws.
+            assert_eq!(a, b);
+        }
+        // A zero CV returns the mean and draws nothing.
+        let mut r = SimRng::new(43);
+        let before = r.clone();
+        assert_eq!(r.lognormal_cv(2.0, &LogNormalCv::new(0.0)), 2.0);
+        assert_eq!(r, before);
+    }
+
+    #[test]
+    #[should_panic(expected = "bad lognormal mean")]
+    fn lognormal_cv_rejects_a_non_positive_mean() {
+        SimRng::new(1).lognormal_cv(0.0, &LogNormalCv::new(0.2));
+    }
+
+    #[test]
+    #[should_panic(expected = "bad lognormal cv")]
+    fn lognormal_shape_rejects_a_negative_cv() {
+        LogNormalCv::new(-0.1);
     }
 
     #[test]

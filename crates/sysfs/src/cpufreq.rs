@@ -19,7 +19,7 @@
 //! | `scaling_min_freq` / `scaling_max_freq` | rw | policy limits, kHz |
 //! | `cpuinfo_min_freq` / `cpuinfo_max_freq` | r | hardware limits, kHz |
 //! | `cpuinfo_transition_latency` | r | nanoseconds |
-//! | `scaling_setspeed` | rw | kHz, resolved to the lowest OPP at or above it (else the top), within the limits; only in `userspace` |
+//! | `scaling_setspeed` | rw | kHz, resolved to the lowest OPP at or above it (else the top), within the limits; reads back the current kHz; only in `userspace` |
 //! | `scaling_driver` | r | `"eavs-sim"` |
 //! | `affected_cpus` / `related_cpus` | r | core ids |
 //! | `stats/time_in_state` | r | `kHz 10ms-ticks` lines |
@@ -46,8 +46,6 @@ pub const AVAILABLE_GOVERNORS: [&str; 8] = [
 #[derive(Debug)]
 pub struct CpufreqFs {
     governor: String,
-    /// The last value written to `scaling_setspeed` (kHz).
-    setspeed: Option<Frequency>,
     min_freq: Frequency,
     max_freq: Frequency,
 }
@@ -58,7 +56,6 @@ impl CpufreqFs {
     pub fn new(cluster: &Cluster) -> Self {
         CpufreqFs {
             governor: "performance".to_owned(),
-            setspeed: None,
             min_freq: cluster.opps().min_freq(),
             max_freq: cluster.opps().max_freq(),
         }
@@ -121,9 +118,10 @@ impl CpufreqFs {
             "cpuinfo_max_freq" => format!("{}\n", cluster.opps().max_freq().khz()),
             "cpuinfo_transition_latency" => "50000\n".to_owned(),
             "scaling_driver" => "eavs-sim\n".to_owned(),
-            "scaling_setspeed" => match (self.governor.as_str(), self.setspeed) {
-                ("userspace", Some(f)) => format!("{}\n", f.khz()),
-                ("userspace", None) => format!("{}\n", cluster.current_freq().khz()),
+            // Like the kernel's `show_speed`, which prints `policy->cur`:
+            // the frequency in effect, not the kHz last written.
+            "scaling_setspeed" => match self.governor.as_str() {
+                "userspace" => format!("{}\n", cluster.current_freq().khz()),
                 _ => "<unsupported>\n".to_owned(),
             },
             "affected_cpus" | "related_cpus" => {
@@ -206,7 +204,6 @@ impl CpufreqFs {
                 // accepted and resolved with CPUFREQ_RELATION_L within
                 // the policy limits.
                 let freq = Frequency::from_khz(parse_khz(path, value)?);
-                self.setspeed = Some(freq);
                 cluster.set_target_freq(now, freq);
                 Ok(())
             }
@@ -355,6 +352,19 @@ mod tests {
             .write(&mut cluster, "scaling_setspeed", "fast", t(0))
             .unwrap_err();
         assert!(matches!(err, SysfsError::InvalidValue { .. }));
+    }
+
+    #[test]
+    fn setspeed_reads_the_current_frequency_not_the_khz_written() {
+        let (mut cluster, mut fs) = setup();
+        fs.write(&mut cluster, "scaling_governor", "userspace", t(0))
+            .unwrap();
+        fs.write(&mut cluster, "scaling_setspeed", "123456", t(0))
+            .unwrap();
+        cluster.advance(t(1));
+        let cur = fs.read(&cluster, "scaling_cur_freq", t(1)).unwrap();
+        assert_eq!(cur, "400000\n");
+        assert_eq!(fs.read(&cluster, "scaling_setspeed", t(1)).unwrap(), cur);
     }
 
     #[test]

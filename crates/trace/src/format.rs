@@ -12,6 +12,9 @@
 //! frame <rep_id> <index> <I|P|B> <size_bytes> <decode_cycles>
 //! ```
 //!
+//! A frame's `size_bytes` is below 2^30 (1 GiB), the segment record's
+//! limit ([`MAX_FRAME_BYTES`]).
+//!
 //! **Bandwidth trace** (`.btrace`):
 //! ```text
 //! bw <time_ns> <bits_per_second>
@@ -22,7 +25,7 @@ use eavs_net::bandwidth::BandwidthTrace;
 use eavs_sim::time::{SimDuration, SimTime};
 use eavs_video::frame::{Frame, FrameType};
 use eavs_video::manifest::{Manifest, Representation};
-use eavs_video::segment::Segment;
+use eavs_video::segment::{Segment, MAX_FRAME_BYTES};
 use std::fmt;
 
 /// A parsed video trace: a manifest plus every frame of every rung.
@@ -197,6 +200,12 @@ pub fn parse_video_trace(text: &str) -> Result<VideoTrace, ParseError> {
                     other => return Err(err(lineno, format!("bad frame type {other:?}"))),
                 };
                 let size_bytes: u32 = rest[3].parse().map_err(|_| err(lineno, "bad size"))?;
+                if size_bytes > MAX_FRAME_BYTES {
+                    return Err(err(
+                        lineno,
+                        format!("frame size {size_bytes} over the {MAX_FRAME_BYTES}-byte limit"),
+                    ));
+                }
                 let cycles: f64 = rest[4].parse().map_err(|_| err(lineno, "bad cycles"))?;
                 if !cycles.is_finite() || cycles < 0.0 {
                     return Err(err(lineno, "bad cycles"));

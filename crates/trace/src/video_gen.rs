@@ -14,17 +14,26 @@
 //! (segment, rung) pair forks its own RNG stream. This keeps comparisons
 //! between governors workload-identical even when buffer dynamics shift
 //! download order.
+//!
+//! Generation fills the segment memo (`crate::memo`), so every
+//! never-seen stream pays for it. Only the draws are per frame: the
+//! scene-change draw is taken once per GOP (keyed by the GOP's first
+//! frame, which may lie in an earlier segment), the size distributions
+//! once per segment (three frame types × scene change or not), and the
+//! lognormal shapes and the size normalization are fixed by the
+//! profile and GOP. Frame sizes saturate at the segment record's limit,
+//! [`MAX_FRAME_BYTES`] (2^30 − 1).
 
 use std::sync::Arc;
 
 use crate::content::ContentProfile;
 use eavs_cpu::freq::Cycles;
 use eavs_sim::fingerprint::Fingerprinter;
-use eavs_sim::rng::SimRng;
+use eavs_sim::rng::{LogNormalCv, SimRng};
 use eavs_video::frame::{Frame, FrameType};
 use eavs_video::gop::GopStructure;
 use eavs_video::manifest::{Manifest, Representation};
-use eavs_video::segment::Segment;
+use eavs_video::segment::{Segment, MAX_FRAME_BYTES};
 
 /// Mean decode cycles per pixel for film content at 1.0 complexity.
 /// ≈ 9.5 cycles/pixel puts 1080p30 software decode around 20 Mcycles per
@@ -52,6 +61,15 @@ fn cycle_factor(t: FrameType) -> f64 {
     }
 }
 
+/// Normalization so that the type-mix-weighted size equals the mean.
+fn size_norm(gop: GopStructure) -> f64 {
+    let mix = gop.type_mix();
+    let weighted = mix[FrameType::I.index()] * size_factor(FrameType::I)
+        + mix[FrameType::P.index()] * size_factor(FrameType::P)
+        + mix[FrameType::B.index()] * size_factor(FrameType::B);
+    1.0 / weighted
+}
+
 /// Deterministic synthetic video source for one title.
 ///
 /// The manifest is held behind an [`Arc`] so parallel sweeps can share one
@@ -64,6 +82,8 @@ pub struct VideoGenerator {
     gop: GopStructure,
     root: SimRng,
     seed: u64,
+    /// Normalization so that the type-mix-weighted size equals the mean.
+    size_norm: f64,
     /// Digest of (manifest contents, profile, gop, seed): the identity
     /// under which [`VideoGenerator::shared_segment`] memoizes.
     memo_key: u128,
@@ -75,12 +95,14 @@ impl VideoGenerator {
     /// `Arc<Manifest>`.
     pub fn new(manifest: impl Into<Arc<Manifest>>, profile: ContentProfile, seed: u64) -> Self {
         let root = SimRng::new(seed).fork("video-gen");
+        let gop = GopStructure::streaming_default();
         let mut gen = VideoGenerator {
             manifest: manifest.into(),
             profile,
-            gop: GopStructure::streaming_default(),
+            gop,
             root,
             seed,
+            size_norm: size_norm(gop),
             memo_key: 0,
         };
         gen.rekey();
@@ -90,6 +112,7 @@ impl VideoGenerator {
     /// Overrides the GOP structure.
     pub fn with_gop(mut self, gop: GopStructure) -> Self {
         self.gop = gop;
+        self.size_norm = size_norm(gop);
         self.rekey();
         self
     }
@@ -124,15 +147,6 @@ impl VideoGenerator {
         f64::from(rep.bitrate_kbps) * 1000.0 / 8.0 / f64::from(self.manifest.fps)
     }
 
-    /// Normalization so that the type-mix-weighted size equals the mean.
-    fn size_norm(&self) -> f64 {
-        let mix = self.gop.type_mix();
-        let weighted = mix[FrameType::I.index()] * size_factor(FrameType::I)
-            + mix[FrameType::P.index()] * size_factor(FrameType::P)
-            + mix[FrameType::B.index()] * size_factor(FrameType::B);
-        1.0 / weighted
-    }
-
     /// Whether the GOP starting at global frame `gop_start` is a scene
     /// change (deterministic per position).
     fn is_scene_change(&self, gop_start: u64) -> bool {
@@ -142,7 +156,8 @@ impl VideoGenerator {
 
     /// Generates segment `index` encoded at ladder rung `rep_id`.
     ///
-    /// Deterministic in `(seed, index, rep_id)`.
+    /// Deterministic in `(seed, index, rep_id)`. Frame sizes saturate at
+    /// [`MAX_FRAME_BYTES`], the segment record's limit.
     ///
     /// # Panics
     ///
@@ -153,35 +168,46 @@ impl VideoGenerator {
         let mut rng = self.root.fork(&format!("seg-{index}-rep-{rep_id}"));
         let frames_per_seg = self.manifest.frames_per_segment;
         let first = index * frames_per_seg;
-        let mean_bytes = self.mean_frame_bytes(rep) * self.size_norm();
+        let mean_bytes = self.mean_frame_bytes(rep) * self.size_norm;
         let frame_duration = self.manifest.frame_duration();
         let gop_len = u64::from(self.gop.gop_length());
+
+        // Everything below but the draws is fixed for the segment: per
+        // frame type (and scene change), the size distribution and the
+        // resolution part of the decode cost.
+        let boosts = [1.0, self.profile.scene_change_boost()];
+        let size_shape = LogNormalCv::new(self.profile.size_cv());
+        let cycle_shape = LogNormalCv::new(self.profile.cycle_cv());
+        let size_dist = boosts.map(|boost| {
+            FrameType::ALL.map(|t| size_shape.with_mean(mean_bytes * size_factor(t) * boost))
+        });
+        let pixel_cycles = FrameType::ALL.map(|t| {
+            CYCLES_PER_PIXEL * self.profile.complexity() * rep.pixels() as f64 * cycle_factor(t)
+        });
+        // The scene draw of the GOP the last frame fell in. A GOP may
+        // start before the segment's first frame, so it is keyed by the
+        // GOP's first frame, not by the segment.
+        let mut scene: Option<(u64, usize)> = None;
 
         let frames = (first..first + frames_per_seg).map(|global| {
             let ftype = self.gop.frame_type_at(global);
             let gop_start = global - global % gop_len;
-            let boost = if self.is_scene_change(gop_start) {
-                self.profile.scene_change_boost()
-            } else {
-                1.0
+            let scene_change = match scene {
+                Some((start, change)) if start == gop_start => change,
+                _ => {
+                    let change = usize::from(self.is_scene_change(gop_start));
+                    scene = Some((gop_start, change));
+                    change
+                }
             };
-            let size_mean = mean_bytes * size_factor(ftype) * boost;
-            let size = rng
-                .lognormal_mean_cv(size_mean, self.profile.size_cv())
-                .max(64.0);
-            let cycle_mean = (CYCLES_PER_PIXEL
-                * self.profile.complexity()
-                * rep.pixels() as f64
-                * cycle_factor(ftype)
-                + CYCLES_PER_BYTE * size)
-                * boost;
-            let cycles = rng
-                .lognormal_mean_cv(cycle_mean, self.profile.cycle_cv())
-                .max(10_000.0);
+            let t = ftype.index();
+            let size = size_dist[scene_change][t].sample(&mut rng).max(64.0);
+            let cycle_mean = (pixel_cycles[t] + CYCLES_PER_BYTE * size) * boosts[scene_change];
+            let cycles = rng.lognormal_cv(cycle_mean, &cycle_shape).max(10_000.0);
             Frame {
                 index: global,
                 frame_type: ftype,
-                size_bytes: size.round() as u32,
+                size_bytes: size.round().min(f64::from(MAX_FRAME_BYTES)) as u32,
                 decode_cycles: Cycles::new(cycles),
                 duration: frame_duration,
             }
@@ -335,6 +361,23 @@ mod tests {
     }
 
     #[test]
+    fn a_title_at_the_largest_bitrate_saturates_its_frames_at_the_record_limit() {
+        let manifest = Manifest::single(u32::MAX, 3840, 2160, SimDuration::from_secs(4), 30);
+        let g = VideoGenerator::new(manifest, ContentProfile::Sport, 9);
+        for seg in g.all_segments(0) {
+            for f in seg.frames() {
+                assert!(f.size_bytes <= MAX_FRAME_BYTES, "{f:?}");
+                assert!(f.decode_cycles.get().is_finite());
+            }
+            // Every mean frame is far past the limit, so every frame sits on it.
+            assert_eq!(
+                seg.size_bytes(),
+                seg.num_frames() as u64 * u64::from(MAX_FRAME_BYTES)
+            );
+        }
+    }
+
+    #[test]
     fn frame_indices_are_globally_consecutive() {
         let g = generator(ContentProfile::Film);
         let m = g.manifest().clone();
@@ -347,5 +390,96 @@ mod tests {
             }
         }
         assert_eq!(expected, m.total_frames());
+    }
+
+    mod equivalence {
+        use super::super::*;
+        use eavs_sim::time::SimDuration;
+        use proptest::prelude::*;
+
+        /// The per-frame loop `segment` replaced, kept as its oracle: it
+        /// re-derives the scene draw, both lognormal shapes, `ln(mean)`
+        /// and the size normalization for every frame.
+        fn reference_segment(g: &VideoGenerator, index: u64, rep_id: usize) -> Vec<Frame> {
+            let rep = g.manifest.representation(rep_id);
+            let mut rng = g.root.fork(&format!("seg-{index}-rep-{rep_id}"));
+            let frames_per_seg = g.manifest.frames_per_segment;
+            let first = index * frames_per_seg;
+            let mean_bytes = g.mean_frame_bytes(rep) * size_norm(g.gop);
+            let frame_duration = g.manifest.frame_duration();
+            let gop_len = u64::from(g.gop.gop_length());
+            (first..first + frames_per_seg)
+                .map(|global| {
+                    let ftype = g.gop.frame_type_at(global);
+                    let gop_start = global - global % gop_len;
+                    let boost = if g.is_scene_change(gop_start) {
+                        g.profile.scene_change_boost()
+                    } else {
+                        1.0
+                    };
+                    let size_mean = mean_bytes * size_factor(ftype) * boost;
+                    let size = rng
+                        .lognormal_mean_cv(size_mean, g.profile.size_cv())
+                        .max(64.0);
+                    let cycle_mean = (CYCLES_PER_PIXEL
+                        * g.profile.complexity()
+                        * rep.pixels() as f64
+                        * cycle_factor(ftype)
+                        + CYCLES_PER_BYTE * size)
+                        * boost;
+                    let cycles = rng
+                        .lognormal_mean_cv(cycle_mean, g.profile.cycle_cv())
+                        .max(10_000.0);
+                    Frame {
+                        index: global,
+                        frame_type: ftype,
+                        size_bytes: size.round() as u32,
+                        decode_cycles: Cycles::new(cycles),
+                        duration: frame_duration,
+                    }
+                })
+                .collect()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(300))]
+
+            /// Every frame of every segment equals the oracle's, decode
+            /// cycles to the bit: standard ladders and single rungs, fps
+            /// and segment lengths that make GOPs straddle segments, and
+            /// GOP structures other than the default.
+            #[test]
+            fn segment_equals_the_per_frame_loop(
+                profile in 0usize..3,
+                seed in any::<u64>(),
+                single in any::<bool>(),
+                fps in 1u32..61,
+                fseg in 1u64..150,
+                nseg in 1u64..6,
+                gop in (0u32..3, 1u32..130, 0u32..4),
+                picks in (any::<u64>(), any::<usize>()),
+            ) {
+                let ladder = if single {
+                    Manifest::single(2_500, 1280, 720, SimDuration::from_secs(2), fps)
+                } else {
+                    Manifest::standard_ladder(SimDuration::from_secs(2), fps)
+                };
+                let manifest = Manifest::new(ladder.representations().to_vec(), fseg, nseg, fps);
+                let mut g = VideoGenerator::new(manifest, ContentProfile::ALL[profile], seed);
+                // One case in three keeps the streaming default GOP.
+                if gop.0 > 0 {
+                    g = g.with_gop(GopStructure::new(gop.1, gop.2));
+                }
+                let index = picks.0 % nseg;
+                let rep_id = picks.1 % g.manifest().num_representations();
+                let want = reference_segment(&g, index, rep_id);
+                let got = g.segment(index, rep_id).into_frames();
+                prop_assert_eq!(got.len(), want.len());
+                for (a, b) in got.iter().zip(&want) {
+                    prop_assert_eq!(a.decode_cycles.get().to_bits(), b.decode_cycles.get().to_bits());
+                    prop_assert_eq!(a, b);
+                }
+            }
+        }
     }
 }

@@ -13,7 +13,7 @@ use eavs_trace::net_gen::NetworkProfile;
 use eavs_trace::video_gen::VideoGenerator;
 use eavs_video::frame::{Frame, FrameType};
 use eavs_video::manifest::{Manifest, Representation};
-use eavs_video::segment::Segment;
+use eavs_video::segment::{Segment, MAX_FRAME_BYTES};
 use proptest::prelude::*;
 use std::path::PathBuf;
 
@@ -296,12 +296,13 @@ proptest! {
     }
 
     /// A segment hands back exactly the frames it was built from, decode
-    /// cycles to the bit, with the same size, duration and first index.
+    /// cycles to the bit, with the same size, duration and first index,
+    /// for every size the record holds (`0..2^30`).
     #[test]
     fn segment_packing_preserves_every_frame(
         first in 0u64..1 << 40,
         duration_ns in 1u64..1_000_000_000,
-        raw in proptest::collection::vec((0u8..3, any::<u32>(), any::<u64>()), 1..200),
+        raw in proptest::collection::vec((0u8..3, 0u32..MAX_FRAME_BYTES + 1, any::<u64>()), 1..200),
     ) {
         let frames: Vec<Frame> = raw
             .iter()
@@ -332,5 +333,62 @@ proptest! {
         prop_assert_eq!(segment.duration(), frames.iter().map(|f| f.duration).sum::<SimDuration>());
         prop_assert_eq!(segment.first_frame_index(), first);
         prop_assert_eq!(segment.into_frames(), frames);
+    }
+}
+
+/// One P frame of `size` bytes at index `index`.
+fn frame_of(index: u64, size: u32) -> Frame {
+    Frame {
+        index,
+        frame_type: FrameType::P,
+        size_bytes: size,
+        decode_cycles: Cycles::new(1e6),
+        duration: SimDuration::from_nanos(33_333_333),
+    }
+}
+
+#[test]
+fn the_largest_frame_the_record_holds_round_trips_at_every_type() {
+    assert_eq!(MAX_FRAME_BYTES, (1 << 30) - 1);
+    let frames: Vec<Frame> = FrameType::ALL
+        .into_iter()
+        .zip(0..)
+        .map(|(frame_type, i)| Frame {
+            frame_type,
+            ..frame_of(i, MAX_FRAME_BYTES)
+        })
+        .collect();
+    let segment = Segment::new(0, 0, frames.clone());
+    assert_eq!(segment.size_bytes(), 3 * u64::from(MAX_FRAME_BYTES));
+    assert_eq!(segment.frames().collect::<Vec<_>>(), frames);
+}
+
+#[test]
+#[should_panic(expected = "record limit")]
+fn a_frame_of_two_to_the_thirty_bytes_panics_in_segment_new() {
+    Segment::new(0, 0, vec![frame_of(0, 1 << 30)]);
+}
+
+#[test]
+fn a_trace_frame_of_two_to_the_thirty_bytes_is_a_parse_error_naming_its_line() {
+    let (manifest, frames) = small_video(3, 30, 2, 1, 1);
+    let video = write_video_trace(&manifest, &frames);
+    // Line 0 is the comment, 1 the header, 2 the rung, 3 the first frame.
+    for (size, refused) in [(MAX_FRAME_BYTES, false), (1 << 30, true), (u32::MAX, true)] {
+        let text = replace_field(&video, 3, 4, &size.to_string());
+        match parse_video_trace(&text) {
+            Ok(trace) => {
+                assert!(!refused, "{size} accepted");
+                assert_eq!(
+                    trace.segment(0, 0).frames().next().unwrap().size_bytes,
+                    size
+                );
+            }
+            Err(e) => {
+                assert!(refused, "{size} refused: {e}");
+                assert_eq!(e.line, 4, "{e}");
+                assert!(e.message.contains("limit"), "{e}");
+            }
+        }
     }
 }

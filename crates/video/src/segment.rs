@@ -1,16 +1,45 @@
 //! Media segments: the unit of download.
+//!
+//! A [`Segment`] keeps each frame in a 12-byte record (decode cycles, and
+//! the size and type in one word), so frame sizes are limited to
+//! [`MAX_FRAME_BYTES`] (2^30 − 1 B).
 
 use crate::frame::{Frame, FrameType};
 use eavs_cpu::freq::Cycles;
 use eavs_sim::time::SimDuration;
 
+/// Largest frame size a segment stores, bytes: `2^30 − 1`. The record
+/// keeps a frame's size in 30 bits beside its type.
+pub const MAX_FRAME_BYTES: u32 = (1 << TYPE_SHIFT) - 1;
+
+/// Bit position of the frame type in [`PackedFrame::size_and_type`].
+const TYPE_SHIFT: u32 = 30;
+
 /// The per-frame part of a [`Frame`]: what differs from one frame of a
-/// segment to the next. 16 bytes, against a `Frame`'s 32.
+/// segment to the next. 12 bytes, against a `Frame`'s 32: the decode
+/// cost, then one word with the size in its low 30 bits and the type
+/// ([`FrameType::index`]) in its top 2.
 #[derive(Clone, Copy, PartialEq, Debug)]
+#[repr(C, packed(4))]
 struct PackedFrame {
     decode_cycles: Cycles,
-    size_bytes: u32,
-    frame_type: FrameType,
+    size_and_type: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<PackedFrame>() == 12);
+
+impl PackedFrame {
+    fn frame_type(self) -> FrameType {
+        match self.size_and_type >> TYPE_SHIFT {
+            0 => FrameType::I,
+            1 => FrameType::P,
+            _ => FrameType::B,
+        }
+    }
+
+    fn size_bytes(self) -> u32 {
+        self.size_and_type & MAX_FRAME_BYTES
+    }
 }
 
 /// One downloadable media segment: an ordered run of frames at one
@@ -37,8 +66,9 @@ impl Segment {
     ///
     /// # Panics
     ///
-    /// Panics if `frames` is empty, frame indices are not consecutive, or
-    /// frame durations differ.
+    /// Panics if `frames` is empty, frame indices are not consecutive,
+    /// frame durations differ, or a frame is larger than
+    /// [`MAX_FRAME_BYTES`].
     pub fn new(
         index: u64,
         representation_id: usize,
@@ -59,10 +89,15 @@ impl Segment {
                     f.duration, first.duration,
                     "segment {index}: frame durations differ"
                 );
+                assert!(
+                    f.size_bytes <= MAX_FRAME_BYTES,
+                    "segment {index}: frame {} is {} bytes, over the {MAX_FRAME_BYTES}-byte record limit",
+                    f.index,
+                    f.size_bytes
+                );
                 PackedFrame {
                     decode_cycles: f.decode_cycles,
-                    size_bytes: f.size_bytes,
-                    frame_type: f.frame_type,
+                    size_and_type: f.size_bytes | (f.frame_type.index() as u32) << TYPE_SHIFT,
                 }
             })
             .collect();
@@ -77,10 +112,10 @@ impl Segment {
 
     /// The frames in decode order.
     pub fn frames(&self) -> impl ExactSizeIterator<Item = Frame> + '_ {
-        self.frames.iter().enumerate().map(|(i, p)| Frame {
+        self.frames.iter().enumerate().map(|(i, &p)| Frame {
             index: self.first_frame_index + i as u64,
-            frame_type: p.frame_type,
-            size_bytes: p.size_bytes,
+            frame_type: p.frame_type(),
+            size_bytes: p.size_bytes(),
             decode_cycles: p.decode_cycles,
             duration: self.frame_duration,
         })
@@ -98,7 +133,7 @@ impl Segment {
 
     /// Total coded size in bytes (what the downloader must transfer).
     pub fn size_bytes(&self) -> u64 {
-        self.frames.iter().map(|f| u64::from(f.size_bytes)).sum()
+        self.frames.iter().map(|f| u64::from(f.size_bytes())).sum()
     }
 
     /// Media duration of the segment.
@@ -150,10 +185,9 @@ mod tests {
     }
 
     #[test]
-    fn packed_frames_are_16_bytes() {
-        assert_eq!(std::mem::size_of::<PackedFrame>(), 16);
+    fn packed_frames_are_12_bytes() {
         let s = Segment::new(0, 0, (0..60).map(|i| frame(i, 1)));
-        assert_eq!(s.approx_bytes(), std::mem::size_of::<Segment>() + 60 * 16);
+        assert_eq!(s.approx_bytes(), std::mem::size_of::<Segment>() + 60 * 12);
     }
 
     #[test]
