@@ -7,9 +7,11 @@
 //! Builders whose components carry learned state fingerprint as `None`
 //! and always run.
 //!
-//! The session runs *outside* the lock: two workers racing on the same
-//! fingerprint may both simulate, but determinism makes the results
-//! identical, so whichever insert wins is indistinguishable.
+//! [`run_sessions`] is the one runner: every figure and the fleet's
+//! pooled runner hand it `(label, builder)` batches. Sessions run
+//! *outside* the lock, so two concurrent batches that miss the same
+//! fingerprint may both simulate it, but determinism makes the results
+//! identical, so whichever insert lands first is indistinguishable.
 
 use eavs_core::report::SessionReport;
 use eavs_core::session::SessionBuilder;
@@ -149,36 +151,15 @@ fn lookup(key: u128) -> Option<Arc<SessionReport>> {
     found
 }
 
-/// Runs `builder` through the process-wide session cache: a hit returns
-/// the shared report without simulating; a miss simulates, caches and
-/// returns it; an observed or unfingerprintable builder runs uncached.
-pub fn run_session(builder: SessionBuilder) -> Arc<SessionReport> {
-    let (builder, key) = prepare(builder);
-    let Some(key) = key else {
-        return Arc::new(builder.run());
-    };
-    if let Some(r) = lookup(key) {
-        return r;
-    }
-    MISSES.fetch_add(1, Ordering::Relaxed);
-    let report = Arc::new(builder.run());
-    let mut inner = cache().lock().expect("session cache poisoned");
-    if let Some(r) = inner.map.get(&key) {
-        return Arc::clone(r); // a racer inserted first; identical by determinism
-    }
-    insert_bounded(&mut inner, CAP_BYTES, key, &report);
-    report
-}
-
 /// Runs a labeled batch of sessions through the cache in one pass,
-/// returning reports in input order: the vectorized [`run_session`].
+/// returning reports in input order.
 ///
-/// Each builder is prepared exactly as [`run_session`] prepares it and
-/// looked up in the cache; a builder whose key an earlier job of this
-/// call already claimed shares that job's run. Every remaining builder
-/// runs on the shared pool, and the new reports enter the cache in input
-/// order. All of this bookkeeping happens on the calling thread, so
-/// counters and eviction order are independent of `EAVS_JOBS`.
+/// Each builder is prepared (`prepare`) and looked up in the cache; a
+/// builder whose key an earlier job of this call already claimed shares
+/// that job's run. Every remaining builder runs on the shared pool, and
+/// the new reports enter the cache in input order. All of this
+/// bookkeeping happens on the calling thread, so counters and eviction
+/// order are independent of `EAVS_JOBS`.
 pub fn run_sessions(jobs: Vec<(String, SessionBuilder)>) -> Vec<Arc<SessionReport>> {
     enum Slot {
         Done(Arc<SessionReport>),
@@ -253,6 +234,13 @@ mod tests {
     use crate::harness::{eavs_default, governor, manifest_1080p30};
     use eavs_core::session::StreamingSession;
 
+    /// One session through the batch runner.
+    fn run_one(builder: SessionBuilder) -> Arc<SessionReport> {
+        run_sessions(vec![("cache test".into(), builder)])
+            .pop()
+            .expect("one report per job")
+    }
+
     fn builder() -> SessionBuilder {
         StreamingSession::builder(eavs_default())
             .manifest(manifest_1080p30(4))
@@ -268,8 +256,8 @@ mod tests {
                 .seed(777)
         };
         let before = stats();
-        let a = run_session(mk());
-        let b = run_session(mk());
+        let a = run_one(mk());
+        let b = run_one(mk());
         assert!(Arc::ptr_eq(&a, &b), "second run must be a cache hit");
         let after = stats();
         assert!(after.hits > before.hits);
@@ -278,8 +266,8 @@ mod tests {
 
     #[test]
     fn different_seeds_do_not_collide() {
-        let a = run_session(builder());
-        let b = run_session(
+        let a = run_one(builder());
+        let b = run_one(
             StreamingSession::builder(eavs_default())
                 .manifest(manifest_1080p30(4))
                 .seed(8),
@@ -290,7 +278,7 @@ mod tests {
 
     #[test]
     fn cached_report_matches_direct_run() {
-        let cached = run_session(builder());
+        let cached = run_one(builder());
         let direct = builder().run();
         assert_eq!(cached.cpu_joules(), direct.cpu_joules());
         assert_eq!(cached.transitions, direct.transitions);
@@ -307,8 +295,8 @@ mod tests {
                 .trace(shared(RingSink::new(256)))
         };
         let before = stats();
-        let a = run_session(mk());
-        let b = run_session(mk());
+        let a = run_one(mk());
+        let b = run_one(mk());
         // Each run must actually simulate (the sink needs its events).
         assert!(!Arc::ptr_eq(&a, &b));
         let after = stats();
@@ -325,8 +313,8 @@ mod tests {
                 .manifest(manifest_1080p30(4))
                 .seed(11)
         };
-        let a = run_session(mk());
-        let b = run_session(mk());
+        let a = run_one(mk());
+        let b = run_one(mk());
         assert!(Arc::ptr_eq(&a, &b));
     }
 

@@ -3,33 +3,22 @@
 
 use std::sync::Arc;
 
-use crate::harness::{
-    governor, manifest_1080p30, run_parallel_labeled, run_session, COMPARISON_GOVERNORS, SEED,
-};
+use crate::harness::{governor, headline_session, run_sessions, COMPARISON_GOVERNORS};
 use eavs_core::report::SessionReport;
-use eavs_core::session::StreamingSession;
 use eavs_metrics::table::Table;
 use eavs_trace::content::ContentProfile;
 
-/// Runs the comparison set on one content, 60 s of 1080p30, in parallel.
+/// Runs the comparison set on one content, 60 s of 1080p30, as one batch.
 /// Sessions go through the process-wide cache, so the figures sharing
-/// this set (F5, F6, T2) simulate each governor × content pair once.
+/// this set (F5, F6, T2) reuse each governor × content report once it
+/// is cached.
 pub fn run_comparison(content: ContentProfile) -> Vec<Arc<SessionReport>> {
-    let manifest = Arc::new(manifest_1080p30(60));
-    run_parallel_labeled(
+    run_sessions(
         COMPARISON_GOVERNORS
             .iter()
             .map(|&name| {
-                let manifest = Arc::clone(&manifest);
-                let job = move || {
-                    run_session(
-                        StreamingSession::builder(governor(name))
-                            .manifest(manifest)
-                            .content(content)
-                            .seed(SEED),
-                    )
-                };
-                (format!("comparison {name} {}", content.name()), job)
+                let builder = headline_session(governor(name)).content(content);
+                (format!("comparison {name} {}", content.name()), builder)
             })
             .collect(),
     )

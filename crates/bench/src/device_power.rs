@@ -11,8 +11,7 @@
 //! (`tests/attachments.rs`).
 
 use crate::harness::{
-    governor, manifest_1080p30, run_parallel_labeled, run_session, single_manifest,
-    COMPARISON_GOVERNORS, SEED,
+    governor, headline_session, run_sessions, single_manifest, COMPARISON_GOVERNORS, SEED,
 };
 use eavs_core::session::{GovernorChoice, SessionBuilder, StreamingSession};
 use eavs_metrics::table::Table;
@@ -27,14 +26,10 @@ use eavs_trace::net_gen::NetworkProfile;
 /// downloads with real gaps, so the RRC state machine has promotions and
 /// tails to account.
 fn lte_session(gov: GovernorChoice) -> SessionBuilder {
-    let duration = SimDuration::from_secs(60);
-    StreamingSession::builder(gov)
-        .manifest(manifest_1080p30(60))
-        .content(ContentProfile::Film)
-        .network(NetworkProfile::LteDrive.generate(duration * 3, SEED))
+    headline_session(gov)
+        .network(NetworkProfile::LteDrive.generate(SimDuration::from_secs(60) * 3, SEED))
         .radio(RadioModel::lte_rrc())
         .power(DevicePowerModel::phone())
-        .seed(SEED)
 }
 
 /// F28: whole-device energy breakdown by governor.
@@ -45,13 +40,10 @@ fn lte_session(gov: GovernorChoice) -> SessionBuilder {
 /// them — which is the figure's point: on a whole-device budget the
 /// governor's CPU savings compete with component draws it cannot touch.
 pub fn f28_device_breakdown() -> Table {
-    let reports = run_parallel_labeled(
+    let reports = run_sessions(
         COMPARISON_GOVERNORS
             .iter()
-            .map(|&name| {
-                let job = move || run_session(lte_session(governor(name)));
-                (format!("f28 {name}"), job)
-            })
+            .map(|&name| (format!("f28 {name}"), lte_session(governor(name))))
             .collect(),
     );
     let mut t = Table::new(&[
@@ -96,27 +88,20 @@ pub fn f29_tail_timers_ms() -> Vec<u64> {
 /// every inter-burst gap. The download timeline itself never changes
 /// (accounting is post-hoc), so the sweep isolates the timer exactly.
 pub fn f29_radio_tail_sweep() -> Table {
-    let reports = run_parallel_labeled(
+    let reports = run_sessions(
         f29_tail_timers_ms()
             .into_iter()
             .map(|ms| {
-                let job = move || {
-                    run_session(
-                        StreamingSession::builder(governor("eavs"))
-                            .manifest(single_manifest(1_200, 854, 480, 60, 30))
-                            .content(ContentProfile::Film)
-                            .network(
-                                NetworkProfile::LteDrive
-                                    .generate(SimDuration::from_secs(60) * 3, SEED),
-                            )
-                            .radio(
-                                RadioModel::lte_rrc().with_tail_timer(SimDuration::from_millis(ms)),
-                            )
-                            .power(DevicePowerModel::phone())
-                            .seed(SEED),
+                let builder = StreamingSession::builder(governor("eavs"))
+                    .manifest(single_manifest(1_200, 854, 480, 60, 30))
+                    .content(ContentProfile::Film)
+                    .network(
+                        NetworkProfile::LteDrive.generate(SimDuration::from_secs(60) * 3, SEED),
                     )
-                };
-                (format!("f29 tail {ms} ms"), job)
+                    .radio(RadioModel::lte_rrc().with_tail_timer(SimDuration::from_millis(ms)))
+                    .power(DevicePowerModel::phone())
+                    .seed(SEED);
+                (format!("f29 tail {ms} ms"), builder)
             })
             .collect(),
     );

@@ -4,10 +4,9 @@
 
 use std::sync::Arc;
 
-use crate::harness::{
-    governor, manifest_1080p30, run_parallel_labeled, run_session, single_manifest, SEED,
-};
-use eavs_core::session::StreamingSession;
+use crate::harness::{governor, headline_session, run_sessions, single_manifest, SEED};
+use eavs_core::report::SessionReport;
+use eavs_core::session::{GovernorChoice, StreamingSession};
 use eavs_cpu::thermal::{ThermalModel, ThrottleController};
 use eavs_metrics::ci::mean_confidence_interval;
 use eavs_metrics::stats::OnlineStats;
@@ -26,26 +25,21 @@ pub fn f15_thermal() -> Table {
     const THROTTLE_START_C: f64 = 58.0;
     let names = ["performance", "ondemand", "interactive", "eavs"];
     let manifest = Arc::new(single_manifest(6_000, 1920, 1080, 240, 60));
-    let reports = run_parallel_labeled(
+    let reports = run_sessions(
         names
             .iter()
             .map(|&name| {
-                let manifest = Arc::clone(&manifest);
-                let job = move || {
-                    run_session(
-                        StreamingSession::builder(governor(name))
-                            .manifest(manifest)
-                            .content(ContentProfile::Film)
-                            // tau ≈ 62 s: a 4-minute run reaches near-steady
-                            // temperature.
-                            .thermal(
-                                ThermalModel::new(25.0, 25.0, 2.5),
-                                ThrottleController::new(THROTTLE_START_C, 95.0),
-                            )
-                            .seed(SEED),
+                let builder = StreamingSession::builder(governor(name))
+                    .manifest(Arc::clone(&manifest))
+                    .content(ContentProfile::Film)
+                    // tau ≈ 62 s: a 4-minute run reaches near-steady
+                    // temperature.
+                    .thermal(
+                        ThermalModel::new(25.0, 25.0, 2.5),
+                        ThrottleController::new(THROTTLE_START_C, 95.0),
                     )
-                };
-                (format!("f15 {name}"), job)
+                    .seed(SEED);
+                (format!("f15 {name}"), builder)
             })
             .collect(),
     );
@@ -91,26 +85,19 @@ pub fn f16_background() -> Table {
         "bg bursts",
     ]);
     t.set_title("F16: background-load robustness — 60 s of 1080p30 film + core-1 bursts");
-    let manifest = Arc::new(manifest_1080p30(60));
     let mut base: Vec<f64> = vec![0.0; names.len()];
     for duty in duties {
-        let reports = run_parallel_labeled(
+        let reports = run_sessions(
             names
                 .iter()
                 .map(|&name| {
-                    let manifest = Arc::clone(&manifest);
-                    let job = move || {
-                        let builder = StreamingSession::builder(governor(name))
-                            .manifest(manifest)
-                            .seed(SEED);
-                        let builder = if duty > 0.0 {
-                            builder.background_load(duty, SimDuration::from_millis(50))
-                        } else {
-                            builder
-                        };
-                        run_session(builder)
+                    let builder = headline_session(governor(name));
+                    let builder = if duty > 0.0 {
+                        builder.background_load(duty, SimDuration::from_millis(50))
+                    } else {
+                        builder
                     };
-                    (format!("f16 {name} duty {duty:.1}"), job)
+                    (format!("f16 {name} duty {duty:.1}"), builder)
                 })
                 .collect(),
         );
@@ -144,22 +131,14 @@ pub fn t3_confidence() -> Table {
         "mean miss %",
     ]);
     t.set_title("T3: 10-seed repetition — 60 s of 1080p30 film");
-    let manifest = Arc::new(manifest_1080p30(60));
     let mut stats_rows = Vec::new();
     for &name in &names {
-        let reports = run_parallel_labeled(
+        let reports = run_sessions(
             seeds
                 .iter()
                 .map(|&seed| {
-                    let manifest = Arc::clone(&manifest);
-                    let job = move || {
-                        run_session(
-                            StreamingSession::builder(governor(name))
-                                .manifest(manifest)
-                                .seed(seed),
-                        )
-                    };
-                    (format!("t3 {name} seed {seed}"), job)
+                    let builder = headline_session(governor(name)).seed(seed);
+                    (format!("t3 {name} seed {seed}"), builder)
                 })
                 .collect(),
         );
@@ -221,20 +200,15 @@ pub fn f17_cluster_placement() -> Table {
     t.set_title("F17: decode placement big vs LITTLE — 60 s film, EAVS governor");
     for (kbps, w, h, fps, label) in rungs {
         let manifest = Arc::new(single_manifest(kbps, w, h, 60, fps));
-        let reports = run_parallel_labeled(
+        let reports = run_sessions(
             [ClusterSelect::Big, ClusterSelect::Little]
                 .iter()
                 .map(|&select| {
-                    let manifest = Arc::clone(&manifest);
-                    let job = move || {
-                        run_session(
-                            StreamingSession::builder(governor("eavs"))
-                                .manifest(manifest)
-                                .cluster(select)
-                                .seed(SEED),
-                        )
-                    };
-                    (format!("f17 {label} {select:?}"), job)
+                    let builder = StreamingSession::builder(governor("eavs"))
+                        .manifest(Arc::clone(&manifest))
+                        .cluster(select)
+                        .seed(SEED);
+                    (format!("f17 {label} {select:?}"), builder)
                 })
                 .collect(),
         );
@@ -266,22 +240,13 @@ pub fn f18_queue_depth() -> Table {
         "ondemand (J)",
     ]);
     t.set_title("F18: decoded-frame queue depth — 60 s of 1080p30 film");
-    let manifest = Arc::new(manifest_1080p30(60));
     for cap in caps {
-        let reports = run_parallel_labeled(
+        let reports = run_sessions(
             ["eavs", "ondemand"]
                 .iter()
                 .map(|&name| {
-                    let manifest = Arc::clone(&manifest);
-                    let job = move || {
-                        run_session(
-                            StreamingSession::builder(governor(name))
-                                .manifest(manifest)
-                                .decoded_cap(cap)
-                                .seed(SEED),
-                        )
-                    };
-                    (format!("f18 {name} cap {cap}"), job)
+                    let builder = headline_session(governor(name)).decoded_cap(cap);
+                    (format!("f18 {name} cap {cap}"), builder)
                 })
                 .collect(),
         );
@@ -310,23 +275,14 @@ pub fn t4_soc_matrix() -> Table {
         "mean freq",
     ]);
     t.set_title("T4: governor comparison across SoC presets — 60 s of 1080p30 film");
-    let manifest = Arc::new(manifest_1080p30(60));
     for soc in SocModel::ALL {
         let names = ["ondemand", "interactive", "schedutil", "eavs"];
-        let reports = run_parallel_labeled(
+        let reports = run_sessions(
             names
                 .iter()
                 .map(|&name| {
-                    let manifest = Arc::clone(&manifest);
-                    let job = move || {
-                        run_session(
-                            StreamingSession::builder(governor(name))
-                                .soc(soc)
-                                .manifest(manifest)
-                                .seed(SEED),
-                        )
-                    };
-                    (format!("t4 {} {name}", soc.name()), job)
+                    let builder = headline_session(governor(name)).soc(soc);
+                    (format!("t4 {} {name}", soc.name()), builder)
                 })
                 .collect(),
         );
@@ -357,21 +313,10 @@ pub fn f19_energy_breakdown() -> Table {
         "schedutil",
         "eavs",
     ];
-    let manifest = Arc::new(manifest_1080p30(60));
-    let reports = run_parallel_labeled(
+    let reports = run_sessions(
         names
             .iter()
-            .map(|&name| {
-                let manifest = Arc::clone(&manifest);
-                let job = move || {
-                    run_session(
-                        StreamingSession::builder(governor(name))
-                            .manifest(manifest)
-                            .seed(SEED),
-                    )
-                };
-                (format!("f19 {name}"), job)
-            })
+            .map(|&name| (format!("f19 {name}"), headline_session(governor(name))))
             .collect(),
     );
     let mut t = Table::new(&[
@@ -444,29 +389,28 @@ pub fn f20_auto_placement() -> Table {
     // One generated LTE trace shared by every Mixed job.
     let trace = NetworkProfile::LteDrive.generate_shared(duration * 3, SEED);
     for (wl_label, workload) in workloads {
-        let reports = run_parallel_labeled(
+        let reports = run_sessions(
             selects
                 .iter()
                 .map(|&(sel_label, select)| {
-                    let trace = Arc::clone(&trace);
-                    let job = move || {
-                        let builder = match workload {
-                            Workload::Light => StreamingSession::builder(governor("eavs"))
-                                .manifest(single_manifest(1_500, 854, 480, 120, 30))
-                                .content(ContentProfile::Film),
-                            Workload::Heavy => StreamingSession::builder(governor("eavs"))
-                                .manifest(single_manifest(6_000, 1920, 1080, 120, 60))
-                                .content(ContentProfile::Sport),
-                            Workload::Mixed => StreamingSession::builder(governor("eavs"))
-                                .manifest(Manifest::standard_ladder(duration, 30))
-                                .content(ContentProfile::Sport)
-                                .network(trace)
-                                .radio(RadioModel::lte())
-                                .abr(Box::new(BufferBasedAbr::standard())),
-                        };
-                        run_session(builder.cluster(select).seed(SEED))
+                    let builder = match workload {
+                        Workload::Light => StreamingSession::builder(governor("eavs"))
+                            .manifest(single_manifest(1_500, 854, 480, 120, 30))
+                            .content(ContentProfile::Film),
+                        Workload::Heavy => StreamingSession::builder(governor("eavs"))
+                            .manifest(single_manifest(6_000, 1920, 1080, 120, 60))
+                            .content(ContentProfile::Sport),
+                        Workload::Mixed => StreamingSession::builder(governor("eavs"))
+                            .manifest(Manifest::standard_ladder(duration, 30))
+                            .content(ContentProfile::Sport)
+                            .network(Arc::clone(&trace))
+                            .radio(RadioModel::lte())
+                            .abr(Box::new(BufferBasedAbr::standard())),
                     };
-                    (format!("f20 {wl_label} {sel_label}"), job)
+                    (
+                        format!("f20 {wl_label} {sel_label}"),
+                        builder.cluster(select).seed(SEED),
+                    )
                 })
                 .collect(),
         );
@@ -503,28 +447,17 @@ pub fn f21_late_policy() -> Table {
         "session (s)",
     ]);
     t.set_title("F21: stall vs drop late-frame policy — 60 s of 1080p30 film");
-    let manifest = Arc::new(manifest_1080p30(60));
     let policies = [("stall", LatePolicy::Stall), ("drop", LatePolicy::Drop)];
-    let jobs = ["powersave", "ondemand", "eavs"]
-        .iter()
-        .flat_map(|&name| {
-            let manifest = Arc::clone(&manifest);
-            policies.iter().map(move |&(label, policy)| {
-                let manifest = Arc::clone(&manifest);
-                let job = move || {
-                    let r = run_session(
-                        StreamingSession::builder(governor(name))
-                            .manifest(manifest)
-                            .late_policy(policy)
-                            .seed(SEED),
-                    );
-                    (label, r)
-                };
-                (format!("f21 {name} {label}"), job)
-            })
-        })
-        .collect();
-    for (label, r) in run_parallel_labeled(jobs) {
+    let mut labels = Vec::new();
+    let mut jobs = Vec::new();
+    for name in ["powersave", "ondemand", "eavs"] {
+        for (label, policy) in policies {
+            let builder = headline_session(governor(name)).late_policy(policy);
+            labels.push(label);
+            jobs.push((format!("f21 {name} {label}"), builder));
+        }
+    }
+    for (label, r) in labels.into_iter().zip(run_sessions(jobs)) {
         t.row(&[
             &r.governor,
             label,
@@ -538,6 +471,22 @@ pub fn f21_late_policy() -> Table {
     t
 }
 
+/// Runs each `(row label, governor)` on 60 s of 1080p30 film as one
+/// batch, returning the rows with their reports in order.
+fn film_rows(
+    figure: &str,
+    rows: Vec<(String, GovernorChoice)>,
+) -> Vec<(String, Arc<SessionReport>)> {
+    let (labels, jobs): (Vec<String>, Vec<_>) = rows
+        .into_iter()
+        .map(|(label, gov)| {
+            let job = (format!("{figure} {label}"), headline_session(gov));
+            (label, job)
+        })
+        .unzip();
+    labels.into_iter().zip(run_sessions(jobs)).collect()
+}
+
 /// F22: every static frequency pin vs EAVS.
 ///
 /// The strongest simple competitor is an *oracle static pin*: the lowest
@@ -547,46 +496,25 @@ pub fn f21_late_policy() -> Table {
 /// feasible pin is within a few percent of EAVS, (c) EAVS gets there
 /// without the oracle knowledge and adapts when the content changes.
 pub fn f22_static_pinning() -> Table {
-    use eavs_core::session::GovernorChoice;
     use eavs_cpu::soc::SocModel;
     use eavs_governors::Userspace;
 
     let table = SocModel::Flagship2016.opp_table();
     let mut t = Table::new(&["pin", "cpu (J)", "late vsyncs", "miss %", "session (s)"]);
     t.set_title("F22: static frequency pins vs EAVS — 60 s of 1080p30 film");
-    let manifest = Arc::new(manifest_1080p30(60));
-    let mut runs: Vec<(String, _)> = Vec::new();
-    let reports = run_parallel_labeled(
-        (0..table.len())
-            .map(|idx| {
-                let manifest = Arc::clone(&manifest);
-                let job = move || {
-                    run_session(
-                        StreamingSession::builder(GovernorChoice::Baseline(Box::new(
-                            Userspace::new(idx),
-                        )))
-                        .manifest(manifest)
-                        .seed(SEED),
-                    )
-                };
-                (format!("f22 pin {}", table.freq(idx)), job)
-            })
-            .collect(),
-    );
-    for (idx, r) in reports.into_iter().enumerate() {
-        runs.push((table.freq(idx).to_string(), r));
-    }
-    runs.push((
-        "eavs (no oracle)".to_owned(),
-        run_session(
-            StreamingSession::builder(governor("eavs"))
-                .manifest(manifest_1080p30(60))
-                .seed(SEED),
-        ),
-    ));
-    for (label, r) in &runs {
+    let rows = (0..table.len())
+        .map(|idx| {
+            let pin = GovernorChoice::Baseline(Box::new(Userspace::new(idx)));
+            (table.freq(idx).to_string(), pin)
+        })
+        .chain(std::iter::once((
+            "eavs (no oracle)".to_owned(),
+            governor("eavs"),
+        )))
+        .collect();
+    for (label, r) in film_rows("f22", rows) {
         t.row(&[
-            label,
+            &label,
             &format!("{:.2}", r.cpu_joules()),
             &r.qoe.late_vsyncs.to_string(),
             &format!("{:.3}", r.qoe.deadline_miss_rate() * 100.0),
@@ -604,7 +532,6 @@ pub fn f22_static_pinning() -> Table {
 /// configuration — the best zero-miss reactive configuration still trails
 /// EAVS, because no load threshold encodes deadlines.
 pub fn f23_baseline_tuning() -> Table {
-    use eavs_core::session::GovernorChoice;
     use eavs_governors::{
         CpufreqGovernor, Interactive, InteractiveTunables, Ondemand, OndemandTunables, Schedutil,
         SchedutilTunables,
@@ -647,37 +574,17 @@ pub fn f23_baseline_tuning() -> Table {
         "mean freq",
     ]);
     t.set_title("F23: tuned baselines vs EAVS — 60 s of 1080p30 film");
-    let manifest = Arc::new(manifest_1080p30(60));
-    let reports = run_parallel_labeled(
-        variants
-            .into_iter()
-            .map(|(label, gov)| {
-                let manifest = Arc::clone(&manifest);
-                let job_label = format!("f23 {label}");
-                let job = move || {
-                    let r = run_session(
-                        StreamingSession::builder(GovernorChoice::Baseline(gov))
-                            .manifest(manifest)
-                            .seed(SEED),
-                    );
-                    (label, r)
-                };
-                (job_label, job)
-            })
-            .collect(),
-    );
-    let eavs_report = run_session(
-        StreamingSession::builder(governor("eavs"))
-            .manifest(manifest_1080p30(60))
-            .seed(SEED),
-    );
-    for (label, r) in reports
-        .iter()
-        .map(|(l, r)| (l.as_str(), r))
-        .chain(std::iter::once(("eavs (defaults)", &eavs_report)))
-    {
+    let rows = variants
+        .into_iter()
+        .map(|(label, gov)| (label, GovernorChoice::Baseline(gov)))
+        .chain(std::iter::once((
+            "eavs (defaults)".to_owned(),
+            governor("eavs"),
+        )))
+        .collect();
+    for (label, r) in film_rows("f23", rows) {
         t.row(&[
-            label,
+            &label,
             &format!("{:.2}", r.cpu_joules()),
             &r.qoe.late_vsyncs.to_string(),
             &format!("{:.3}", r.qoe.deadline_miss_rate() * 100.0),

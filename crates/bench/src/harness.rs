@@ -1,8 +1,10 @@
-//! Shared infrastructure for the experiment binaries.
+//! Shared infrastructure for the experiment binaries: the governor-name
+//! table (the fleet campaign's, so figures and campaigns build the same
+//! governors), the headline manifests, CSV output and the re-exported
+//! session runner.
 
 use eavs_core::governor::{EavsConfig, EavsGovernor};
-use eavs_core::predictor::Hybrid;
-use eavs_core::session::GovernorChoice;
+use eavs_core::session::{GovernorChoice, SessionBuilder, StreamingSession};
 
 use eavs_metrics::table::Table;
 use eavs_sim::time::SimDuration;
@@ -25,26 +27,20 @@ pub const COMPARISON_GOVERNORS: [&str; 8] = [
     "eavs",
 ];
 
-/// Constructs a governor (baseline or EAVS-with-hybrid) by name.
+/// Constructs a governor by name from the campaign matrix table
+/// ([`governor_choice`](eavs_fleet::campaign::governor_choice)): any
+/// baseline, `eavs` (hybrid predictor, default config) or `eavs-panic`.
 ///
 /// # Panics
 ///
 /// Panics on unknown names.
 pub fn governor(name: &str) -> GovernorChoice {
-    if name == "eavs" {
-        eavs_default()
-    } else {
-        let g = eavs_governors::by_name(name).unwrap_or_else(|| panic!("unknown governor {name}"));
-        GovernorChoice::Baseline(g)
-    }
+    eavs_fleet::campaign::governor_choice(name).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// The paper-default EAVS configuration (hybrid predictor).
 pub fn eavs_default() -> GovernorChoice {
-    GovernorChoice::Eavs(EavsGovernor::new(
-        Box::new(Hybrid::default()),
-        EavsConfig::default(),
-    ))
+    governor("eavs")
 }
 
 /// EAVS with panic recovery enabled (the fault-tolerant configuration
@@ -52,10 +48,7 @@ pub fn eavs_default() -> GovernorChoice {
 /// decision re-races to the highest permitted OPP, then decays back
 /// through the normal selector hysteresis.
 pub fn eavs_resilient() -> GovernorChoice {
-    GovernorChoice::Eavs(EavsGovernor::new(
-        Box::new(Hybrid::default()),
-        EavsConfig::resilient(),
-    ))
+    governor("eavs-panic")
 }
 
 /// An EAVS variant with an explicit config and predictor name.
@@ -89,6 +82,13 @@ pub fn manifest_1080p30(secs: u64) -> Manifest {
     single_manifest(6_000, 1920, 1080, secs, 30)
 }
 
+/// The headline session: 60 s of 1080p30 film under `gov` at [`SEED`].
+pub fn headline_session(gov: GovernorChoice) -> SessionBuilder {
+    StreamingSession::builder(gov)
+        .manifest(manifest_1080p30(60))
+        .seed(SEED)
+}
+
 /// Where experiment CSVs land.
 pub fn results_dir() -> PathBuf {
     let dir = crate::executor::env_knob::<String>("EAVS_RESULTS_DIR");
@@ -115,7 +115,7 @@ pub fn emit_into(dir: &std::path::Path, id: &str, table: &Table) {
     }
 }
 
-pub use crate::cache::{run_session, run_sessions};
+pub use crate::cache::run_sessions;
 pub use crate::executor::{run_parallel, run_parallel_labeled};
 
 #[cfg(test)]

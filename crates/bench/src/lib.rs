@@ -8,6 +8,11 @@
 //! binaries and write under `results/fleet/`. The one criterion bench
 //! (`benches/governor_overhead.rs`) is the governor-overhead figure (F14).
 //!
+//! Every figure hands its sessions to [`cache::run_sessions`] as one
+//! `(label, builder)` batch, the runner [`fleet::pooled_runner`] shares;
+//! only the predictor replays of F4, F30 and F31 fan out through
+//! [`executor::run_parallel_labeled`] directly.
+//!
 //! | experiment | function |
 //! |---|---|
 //! | T1 | [`motivation::t1_opp_table`] |

@@ -1,7 +1,7 @@
 //! Motivation experiments: T1 (OPP tables), F1 (power/energy vs
 //! frequency), F2 (frequency timelines), F3 (workload variability).
 
-use crate::harness::{self, governor, manifest_1080p30, SEED};
+use crate::harness::{governor, manifest_1080p30, run_sessions, SEED};
 use eavs_core::session::StreamingSession;
 use eavs_cpu::soc::SocModel;
 use eavs_metrics::quantile::Quantiles;
@@ -95,21 +95,15 @@ pub fn f1_power_curve() -> Table {
 /// the reactive governors into noise.
 pub fn f2_freq_timeline() -> Table {
     let names = ["ondemand", "interactive", "eavs"];
-    let manifest = std::sync::Arc::new(manifest_1080p30(20));
-    let reports: Vec<_> = harness::run_parallel_labeled(
+    let reports = run_sessions(
         names
             .iter()
             .map(|&name| {
-                let manifest = std::sync::Arc::clone(&manifest);
-                let job = move || {
-                    harness::run_session(
-                        StreamingSession::builder(governor(name))
-                            .manifest(manifest)
-                            .seed(SEED)
-                            .record_series(true),
-                    )
-                };
-                (format!("f2 {name}"), job)
+                let builder = StreamingSession::builder(governor(name))
+                    .manifest(manifest_1080p30(20))
+                    .seed(SEED)
+                    .record_series(true);
+                (format!("f2 {name}"), builder)
             })
             .collect(),
     );

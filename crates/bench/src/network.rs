@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use crate::harness::{governor, run_parallel_labeled, run_session, SEED};
+use crate::harness::{governor, run_sessions, SEED};
 use eavs_core::session::StreamingSession;
 use eavs_metrics::table::Table;
 use eavs_net::abr::BufferBasedAbr;
@@ -41,24 +41,18 @@ pub fn f9_network_abr() -> Table {
         // One generated trace per network profile, shared by every job
         // (and memoized process-wide across reruns).
         let trace = profile.generate_shared(duration * 3, SEED);
-        let reports = run_parallel_labeled(
+        let reports = run_sessions(
             ["interactive", "eavs"]
                 .iter()
                 .map(|&name| {
-                    let trace = Arc::clone(&trace);
-                    let manifest = Arc::clone(&manifest);
-                    let job = move || {
-                        run_session(
-                            StreamingSession::builder(governor(name))
-                                .manifest(manifest)
-                                .content(ContentProfile::Film)
-                                .network(trace)
-                                .radio(radio_for(profile))
-                                .abr(Box::new(BufferBasedAbr::standard()))
-                                .seed(SEED),
-                        )
-                    };
-                    (format!("f9 {} {name}", profile.name()), job)
+                    let builder = StreamingSession::builder(governor(name))
+                        .manifest(Arc::clone(&manifest))
+                        .content(ContentProfile::Film)
+                        .network(Arc::clone(&trace))
+                        .radio(radio_for(profile))
+                        .abr(Box::new(BufferBasedAbr::standard()))
+                        .seed(SEED);
+                    (format!("f9 {} {name}", profile.name()), builder)
                 })
                 .collect(),
         );

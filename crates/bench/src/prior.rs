@@ -14,10 +14,11 @@
 
 use std::sync::Arc;
 
-use crate::harness::{eavs_default, manifest_1080p30, run_parallel_labeled, SEED};
+use crate::harness::{
+    eavs_default, headline_session, manifest_1080p30, run_parallel_labeled, run_sessions, SEED,
+};
 use eavs_core::predictor::{predictor_by_name, FleetPrior, FrameMeta, SessionPrior};
-use eavs_core::report::SessionReport;
-use eavs_core::session::StreamingSession;
+use eavs_core::session::SessionBuilder;
 use eavs_fleet::{CampaignSpec, PriorStore, RunOptions};
 use eavs_metrics::table::Table;
 use eavs_trace::content::ContentProfile;
@@ -102,17 +103,13 @@ pub fn replay(prior: SessionPrior, content: ContentProfile) -> PriorReplay {
     }
 }
 
-/// Runs one 60 s headline session under default EAVS with `prior`
-/// attached. The empty prior is the byte-exact cold baseline (tag-0
-/// no-op), so cold rows share cache entries with every other figure.
-pub fn session(prior: SessionPrior, content: ContentProfile) -> Arc<SessionReport> {
-    crate::cache::run_session(
-        StreamingSession::builder(eavs_default())
-            .manifest(manifest_1080p30(60))
-            .content(content)
-            .seed(SEED)
-            .prior(prior),
-    )
+/// One 60 s headline session under default EAVS with `prior` attached.
+/// The empty prior is the byte-exact cold baseline (tag-0 no-op), so
+/// cold rows share cache entries with every other figure.
+pub fn session(prior: SessionPrior, content: ContentProfile) -> SessionBuilder {
+    headline_session(eavs_default())
+        .content(content)
+        .prior(prior)
 }
 
 /// F30: cold-start vs fleet-warmed prediction accuracy and session
@@ -133,23 +130,34 @@ pub fn f30_prior_coldstart() -> Table {
         "F30: cold-start vs fleet-warmed hybrid predictor (48-session clip campaign \
          prior, 120 s @1080p30 replay + 60 s session)",
     );
-    let store = Arc::new(trained_store(SEED));
-    let jobs = ContentProfile::ALL
+    let store = trained_store(SEED);
+    // Per content: the cold (empty) prior, then the fleet-warmed one.
+    let priors: Vec<(ContentProfile, [SessionPrior; 2])> = ContentProfile::ALL
         .into_iter()
-        .map(|content| {
-            let store = Arc::clone(&store);
-            let job = move || {
-                let warm = store.session_prior(HEADLINE_KEY, content.name());
-                let cold_replay = replay(SessionPrior::default(), content);
-                let warm_replay = replay(warm, content);
-                let cold_run = session(SessionPrior::default(), content);
-                let warm_run = session(warm, content);
-                (content, cold_replay, warm_replay, cold_run, warm_run)
-            };
-            (format!("f30 {}", content.name()), job)
+        .map(|c| {
+            let warm = store.session_prior(HEADLINE_KEY, c.name());
+            (c, [SessionPrior::default(), warm])
         })
         .collect();
-    for (content, cold, warm, cold_run, warm_run) in run_parallel_labeled(jobs) {
+    let replays = run_parallel_labeled(
+        priors
+            .iter()
+            .map(|&(content, pair)| {
+                let job = move || pair.map(|prior| replay(prior, content));
+                (format!("f30 replay {}", content.name()), job)
+            })
+            .collect(),
+    );
+    let runs = run_sessions(
+        priors
+            .iter()
+            .flat_map(|&(content, pair)| {
+                pair.map(|prior| (format!("f30 {}", content.name()), session(prior, content)))
+            })
+            .collect(),
+    );
+    for (((content, _), [cold, warm]), run) in priors.iter().zip(replays).zip(runs.chunks(2)) {
+        let (cold_run, warm_run) = (&run[0], &run[1]);
         t.row(&[
             content.name(),
             &format!("{:.2}", cold.early_mape * 100.0),
@@ -205,18 +213,23 @@ pub fn f31_prior_staleness() -> Table {
     );
     let fresh = trained_store(SEED);
     let stale = trained_store(SEED + 4200);
-    let jobs = staleness_variants(&fresh, &stale)
-        .into_iter()
-        .map(|(label, prior)| {
-            let job = move || {
-                let r = replay(prior, ContentProfile::Film);
-                let run = session(prior, ContentProfile::Film);
-                (label, r, run)
-            };
-            (format!("f31 {label}"), job)
-        })
-        .collect();
-    for (label, r, run) in run_parallel_labeled(jobs) {
+    let variants = staleness_variants(&fresh, &stale);
+    let replays = run_parallel_labeled(
+        variants
+            .iter()
+            .map(|&(label, prior)| {
+                let job = move || replay(prior, ContentProfile::Film);
+                (format!("f31 replay {label}"), job)
+            })
+            .collect(),
+    );
+    let runs = run_sessions(
+        variants
+            .iter()
+            .map(|&(label, prior)| (format!("f31 {label}"), session(prior, ContentProfile::Film)))
+            .collect(),
+    );
+    for (((label, _), r), run) in variants.iter().zip(replays).zip(&runs) {
         t.row(&[
             label,
             &format!("{:.2}", r.early_mape * 100.0),
@@ -251,8 +264,11 @@ mod tests {
                 warm.early_mape,
                 cold.early_mape
             );
-            let cold_run = session(SessionPrior::default(), content);
-            let warm_run = session(warm_prior, content);
+            let runs = run_sessions(vec![
+                ("cold".into(), session(SessionPrior::default(), content)),
+                ("warm".into(), session(warm_prior, content)),
+            ]);
+            let (cold_run, warm_run) = (&runs[0], &runs[1]);
             assert!(
                 warm_run.cpu_joules() <= cold_run.cpu_joules(),
                 "{}: warm energy {:.3} J must not exceed cold {:.3} J",
@@ -275,8 +291,9 @@ mod tests {
         assert!(unknown.is_empty());
         let cold = session(SessionPrior::default(), ContentProfile::Film);
         let via_unknown = session(unknown, ContentProfile::Film);
-        // Same fingerprint (tag-0), so the cache returns the same report.
-        assert!(Arc::ptr_eq(&cold, &via_unknown));
+        let runs = run_sessions(vec![("cold".into(), cold), ("unknown".into(), via_unknown)]);
+        // Same fingerprint (tag-0), so both rows share one report.
+        assert!(Arc::ptr_eq(&runs[0], &runs[1]));
     }
 
     #[test]

@@ -9,11 +9,10 @@
 use std::sync::Arc;
 
 use crate::harness::{
-    eavs_resilient, governor, manifest_1080p30, run_parallel_labeled, run_session,
-    COMPARISON_GOVERNORS, SEED,
+    eavs_resilient, governor, manifest_1080p30, run_sessions, COMPARISON_GOVERNORS, SEED,
 };
 use eavs_core::report::SessionReport;
-use eavs_core::session::{GovernorChoice, StreamingSession};
+use eavs_core::session::{SessionBuilder, StreamingSession};
 use eavs_cpu::thermal::{ThermalModel, ThrottleController};
 use eavs_faults::FaultPlan;
 use eavs_metrics::table::Table;
@@ -33,19 +32,19 @@ pub fn balanced_retry() -> RetryPolicy {
     }
 }
 
-fn storm_session(gov: GovernorChoice, retry: RetryPolicy) -> Arc<SessionReport> {
-    run_session(
-        StreamingSession::builder(gov)
-            .manifest(manifest_1080p30(90))
-            .content(ContentProfile::Film)
-            .thermal(
-                ThermalModel::phone_default(),
-                ThrottleController::phone_default(),
-            )
-            .faults(FaultPlan::standard_storm())
-            .retry(retry)
-            .seed(SEED),
-    )
+/// The F24 session: 90 s of 1080p30 film under `governor(name)`, the
+/// phone thermal model and the standard storm with the balanced retry.
+fn storm_session(name: &str) -> SessionBuilder {
+    StreamingSession::builder(governor(name))
+        .manifest(manifest_1080p30(90))
+        .content(ContentProfile::Film)
+        .thermal(
+            ThermalModel::phone_default(),
+            ThrottleController::phone_default(),
+        )
+        .faults(FaultPlan::standard_storm())
+        .retry(balanced_retry())
+        .seed(SEED)
 }
 
 /// Row labels for F24, aligned with [`f24_reports`]: the comparison
@@ -56,23 +55,15 @@ pub fn f24_labels() -> Vec<&'static str> {
     names
 }
 
-type StormJob = Box<dyn FnOnce() -> Arc<SessionReport> + Send>;
-
 /// The F24 row set: every comparison governor plus EAVS with panic
 /// recovery, all run through [`FaultPlan::standard_storm`].
 pub fn f24_reports() -> Vec<Arc<SessionReport>> {
-    let mut jobs: Vec<(String, StormJob)> = COMPARISON_GOVERNORS
-        .iter()
-        .map(|&name| {
-            let job: StormJob = Box::new(move || storm_session(governor(name), balanced_retry()));
-            (format!("f24 {name}"), job)
-        })
-        .collect();
-    jobs.push((
-        "f24 eavs-panic".to_owned(),
-        Box::new(|| storm_session(eavs_resilient(), balanced_retry())),
-    ));
-    run_parallel_labeled(jobs)
+    run_sessions(
+        f24_labels()
+            .into_iter()
+            .map(|name| (format!("f24 {name}"), storm_session(name)))
+            .collect(),
+    )
 }
 
 /// F24: one fault storm, every governor.
@@ -165,22 +156,17 @@ pub fn f25_retry_sensitivity() -> Table {
         randomized: Some(eavs_faults::RandomFaults::heavy(SEED)),
         ..FaultPlan::default()
     };
-    let reports = run_parallel_labeled(
+    let reports = run_sessions(
         f25_policies()
             .into_iter()
             .map(|(label, retry)| {
-                let plan = plan.clone();
-                let job = move || {
-                    run_session(
-                        StreamingSession::builder(eavs_resilient())
-                            .manifest(manifest_1080p30(90))
-                            .content(ContentProfile::Film)
-                            .faults(plan)
-                            .retry(retry)
-                            .seed(SEED),
-                    )
-                };
-                (format!("f25 {label}"), job)
+                let builder = StreamingSession::builder(eavs_resilient())
+                    .manifest(manifest_1080p30(90))
+                    .content(ContentProfile::Film)
+                    .faults(plan.clone())
+                    .retry(retry)
+                    .seed(SEED);
+                (format!("f25 {label}"), builder)
             })
             .collect(),
     );

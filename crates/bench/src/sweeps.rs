@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use crate::harness::{eavs_with, governor, manifest_1080p30, run_sessions, single_manifest, SEED};
+use crate::harness::{eavs_with, governor, headline_session, run_sessions, single_manifest, SEED};
 use eavs_core::governor::EavsConfig;
 use eavs_core::predictor::PREDICTOR_NAMES;
 use eavs_core::session::{SessionBuilder, StreamingSession};
@@ -114,7 +114,6 @@ pub fn f10_margin_sweep() -> Table {
     let margins = [0.0, 0.05, 0.10, 0.15, 0.20, 0.30, 0.50];
     let mut t = Table::new(&["margin", "cpu (J)", "late vsyncs", "miss %", "transitions"]);
     t.set_title("F10: EAVS safety-margin sweep — 60 s of 1080p30 sport");
-    let manifest = Arc::new(manifest_1080p30(60));
     let reports = run_sessions(
         margins
             .iter()
@@ -123,10 +122,8 @@ pub fn f10_margin_sweep() -> Table {
                     margin,
                     ..EavsConfig::default()
                 };
-                let builder = StreamingSession::builder(eavs_with(cfg, "hybrid"))
-                    .manifest(Arc::clone(&manifest))
-                    .content(ContentProfile::Sport)
-                    .seed(SEED);
+                let builder =
+                    headline_session(eavs_with(cfg, "hybrid")).content(ContentProfile::Sport);
                 (format!("f10 margin {margin:.2}"), builder)
             })
             .collect(),
@@ -249,16 +246,13 @@ pub fn f13_ablations() -> Table {
         },
     });
 
-    let manifest = Arc::new(manifest_1080p30(60));
     for content in [ContentProfile::Sport, ContentProfile::Animation] {
         let reports = run_sessions(
             variants
                 .iter()
                 .map(|v| {
-                    let builder = StreamingSession::builder(eavs_with(v.config, v.predictor))
-                        .manifest(Arc::clone(&manifest))
-                        .content(content)
-                        .seed(SEED);
+                    let builder =
+                        headline_session(eavs_with(v.config, v.predictor)).content(content);
                     (format!("f13 {} {}", v.label, content.name()), builder)
                 })
                 .collect(),

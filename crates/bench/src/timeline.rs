@@ -1,11 +1,6 @@
 //! Timeline figures: F11 (buffer occupancy) and F12 (frequency residency).
 
-use std::sync::Arc;
-
-use crate::harness::{
-    governor, manifest_1080p30, run_parallel_labeled, run_session, COMPARISON_GOVERNORS, SEED,
-};
-use eavs_core::session::StreamingSession;
+use crate::harness::{governor, headline_session, run_sessions, COMPARISON_GOVERNORS};
 use eavs_metrics::table::Table;
 use eavs_sim::time::{SimDuration, SimTime};
 
@@ -13,21 +8,12 @@ use eavs_sim::time::{SimDuration, SimTime};
 /// must not disturb buffer health).
 pub fn f11_buffer_timeline() -> Table {
     let names = ["ondemand", "eavs"];
-    let manifest = Arc::new(manifest_1080p30(60));
-    let reports = run_parallel_labeled(
+    let reports = run_sessions(
         names
             .iter()
             .map(|&name| {
-                let manifest = Arc::clone(&manifest);
-                let job = move || {
-                    run_session(
-                        StreamingSession::builder(governor(name))
-                            .manifest(manifest)
-                            .seed(SEED)
-                            .record_series(true),
-                    )
-                };
-                (format!("f11 {name}"), job)
+                let builder = headline_session(governor(name)).record_series(true);
+                (format!("f11 {name}"), builder)
             })
             .collect(),
     );
@@ -55,21 +41,10 @@ pub fn f11_buffer_timeline() -> Table {
 
 /// F12: wall-clock frequency residency (time_in_state) by governor.
 pub fn f12_residency() -> Table {
-    let manifest = Arc::new(manifest_1080p30(60));
-    let reports = run_parallel_labeled(
+    let reports = run_sessions(
         COMPARISON_GOVERNORS
             .iter()
-            .map(|&name| {
-                let manifest = Arc::clone(&manifest);
-                let job = move || {
-                    run_session(
-                        StreamingSession::builder(governor(name))
-                            .manifest(manifest)
-                            .seed(SEED),
-                    )
-                };
-                (format!("f12 {name}"), job)
-            })
+            .map(|&name| (format!("f12 {name}"), headline_session(governor(name))))
             .collect(),
     );
     let freqs: Vec<String> = reports[0]

@@ -2,7 +2,7 @@
 //! separate panic-recovery EAVS from the stock governors, and faulted
 //! sessions must stay deterministic across the work-stealing pool.
 
-use eavs_bench::harness::{eavs_resilient, governor, run_parallel_labeled};
+use eavs_bench::harness::{governor, run_parallel_labeled};
 use eavs_bench::robustness::{balanced_retry, f24_labels, f24_reports, f25_policies};
 use eavs_core::session::StreamingSession;
 use eavs_faults::FaultPlan;
@@ -86,12 +86,7 @@ fn faulted_pool_execution_matches_serial() {
     let names = ["ondemand", "schedutil", "eavs", "eavs-panic"];
 
     let run_one = |name: &str, seed: u64, manifest: Arc<Manifest>| {
-        let gov = if name == "eavs-panic" {
-            eavs_resilient()
-        } else {
-            governor(name)
-        };
-        StreamingSession::builder(gov)
+        StreamingSession::builder(governor(name))
             .manifest(manifest)
             .content(ContentProfile::Sport)
             .faults(FaultPlan::standard_storm())

@@ -28,7 +28,6 @@ use eavs_cpu::freq::Cycles;
 use eavs_cpu::opp::{OppIndex, OppTable};
 use eavs_sim::fingerprint::Fingerprinter;
 use eavs_sim::time::{SimDuration, SimTime};
-use eavs_trace::memo::decision_kind;
 use eavs_video::display::PlaybackPhase;
 
 /// Configuration of the EAVS governor.
@@ -118,6 +117,21 @@ pub struct PipelineSnapshot {
     pub in_flight: Option<InFlightMeta>,
     /// Container metadata of waiting (undecoded) frames, in decode order.
     pub upcoming: Vec<FrameMeta>,
+}
+
+/// Branch tags of the EAVS governor's decision logic: which branch fired
+/// for one frequency decision.
+pub mod decision_kind {
+    /// Structural maximum: fill race or an open panic window.
+    pub const STRUCTURAL_MAX: u8 = 0;
+    /// Playback ended: policy minimum.
+    pub const ENDED_MIN: u8 = 1;
+    /// Paced fill (race disabled): select on the fill window's demand.
+    pub const PACED_FILL: u8 = 2;
+    /// Playing with an empty demand list: select on zero demand.
+    pub const IDLE: u8 = 3;
+    /// Playing with pending work: select on the pipeline's demand.
+    pub const DEMAND: u8 = 4;
 }
 
 /// The EAVS governor.

@@ -19,7 +19,7 @@
 //! reschedules the in-flight decode's completion event.
 
 use crate::framestats::FrameCycleTally;
-use crate::governor::{EavsGovernor, InFlightMeta, PipelineSnapshot};
+use crate::governor::{decision_kind, EavsGovernor, InFlightMeta, PipelineSnapshot};
 use crate::predictor::{FrameMeta, SessionPrior};
 use crate::report::SessionReport;
 use crate::selector::{required_hz_split, DemandItem};
@@ -42,7 +42,6 @@ use eavs_sim::fingerprint::{Fingerprint, Fingerprinter};
 use eavs_sim::queue::EventId;
 use eavs_sim::time::{SimDuration, SimTime};
 use eavs_trace::content::ContentProfile;
-use eavs_trace::memo;
 use eavs_trace::video_gen::VideoGenerator;
 use eavs_video::display::{LatePolicy, Playback, PlaybackPhase, VsyncOutcome};
 use eavs_video::manifest::Manifest;
@@ -774,11 +773,6 @@ impl SessionState {
                 false
             }
         }
-    }
-
-    /// Whether the session has finished.
-    pub fn is_done(&self) -> bool {
-        self.done
     }
 
     /// Snapshot of the session's counters so far.
@@ -1801,7 +1795,7 @@ impl SessionWorld {
             self.cluster.limits(),
             self.cluster.current_index(),
         );
-        if kind == memo::decision_kind::DEMAND {
+        if kind == decision_kind::DEMAND {
             // A live DEMAND decision just left its item list in the
             // governor's scratch: copy it into the steady cache so timer
             // ticks until the next pipeline event skip the rebuild. The

@@ -13,7 +13,7 @@
 //! mutators call it implicitly, so callers may simply invoke them in event
 //! order.
 
-use crate::core::{CoreState, CpuCore};
+use crate::core::CpuCore;
 use crate::cstate::CStateTable;
 use crate::freq::{Cycles, Frequency};
 use crate::opp::{OppIndex, OppTable};
@@ -439,11 +439,6 @@ impl Cluster {
     /// The power model (for inspection and analytic figures).
     pub fn power_model(&self) -> &CmosPowerModel {
         &self.power
-    }
-
-    /// The state of every core (diagnostics).
-    pub fn core_states(&self) -> Vec<CoreState> {
-        self.cores.iter().map(|c| c.state()).collect()
     }
 }
 

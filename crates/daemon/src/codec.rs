@@ -291,16 +291,18 @@ fn decode_hist(obj: &Obj<'_>, key: &str) -> Result<(f64, f64, usize), String> {
     if items.len() != 3 {
         return Err(format!("{}: expected [lo, hi, bins]", path()));
     }
-    let lo = items[0]
-        .as_f64()
-        .ok_or_else(|| format!("{}[0]: expected a number", path()))?;
-    let hi = items[1]
-        .as_f64()
-        .ok_or_else(|| format!("{}[1]: expected a number", path()))?;
+    let lo = finite(&items[0]).ok_or_else(|| format!("{}[0]: expected a finite number", path()))?;
+    let hi = finite(&items[1]).ok_or_else(|| format!("{}[1]: expected a finite number", path()))?;
     let bins = items[2]
         .as_u64()
         .ok_or_else(|| format!("{}[2]: expected an integer", path()))? as usize;
     Ok((lo, hi, bins))
+}
+
+/// The number's value, unless its lexeme overflows `f64` (`1e999`): the
+/// wire has no infinities, and re-encoding one would panic.
+fn finite(v: &Value) -> Option<f64> {
+    v.as_f64().filter(|x| x.is_finite())
 }
 
 fn weighted_mix<T>(
@@ -374,9 +376,8 @@ impl<'a> Obj<'a> {
     }
 
     fn f64(&self, key: &str) -> Result<f64, String> {
-        self.required(key)?
-            .as_f64()
-            .ok_or_else(|| format!("{}.{key}: expected a number", self.path))
+        finite(self.required(key)?)
+            .ok_or_else(|| format!("{}.{key}: expected a finite number", self.path))
     }
 
     fn arr(&self, key: &str) -> Result<&'a [Value], String> {
@@ -466,6 +467,18 @@ mod tests {
             encode_spec(&powered_spec()).replacen("\"power\":{", "\"power\":{\"radio\":null,", 1);
         let err = decode_spec(&json).unwrap_err();
         assert_eq!(err, "spec.power.radio: unknown field");
+
+        // `1e999` parses to infinity, which `encode_spec` cannot write
+        // back (and `Registry::submit` re-encodes under its lock).
+        let json = encode_spec(&powered_spec()).replacen("0.37", "1e999", 1);
+        let err = decode_spec(&json).unwrap_err();
+        assert_eq!(
+            err,
+            "spec.power.display.brightness: expected a finite number"
+        );
+        let json = encode_spec(&CampaignSpec::smoke()).replacen("_hist\":[0", "_hist\":[-1e999", 1);
+        let err = decode_spec(&json).unwrap_err();
+        assert_eq!(err, "spec.energy_hist[0]: expected a finite number");
 
         assert!(decode_spec("{]").unwrap_err().contains("invalid JSON"));
         assert!(decode_spec("[1,2]")

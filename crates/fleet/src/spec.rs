@@ -293,7 +293,10 @@ impl CampaignSpec {
     /// The session-id range `[start, end)` of shard `index`.
     pub fn shard_range(&self, index: u64) -> (u64, u64) {
         let start = index * self.shard_size;
-        (start, (start + self.shard_size).min(self.sessions))
+        (
+            start,
+            start.saturating_add(self.shard_size).min(self.sessions),
+        )
     }
 
     /// Checks the spec is runnable.
@@ -333,12 +336,24 @@ impl CampaignSpec {
         check_mix("content", &self.contents)?;
         check_mix("title", &self.titles)?;
         check_mix("abr", &self.abrs)?;
+        // The runner's bandwidth trace panics on a negative or NaN rate.
+        for (net, _) in &self.networks {
+            if let NetworkChoice::Constant(mbps) = net {
+                if !(mbps.is_finite() && *mbps >= 0.0) {
+                    return Err(format!(
+                        "constant bandwidth must be finite and non-negative, got {mbps}"
+                    ));
+                }
+            }
+        }
+        // A zero bitrate gives the generator a zero mean frame size,
+        // which its lognormal draw refuses with a panic.
         if self
             .titles
             .iter()
-            .any(|(t, _)| t.duration_s == 0 || t.fps == 0)
+            .any(|(t, _)| t.bitrate_kbps == 0 || t.duration_s == 0 || t.fps == 0)
         {
-            return Err("titles need a positive duration and fps".to_owned());
+            return Err("titles need a positive bitrate, duration and fps".to_owned());
         }
         if self.trace_pool == 0 || self.seed_pool == 0 {
             return Err("trace and seed pools must be positive".to_owned());
@@ -455,6 +470,11 @@ mod tests {
             covered = end;
         }
         assert_eq!(covered, 103);
+        // The last shard of the largest population ends at its tail.
+        spec.sessions = u64::MAX;
+        spec.shard_size = 12;
+        let last = spec.num_shards() - 1;
+        assert_eq!(spec.shard_range(last), (last * 12, u64::MAX));
     }
 
     #[test]
@@ -495,6 +515,18 @@ mod tests {
         s.networks[0].1 = -1.0;
         s.networks.truncate(1);
         assert!(s.validate().is_err());
+        // The runner's bandwidth trace takes a zero rate, not these.
+        for mbps in [-1.0, f64::NAN, f64::INFINITY] {
+            let mut s = CampaignSpec::smoke();
+            s.networks[0].0 = NetworkChoice::Constant(mbps);
+            assert!(s.validate().unwrap_err().contains("constant bandwidth"));
+        }
+        let mut s = CampaignSpec::smoke();
+        s.networks[0].0 = NetworkChoice::Constant(0.0);
+        s.validate().unwrap();
+        let mut s = CampaignSpec::smoke();
+        s.titles[0].0.bitrate_kbps = 0;
+        assert!(s.validate().unwrap_err().contains("positive bitrate"));
     }
 
     fn with_energy_hist(shape: HistShape) -> Result<(), String> {

@@ -50,11 +50,6 @@ impl ResidencyTracker {
         }
     }
 
-    /// The current state index.
-    pub fn current_state(&self) -> usize {
-        self.current
-    }
-
     /// Number of state *changes* recorded (self-transitions don't count).
     pub fn transitions(&self) -> u64 {
         self.transitions

@@ -11,11 +11,9 @@
 //!   trait. Sessions emit structured events at every hot-path decision
 //!   point; sinks choose what to do with them. [`sink::NullSink`]
 //!   discards everything (and the emit sites are gated so event
-//!   construction itself is skipped when no sink is attached),
+//!   construction itself is skipped when no sink is attached), and
 //!   [`sink::RingSink`] keeps a bounded in-memory timeline dumpable as
-//!   JSONL or Chrome trace-event JSON (Perfetto-loadable), and
-//!   [`sink::CounterSink`] folds event kinds into the existing
-//!   `eavs-metrics` counter type.
+//!   JSONL or Chrome trace-event JSON (Perfetto-loadable).
 //! - **Phase profiling** ([`profile::PhaseProfile`]): per-phase
 //!   (download / decode / display / governor) simulated-time and
 //!   wall-time breakdowns, cheap enough to leave on in benches.
@@ -49,4 +47,4 @@ pub mod sink;
 pub use event::{Phase, TraceEvent};
 pub use profile::{PhaseProfile, PhaseStats};
 pub use prom::{check_conformance, PromWriter, TEXT_FORMAT};
-pub use sink::{shared, CounterSink, NullSink, RingSink, SharedSink, TimedEvent, TraceSink};
+pub use sink::{shared, NullSink, RingSink, SharedSink, TimedEvent, TraceSink};

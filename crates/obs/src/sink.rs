@@ -1,7 +1,7 @@
 //! Trace sinks: where session events go.
 //!
 //! The session hot path holds an `Option<SharedSink>` and calls
-//! [`TraceSink::record`] through it. Three implementations cover the
+//! [`TraceSink::record`] through it. Two implementations cover the
 //! spectrum:
 //!
 //! - [`NullSink`] — discards events. Emit sites construct the event
@@ -9,8 +9,6 @@
 //!   single branch, and with a `NullSink` it is one virtual call.
 //! - [`RingSink`] — a bounded ring buffer of timestamped events,
 //!   oldest-dropped, dumpable as JSONL or Chrome trace-event JSON.
-//! - [`CounterSink`] — folds event kinds into an
-//!   [`eavs_metrics::histogram::Counter`], for aggregate-only callers.
 //!
 //! All sinks are deterministic: they observe simulated time only and
 //! never feed anything back into the simulation.
@@ -19,7 +17,6 @@ use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
-use eavs_metrics::histogram::Counter;
 use eavs_sim::time::SimTime;
 
 use crate::event::TraceEvent;
@@ -325,42 +322,6 @@ impl TraceSink for RingSink {
     }
 }
 
-/// Folds events into per-kind counts using the deterministic
-/// first-seen-order [`Counter`] from `eavs-metrics`.
-#[derive(Debug, Default)]
-pub struct CounterSink {
-    counts: Counter,
-}
-
-impl CounterSink {
-    /// Creates an empty counter sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Occurrences of one event kind.
-    pub fn count(&self, kind: &str) -> u64 {
-        self.counts.count(kind)
-    }
-
-    /// Borrows the underlying counter (first-seen order, mergeable).
-    pub fn counter(&self) -> &Counter {
-        &self.counts
-    }
-
-    /// Consumes the sink, returning the counter for merging into
-    /// existing metrics aggregates.
-    pub fn into_counter(self) -> Counter {
-        self.counts
-    }
-}
-
-impl TraceSink for CounterSink {
-    fn record(&mut self, _at: SimTime, ev: &TraceEvent) {
-        self.counts.incr(ev.kind());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -464,20 +425,6 @@ mod tests {
         let trace = ring.to_chrome_trace("cpu");
         assert!(trace.contains(r#""name":"cpu_freq_khz","ph":"C""#));
         assert!(trace.contains(r#""args":{"khz":652800}"#));
-    }
-
-    #[test]
-    fn counter_sink_folds_kinds() {
-        let mut sink = CounterSink::new();
-        sink.record(SimTime::ZERO, &ev(0));
-        sink.record(SimTime::ZERO, &ev(1));
-        sink.record(SimTime::ZERO, &TraceEvent::PanicRace);
-        assert_eq!(sink.count("vsync_displayed"), 2);
-        assert_eq!(sink.count("panic_race"), 1);
-        assert_eq!(sink.count("rebuffer"), 0);
-        assert_eq!(sink.counter().total(), 3);
-        let kinds: Vec<&str> = sink.counter().iter().map(|(k, _)| k).collect();
-        assert_eq!(kinds, vec!["vsync_displayed", "panic_race"]);
     }
 
     #[test]

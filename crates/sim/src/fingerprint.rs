@@ -149,11 +149,6 @@ impl Fingerprinter {
         self.opaque = true;
     }
 
-    /// Whether [`mark_opaque`](Self::mark_opaque) has been called.
-    pub fn is_opaque(&self) -> bool {
-        self.opaque
-    }
-
     /// The accumulated fingerprint, or `None` if any component was opaque.
     pub fn finish(&self) -> Option<Fingerprint> {
         if self.opaque {

@@ -125,21 +125,6 @@ pub fn trace_cache_stats() -> CacheStats {
     traces().stats()
 }
 
-/// Branch tags of the EAVS governor's decision logic: which branch fired
-/// for one frequency decision.
-pub mod decision_kind {
-    /// Structural maximum: fill race or an open panic window.
-    pub const STRUCTURAL_MAX: u8 = 0;
-    /// Playback ended: policy minimum.
-    pub const ENDED_MIN: u8 = 1;
-    /// Paced fill (race disabled): select on the fill window's demand.
-    pub const PACED_FILL: u8 = 2;
-    /// Playing with an empty demand list: select on zero demand.
-    pub const IDLE: u8 = 3;
-    /// Playing with pending work: select on the pipeline's demand.
-    pub const DEMAND: u8 = 4;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
