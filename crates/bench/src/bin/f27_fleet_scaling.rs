@@ -1,6 +1,6 @@
 //! Regenerates F27 (fleet throughput vs `EAVS_JOBS`; see DESIGN.md §12).
 //!
-//! The work-stealing pool is sized once per process, so the sweep cannot
+//! The sweep pool is sized once per process, so the sweep cannot
 //! vary `EAVS_JOBS` in-process: the parent re-executes *itself* with
 //! `--child <csv>` under each jobs setting, times each child, and
 //! asserts that every child's population CSV is byte-identical — the

@@ -6,8 +6,8 @@
 //! (see [`eavs_bench::select_experiments`]). An unknown id exits 2, lists
 //! the valid ids and runs nothing.
 //!
-//! Experiments are submitted to the shared work-stealing pool as top-level
-//! jobs; each experiment's internal sweep fans out through the same pool, so
+//! Experiments are submitted to the shared pool as one batch of top-level
+//! jobs; each experiment's session batch fans out through the same pool, so
 //! the whole suite interleaves without per-figure barriers. Results are
 //! printed and written in presentation order regardless of completion order.
 //!
@@ -15,8 +15,13 @@
 //! process — the first pass fills the content-addressed session cache, the
 //! second is served from it. The warm pass writes its CSVs under
 //! `<results>/warm/` so CI can byte-compare cold against warm output, and
-//! both wall times plus the speedup are printed for the record.
+//! both wall times plus the speedup are printed for the record, each pass
+//! with its own session-cache counts. The cold pass's line (`cold pass
+//! session cache: H hits / M misses / U uncacheable / E evictions`) comes
+//! before the warm pass starts; CI compares its miss count across
+//! `EAVS_JOBS` settings.
 
+use eavs_bench::cache::SessionCacheStats;
 use eavs_bench::Experiment;
 
 const USAGE: &str = "usage: run_all [--twice] [ID...]";
@@ -34,6 +39,17 @@ fn regenerate(experiments: &[Experiment]) -> Vec<(&'static str, eavs_metrics::ta
         })
         .collect();
     eavs_bench::harness::run_parallel_labeled(jobs)
+}
+
+/// The cache counters of one pass: `now` minus the counts at its start.
+fn cache_counts(now: SessionCacheStats, start: SessionCacheStats) -> String {
+    format!(
+        "{} hits / {} misses / {} uncacheable / {} evictions",
+        now.hits - start.hits,
+        now.misses - start.misses,
+        now.uncacheable - start.uncacheable,
+        now.evictions - start.evictions,
+    )
 }
 
 fn main() {
@@ -71,19 +87,21 @@ fn main() {
     );
 
     if twice {
+        let cold = eavs_bench::cache::stats();
+        eprintln!(
+            "cold pass session cache: {}",
+            cache_counts(cold, SessionCacheStats::default())
+        );
         let warm_dir = eavs_bench::harness::results_dir().join("warm");
         let started = std::time::Instant::now();
         for (id, table) in regenerate(&experiments) {
             eavs_bench::harness::emit_into(&warm_dir, id, &table);
         }
         let warm_s = started.elapsed().as_secs_f64();
-        let stats = eavs_bench::cache::stats();
         eprintln!(
-            "warm pass in {warm_s:.1} s ({:.1}x; session cache {} hits / {} misses / {} uncacheable)",
+            "warm pass in {warm_s:.1} s ({:.1}x; session cache {})",
             cold_s / warm_s.max(1e-9),
-            stats.hits,
-            stats.misses,
-            stats.uncacheable,
+            cache_counts(eavs_bench::cache::stats(), cold),
         );
     }
 }

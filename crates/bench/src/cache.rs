@@ -8,16 +8,18 @@
 //! and always run.
 //!
 //! [`run_sessions`] is the one runner: every figure and the fleet's
-//! pooled runner hand it `(label, builder)` batches. Sessions run
-//! *outside* the lock, so two concurrent batches that miss the same
-//! fingerprint may both simulate it, but determinism makes the results
-//! identical, so whichever insert lands first is indistinguishable.
+//! pooled runner hand it `(label, builder)` batches. A miss is claimed as
+//! an in-flight entry the moment it is fingerprinted and goes straight to
+//! the shared pool; a lookup in any batch that finds the key in flight
+//! waits for that run, helping the pool meanwhile. Each key is therefore
+//! simulated once per process, whatever `EAVS_JOBS` says, and sessions
+//! still run *outside* the lock.
 
 use eavs_core::report::SessionReport;
 use eavs_core::session::SessionBuilder;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Counters of the session cache since process start.
 #[derive(Clone, Copy, PartialEq, Eq, Default, Debug)]
@@ -52,19 +54,30 @@ static MISSES: AtomicU64 = AtomicU64::new(0);
 static UNCACHEABLE: AtomicU64 = AtomicU64::new(0);
 static EVICTIONS: AtomicU64 = AtomicU64::new(0);
 
+/// A cache entry: a finished report, or a run some batch has claimed.
+enum Entry {
+    Ready(Arc<SessionReport>),
+    InFlight,
+}
+
 /// The bounded report store: insertion order doubles as eviction order.
 #[derive(Default)]
 struct CacheInner {
-    map: HashMap<u128, Arc<SessionReport>>,
-    /// Keys in insertion order; the front is next to evict.
+    map: HashMap<u128, Entry>,
+    /// Keys of ready reports in insertion order; the front is next to
+    /// evict.
     order: VecDeque<u128>,
-    /// Approximate resident bytes of `map`.
+    /// Approximate resident bytes of the ready reports.
     bytes: u64,
 }
 
-fn cache() -> &'static Mutex<CacheInner> {
+fn store() -> &'static Mutex<CacheInner> {
     static MAP: OnceLock<Mutex<CacheInner>> = OnceLock::new();
     MAP.get_or_init(|| Mutex::new(CacheInner::default()))
+}
+
+fn cache() -> MutexGuard<'static, CacheInner> {
+    store().lock().expect("session cache poisoned")
 }
 
 /// Resident-byte cap: 64 MiB. Reports are a few KB each (tens of KB with
@@ -72,20 +85,20 @@ fn cache() -> &'static Mutex<CacheInner> {
 /// to spare while bounding pathological callers.
 const CAP_BYTES: u64 = 64 << 20;
 
-/// Inserts under the cap, evicting oldest-inserted entries first. The
+/// Inserts under the cap, evicting oldest-inserted reports first. The
 /// just-inserted report is never evicted (the loop stops at one resident
 /// entry), so an oversized report still gets returned and cached until
-/// the next insert. No-op if the key is already present.
+/// the next insert. No-op if a report is already there under `key`.
 fn insert_bounded(inner: &mut CacheInner, cap: u64, key: u128, report: &Arc<SessionReport>) {
-    if inner.map.contains_key(&key) {
+    if let Some(Entry::Ready(_)) = inner.map.get(&key) {
         return;
     }
     inner.bytes += report.approx_bytes();
-    inner.map.insert(key, Arc::clone(report));
+    inner.map.insert(key, Entry::Ready(Arc::clone(report)));
     inner.order.push_back(key);
     while inner.bytes > cap && inner.order.len() > 1 {
         let oldest = inner.order.pop_front().expect("len checked");
-        if let Some(evicted) = inner.map.remove(&oldest) {
+        if let Some(Entry::Ready(evicted)) = inner.map.remove(&oldest) {
             inner.bytes = inner.bytes.saturating_sub(evicted.approx_bytes());
             EVICTIONS.fetch_add(1, Ordering::Relaxed);
         }
@@ -137,82 +150,128 @@ fn prepare(builder: SessionBuilder) -> (SessionBuilder, Option<u128>) {
     (builder, key)
 }
 
-/// The cached report under `key`, counting a hit.
-fn lookup(key: u128) -> Option<Arc<SessionReport>> {
-    let found = cache()
-        .lock()
-        .expect("session cache poisoned")
-        .map
-        .get(&key)
-        .cloned();
-    if found.is_some() {
-        HITS.fetch_add(1, Ordering::Relaxed);
-    }
-    found
+/// What a lookup found under a key.
+enum Lookup {
+    Hit(Arc<SessionReport>),
+    /// Another run holds the claim on this key: wait for it ([`settle`]).
+    InFlight(u128),
+    /// Absent: the caller now holds the claim and must run the session.
+    Miss(Claim),
 }
 
-/// Runs a labeled batch of sessions through the cache in one pass,
-/// returning reports in input order.
+/// Looks `key` up, claiming it when absent. An in-flight key counts as a
+/// hit, since its report is on its way.
+fn lookup(key: u128) -> Lookup {
+    let mut inner = cache();
+    match inner.map.get(&key) {
+        Some(Entry::Ready(report)) => {
+            HITS.fetch_add(1, Ordering::Relaxed);
+            Lookup::Hit(Arc::clone(report))
+        }
+        Some(Entry::InFlight) => {
+            HITS.fetch_add(1, Ordering::Relaxed);
+            Lookup::InFlight(key)
+        }
+        None => {
+            inner.map.insert(key, Entry::InFlight);
+            MISSES.fetch_add(1, Ordering::Relaxed);
+            Lookup::Miss(Claim(key))
+        }
+    }
+}
+
+/// An in-flight entry the holder must fill. [`Claim::fulfil`] publishes
+/// the report; a claim dropped unfilled (its session panicked) withdraws
+/// the entry, so waiters stop waiting.
+struct Claim(u128);
+
+impl Claim {
+    fn fulfil(self, report: &Arc<SessionReport>) {
+        insert_bounded(&mut cache(), CAP_BYTES, self.0, report);
+        std::mem::forget(self);
+    }
+}
+
+impl Drop for Claim {
+    fn drop(&mut self) {
+        // Runs while the session's panic unwinds, so it must not panic:
+        // every update of the store leaves it valid.
+        let mut inner = store().lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(Entry::InFlight) = inner.map.get(&self.0) {
+            inner.map.remove(&self.0);
+        }
+    }
+}
+
+/// Helps the pool until `key` is no longer in flight, then returns its
+/// report if it is resident. Session runs never wait on the cache, so the
+/// run that holds the claim always finishes.
+fn settle(key: u128) -> Option<Arc<SessionReport>> {
+    crate::executor::pool().help_until(|| match cache().map.get(&key) {
+        Some(Entry::InFlight) => None,
+        Some(Entry::Ready(report)) => Some(Some(Arc::clone(report))),
+        None => Some(None),
+    })
+}
+
+/// Runs a labeled batch of sessions through the cache, returning reports
+/// in input order.
 ///
-/// Each builder is prepared (`prepare`) and looked up in the cache; a
-/// builder whose key an earlier job of this call already claimed shares
-/// that job's run. Every remaining builder runs on the shared pool, and
-/// the new reports enter the cache in input order. All of this
-/// bookkeeping happens on the calling thread, so counters and eviction
-/// order are independent of `EAVS_JOBS`.
+/// Each builder is prepared (`prepare`) and looked up on the calling
+/// thread. A miss is claimed and spawned on the pool at once; its run
+/// publishes the report as soon as it finishes. A key another run holds
+/// (an earlier job of this call, or a concurrent batch) is waited for
+/// after this call's own runs are in. Hit and miss counts are therefore
+/// independent of `EAVS_JOBS` as long as nothing is evicted.
 pub fn run_sessions(jobs: Vec<(String, SessionBuilder)>) -> Vec<Arc<SessionReport>> {
     enum Slot {
         Done(Arc<SessionReport>),
-        /// Resolve from this call's run results by position.
+        /// This call's run, by batch index.
         Run(usize),
+        /// Another run's key; the job is kept in case that run fails, and
+        /// boxed so the common slots stay small.
+        Await(u128, Box<(String, SessionBuilder)>),
     }
+    let mut batch = crate::executor::pool().batch();
     let mut slots: Vec<Slot> = Vec::with_capacity(jobs.len());
-    let mut runs: Vec<(String, SessionBuilder)> = Vec::new();
-    let mut keys: Vec<Option<u128>> = Vec::new();
-    let mut claimed: HashMap<u128, usize> = HashMap::new();
     for (label, builder) in jobs {
         let (builder, key) = prepare(builder);
-        if let Some(key) = key {
-            if let Some(r) = lookup(key) {
-                slots.push(Slot::Done(r));
+        let claim = match key.map(lookup) {
+            Some(Lookup::Hit(report)) => {
+                slots.push(Slot::Done(report));
                 continue;
             }
-            if let Some(&run) = claimed.get(&key) {
-                // Duplicate of an earlier miss in this very call.
-                HITS.fetch_add(1, Ordering::Relaxed);
-                slots.push(Slot::Run(run));
+            Some(Lookup::InFlight(key)) => {
+                slots.push(Slot::Await(key, Box::new((label, builder))));
                 continue;
             }
-            MISSES.fetch_add(1, Ordering::Relaxed);
-            claimed.insert(key, runs.len());
-        }
-        slots.push(Slot::Run(runs.len()));
-        keys.push(key);
-        runs.push((label, builder));
-    }
-
-    let reports: Vec<Arc<SessionReport>> = crate::executor::run_parallel_labeled(
-        runs.into_iter()
-            .map(|(label, builder)| (label, move || builder.run()))
-            .collect(),
-    )
-    .into_iter()
-    .map(Arc::new)
-    .collect();
-    {
-        let mut inner = cache().lock().expect("session cache poisoned");
-        for (key, report) in keys.iter().zip(&reports) {
-            if let Some(key) = key {
-                insert_bounded(&mut inner, CAP_BYTES, *key, report);
+            Some(Lookup::Miss(claim)) => Some(claim),
+            None => None,
+        };
+        let index = batch.spawn(label, move || {
+            let report = Arc::new(builder.run());
+            if let Some(claim) = claim {
+                claim.fulfil(&report);
             }
-        }
+            report
+        });
+        slots.push(Slot::Run(index));
     }
 
+    let reports = batch.join();
     slots
         .into_iter()
         .map(|slot| match slot {
-            Slot::Done(r) => r,
-            Slot::Run(i) => Arc::clone(&reports[i]),
+            Slot::Done(report) => report,
+            Slot::Run(index) => Arc::clone(&reports[index]),
+            // Not resident once settled (the claiming run panicked, or the
+            // report was evicted already): run it here, uncached.
+            Slot::Await(key, job) => settle(key).unwrap_or_else(|| {
+                let (label, builder) = *job;
+                let mut rerun = crate::executor::pool().batch();
+                rerun.spawn(label, move || Arc::new(builder.run()));
+                rerun.join().pop().expect("one report")
+            }),
         })
         .collect()
 }
@@ -223,7 +282,7 @@ pub fn stats() -> SessionCacheStats {
         hits: HITS.load(Ordering::Relaxed),
         misses: MISSES.load(Ordering::Relaxed),
         uncacheable: UNCACHEABLE.load(Ordering::Relaxed),
-        bytes: cache().lock().expect("session cache poisoned").bytes,
+        bytes: cache().bytes,
         evictions: EVICTIONS.load(Ordering::Relaxed),
     }
 }
@@ -341,6 +400,33 @@ mod tests {
         insert_bounded(&mut roomy, u64::MAX, 0xA, &report);
         insert_bounded(&mut roomy, u64::MAX, 0xB, &report);
         assert_eq!(roomy.map.len(), 2);
+    }
+
+    #[test]
+    fn a_panicking_session_withdraws_its_claim() {
+        use eavs_core::session::ClusterSelect;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        // Automatic placement asserts an EAVS governor when the run starts.
+        let mk = || {
+            StreamingSession::builder(governor("ondemand"))
+                .manifest(manifest_1080p30(4))
+                .seed(5_151)
+                .cluster(ClusterSelect::Auto)
+        };
+        let key = mk().fingerprint().expect("cacheable").0;
+        for _ in 0..2 {
+            // The duplicate waits on the first job's claim, which the panic
+            // withdraws; the call re-raises the first job's panic.
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                run_sessions(vec![("first".into(), mk()), ("duplicate".into(), mk())])
+            }));
+            let payload = caught.expect_err("the session panics");
+            let msg = payload
+                .downcast_ref::<String>()
+                .expect("labeled panic message");
+            assert!(msg.contains("'first'"), "got: {msg}");
+            assert!(!cache().map.contains_key(&key), "claim withdrawn");
+        }
     }
 
     #[test]

@@ -1,125 +1,179 @@
-//! Bounded work-stealing executor shared by every experiment sweep.
+//! The one job queue every experiment sweep, figure batch and fleet shard
+//! runs on: a `Mutex<VecDeque<Job>>` and a `Condvar` ([`pool`], sized by
+//! `EAVS_JOBS`, default = available cores). `EAVS_JOBS − 1` background
+//! threads pop it; the N-th worker is whichever caller waits on a
+//! [`Batch`], which runs queued jobs (its own or anyone's) until its
+//! results are in and parks only while the queue is empty. That keeps
+//! nested batches deadlock-free at any pool size.
 //!
-//! One process-wide pool of worker threads (sized by `EAVS_JOBS`, default =
-//! available cores) services every [`run_parallel`] /
-//! [`run_parallel_labeled`] call, so nested sweeps and back-to-back figures
-//! fan out through the same queues without per-figure thread churn or
-//! barriers. Each worker owns a deque: it pops its own work from the front
-//! and steals from other workers when idle. Callers waiting on results help
-//! execute queued jobs instead of blocking, which both keeps cores busy and
-//! makes nested `run_parallel` calls deadlock-free even on a single-worker
-//! pool.
-//!
-//! Results are always returned in input order, and every job is
-//! deterministic, so sweep parallelism never changes experiment output.
+//! [`Batch::spawn`] streams one job at a time and [`Batch::join`] returns
+//! the results in spawn order. A spawn that finds one unrun job queued per
+//! background thread runs its job inline instead, so a caller never
+//! buffers a batch and a one-worker pool runs every job inline, in order.
+//! Jobs are deterministic: the worker count changes wall-clock, never
+//! output.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, RecvTimeoutError, TryRecvError};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-struct Shared {
-    /// One deque per worker. The owner pops from the front; thieves (other
-    /// workers and helping callers) steal from the back.
-    queues: Vec<Mutex<VecDeque<Job>>>,
-    /// Jobs submitted but not yet taken by anyone.
-    queued: AtomicUsize,
-    /// Round-robin cursor for spreading submissions across deques.
-    submit_cursor: AtomicUsize,
-    /// Parking lot for idle workers.
-    idle: Mutex<()>,
-    wake: Condvar,
+#[derive(Default)]
+struct Queue {
+    jobs: VecDeque<Job>,
+    /// Threads parked in [`Executor::help_until`].
+    parked: usize,
 }
 
-impl Shared {
-    /// Take one queued job, preferring deque `start`. Used by workers (their
-    /// own deque first) and by helping callers.
-    fn take(&self, start: usize) -> Option<Job> {
-        let n = self.queues.len();
-        for k in 0..n {
-            let i = (start + k) % n;
-            let job = {
-                let mut q = self.queues[i].lock().expect("executor queue poisoned");
-                if k == 0 {
-                    q.pop_front()
-                } else {
-                    q.pop_back()
-                }
-            };
-            if let Some(job) = job {
-                self.queued.fetch_sub(1, Ordering::SeqCst);
-                return Some(job);
-            }
-        }
-        None
-    }
-
-    fn submit(&self, job: Job) {
-        let i = self.submit_cursor.fetch_add(1, Ordering::Relaxed) % self.queues.len();
-        self.queues[i]
-            .lock()
-            .expect("executor queue poisoned")
-            .push_back(job);
-        self.queued.fetch_add(1, Ordering::SeqCst);
-        // Notify under the idle lock so a worker checking `queued == 0`
-        // cannot miss the wakeup between its check and its wait.
-        let _guard = self.idle.lock().expect("executor idle lock poisoned");
-        self.wake.notify_all();
-    }
-}
-
-/// The process-wide sweep executor.
+/// A job queue with its background threads; see the module docs.
 pub struct Executor {
-    shared: Arc<Shared>,
-    workers: usize,
+    queue: Mutex<Queue>,
+    wake: Condvar,
+    background: usize,
 }
 
 impl Executor {
-    fn with_workers(workers: usize) -> Self {
-        let workers = workers.max(1);
-        let shared = Arc::new(Shared {
-            queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            queued: AtomicUsize::new(0),
-            submit_cursor: AtomicUsize::new(0),
-            idle: Mutex::new(()),
+    /// An executor with `workers` threads that run jobs (at least one):
+    /// `workers − 1` background threads plus whichever caller waits on a
+    /// batch. It lives, threads and all, as long as the process.
+    fn with_workers(workers: usize) -> &'static Executor {
+        let executor: &'static Executor = Box::leak(Box::new(Executor {
+            queue: Mutex::default(),
             wake: Condvar::new(),
-        });
-        for i in 0..workers {
-            let shared = Arc::clone(&shared);
+            background: workers.max(1) - 1,
+        }));
+        for i in 0..executor.background {
             std::thread::Builder::new()
                 .name(format!("eavs-worker-{i}"))
-                .spawn(move || worker_loop(&shared, i))
+                .spawn(move || executor.help_until(|| None::<()>))
                 .expect("spawn executor worker");
         }
-        Executor { shared, workers }
+        executor
     }
 
-    /// Number of worker threads in the pool.
+    /// Number of threads that run jobs, the waiting caller included.
     pub fn workers(&self) -> usize {
-        self.workers
+        self.background + 1
+    }
+
+    /// An empty batch on this executor.
+    pub fn batch<T: Send + 'static>(&'static self) -> Batch<T> {
+        Batch {
+            executor: self,
+            labels: Vec::new(),
+            done: Arc::new(Done {
+                slots: Mutex::new(Vec::new()),
+                pending: AtomicUsize::new(0),
+            }),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Queue> {
+        self.queue.lock().expect("executor queue poisoned")
+    }
+
+    /// Runs queued jobs on the calling thread until `poll` yields a value,
+    /// parking while the queue is empty. `poll` runs under the queue lock
+    /// and again after every job finishes anywhere in the pool, so it may
+    /// wait on anything a job makes true, but must not wait on the pool.
+    pub(crate) fn help_until<R>(&self, mut poll: impl FnMut() -> Option<R>) -> R {
+        let mut queue = self.lock();
+        loop {
+            if let Some(value) = poll() {
+                return value;
+            }
+            if let Some(job) = queue.jobs.pop_front() {
+                drop(queue);
+                job();
+                queue = self.lock();
+                self.wake_parked(&queue);
+            } else {
+                queue.parked += 1;
+                queue = self.wake.wait(queue).expect("executor queue poisoned");
+                queue.parked -= 1;
+            }
+        }
+    }
+
+    fn wake_parked(&self, queue: &Queue) {
+        if queue.parked > 0 {
+            self.wake.notify_all();
+        }
     }
 }
 
-fn worker_loop(shared: &Shared, me: usize) {
-    loop {
-        match shared.take(me) {
-            Some(job) => job(),
-            None => {
-                let guard = shared.idle.lock().expect("executor idle lock poisoned");
-                if shared.queued.load(Ordering::SeqCst) == 0 {
-                    // Timed wait purely as a belt-and-braces against a missed
-                    // notify; correctness comes from checking under the lock.
-                    let _ = shared
-                        .wake
-                        .wait_timeout(guard, Duration::from_millis(100))
-                        .expect("executor idle lock poisoned");
-                }
-            }
+/// The results of a batch's jobs by spawn index, and how many are unrun.
+struct Done<T> {
+    slots: Mutex<Vec<Option<std::thread::Result<T>>>>,
+    pending: AtomicUsize,
+}
+
+/// A streamed batch of labeled jobs: [`Batch::spawn`] each one, then
+/// [`Batch::join`] for the results in spawn order.
+pub struct Batch<T> {
+    executor: &'static Executor,
+    labels: Vec<String>,
+    done: Arc<Done<T>>,
+}
+
+impl<T: Send + 'static> Batch<T> {
+    /// Hands `job` to the pool and returns its index in the batch. When
+    /// the queue already holds one unrun job per background thread, `job`
+    /// runs here before `spawn` returns.
+    pub fn spawn<F>(&mut self, label: String, job: F) -> usize
+    where
+        F: FnOnce() -> T + Send + 'static,
+    {
+        let index = self.labels.len();
+        self.labels.push(label);
+        self.done
+            .slots
+            .lock()
+            .expect("batch results poisoned")
+            .push(None);
+        self.done.pending.fetch_add(1, Ordering::AcqRel);
+        let done = Arc::clone(&self.done);
+        let run = move || {
+            let outcome = catch_unwind(AssertUnwindSafe(job));
+            done.slots.lock().expect("batch results poisoned")[index] = Some(outcome);
+            done.pending.fetch_sub(1, Ordering::AcqRel);
+        };
+        let executor = self.executor;
+        let mut queue = executor.lock();
+        if queue.jobs.len() < executor.background {
+            queue.jobs.push_back(Box::new(run));
+            executor.wake_parked(&queue);
+        } else {
+            drop(queue);
+            run();
+            executor.wake_parked(&executor.lock());
         }
+        index
+    }
+
+    /// Helps the pool until every job of the batch has finished, then
+    /// returns their results in spawn order. If a job panicked, the first
+    /// such panic is re-raised here with the job's label.
+    pub fn join(self) -> Vec<T> {
+        let done = &self.done;
+        self.executor
+            .help_until(|| (done.pending.load(Ordering::Acquire) == 0).then_some(()));
+        let slots = std::mem::take(&mut *done.slots.lock().expect("batch results poisoned"));
+        slots
+            .into_iter()
+            .zip(self.labels)
+            .map(
+                |(slot, label)| match slot.expect("a finished job stored its result") {
+                    Ok(value) => value,
+                    Err(payload) => {
+                        let msg = panic_message(payload.as_ref());
+                        panic!("experiment job '{label}' panicked: {msg}");
+                    }
+                },
+            )
+            .collect()
     }
 }
 
@@ -180,7 +234,8 @@ fn first_warning_for(name: &str) -> bool {
         .insert(name.to_string())
 }
 
-/// Pool size: `EAVS_JOBS` if set (clamped to ≥ 1), else available cores.
+/// Threads that run jobs, the waiting caller included: `EAVS_JOBS` if
+/// set (clamped to ≥ 1), else available cores.
 fn configured_workers() -> usize {
     if let Some(n) = env_knob::<usize>("EAVS_JOBS") {
         return n.max(1);
@@ -192,80 +247,24 @@ fn configured_workers() -> usize {
 
 /// The shared pool, created on first use.
 pub fn pool() -> &'static Executor {
-    static POOL: OnceLock<Executor> = OnceLock::new();
+    static POOL: OnceLock<&'static Executor> = OnceLock::new();
     POOL.get_or_init(|| Executor::with_workers(configured_workers()))
 }
 
-/// Runs independent labeled jobs on the shared pool and returns their results
-/// in input order. If a job panics, the panic is re-raised on the caller with
-/// the job's label in the message.
-///
-/// Each simulation job is single-threaded and deterministic, so the sweep
-/// parallelism never changes results — only wall-clock.
+/// Runs independent labeled jobs as one batch on the shared pool and
+/// returns their results in input order. If a job panics, the panic is
+/// re-raised on the caller with the job's label in the message, once the
+/// rest of the batch has finished.
 pub fn run_parallel_labeled<T, F>(jobs: Vec<(String, F)>) -> Vec<T>
 where
     T: Send + 'static,
     F: FnOnce() -> T + Send + 'static,
 {
-    let n = jobs.len();
-    if n == 0 {
-        return Vec::new();
+    let mut batch = pool().batch();
+    for (label, job) in jobs {
+        batch.spawn(label, job);
     }
-    let executor = pool();
-    let (tx, rx) = channel::<(usize, std::thread::Result<T>)>();
-    let mut labels = Vec::with_capacity(n);
-    for (index, (label, job)) in jobs.into_iter().enumerate() {
-        labels.push(label);
-        let tx = tx.clone();
-        executor.shared.submit(Box::new(move || {
-            let outcome = catch_unwind(AssertUnwindSafe(job));
-            // The receiver may have bailed after an earlier panic.
-            let _ = tx.send((index, outcome));
-        }));
-    }
-    drop(tx);
-
-    let mut slots: Vec<Option<std::thread::Result<T>>> = (0..n).map(|_| None).collect();
-    let mut received = 0;
-    while received < n {
-        match rx.try_recv() {
-            Ok((index, outcome)) => {
-                slots[index] = Some(outcome);
-                received += 1;
-            }
-            Err(TryRecvError::Empty) => {
-                // Help drain the pool instead of blocking: this may well run
-                // one of our own jobs, and is what makes nested calls safe.
-                if let Some(job) = executor.shared.take(0) {
-                    job();
-                } else {
-                    match rx.recv_timeout(Duration::from_millis(1)) {
-                        Ok((index, outcome)) => {
-                            slots[index] = Some(outcome);
-                            received += 1;
-                        }
-                        Err(RecvTimeoutError::Timeout) => {}
-                        Err(RecvTimeoutError::Disconnected) => break,
-                    }
-                }
-            }
-            Err(TryRecvError::Disconnected) => break,
-        }
-    }
-
-    slots
-        .into_iter()
-        .zip(labels)
-        .map(|(slot, label)| {
-            match slot.unwrap_or_else(|| panic!("job '{label}' was dropped by the executor")) {
-                Ok(value) => value,
-                Err(payload) => {
-                    let msg = panic_message(payload.as_ref());
-                    panic!("experiment job '{label}' panicked: {msg}");
-                }
-            }
-        })
-        .collect()
+    batch.join()
 }
 
 /// [`run_parallel_labeled`] with positional labels (`job 0`, `job 1`, ...).
@@ -296,6 +295,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 mod tests {
     use super::*;
     use std::collections::BTreeSet;
+    use std::time::Duration;
 
     #[test]
     fn env_knob_parses_trims_and_rejects() {
@@ -445,6 +445,120 @@ mod tests {
             .collect();
         let sums = run_parallel(jobs);
         assert_eq!(sums, vec![6, 46, 86, 126]);
+    }
+
+    /// Counts live instances, so a test can see how many jobs a caller
+    /// holds unrun.
+    struct Payload(Arc<AtomicUsize>);
+
+    impl Payload {
+        fn new(live: &Arc<AtomicUsize>) -> Self {
+            live.fetch_add(1, Ordering::SeqCst);
+            Payload(Arc::clone(live))
+        }
+    }
+
+    impl Drop for Payload {
+        fn drop(&mut self) {
+            self.0.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn one_worker_runs_each_job_inline_in_input_order() {
+        let executor = Executor::with_workers(1);
+        assert_eq!(executor.workers(), 1);
+        let caller = std::thread::current().id();
+        let live = Arc::new(AtomicUsize::new(0));
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let mut batch = executor.batch();
+        for i in 0..50usize {
+            let payload = Payload::new(&live);
+            assert_eq!(live.load(Ordering::SeqCst), 1, "job {i}: one unrun job");
+            let order = Arc::clone(&order);
+            batch.spawn(format!("job {i}"), move || {
+                let _payload = payload;
+                assert_eq!(std::thread::current().id(), caller, "job {i} ran inline");
+                order.lock().unwrap().push(i);
+                i * 3
+            });
+            assert_eq!(
+                live.load(Ordering::SeqCst),
+                0,
+                "job {i} ran before spawn returned"
+            );
+        }
+        assert_eq!(batch.join(), (0..50).map(|i| i * 3).collect::<Vec<_>>());
+        assert_eq!(*order.lock().unwrap(), (0..50).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_spawn_never_queues_more_jobs_than_background_threads() {
+        // Two workers: one background thread, so at most one job waits in
+        // the queue; with one running on it and one being built, three
+        // payloads are alive at most.
+        let executor = Executor::with_workers(2);
+        let live = Arc::new(AtomicUsize::new(0));
+        let peak = Arc::new(AtomicUsize::new(0));
+        let mut batch = executor.batch();
+        for i in 0..40usize {
+            let payload = Payload::new(&live);
+            peak.fetch_max(live.load(Ordering::SeqCst), Ordering::SeqCst);
+            batch.spawn(format!("job {i}"), move || {
+                let _payload = payload;
+                std::thread::sleep(Duration::from_micros(200));
+                i
+            });
+        }
+        assert_eq!(batch.join(), (0..40).collect::<Vec<_>>());
+        assert!(peak.load(Ordering::SeqCst) <= 3, "peak {peak:?}");
+        assert_eq!(live.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn nested_batches_finish_on_one_and_two_threads() {
+        for workers in [1, 2] {
+            let executor = Executor::with_workers(workers);
+            let mut outer = executor.batch();
+            for o in 0..4usize {
+                outer.spawn(format!("outer {o}"), move || {
+                    let mut inner = executor.batch();
+                    for i in 0..4usize {
+                        inner.spawn(format!("inner {o}.{i}"), move || o * 10 + i);
+                    }
+                    inner.join().into_iter().sum::<usize>()
+                });
+            }
+            assert_eq!(outer.join(), vec![6, 46, 86, 126], "{workers} worker(s)");
+        }
+    }
+
+    #[test]
+    fn a_panic_is_raised_with_its_label_after_the_rest_of_the_batch() {
+        for workers in [1, 2, 4] {
+            let executor = Executor::with_workers(workers);
+            let finished = Arc::new(AtomicUsize::new(0));
+            let mut batch = executor.batch();
+            batch.spawn("governor eavs @ 60fps".to_string(), || -> usize {
+                panic!("boom")
+            });
+            for i in 0..8usize {
+                let finished = Arc::clone(&finished);
+                batch.spawn(format!("job {i}"), move || {
+                    std::thread::sleep(Duration::from_millis(2));
+                    finished.fetch_add(1, Ordering::SeqCst);
+                    i
+                });
+            }
+            let payload =
+                catch_unwind(AssertUnwindSafe(|| batch.join())).expect_err("panic must propagate");
+            assert_eq!(finished.load(Ordering::SeqCst), 8, "{workers} worker(s)");
+            let msg = panic_message(payload.as_ref());
+            assert!(
+                msg.contains("governor eavs @ 60fps") && msg.contains("boom"),
+                "panic message should name the job and cause, got: {msg}"
+            );
+        }
     }
 
     #[test]

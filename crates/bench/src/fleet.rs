@@ -1,12 +1,13 @@
 //! Fleet campaigns on the bench infrastructure (F26/F27).
 //!
 //! `eavs-fleet` is engine-agnostic: it asks its caller for a shard
-//! runner. This module supplies the production one — the shared
-//! work-stealing pool ([`crate::executor`]) with every session routed
-//! through the content-addressed cache ([`crate::cache`]). Campaign
-//! specs draw from small trace/seed pools, so identical builders recur
-//! across the population and the cache turns most session-runs into
-//! lookups.
+//! runner. This module supplies the production one: every session goes
+//! through the content-addressed cache ([`crate::cache`]), whose misses
+//! stream one by one onto the shared job queue ([`crate::executor`]) as
+//! a shard's jobs are fingerprinted, so no second copy of the shard's
+//! builders is held. Campaign specs draw from small trace/seed pools, so
+//! identical builders recur across the population and the cache turns
+//! most session-runs into lookups.
 
 use std::sync::Arc;
 
@@ -17,7 +18,7 @@ use eavs_metrics::table::Table;
 
 /// The production shard runner: labeled jobs go through
 /// [`crate::cache::run_sessions`], which dedupes them against the session
-/// cache and runs the misses on the shared pool.
+/// cache and streams the misses onto the shared pool.
 pub fn pooled_runner(jobs: Vec<(String, SessionBuilder)>) -> Vec<Arc<SessionReport>> {
     crate::cache::run_sessions(jobs)
 }

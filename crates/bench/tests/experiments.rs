@@ -46,7 +46,7 @@ fn experiments_are_deterministic() {
 
 #[test]
 fn pool_execution_matches_serial() {
-    // The work-stealing pool must not change results: a sweep of sessions
+    // The shared pool must not change results: a sweep of sessions
     // run through `run_parallel_labeled` is byte-identical (Debug repr of
     // the full report) to the same sessions run serially, in the same order.
     use eavs_bench::harness::{governor, manifest_1080p30, run_parallel_labeled, SEED};

@@ -1,6 +1,6 @@
 //! Acceptance tests for the fault-injection figures: the F24 storm must
 //! separate panic-recovery EAVS from the stock governors, and faulted
-//! sessions must stay deterministic across the work-stealing pool.
+//! sessions must stay deterministic across the shared pool.
 
 use eavs_bench::harness::{governor, run_parallel_labeled};
 use eavs_bench::robustness::{balanced_retry, f24_labels, f24_reports, f25_policies};
@@ -71,7 +71,7 @@ fn f25_policies_span_the_design_space() {
 }
 
 /// Determinism under faults: a storm session run through the
-/// work-stealing pool is byte-identical (Debug repr) to the same session
+/// shared pool is byte-identical (Debug repr) to the same session
 /// run serially — fault decisions are coordinate-keyed, never
 /// thread-order-dependent.
 #[test]

@@ -140,14 +140,14 @@ pub struct SessionBuilder {
     rtt: SimDuration,
     record_series: bool,
     horizon: Option<SimTime>,
-    thermal: Option<(ThermalModel, ThrottleController)>,
+    thermal: Option<Box<(ThermalModel, ThrottleController)>>,
     background: Option<BackgroundLoad>,
     cluster_select: ClusterSelect,
     late_policy: LatePolicy,
-    faults: Option<FaultPlan>,
+    faults: Option<Box<FaultPlan>>,
     retry: RetryPolicy,
     power: Option<DevicePowerModel>,
-    prior: Option<SessionPrior>,
+    prior: Option<Box<SessionPrior>>,
     trace: Option<SharedSink>,
     profile: bool,
 }
@@ -252,7 +252,7 @@ impl SessionBuilder {
     /// An empty plan is stored as no plan at all, so it is a no-op by
     /// construction.
     pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = (!plan.is_empty()).then_some(plan);
+        self.faults = (!plan.is_empty()).then(|| Box::new(plan));
         self
     }
 
@@ -272,7 +272,7 @@ impl SessionBuilder {
     /// empty prior is stored as no prior at all, and baselines ignore
     /// priors entirely.
     pub fn prior(mut self, prior: SessionPrior) -> Self {
-        self.prior = (!prior.is_empty()).then_some(prior);
+        self.prior = (!prior.is_empty()).then(|| Box::new(prior));
         self
     }
 
@@ -300,7 +300,7 @@ impl SessionBuilder {
     /// Enables the thermal model and throttle controller: die temperature
     /// follows dissipated power and caps the policy's maximum OPP.
     pub fn thermal(mut self, model: ThermalModel, throttle: ThrottleController) -> Self {
-        self.thermal = Some((model, throttle));
+        self.thermal = Some(Box::new((model, throttle)));
         self
     }
 
@@ -441,7 +441,7 @@ impl SessionBuilder {
         fp.write_u64(self.rtt.as_nanos());
         fp.write_bool(self.record_series);
         fp.write_opt_u64(self.horizon.map(|h| h.as_nanos()));
-        match &self.thermal {
+        match self.thermal.as_deref() {
             None => fp.write_u8(0),
             Some((model, throttle)) => {
                 fp.write_u8(1);
@@ -599,7 +599,7 @@ impl SessionState {
         };
         let faults = b
             .faults
-            .as_ref()
+            .as_deref()
             .map(FaultPlan::schedule)
             .unwrap_or_default();
         // Blackout windows rewrite the trace; otherwise the shared Arc is
@@ -634,7 +634,7 @@ impl SessionState {
         let mut governor = b.governor;
         if let Some(prior) = b.prior {
             if let GovernorChoice::Eavs(g) = &mut governor {
-                g.seed_prior(prior);
+                g.seed_prior(*prior);
             }
         }
         let world = SessionWorld {
@@ -643,7 +643,7 @@ impl SessionState {
             standby,
             migrations: 0,
             last_migration: SimTime::ZERO,
-            thermal: b.thermal,
+            thermal: b.thermal.map(|t| *t),
             thermal_last: (SimTime::ZERO, 0.0),
             peak_temp_c: None,
             background: b.background,

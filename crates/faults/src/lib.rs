@@ -13,7 +13,7 @@
 //! plan produces the same storm regardless of which governor runs the
 //! session, how retries interleave, or which worker thread executes the
 //! sweep. That is what makes fault runs cacheable, comparable across
-//! governors, and reproducible under the work-stealing pool.
+//! governors, and reproducible under the shared sweep pool.
 
 use eavs_net::bandwidth::BandwidthTrace;
 use eavs_sim::fingerprint::Fingerprinter;

@@ -23,7 +23,7 @@
 //!
 //! The crate is engine-agnostic: [`campaign::run_campaign`] takes the
 //! shard runner as a closure, so the library has no dependency on the
-//! bench harness. `eavs-bench` injects its work-stealing pool and
+//! bench harness. `eavs-bench` injects its shared job pool and
 //! content-addressed session cache; tests inject a serial runner.
 
 #![forbid(unsafe_code)]

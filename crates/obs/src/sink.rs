@@ -37,7 +37,7 @@ pub trait TraceSink: Send {
 ///
 /// The mutex is uncontended in practice — sessions are single-threaded
 /// — but makes the handle `Sync` so builders can cross the
-/// work-stealing pool boundary.
+/// sweep pool's thread boundary.
 pub type SharedSink = Arc<Mutex<dyn TraceSink>>;
 
 /// Wraps a sink into a [`SharedSink`] handle.

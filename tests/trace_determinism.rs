@@ -1,6 +1,6 @@
 //! Trace determinism: a seeded session's event timeline is a pure
 //! function of the builder. The same builder traced twice — directly,
-//! through the work-stealing pool, or under any `EAVS_JOBS` — must dump
+//! through the shared pool, or under any `EAVS_JOBS` — must dump
 //! byte-identical JSONL. CI enforces the cross-process version of this
 //! (same `eavsctl trace` under `EAVS_JOBS=1` vs `8`, `cmp`); these
 //! tests pin the in-process contract the gate relies on.
@@ -65,8 +65,8 @@ fn same_builder_dumps_identical_jsonl() {
 fn pooled_and_direct_traces_are_identical() {
     // The direct dump on this thread...
     let direct = jsonl_of(base("eavs", 13));
-    // ...must match dumps produced inside the shared work-stealing
-    // pool, whatever worker (or helping caller) runs the job.
+    // ...must match dumps produced inside the shared pool,
+    // whatever worker (or helping caller) runs the job.
     let pooled = eavs_bench::executor::run_parallel(
         (0..4)
             .map(|_| || jsonl_of(base("eavs", 13)))
