@@ -54,7 +54,7 @@ pub fn f15_thermal() -> Table {
     ]);
     t.set_title("F15: thermal throttling — 240 s of 1080p60 film, phone chassis");
     for r in &reports {
-        let peak = r.peak_temp_c.expect("thermal enabled");
+        let peak = r.peak_temp_c().expect("thermal enabled");
         t.row(&[
             &r.governor,
             &format!("{:.1}", r.cpu_joules()),

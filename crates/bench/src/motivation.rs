@@ -116,7 +116,7 @@ pub fn f2_freq_timeline() -> Table {
         let bin_end = bin_start + step;
         let mut row = vec![format!("{:.1}", bin_start.as_secs_f64())];
         for r in &reports {
-            let series = r.freq_series.as_ref().expect("series recorded");
+            let series = r.freq_series().expect("series recorded");
             let mean = series.time_weighted_mean(bin_start, bin_end).unwrap_or(0.0);
             row.push(format!("{mean:.0}"));
         }

@@ -22,7 +22,7 @@ pub fn f11_buffer_timeline() -> Table {
     let series: Vec<_> = reports
         .iter()
         .map(|r| {
-            r.buffer_series.as_ref().expect("recorded").resample(
+            r.buffer_series().expect("recorded").resample(
                 SimTime::ZERO,
                 SimTime::from_secs(60),
                 SimDuration::from_secs(2),

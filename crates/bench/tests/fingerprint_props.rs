@@ -66,7 +66,7 @@ proptest! {
         prop_assert_eq!(ra.transitions, rb.transitions);
         prop_assert_eq!(ra.events_processed, rb.events_processed);
         prop_assert_eq!(&ra.time_in_state, &rb.time_in_state);
-        prop_assert_eq!(&*ra.cluster, &*rb.cluster);
+        prop_assert_eq!(ra.cluster, rb.cluster);
     }
 
     /// Sensitivity: perturbing any single knob yields a fingerprint

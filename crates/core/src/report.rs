@@ -10,7 +10,6 @@ use eavs_sim::time::SimDuration;
 use eavs_trace::content::ContentProfile;
 use eavs_video::qoe::QoeReport;
 use std::fmt;
-use std::sync::Arc;
 
 /// Everything measured over one streaming session.
 #[derive(Clone, Debug)]
@@ -21,8 +20,8 @@ pub struct SessionReport {
     pub soc: SocModel,
     /// Name of the cluster that hosted the player (`big` presets use the
     /// SoC name; LITTLE placements get a `-little` suffix, automatic
-    /// placement reports `auto`). Shared, cheaply clonable.
-    pub cluster: Arc<str>,
+    /// placement reports `auto`).
+    pub cluster: &'static str,
     /// Content profile streamed.
     pub content: ContentProfile,
     /// CPU energy breakdown.
@@ -42,18 +41,12 @@ pub struct SessionReport {
     pub transitions: u64,
     /// Wall-clock time at each OPP.
     pub time_in_state: Vec<(Frequency, SimDuration)>,
-    /// Frequency timeline (only when series recording was enabled).
-    pub freq_series: Option<StepSeries>,
-    /// Buffer-level timeline in seconds (only when recording was enabled).
-    pub buffer_series: Option<StepSeries>,
     /// Frames decoded.
     pub frames_decoded: u64,
     /// Segments downloaded.
     pub segments_downloaded: u64,
     /// Simulator events processed.
     pub events_processed: u64,
-    /// Peak die temperature (only when the thermal model was enabled).
-    pub peak_temp_c: Option<f64>,
     /// Background bursts completed on the secondary core.
     pub background_jobs: u64,
     /// Cluster migrations performed (automatic placement only).
@@ -78,7 +71,8 @@ pub struct SessionReport {
     /// zero unless panic recovery is enabled).
     pub panic_races: u64,
     /// Per-frame-type actual decode-cost summary (bit-exact mergeable;
-    /// the raw material fleet campaigns fold into workload priors).
+    /// the raw material fleet campaigns fold into workload priors). Its
+    /// three occupied bin spans share one allocation.
     pub frame_cycles: crate::framestats::FrameCycleStats,
     /// Per-phase simulated/wall time breakdown (only when profiling was
     /// requested via the session builder; wall times are host-dependent
@@ -86,9 +80,59 @@ pub struct SessionReport {
     /// outside profiled runs stay resident in the session cache, and
     /// `None` costs one word instead of the profile's size.
     pub profile: Option<Box<eavs_obs::PhaseProfile>>,
+    /// The series and peak temperature, read through
+    /// [`freq_series`](Self::freq_series),
+    /// [`buffer_series`](Self::buffer_series) and
+    /// [`peak_temp_c`](Self::peak_temp_c). Boxed for the same reason as
+    /// `profile`: `None` in every fleet and figure run that records no
+    /// series and models no heat, where it costs one word.
+    pub(crate) recorded: Option<Box<Recorded>>,
+}
+
+/// The parts of a [`SessionReport`] only some builder options fill.
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) struct Recorded {
+    freq_series: Option<StepSeries>,
+    buffer_series: Option<StepSeries>,
+    peak_temp_c: Option<f64>,
 }
 
 impl SessionReport {
+    /// Stores the optional series and peak temperature, boxed, or
+    /// nothing when all three are absent.
+    pub(crate) fn set_recorded(
+        &mut self,
+        freq_series: Option<StepSeries>,
+        buffer_series: Option<StepSeries>,
+        peak_temp_c: Option<f64>,
+    ) {
+        let parts = Recorded {
+            freq_series,
+            buffer_series,
+            peak_temp_c,
+        };
+        self.recorded = (parts.freq_series.is_some()
+            || parts.buffer_series.is_some()
+            || parts.peak_temp_c.is_some())
+        .then(|| Box::new(parts));
+    }
+
+    /// Frequency timeline in MHz (only when series recording was enabled).
+    pub fn freq_series(&self) -> Option<&StepSeries> {
+        self.recorded.as_ref()?.freq_series.as_ref()
+    }
+
+    /// Buffer-level timeline in seconds (only when series recording was
+    /// enabled).
+    pub fn buffer_series(&self) -> Option<&StepSeries> {
+        self.recorded.as_ref()?.buffer_series.as_ref()
+    }
+
+    /// Peak die temperature (only when the thermal model was enabled).
+    pub fn peak_temp_c(&self) -> Option<f64> {
+        self.recorded.as_ref()?.peak_temp_c
+    }
+
     /// Total CPU energy in joules (the paper's headline metric).
     pub fn cpu_joules(&self) -> f64 {
         self.cpu_energy.total()
@@ -114,7 +158,8 @@ impl SessionReport {
     }
 
     /// Inline plus heap bytes this report holds, as allocated (capacity,
-    /// not length; the `Arc` header of `cluster`; a series' points).
+    /// not length; a series' points). The cluster name is static and
+    /// costs only its inline reference.
     ///
     /// Used by the session cache and the fleet campaign runner to account
     /// resident memory (cache size, peak shard footprint) with one shared
@@ -122,11 +167,12 @@ impl SessionReport {
     pub fn approx_bytes(&self) -> u64 {
         let mut bytes = std::mem::size_of::<SessionReport>();
         bytes += self.governor.capacity();
-        // `Arc<str>`: strong and weak counts, then the bytes.
-        bytes += 2 * std::mem::size_of::<usize>() + self.cluster.len();
         bytes += self.time_in_state.capacity() * std::mem::size_of::<(Frequency, SimDuration)>();
+        if self.recorded.is_some() {
+            bytes += std::mem::size_of::<Recorded>();
+        }
         // A StepSeries point is (time, value): 16 bytes.
-        for series in self.freq_series.iter().chain(self.buffer_series.iter()) {
+        for series in self.freq_series().into_iter().chain(self.buffer_series()) {
             bytes += series.len() * 16;
         }
         bytes += self.frame_cycles.heap_bytes();
@@ -189,7 +235,7 @@ mod tests {
         SessionReport {
             governor: "test".into(),
             soc: SocModel::MidRange,
-            cluster: "midrange".into(),
+            cluster: "midrange",
             content: ContentProfile::Film,
             cpu_energy: CpuEnergyBreakdown {
                 busy_j: 6.0,
@@ -212,12 +258,9 @@ mod tests {
             mean_freq: Frequency::from_mhz(1000),
             transitions: 42,
             time_in_state: vec![],
-            freq_series: None,
-            buffer_series: None,
             frames_decoded: 300,
             segments_downloaded: 5,
             events_processed: 1234,
-            peak_temp_c: None,
             background_jobs: 0,
             migrations: 0,
             download_retries: 0,
@@ -231,6 +274,7 @@ mod tests {
             panic_races: 0,
             frame_cycles: crate::framestats::FrameCycleStats::new(),
             profile: None,
+            recorded: None,
         }
     }
 
@@ -264,5 +308,24 @@ mod tests {
         assert!(base >= std::mem::size_of::<SessionReport>() as u64);
         r.time_in_state = vec![(Frequency::from_mhz(1000), SimDuration::from_secs(1)); 8];
         assert!(r.approx_bytes() > base);
+    }
+
+    #[test]
+    fn recorded_parts_are_boxed_only_when_present() {
+        let mut r = report();
+        r.set_recorded(None, None, None);
+        assert!(r.recorded.is_none());
+        assert_eq!(
+            (r.freq_series(), r.buffer_series(), r.peak_temp_c()),
+            (None, None, None)
+        );
+        let base = r.approx_bytes();
+        r.set_recorded(None, None, Some(41.5));
+        assert_eq!(r.peak_temp_c(), Some(41.5));
+        assert_eq!(r.freq_series(), None);
+        assert_eq!(
+            r.approx_bytes(),
+            base + std::mem::size_of::<Recorded>() as u64
+        );
     }
 }

@@ -1981,13 +1981,13 @@ impl SessionWorld {
         // Frames still upstream of the decoder (undecoded + in flight);
         // decoded-queue leftovers are already counted in frames_decoded.
         let frames_pending = (self.pipeline.frames_buffered() - self.pipeline.decoded_len()) as u64;
-        SessionReport {
+        let mut report = SessionReport {
             governor: self.governor.report_name(),
             soc: self.soc,
             cluster: if self.standby.is_some() {
-                Arc::from("auto")
+                "auto"
             } else {
-                Arc::from(self.cluster.name())
+                self.cluster.name()
             },
             migrations: self.migrations,
             content: self.content,
@@ -1999,12 +1999,9 @@ impl SessionWorld {
             mean_freq: Frequency::from_khz(mean_khz.round() as u32),
             transitions: self.cluster.transitions(),
             time_in_state,
-            freq_series: self.freq_series.take(),
-            buffer_series: self.buffer_series.take(),
             frames_decoded: self.pipeline.frames_decoded(),
             segments_downloaded: self.segments_downloaded,
             events_processed,
-            peak_temp_c: self.peak_temp_c,
             background_jobs: if self.cluster.num_cores() > 1 {
                 self.cluster.core(1).jobs_completed()
             } else {
@@ -2021,7 +2018,14 @@ impl SessionWorld {
             panic_races,
             frame_cycles: self.frame_cycles.finish(),
             profile: self.profile.map(Box::new),
-        }
+            recorded: None,
+        };
+        report.set_recorded(
+            self.freq_series.take(),
+            self.buffer_series.take(),
+            self.peak_temp_c,
+        );
+        report
     }
 }
 
@@ -2122,9 +2126,9 @@ mod tests {
             .manifest(short_manifest())
             .record_series(true)
             .run();
-        let freq = r.freq_series.expect("freq series");
+        let freq = r.freq_series().expect("freq series");
         assert!(freq.len() > 1, "frequency must change over a session");
-        let buffer = r.buffer_series.expect("buffer series");
+        let buffer = r.buffer_series().expect("buffer series");
         assert!(buffer.len() > 2);
     }
 
@@ -2160,7 +2164,7 @@ mod tests {
             little.cpu_joules(),
             big.cpu_joules()
         );
-        assert_eq!(&*little.cluster, "flagship2016-little");
+        assert_eq!(little.cluster, "flagship2016-little");
         // 1080p60 sport (~1.7 Gcyc/s sustained) exceeds the LITTLE
         // ceiling (1.59 GHz): misses are unavoidable.
         let heavy = StreamingSession::builder(eavs())
@@ -2190,7 +2194,7 @@ mod tests {
             .seed(3)
             .run();
         assert!(light.migrations >= 1, "480p should migrate to LITTLE");
-        assert_eq!(&*light.cluster, "auto");
+        assert_eq!(light.cluster, "auto");
         assert_eq!(light.qoe.frames_displayed, light.qoe.total_frames);
         assert_eq!(light.qoe.late_vsyncs, 0);
         // Energy should approach the static-LITTLE placement, far below
@@ -2307,7 +2311,7 @@ mod tests {
             )
             .seed(3)
             .run();
-        let peak = hot.peak_temp_c.expect("thermal enabled");
+        let peak = hot.peak_temp_c().expect("thermal enabled");
         assert!(peak > 35.0, "performance must trip the throttle: {peak}°C");
         assert!(
             hot.mean_freq < Frequency::from_mhz(2150),
@@ -2328,7 +2332,7 @@ mod tests {
             )
             .seed(3)
             .run();
-        assert!(cool.peak_temp_c.expect("enabled") < peak);
+        assert!(cool.peak_temp_c().expect("enabled") < peak);
     }
 
     #[test]

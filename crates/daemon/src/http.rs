@@ -20,6 +20,7 @@
 //! heads through the same capped line reader and never trusts a reply's
 //! `Content-Length` for more than 64 MiB of memory up front.
 
+use std::any::Any;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
@@ -248,13 +249,18 @@ fn serve_connection(stream: TcpStream, handler: &Handler) -> std::io::Result<()>
 /// stays up.
 fn call_handler(handler: &Handler, request: Request) -> Response {
     std::panic::catch_unwind(AssertUnwindSafe(|| handler(request))).unwrap_or_else(|payload| {
-        let detail = payload
-            .downcast_ref::<&str>()
-            .copied()
-            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-            .unwrap_or("handler panicked");
+        let detail = panic_message(&*payload).unwrap_or("handler panicked");
         Response::error(500, "internal error", detail)
     })
+}
+
+/// The message of a caught panic, when its payload is a string (as from
+/// `panic!` and `expect`).
+pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> Option<&str> {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
 }
 
 /// Closing a socket that still holds unread request bytes makes the

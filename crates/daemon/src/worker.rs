@@ -12,6 +12,7 @@
 //! bit.
 
 use std::collections::HashMap;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -22,7 +23,7 @@ use eavs_core::session::SessionBuilder;
 use eavs_fleet::spec::CampaignSpec;
 use eavs_fleet::{checkpoint, run_shard};
 
-use crate::http::client;
+use crate::http::{client, panic_message};
 use crate::json;
 use crate::registry::Registry;
 
@@ -56,11 +57,26 @@ pub fn spawn_local_workers(
                             std::thread::sleep(IDLE_POLL);
                             continue;
                         };
-                        match run_shard(&claim.spec, claim.shard, &*runner) {
-                            Ok(out) => {
+                        // A session that panics (a spec no session can
+                        // run) fails its campaign; unwinding out of here
+                        // would end the thread and strand every later
+                        // campaign at `running`.
+                        let ran = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                            run_shard(&claim.spec, claim.shard, &*runner)
+                        }));
+                        match ran {
+                            Ok(Ok(out)) => {
                                 let _ = registry.complete(&claim.id, claim.shard, out.partial);
                             }
-                            Err(e) => registry.fail(&claim.id, claim.shard, &e),
+                            Ok(Err(e)) => registry.fail(&claim.id, claim.shard, &e),
+                            Err(payload) => {
+                                let message = panic_message(&*payload).unwrap_or("no message");
+                                registry.fail(
+                                    &claim.id,
+                                    claim.shard,
+                                    &format!("a session panicked: {message}"),
+                                );
+                            }
                         }
                     }
                 })

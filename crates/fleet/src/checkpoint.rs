@@ -25,16 +25,32 @@ const MAGIC: &str = "eavs-fleet-checkpoint/v2";
 // grows. The result route and every worker upload encode a checkpoint.
 
 pub(crate) fn push_hist(out: &mut String, key: &str, h: &Histogram) {
+    push_hist_parts(
+        out,
+        key,
+        (h.lo(), h.hi()),
+        (h.underflow(), h.overflow()),
+        (0..h.num_bins()).map(|i| h.bin_count(i)),
+    );
+}
+
+/// Writes one histogram line from its parts: the range, the under- and
+/// overflow counts, then every bin's count.
+pub(crate) fn push_hist_parts(
+    out: &mut String,
+    key: &str,
+    (lo, hi): (f64, f64),
+    (underflow, overflow): (u64, u64),
+    bins: impl Iterator<Item = u64>,
+) {
     let _ = write!(
         out,
-        "{key} {:016x} {:016x} {} {}",
-        h.lo().to_bits(),
-        h.hi().to_bits(),
-        h.underflow(),
-        h.overflow()
+        "{key} {:016x} {:016x} {underflow} {overflow}",
+        lo.to_bits(),
+        hi.to_bits(),
     );
-    for i in 0..h.num_bins() {
-        let _ = write!(out, " {}", h.bin_count(i));
+    for count in bins {
+        let _ = write!(out, " {count}");
     }
     out.push('\n');
 }
@@ -163,6 +179,19 @@ impl<'a> Lines<'a> {
     }
 
     pub(crate) fn hist(&mut self, key: &str) -> Result<Histogram, String> {
+        let h = self.hist_parts(key)?;
+        Ok(Histogram::from_parts(
+            h.lo,
+            h.hi,
+            &h.bins,
+            h.underflow,
+            h.overflow,
+        ))
+    }
+
+    /// A histogram line's parts, with its range checked finite and
+    /// non-empty and at least one bin.
+    pub(crate) fn hist_parts(&mut self, key: &str) -> Result<HistParts, String> {
         let raw = self.field(key)?;
         let mut parts = raw.split(' ');
         let mut bits = |what: &str| -> Result<f64, String> {
@@ -193,8 +222,23 @@ impl<'a> Lines<'a> {
         if bins.is_empty() {
             return Err(format!("checkpoint: {key} has no bins"));
         }
-        Ok(Histogram::from_parts(lo, hi, &bins, underflow, overflow))
+        Ok(HistParts {
+            lo,
+            hi,
+            underflow,
+            overflow,
+            bins,
+        })
     }
+}
+
+/// A decoded histogram line, dense.
+pub(crate) struct HistParts {
+    pub(crate) lo: f64,
+    pub(crate) hi: f64,
+    pub(crate) underflow: u64,
+    pub(crate) overflow: u64,
+    pub(crate) bins: Vec<u64>,
 }
 
 /// Decodes checkpoint text.

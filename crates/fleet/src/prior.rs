@@ -22,12 +22,14 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
 
-use eavs_core::framestats::{FrameCycleStats, PRIOR_HIST_BINS, PRIOR_HIST_HI_MCYCLES};
+use eavs_core::framestats::{
+    DenseTypeStats, FrameCycleStats, FrameCycleTally, PRIOR_HIST_BINS, PRIOR_HIST_HI_MCYCLES,
+};
 use eavs_core::predictor::SessionPrior;
 use eavs_metrics::stats::ExactSum;
 use eavs_video::frame::FrameType;
 
-use crate::checkpoint::{push_hist, push_sum, Lines};
+use crate::checkpoint::{push_hist_parts, push_sum, Lines};
 
 /// Per-frame-type line keys of an entry, indexed like [`FrameCycleStats`].
 const MC_KEYS: [&str; 3] = ["mc0", "mc1", "mc2"];
@@ -147,10 +149,17 @@ pub(crate) fn encode_body(out: &mut String, store: &PriorStore) {
     let _ = writeln!(out, "prior {}", store.entries.len());
     for ((title, content), stats) in &store.entries {
         let _ = writeln!(out, "key {title} {content}");
-        for t in 0..3 {
-            push_sum(out, MC_KEYS[t], &stats.mcycles[t]);
-            push_sum(out, MCSQ_KEYS[t], &stats.mcycles_sq[t]);
-            push_hist(out, HIST_KEYS[t], &stats.hist[t]);
+        for ft in FrameType::ALL {
+            let t = ft.index();
+            push_sum(out, MC_KEYS[t], &stats.mcycles(ft));
+            push_sum(out, MCSQ_KEYS[t], &stats.mcycles_sq(ft));
+            push_hist_parts(
+                out,
+                HIST_KEYS[t],
+                (0.0, PRIOR_HIST_HI_MCYCLES),
+                (stats.underflow(ft), stats.overflow(ft)),
+                (0..PRIOR_HIST_BINS).map(|i| stats.bin_count(ft, i)),
+            );
         }
     }
 }
@@ -163,25 +172,41 @@ pub(crate) fn decode_body(lines: &mut Lines<'_>, entries: usize) -> Result<Prior
         let (title, content) = key
             .split_once(' ')
             .ok_or(format!("prior: bad key line {key:?}"))?;
-        let mut stats = FrameCycleStats::new();
-        for t in 0..3 {
-            stats.mcycles[t] = cycle_sum(lines, MC_KEYS[t])?;
-            stats.mcycles_sq[t] = cycle_sum(lines, MCSQ_KEYS[t])?;
-            let hist = lines.hist(HIST_KEYS[t])?;
-            // `observe` and `merge` assert this layout, so decoding is the
-            // one way another could enter a store, and the first merge
-            // would panic on it.
-            if !hist.same_shape(&stats.hist[t]) {
-                return Err(format!(
-                    "prior: {} layout [{}, {}) x{} is not [0, {PRIOR_HIST_HI_MCYCLES}) x{PRIOR_HIST_BINS}",
-                    HIST_KEYS[t],
-                    hist.lo(),
-                    hist.hi(),
-                    hist.num_bins()
-                ));
-            }
-            stats.hist[t] = hist;
+        let mut types: [DenseTypeStats; 3] = Default::default();
+        for (t, ty) in types.iter_mut().enumerate() {
+            let mcycles = cycle_sum(lines, MC_KEYS[t])?;
+            let mcycles_sq = cycle_sum(lines, MCSQ_KEYS[t])?;
+            let hist = lines.hist_parts(HIST_KEYS[t])?;
+            // A summary has one fixed layout, so decoding is the one way
+            // another could be offered.
+            let bins = match <[u64; PRIOR_HIST_BINS]>::try_from(hist.bins.as_slice()) {
+                Ok(bins)
+                    if hist.lo.to_bits() == 0f64.to_bits()
+                        && hist.hi.to_bits() == PRIOR_HIST_HI_MCYCLES.to_bits() =>
+                {
+                    bins
+                }
+                _ => {
+                    return Err(format!(
+                        "prior: {} layout [{}, {}) x{} is not [0, {PRIOR_HIST_HI_MCYCLES}) x{PRIOR_HIST_BINS}",
+                        HIST_KEYS[t],
+                        hist.lo,
+                        hist.hi,
+                        hist.bins.len()
+                    ))
+                }
+            };
+            *ty = DenseTypeStats {
+                mcycles,
+                mcycles_sq,
+                underflow: hist.underflow,
+                overflow: hist.overflow,
+                bins,
+            };
         }
+        let stats = FrameCycleTally::from_types(types)
+            .map_err(|e| format!("prior: key {title:?} {content:?}: {e}"))?
+            .finish();
         if store
             .entries
             .insert((title.to_owned(), content.to_owned()), stats)
@@ -344,6 +369,20 @@ mod tests {
             let err = decode(&bad).unwrap_err();
             assert!(err.contains("hist1") && err.contains(why), "{err}");
         }
+    }
+
+    #[test]
+    fn a_type_whose_two_sums_disagree_on_count_is_refused() {
+        let text = encode(&populated());
+        let line = text.lines().find(|l| l.starts_with("mcsq1 ")).unwrap();
+        let (nanos, count) = line["mcsq1 ".len()..].split_once(' ').unwrap();
+        let count: u64 = count.parse().unwrap();
+        let bad = text.replacen(line, &format!("mcsq1 {nanos} {}", count + 1), 1);
+        let err = decode(&bad).unwrap_err();
+        assert!(
+            err.contains("P-frame") && err.contains("square sum"),
+            "{err}"
+        );
     }
 
     #[test]

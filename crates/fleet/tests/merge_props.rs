@@ -7,10 +7,12 @@
 
 use std::sync::{Arc, OnceLock};
 
+use eavs_core::framestats::{FrameCycleStats, PRIOR_HIST_BINS, PRIOR_HIST_HI_MCYCLES};
 use eavs_core::report::SessionReport;
 use eavs_fleet::campaign::{builder_for, draw_session, SessionDraw};
 use eavs_fleet::{checkpoint, prior, CampaignSpec, FleetAggregate};
 use eavs_metrics::histogram::Histogram;
+use eavs_video::frame::FrameType;
 use proptest::prelude::*;
 
 const SESSIONS: usize = 12;
@@ -111,6 +113,19 @@ impl DenseHist {
         }
     }
 
+    /// One frame type's cost distribution, read through its accessors.
+    fn of_frame_type(stats: &FrameCycleStats, ft: FrameType) -> Self {
+        DenseHist {
+            lo: 0.0,
+            hi: PRIOR_HIST_HI_MCYCLES,
+            bins: (0..PRIOR_HIST_BINS)
+                .map(|i| stats.bin_count(ft, i))
+                .collect(),
+            underflow: stats.underflow(ft),
+            overflow: stats.overflow(ft),
+        }
+    }
+
     fn record(&mut self, x: f64) {
         let n = self.bins.len();
         if x < self.lo {
@@ -170,11 +185,9 @@ fn dense_prior_lines() -> Vec<String> {
         Default::default();
     for (draw, reports) in data {
         let key = (draw.title.key(), draw.content.name().to_owned());
-        let dense: Vec<DenseHist> = reports[0]
-            .frame_cycles
-            .hist
-            .iter()
-            .map(DenseHist::of)
+        let dense: Vec<DenseHist> = FrameType::ALL
+            .into_iter()
+            .map(|ft| DenseHist::of_frame_type(&reports[0].frame_cycles, ft))
             .collect();
         match folded.get_mut(&key) {
             Some(acc) => acc.iter_mut().zip(&dense).for_each(|(a, d)| a.merge(d)),

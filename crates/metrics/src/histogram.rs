@@ -15,8 +15,8 @@ pub enum Slot {
 }
 
 /// Locates `x` among `bins` equal-width bins over `[lo, hi)`: the one
-/// binning rule [`Histogram::record`] and dense tallies that are later
-/// handed to [`Histogram::from_parts`] share.
+/// binning rule [`Histogram::record`] and dense tallies kept outside a
+/// histogram (a session's frame-cost tally) share.
 ///
 /// # Panics
 ///
@@ -41,9 +41,12 @@ pub fn locate(lo: f64, hi: f64, bins: usize, x: f64) -> Slot {
 /// Only the occupied span of bins is stored: the run from the first to
 /// the last non-zero bin. Every other bin is zero, and every accessor
 /// ([`bin_count`](Self::bin_count), [`iter`](Self::iter), equality,
-/// [`merge`](Self::merge)) sees all `num_bins` logical bins. A fleet
-/// report's frame-cost histograms occupy about a sixth of their 64 bins,
-/// so this keeps resident reports small.
+/// [`merge`](Self::merge)) sees all `num_bins` logical bins, so a
+/// sparse histogram stays small. The fleet aggregates (arrivals and each
+/// governor lane's energy, QoE and startup distributions) and the figure
+/// tables use it; a report's per-frame-type cost summary
+/// (`eavs_core::framestats::FrameCycleStats`) has one fixed shape and
+/// keeps its own spans.
 ///
 /// ```
 /// use eavs_metrics::histogram::Histogram;
@@ -181,11 +184,6 @@ impl Histogram {
             h.span = bins[first..=last].into();
         }
         h
-    }
-
-    /// Heap bytes held: the occupied span of bins.
-    pub fn heap_bytes(&self) -> usize {
-        std::mem::size_of_val(&*self.span)
     }
 
     /// Observations below the range.

@@ -1032,8 +1032,10 @@ fn build_network(spec: &str, duration: SimDuration, seed: u64) -> Result<Bandwid
         let mbps: f64 = mbps
             .parse()
             .map_err(|_| format!("bad constant rate {mbps:?}"))?;
-        if mbps <= 0.0 {
-            return Err("constant rate must be positive".to_owned());
+        if !(mbps.is_finite() && mbps > 0.0) {
+            return Err(format!(
+                "constant rate must be positive and finite, got {mbps}"
+            ));
         }
         return Ok(BandwidthTrace::constant(mbps * 1e6));
     }
@@ -1389,7 +1391,7 @@ mod tests {
             .unwrap_err()
             .contains("requires --governor eavs"));
         let report = run_session(&args, "eavs").unwrap();
-        assert_eq!(&*report.cluster, "auto");
+        assert_eq!(report.cluster, "auto");
     }
 
     #[test]
@@ -1537,6 +1539,22 @@ mod tests {
         };
         let out = execute(Command::Run(args)).unwrap();
         assert!(out.contains("faults:"), "{out}");
+    }
+
+    #[test]
+    fn non_finite_and_non_positive_constant_rates_are_errors_not_panics() {
+        for rate in ["nan", "inf", "-inf", "0", "-3"] {
+            let args = RunArgs {
+                duration_s: 2,
+                network: format!("constant:{rate}"),
+                ..RunArgs::default()
+            };
+            let err = execute(Command::Run(args)).unwrap_err();
+            assert!(
+                err.contains("constant rate must be positive and finite"),
+                "{rate}: {err}"
+            );
+        }
     }
 
     #[test]

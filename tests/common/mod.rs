@@ -119,8 +119,8 @@ pub fn assert_invisible_across_governors(cases: &[(&str, Attach)]) {
                 "{label}: report"
             );
             assert_eq!(plain.events_processed, attached.events_processed, "{label}");
-            assert_eq!(plain.freq_series, attached.freq_series, "{label}");
-            assert_eq!(plain.buffer_series, attached.buffer_series, "{label}");
+            assert_eq!(plain.freq_series(), attached.freq_series(), "{label}");
+            assert_eq!(plain.buffer_series(), attached.buffer_series(), "{label}");
         }
     }
 }
@@ -131,8 +131,8 @@ pub fn assert_same_events((name, attach): (&str, Attach)) {
     let plain = base("eavs", 31).record_series(true).run();
     let attached = attach(base("eavs", 31).record_series(true)).run();
     assert_eq!(plain.events_processed, attached.events_processed, "{name}");
-    assert_eq!(plain.freq_series, attached.freq_series, "{name}");
-    assert_eq!(plain.buffer_series, attached.buffer_series, "{name}");
+    assert_eq!(plain.freq_series(), attached.freq_series(), "{name}");
+    assert_eq!(plain.buffer_series(), attached.buffer_series(), "{name}");
 }
 
 /// The empty attachment shares the plain digest, so the session cache

@@ -13,6 +13,7 @@ use eavs::daemon::http::client;
 use eavs::daemon::worker::{run_worker, SharedRunner};
 use eavs::daemon::{codec, json, registry, Daemon, DaemonOptions};
 use eavs_fleet::campaign::RunOptions;
+use eavs_fleet::spec::NetworkChoice;
 use eavs_fleet::{checkpoint, CampaignSpec};
 
 fn pooled() -> SharedRunner {
@@ -577,4 +578,45 @@ fn a_tampered_checkpoint_is_refused_on_restart() {
     .expect("tampered checkpoint must refuse recovery");
     assert!(err.contains("CheckpointMismatch"), "{err}");
     let _ = std::fs::remove_dir_all(&state);
+}
+
+#[test]
+fn a_panicking_shard_fails_its_campaign_and_the_local_worker_serves_the_next() {
+    // One local worker: if the panic ended its thread, nothing would run
+    // the second campaign.
+    let mut opts = daemon_opts("panic-shard");
+    opts.workers = 1;
+    let daemon = Daemon::start(opts, pooled()).unwrap();
+    let addr = daemon.addr();
+    // Zero bandwidth passes `validate`, but no session can download a
+    // segment over it: every session of the first shard panics.
+    let mut stalled = small_spec("panic-shard");
+    stalled.networks = vec![(NetworkChoice::Constant(0.0), 1.0)];
+    let submit = |spec: &CampaignSpec| {
+        let (status, body) =
+            client::request_text(&addr, "POST", "/campaigns", &codec::encode_spec(spec)).unwrap();
+        assert_eq!(status, 200, "{body}");
+        registry::campaign_id(spec)
+    };
+    let id = submit(&stalled);
+    assert_eq!(wait_terminal(&addr, &id), "failed");
+    let (_, progress) =
+        client::request_text(&addr, "GET", &format!("/campaigns/{id}"), "").unwrap();
+    let v = json::parse(&progress).unwrap();
+    let error = v.get("error").and_then(json::Value::as_str).unwrap();
+    assert!(
+        error.starts_with("shard 0: a session panicked:") && error.contains("stalls forever"),
+        "{error}"
+    );
+
+    let good = small_spec("after-panic");
+    let id = submit(&good);
+    assert_eq!(wait_terminal(&addr, &id), "complete");
+    let (status, served) =
+        client::request_text(&addr, "GET", &format!("/campaigns/{id}/result"), "").unwrap();
+    assert_eq!(status, 200);
+    assert_eq!(served, reference_bytes(&good));
+    let (status, body) = client::request_text(&addr, "GET", "/healthz", "").unwrap();
+    assert_eq!((status, body.as_str()), (200, "ok\n"));
+    daemon.shutdown();
 }

@@ -230,7 +230,7 @@ fn recorded_series_are_consistent_with_report() {
         .record_series(true)
         .seed(3)
         .run();
-    let freq = report.freq_series.as_ref().expect("series");
+    let freq = report.freq_series().expect("series");
     // Every recorded frequency is an OPP of the SoC.
     let opps: Vec<f64> = report
         .time_in_state
@@ -244,7 +244,7 @@ fn recorded_series_are_consistent_with_report() {
         );
     }
     // Buffer level is never negative and bounded by the player cap.
-    let buffer = report.buffer_series.as_ref().expect("series");
+    let buffer = report.buffer_series().expect("series");
     for (_, level) in buffer.iter() {
         assert!(
             (0.0..=31.0).contains(&level),

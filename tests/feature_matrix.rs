@@ -39,7 +39,7 @@ fn auto_placement_deterministic_and_conserves_accounting() {
     assert_eq!(a.cpu_joules().to_bits(), b.cpu_joules().to_bits());
     assert_eq!(a.migrations, b.migrations);
     assert!(a.migrations >= 1);
-    assert_eq!(&*a.cluster, "auto");
+    assert_eq!(a.cluster, "auto");
     // Both clusters' energy is accounted: the total must exceed the
     // active cluster's busy energy alone and every component is finite.
     assert!(a.cpu_energy.busy_j > 0.0);
@@ -86,7 +86,7 @@ fn thermal_and_background_compose_with_eavs() {
         .background_load(0.25, SimDuration::from_millis(80))
         .seed(9)
         .run();
-    assert!(report.peak_temp_c.expect("thermal on") > 25.0);
+    assert!(report.peak_temp_c().expect("thermal on") > 25.0);
     assert!(report.background_jobs > 50);
     assert_eq!(report.qoe.frames_displayed, report.qoe.total_frames);
     assert_eq!(report.qoe.late_vsyncs, 0);
@@ -134,7 +134,7 @@ fn power_model_composes_with_thermal_and_radio() {
             .run()
     };
     let report = build(RadioModel::lte_rrc());
-    assert!(report.peak_temp_c.expect("thermal on") > 25.0);
+    assert!(report.peak_temp_c().expect("thermal on") > 25.0);
     assert!(report.radio.energy_j > 0.0);
     assert!(report.radio.promotions > 0);
     assert!(report.power.display_j > 0.0);

@@ -16,7 +16,7 @@
 //! - Resident size: a finished report's `approx_bytes` must match the
 //!   bytes it really holds, since the session cache and the fleet runner
 //!   account resident memory with it, and a 60 s 1080p EAVS report has a
-//!   size ceiling.
+//!   ceiling on its bytes and on its heap blocks.
 //!
 //! The allocator counts per thread, so the tests of this binary, which
 //! run concurrently, never see each other's allocations.
@@ -40,31 +40,34 @@ thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     /// Bytes this thread holds: allocated minus freed, by layout size.
     static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
+    /// Blocks this thread holds: allocations minus frees.
+    static LIVE_BLOCKS: Cell<i64> = const { Cell::new(0) };
 }
 
 /// Counts one allocation call that changes this thread's live bytes by
-/// `delta`; `calls` is 0 for a free.
-fn count(calls: u64, delta: i64) {
+/// `delta` and its live blocks by `blocks`; `calls` is 0 for a free.
+fn count(calls: u64, delta: i64, blocks: i64) {
     // `try_with`: the slots are gone while the thread itself is torn down.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + calls));
     let _ = LIVE_BYTES.try_with(|n| n.set(n.get() + delta));
+    let _ = LIVE_BLOCKS.try_with(|n| n.set(n.get() + blocks));
 }
 
 // SAFETY: delegates verbatim to `System`; the counters are thread-local
 // `Cell`s that never allocate.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(1, layout.size() as i64);
+        count(1, layout.size() as i64, 1);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        count(0, -(layout.size() as i64));
+        count(0, -(layout.size() as i64), -1);
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(1, new_size as i64 - layout.size() as i64);
+        count(1, new_size as i64 - layout.size() as i64, 0);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -74,6 +77,10 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn live_bytes() -> i64 {
     LIVE_BYTES.with(Cell::get)
+}
+
+fn live_blocks() -> i64 {
+    LIVE_BLOCKS.with(Cell::get)
 }
 
 fn builder(manifest: &Arc<Manifest>) -> SessionBuilder {
@@ -170,18 +177,23 @@ fn approx_bytes_matches_what_a_report_holds_and_stays_under_its_ceiling() {
     // Warm the memos and this thread's scratch, so the measured run
     // leaves nothing behind but its report.
     builder(&manifest).run();
-    let before = live_bytes();
+    let (before, blocks_before) = (live_bytes(), live_blocks());
     let report = Box::new(builder(&manifest).run());
     let held = live_bytes() - before;
+    let blocks = live_blocks() - blocks_before;
     let approx = report.approx_bytes() as i64;
     assert!(
         (approx - held).abs() * 10 <= held,
         "approx_bytes {approx} is more than 10% off the {held} bytes the report holds"
     );
-    // About 1.3 KB: 2.6 KB before the histograms kept only their
-    // occupied bins and the profile was boxed.
+    // 1,020 bytes in 4 blocks on x86_64: the boxed report, the governor
+    // name, `time_in_state` and the frame-cost bins.
     assert!(
-        approx <= 1_400,
-        "a 60 s 1080p EAVS report takes {approx} bytes (ceiling 1400)"
+        approx <= 1_120,
+        "a 60 s 1080p EAVS report takes {approx} bytes (ceiling 1120)"
+    );
+    assert!(
+        blocks <= 4,
+        "a 60 s 1080p EAVS report holds {blocks} heap blocks (ceiling 4)"
     );
 }

@@ -232,7 +232,7 @@ fn chaos_randomized_fault_plans() {
             ctx()
         );
         // The buffer timeline never goes negative.
-        let series = report.buffer_series.as_ref().expect("series recorded");
+        let series = report.buffer_series().expect("series recorded");
         assert!(
             series.iter().all(|(_, v)| v >= 0.0),
             "negative buffer: {}",
