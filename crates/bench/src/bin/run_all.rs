@@ -16,10 +16,12 @@
 //! second is served from it. The warm pass writes its CSVs under
 //! `<results>/warm/` so CI can byte-compare cold against warm output, and
 //! both wall times plus the speedup are printed for the record, each pass
-//! with its own session-cache counts. The cold pass's line (`cold pass
-//! session cache: H hits / M misses / U uncacheable / E evictions`) comes
-//! before the warm pass starts; CI compares its miss count across
-//! `EAVS_JOBS` settings.
+//! with its own session-cache counts. The cold pass's lines (`cold pass
+//! session cache: H hits / M misses / U uncacheable / E evictions`, then
+//! `cold pass segment memo: H hits, M misses, E evictions` and the same
+//! for the trace memo) come before the warm pass starts; CI compares the
+//! session-cache miss count across `EAVS_JOBS` settings and requires
+//! zero memo evictions, so the memo caps hold the whole suite.
 
 use eavs_bench::cache::SessionCacheStats;
 use eavs_bench::Experiment;
@@ -92,6 +94,15 @@ fn main() {
             "cold pass session cache: {}",
             cache_counts(cold, SessionCacheStats::default())
         );
+        for (name, memo) in [
+            ("segment", eavs_trace::memo::segment_cache_stats()),
+            ("trace", eavs_trace::memo::trace_cache_stats()),
+        ] {
+            eprintln!(
+                "cold pass {name} memo: {} hits, {} misses, {} evictions ({} resident bytes)",
+                memo.hits, memo.misses, memo.evictions, memo.resident_bytes
+            );
+        }
         let warm_dir = eavs_bench::harness::results_dir().join("warm");
         let started = std::time::Instant::now();
         for (id, table) in regenerate(&experiments) {

@@ -427,16 +427,29 @@ impl Registry {
     }
 
     /// Records a shard execution failure: the campaign stops handing
-    /// out claims and reports the error.
-    pub fn fail(&self, id: &str, shard: u64, message: &str) {
+    /// out claims and reports the error. A campaign that already left
+    /// `running` keeps its phase.
+    ///
+    /// # Errors
+    ///
+    /// 404 for an unknown campaign, 409 for an out-of-range shard.
+    pub fn fail(&self, id: &str, shard: u64, message: &str) -> Result<(), (u16, String)> {
         let mut campaigns = self.campaigns.lock().expect("registry lock");
-        if let Some(c) = campaigns.get_mut(id) {
-            c.leases.remove(&shard);
-            if c.phase == Phase::Running {
-                c.phase = Phase::Failed(format!("shard {shard}: {message}"));
-                c.finished = Some(Instant::now());
-            }
+        let c = campaigns
+            .get_mut(id)
+            .ok_or((404, format!("unknown campaign {id}")))?;
+        if shard >= c.total_shards {
+            return Err((
+                409,
+                format!("shard {shard} out of range ({} shards)", c.total_shards),
+            ));
         }
+        c.leases.remove(&shard);
+        if c.phase == Phase::Running {
+            c.phase = Phase::Failed(format!("shard {shard}: {message}"));
+            c.finished = Some(Instant::now());
+        }
+        Ok(())
     }
 
     /// Cancels a running campaign at the shard boundary: no further

@@ -13,6 +13,7 @@
 //! | `POST /priors`                       | merge an `eavs-prior/v1` document in      |
 //! | `POST /claim`                        | worker: claim a shard (204 when idle)     |
 //! | `POST /campaigns/{id}/shards/{n}`    | worker: deliver a shard partial           |
+//! | `POST /campaigns/{id}/shards/{n}/fail` | worker: fail the campaign; body is the message |
 //! | `POST /shutdown`                     | stop serving after in-flight work         |
 //!
 //! Every error body is structured JSON: `{"error": ..., "detail": ...}`.
@@ -84,6 +85,9 @@ pub fn handle(registry: &Arc<Registry>, stop: &Arc<AtomicBool>, req: Request) ->
             },
         },
         ("POST", ["campaigns", id, "shards", shard]) => complete(registry, id, shard, &req.body),
+        ("POST", ["campaigns", id, "shards", shard, "fail"]) => {
+            fail(registry, id, shard, &req.body)
+        }
         ("POST", ["shutdown"]) => {
             stop.store(true, Ordering::SeqCst);
             Response::json(200, "{\"stopping\":true}".to_owned())
@@ -124,6 +128,19 @@ fn submit(registry: &Registry, body: &[u8]) -> Response {
             Response::error(409, "checkpoint mismatch", &detail)
         }
         Err(SubmitError::Io(detail)) => Response::error(500, "state dir failure", &detail),
+    }
+}
+
+fn fail(registry: &Registry, id: &str, shard: &str, body: &[u8]) -> Response {
+    let Ok(shard) = shard.parse::<u64>() else {
+        return Response::error(400, "bad shard index", shard);
+    };
+    let Ok(message) = std::str::from_utf8(body) else {
+        return Response::error(400, "bad failure message", "body is not UTF-8");
+    };
+    match registry.fail(id, shard, message) {
+        Ok(()) => Response::json(200, registry.progress(id).unwrap_or_default()),
+        Err((status, detail)) => Response::error(status, "shard rejected", &detail),
     }
 }
 

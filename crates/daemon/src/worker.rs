@@ -1,15 +1,16 @@
 //! Shard workers: local threads and the remote `--worker` loop.
 //!
 //! Both kinds execute the identical unit of work —
-//! [`eavs_fleet::run_shard`] over a claimed `(spec, shard)` — and
-//! differ only in transport: local workers call the [`Registry`]
-//! directly, remote workers speak the same claim/complete protocol
-//! over HTTP (`POST /claim`, then
-//! `POST /campaigns/{id}/shards/{shard}` with the partial in
-//! `eavs-fleet-checkpoint/v2` text). Because a shard partial is a pure
-//! function of `(spec, shard)` and the coordinator folds in shard
-//! order, worker count and placement cannot change a single result
-//! bit.
+//! [`eavs_fleet::run_shard`] over a claimed `(spec, shard)`, with a
+//! panic caught and turned into the shard's failure — and differ only
+//! in transport: local workers call the [`Registry`] directly, remote
+//! workers speak the same claim/complete/fail protocol over HTTP
+//! (`POST /claim`, then `POST /campaigns/{id}/shards/{shard}` with the
+//! partial in `eavs-fleet-checkpoint/v2` text, or
+//! `POST /campaigns/{id}/shards/{shard}/fail` with the message). Because
+//! a shard partial is a pure function of `(spec, shard)` and the
+//! coordinator folds in shard order, worker count and placement cannot
+//! change a single result bit.
 
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
@@ -21,7 +22,7 @@ use std::time::Duration;
 use eavs_core::report::SessionReport;
 use eavs_core::session::SessionBuilder;
 use eavs_fleet::spec::CampaignSpec;
-use eavs_fleet::{checkpoint, run_shard};
+use eavs_fleet::{checkpoint, run_shard, FleetAggregate};
 
 use crate::http::{client, panic_message};
 use crate::json;
@@ -57,25 +58,12 @@ pub fn spawn_local_workers(
                             std::thread::sleep(IDLE_POLL);
                             continue;
                         };
-                        // A session that panics (a spec no session can
-                        // run) fails its campaign; unwinding out of here
-                        // would end the thread and strand every later
-                        // campaign at `running`.
-                        let ran = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                            run_shard(&claim.spec, claim.shard, &*runner)
-                        }));
-                        match ran {
-                            Ok(Ok(out)) => {
-                                let _ = registry.complete(&claim.id, claim.shard, out.partial);
+                        match run_caught(&claim.spec, claim.shard, &runner) {
+                            Ok(partial) => {
+                                let _ = registry.complete(&claim.id, claim.shard, partial);
                             }
-                            Ok(Err(e)) => registry.fail(&claim.id, claim.shard, &e),
-                            Err(payload) => {
-                                let message = panic_message(&*payload).unwrap_or("no message");
-                                registry.fail(
-                                    &claim.id,
-                                    claim.shard,
-                                    &format!("a session panicked: {message}"),
-                                );
+                            Err(e) => {
+                                let _ = registry.fail(&claim.id, claim.shard, &e);
                             }
                         }
                     }
@@ -83,6 +71,23 @@ pub fn spawn_local_workers(
                 .expect("spawn local worker")
         })
         .collect()
+}
+
+/// Runs one claimed shard. A session that panics (a spec no session can
+/// run) fails the shard like an `Err` does: unwinding would end the
+/// worker and leave the shard to be reclaimed, and fail again, forever.
+fn run_caught(
+    spec: &CampaignSpec,
+    shard: u64,
+    runner: &SharedRunner,
+) -> Result<FleetAggregate, String> {
+    match std::panic::catch_unwind(AssertUnwindSafe(|| run_shard(spec, shard, &**runner))) {
+        Ok(ran) => ran.map(|out| out.partial),
+        Err(payload) => {
+            let message = panic_message(&*payload).unwrap_or("no message");
+            Err(format!("a session panicked: {message}"))
+        }
+    }
 }
 
 /// The remote worker loop: polls `coordinator` (host:port) for claims,
@@ -143,12 +148,16 @@ fn execute_claim(
             spec
         }
     };
-    let out = run_shard(&spec, shard, &**runner)?;
-    let body = checkpoint::encode(&out.partial);
-    let path = format!("/campaigns/{id}/shards/{shard}");
+    let (path, body) = match run_caught(&spec, shard, runner) {
+        Ok(partial) => (
+            format!("/campaigns/{id}/shards/{shard}"),
+            checkpoint::encode(&partial),
+        ),
+        Err(message) => (format!("/campaigns/{id}/shards/{shard}/fail"), message),
+    };
     let (status, response) = client::request_text(coordinator, "POST", &path, &body)?;
     if status != 200 {
-        return Err(format!("complete returned {status}: {response}"));
+        return Err(format!("POST {path} returned {status}: {response}"));
     }
     Ok(())
 }

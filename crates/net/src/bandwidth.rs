@@ -6,6 +6,52 @@
 //! per-packet simulation is needed for DASH-scale transfers).
 
 use eavs_sim::time::{SimDuration, SimTime};
+use eavs_video::manifest::Manifest;
+
+/// How many times its rung's nominal size a segment is taken to reach
+/// when [`check_constant_rate`] budgets the clock. Generated segments
+/// vary around the nominal size with frame type and scene changes; the
+/// largest seen over all contents, 20 seeds and three ladders of 600 s
+/// was 2.23 times nominal.
+const SEGMENT_PEAK: f64 = 4.0;
+
+/// Checks that a constant link of `bps` bits/second can stream
+/// `manifest` within the simulation clock (`u64` nanoseconds, about 584
+/// years): the rate must be positive and finite, and every segment of
+/// the top rung, each at four times its nominal size, must
+/// arrive before the clock runs out. Downloads run back to back, so the
+/// budget is the whole stream rather than its largest segment; a rate
+/// below it overflows the clock mid-session.
+///
+/// # Errors
+///
+/// Returns a message naming the rate and the slowest usable one.
+pub fn check_constant_rate(bps: f64, manifest: &Manifest) -> Result<(), String> {
+    if !(bps.is_finite() && bps > 0.0) {
+        return Err(format!(
+            "constant rate must be positive and finite, got {} Mbps",
+            bps / 1e6
+        ));
+    }
+    let largest = manifest
+        .representations()
+        .iter()
+        .map(|r| r.bytes_per_segment(manifest.segment_duration()))
+        .max()
+        .unwrap_or(0);
+    let stream_bits = manifest.num_segments as f64 * largest as f64 * 8.0 * SEGMENT_PEAK;
+    let clock_s = SimDuration::MAX.as_secs_f64();
+    let slowest = stream_bits / clock_s;
+    if bps <= slowest {
+        return Err(format!(
+            "constant rate {:e} Mbps cannot stream this manifest within the simulation clock \
+             (slowest usable: {:e} Mbps)",
+            bps / 1e6,
+            slowest / 1e6
+        ));
+    }
+    Ok(())
+}
 
 /// A step function of available bandwidth (bits per second). The last
 /// value holds forever; traces may also be replayed cyclically via
@@ -157,6 +203,13 @@ impl BandwidthTrace {
     pub fn points(&self) -> &[(SimTime, f64)] {
         &self.points
     }
+
+    /// Inline plus heap bytes this trace holds: the points vector's
+    /// whole capacity, since that is what stays allocated.
+    pub fn approx_bytes(&self) -> usize {
+        std::mem::size_of::<BandwidthTrace>()
+            + self.points.capacity() * std::mem::size_of::<(SimTime, f64)>()
+    }
 }
 
 #[cfg(test)]
@@ -165,6 +218,33 @@ mod tests {
 
     fn s(n: u64) -> SimTime {
         SimTime::from_secs(n)
+    }
+
+    #[test]
+    fn constant_rates_must_stream_the_manifest_within_the_clock() {
+        // 60 s of 6 Mbps in 2 s segments: 30 × 1.5 MB, budgeted at 4×.
+        let m = Manifest::single(6_000, 1920, 1080, SimDuration::from_secs(60), 30);
+        for bad in [f64::NAN, f64::INFINITY, 0.0, -1.0] {
+            let err = check_constant_rate(bad, &m).unwrap_err();
+            assert!(err.contains("positive and finite"), "{bad}: {err}");
+        }
+        let err = check_constant_rate(1e-294, &m).unwrap_err();
+        assert!(err.contains("within the simulation clock"), "{err}");
+        // 1.44e9 bits over ~1.84e10 s: the slowest usable rate is ~0.08 bps.
+        assert!(check_constant_rate(0.07, &m).is_err());
+        assert!(check_constant_rate(0.1, &m).is_ok());
+        assert!(check_constant_rate(6e6, &m).is_ok());
+    }
+
+    #[test]
+    fn approx_bytes_counts_the_points_capacity() {
+        let mut points = Vec::with_capacity(10);
+        points.extend([(s(0), 1e6), (s(1), 2e6)]);
+        let tr = BandwidthTrace::from_points(points);
+        assert_eq!(
+            tr.approx_bytes(),
+            std::mem::size_of::<BandwidthTrace>() + 10 * 16
+        );
     }
 
     #[test]

@@ -642,16 +642,24 @@ pub fn run_fleet(args: &FleetArgs) -> Result<String, String> {
     let table = outcome.aggregate.table(&spec);
     let mut out = table.render();
     let mib = |bytes: u64| bytes as f64 / (1 << 20) as f64;
+    let (segments, traces) = (
+        eavs_trace::memo::segment_cache_stats(),
+        eavs_trace::memo::trace_cache_stats(),
+    );
     out.push_str(&format!(
         "{}/{} shards done; {} session-runs this invocation ({:.0} runs/sec); \
-         peak shard {:.1} KiB; resident: session cache {:.1} MiB, segment memo {:.1} MiB\n",
+         peak shard {:.1} KiB; resident: session cache {:.1} MiB, segment memo {:.2} MiB \
+         ({} evictions), trace memo {:.1} KiB ({} evictions)\n",
         outcome.aggregate.shards_done,
         spec.num_shards(),
         outcome.session_runs,
         outcome.session_runs as f64 / outcome.wall_s.max(1e-9),
         outcome.peak_shard_bytes as f64 / 1024.0,
         mib(eavs_bench::cache::stats().bytes),
-        mib(eavs_trace::memo::segment_cache_stats().resident_bytes),
+        mib(segments.resident_bytes),
+        segments.evictions,
+        traces.resident_bytes as f64 / 1024.0,
+        traces.evictions,
     ));
     if outcome.status == eavs_fleet::CampaignStatus::Halted {
         out.push_str("halted at --halt-after-shards; rerun with the same --checkpoint to resume\n");
@@ -1027,17 +1035,19 @@ fn build_content(name: &str) -> Result<ContentProfile, String> {
         .ok_or(format!("unknown content {name:?}"))
 }
 
-fn build_network(spec: &str, duration: SimDuration, seed: u64) -> Result<BandwidthTrace, String> {
+fn build_network(
+    spec: &str,
+    manifest: &Manifest,
+    duration: SimDuration,
+    seed: u64,
+) -> Result<BandwidthTrace, String> {
     if let Some(mbps) = spec.strip_prefix("constant:") {
         let mbps: f64 = mbps
             .parse()
             .map_err(|_| format!("bad constant rate {mbps:?}"))?;
-        if !(mbps.is_finite() && mbps > 0.0) {
-            return Err(format!(
-                "constant rate must be positive and finite, got {mbps}"
-            ));
-        }
-        return Ok(BandwidthTrace::constant(mbps * 1e6));
+        let bps = mbps * 1e6;
+        eavs_net::bandwidth::check_constant_rate(bps, manifest)?;
+        return Ok(BandwidthTrace::constant(bps));
     }
     NetworkProfile::ALL
         .into_iter()
@@ -1091,11 +1101,12 @@ fn build_session(
             args.fps.max(1),
         ),
     };
+    let network = build_network(&args.network, &manifest, duration, args.seed)?;
     let mut builder = StreamingSession::builder(build_governor(args, governor_name)?)
         .soc(build_soc(&args.soc)?)
         .content(build_content(&args.content)?)
         .manifest(manifest)
-        .network(build_network(&args.network, duration, args.seed)?)
+        .network(network)
         .radio(build_radio(&args.radio)?)
         .seed(args.seed)
         .cluster(match args.cluster.as_str() {
@@ -1555,6 +1566,21 @@ mod tests {
                 "{rate}: {err}"
             );
         }
+    }
+
+    #[test]
+    fn a_constant_rate_too_slow_for_the_clock_is_an_error_not_a_panic() {
+        let run = |rate: &str| {
+            execute(Command::Run(RunArgs {
+                duration_s: 2,
+                network: format!("constant:{rate}"),
+                ..RunArgs::default()
+            }))
+        };
+        let err = run("1e-300").unwrap_err();
+        assert!(err.contains("within the simulation clock"), "{err}");
+        // One bit per second still streams, if slowly.
+        run("1e-6").unwrap();
     }
 
     #[test]

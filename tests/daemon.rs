@@ -352,6 +352,18 @@ fn malformed_input_maps_to_structured_errors() {
         client::request_text(&addr, "POST", "/campaigns/deadbeef/shards/0", "junk").unwrap();
     assert_eq!(status, 400, "{body}");
 
+    // A shard failure for an unknown campaign, a bad shard index and the
+    // wrong method.
+    let (status, body) =
+        client::request_text(&addr, "POST", "/campaigns/deadbeef/shards/0/fail", "boom").unwrap();
+    assert_eq!(status, 404, "{body}");
+    let (status, body) =
+        client::request_text(&addr, "POST", "/campaigns/deadbeef/shards/x/fail", "boom").unwrap();
+    assert_eq!(status, 400, "{body}");
+    let (status, body) =
+        client::request_text(&addr, "GET", "/campaigns/deadbeef/shards/0/fail", "").unwrap();
+    assert_eq!(status, 405, "{body}");
+
     // Oversized bodies are refused from the Content-Length header
     // alone — the daemon never buffers the payload.
     let huge = "x".repeat(2 * 1024 * 1024);
@@ -502,6 +514,17 @@ fn a_shard_partial_of_the_wrong_shape_is_refused_and_the_daemon_stays_up() {
         assert!(body.contains(why), "{body}");
     }
 
+    // A failure report for a shard the campaign does not have.
+    let (status, body) = client::request_text(
+        &addr,
+        "POST",
+        &format!("/campaigns/{id}/shards/99/fail"),
+        "boom",
+    )
+    .unwrap();
+    assert_eq!(status, 409, "{body}");
+    assert!(body.contains("out of range"), "{body}");
+
     // Every route that takes the registry lock still answers.
     let (status, body) = client::request_text(&addr, "GET", "/healthz", "").unwrap();
     assert_eq!((status, body.as_str()), (200, "ok\n"));
@@ -580,6 +603,39 @@ fn a_tampered_checkpoint_is_refused_on_restart() {
     let _ = std::fs::remove_dir_all(&state);
 }
 
+/// Submits a spec whose every session panics, which must end `failed`
+/// naming shard 0 and the panic, then a valid spec, which must complete
+/// with the direct run's bytes: the worker that met the panic lives on.
+fn a_panicking_shard_fails_then_the_next_campaign_completes(addr: &str, tag: &str) {
+    let submit = |spec: &CampaignSpec| {
+        let (status, body) =
+            client::request_text(addr, "POST", "/campaigns", &codec::encode_spec(spec)).unwrap();
+        assert_eq!(status, 200, "{body}");
+        registry::campaign_id(spec)
+    };
+    // Zero bandwidth passes `validate`, but no session can download a
+    // segment over it: every session of the first shard panics.
+    let mut stalled = small_spec(tag);
+    stalled.networks = vec![(NetworkChoice::Constant(0.0), 1.0)];
+    let id = submit(&stalled);
+    assert_eq!(wait_terminal(addr, &id), "failed");
+    let (_, progress) = client::request_text(addr, "GET", &format!("/campaigns/{id}"), "").unwrap();
+    let v = json::parse(&progress).unwrap();
+    let error = v.get("error").and_then(json::Value::as_str).unwrap();
+    assert!(
+        error.starts_with("shard 0: a session panicked:") && error.contains("stalls forever"),
+        "{error}"
+    );
+
+    let good = small_spec(&format!("after-{tag}"));
+    let id = submit(&good);
+    assert_eq!(wait_terminal(addr, &id), "complete");
+    let (status, served) =
+        client::request_text(addr, "GET", &format!("/campaigns/{id}/result"), "").unwrap();
+    assert_eq!(status, 200);
+    assert_eq!(served, reference_bytes(&good));
+}
+
 #[test]
 fn a_panicking_shard_fails_its_campaign_and_the_local_worker_serves_the_next() {
     // One local worker: if the panic ended its thread, nothing would run
@@ -588,35 +644,28 @@ fn a_panicking_shard_fails_its_campaign_and_the_local_worker_serves_the_next() {
     opts.workers = 1;
     let daemon = Daemon::start(opts, pooled()).unwrap();
     let addr = daemon.addr();
-    // Zero bandwidth passes `validate`, but no session can download a
-    // segment over it: every session of the first shard panics.
-    let mut stalled = small_spec("panic-shard");
-    stalled.networks = vec![(NetworkChoice::Constant(0.0), 1.0)];
-    let submit = |spec: &CampaignSpec| {
-        let (status, body) =
-            client::request_text(&addr, "POST", "/campaigns", &codec::encode_spec(spec)).unwrap();
-        assert_eq!(status, 200, "{body}");
-        registry::campaign_id(spec)
-    };
-    let id = submit(&stalled);
-    assert_eq!(wait_terminal(&addr, &id), "failed");
-    let (_, progress) =
-        client::request_text(&addr, "GET", &format!("/campaigns/{id}"), "").unwrap();
-    let v = json::parse(&progress).unwrap();
-    let error = v.get("error").and_then(json::Value::as_str).unwrap();
-    assert!(
-        error.starts_with("shard 0: a session panicked:") && error.contains("stalls forever"),
-        "{error}"
-    );
-
-    let good = small_spec("after-panic");
-    let id = submit(&good);
-    assert_eq!(wait_terminal(&addr, &id), "complete");
-    let (status, served) =
-        client::request_text(&addr, "GET", &format!("/campaigns/{id}/result"), "").unwrap();
-    assert_eq!(status, 200);
-    assert_eq!(served, reference_bytes(&good));
+    a_panicking_shard_fails_then_the_next_campaign_completes(&addr, "panic-shard");
     let (status, body) = client::request_text(&addr, "GET", "/healthz", "").unwrap();
     assert_eq!((status, body.as_str()), (200, "ok\n"));
+    daemon.shutdown();
+}
+
+#[test]
+fn a_panicking_shard_on_a_remote_worker_fails_its_campaign_and_the_worker_serves_the_next() {
+    // No local workers: only the remote worker below runs shards. If it
+    // died on the panic, or only logged it, the first campaign would stay
+    // `running` and the second would never start.
+    let mut opts = daemon_opts("remote-panic");
+    opts.workers = 0;
+    let daemon = Daemon::start(opts, pooled()).unwrap();
+    let addr = daemon.addr();
+    let stop = Arc::new(AtomicBool::new(false));
+    let worker = {
+        let (addr, stop) = (addr.clone(), Arc::clone(&stop));
+        std::thread::spawn(move || run_worker(&addr, &pooled(), &stop))
+    };
+    a_panicking_shard_fails_then_the_next_campaign_completes(&addr, "remote-panic");
+    stop.store(true, Ordering::SeqCst);
+    worker.join().unwrap();
     daemon.shutdown();
 }

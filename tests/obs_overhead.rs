@@ -16,7 +16,9 @@
 //! - Resident size: a finished report's `approx_bytes` must match the
 //!   bytes it really holds, since the session cache and the fleet runner
 //!   account resident memory with it, and a 60 s 1080p EAVS report has a
-//!   ceiling on its bytes and on its heap blocks.
+//!   ceiling on its bytes and on its heap blocks. The same holds for a
+//!   segment's and a bandwidth trace's `approx_bytes`, which the trace
+//!   memos hold under their byte caps.
 //!
 //! The allocator counts per thread, so the tests of this binary, which
 //! run concurrently, never see each other's allocations.
@@ -24,12 +26,17 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use eavs::net::bandwidth::BandwidthTrace;
 use eavs::obs::{shared, NullSink, SharedSink};
 use eavs::scaling::governor::{EavsConfig, EavsGovernor};
 use eavs::scaling::predictor::predictor_by_name;
 use eavs::scaling::session::{GovernorChoice, SessionBuilder, StreamingSession};
 use eavs::sim::time::SimDuration;
+use eavs::tracegen::content::ContentProfile;
+use eavs::tracegen::net_gen::NetworkProfile;
+use eavs::tracegen::video_gen::VideoGenerator;
 use eavs::video::manifest::Manifest;
+use eavs::video::segment::Segment;
 use std::sync::Arc;
 
 struct CountingAlloc;
@@ -196,4 +203,41 @@ fn approx_bytes_matches_what_a_report_holds_and_stays_under_its_ceiling() {
         blocks <= 4,
         "a 60 s 1080p EAVS report holds {blocks} heap blocks (ceiling 4)"
     );
+}
+
+/// Bytes this thread holds after `make` returns, counting only what the
+/// returned value keeps (its inline size, since it is boxed, and its
+/// heap), and that value's own estimate of them.
+fn held_and_approx<T>(make: impl FnOnce() -> T, approx_bytes: fn(&T) -> usize) -> (i64, i64) {
+    let before = live_bytes();
+    let value = Box::new(make());
+    let held = live_bytes() - before;
+    (held, approx_bytes(&value) as i64)
+}
+
+#[test]
+fn memo_values_count_the_bytes_they_hold() {
+    let manifest = Arc::new(Manifest::standard_ladder(SimDuration::from_secs(60), 30));
+    for (content, seed) in [(ContentProfile::Film, 1), (ContentProfile::Sport, 9)] {
+        let gen = VideoGenerator::new(Arc::clone(&manifest), content, seed);
+        for rung in [0, manifest.num_representations() - 1] {
+            let (held, approx) = held_and_approx(|| gen.segment(3, rung), Segment::approx_bytes);
+            assert!(
+                (approx - held).abs() * 10 <= held,
+                "{content:?} rung {rung}: segment approx_bytes {approx} is more than 10% off the {held} bytes it holds"
+            );
+        }
+    }
+    for profile in NetworkProfile::ALL {
+        for secs in [60, 180, 1_800] {
+            let (held, approx) = held_and_approx(
+                || profile.generate(SimDuration::from_secs(secs), 7),
+                BandwidthTrace::approx_bytes,
+            );
+            assert!(
+                (approx - held).abs() * 10 <= held,
+                "{profile:?} {secs} s: trace approx_bytes {approx} is more than 10% off the {held} bytes it holds"
+            );
+        }
+    }
 }
