@@ -91,8 +91,10 @@ fn main() {
     if twice {
         let cold = eavs_bench::cache::stats();
         eprintln!(
-            "cold pass session cache: {}",
-            cache_counts(cold, SessionCacheStats::default())
+            "cold pass session cache: {}; frame-cost summaries: {} distinct for {} reports",
+            cache_counts(cold, SessionCacheStats::default()),
+            cold.summaries,
+            cold.reports,
         );
         for (name, memo) in [
             ("segment", eavs_trace::memo::segment_cache_stats()),

@@ -14,9 +14,21 @@
 //! waits for that run, helping the pool meanwhile. Each key is therefore
 //! simulated once per process, whatever `EAVS_JOBS` says, and sessions
 //! still run *outside* the lock.
+//!
+//! The store also keeps one copy of each distinct frame-cost summary
+//! ([`SessionReport::frame_cycles`]). A frame's decode cost does not
+//! depend on the clock it runs at, so every governor lane of one stream
+//! tallies an equal summary. Before a fresh report is published, its
+//! summary is swapped for the equal resident one, if any. The table of
+//! resident summaries is keyed by the summary itself, never by a hash
+//! of it, so two different summaries are never merged. It counts the
+//! resident reports that use each summary and drops a summary with the
+//! last of them.
 
+use eavs_core::framestats::FrameCycleStats;
 use eavs_core::report::SessionReport;
 use eavs_core::session::SessionBuilder;
+use std::collections::hash_map::Entry as SummaryEntry;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -31,10 +43,15 @@ pub struct SessionCacheStats {
     /// Sessions that could not be fingerprinted (pre-warmed components)
     /// and ran uncached.
     pub uncacheable: u64,
-    /// Approximate resident bytes of the cached reports.
+    /// Approximate resident bytes of the cached reports, each distinct
+    /// frame-cost summary counted once.
     pub bytes: u64,
     /// Reports evicted to stay under the byte cap.
     pub evictions: u64,
+    /// Reports resident now.
+    pub reports: u64,
+    /// Distinct frame-cost summaries the resident reports share.
+    pub summaries: u64,
 }
 
 impl SessionCacheStats {
@@ -67,7 +84,11 @@ struct CacheInner {
     /// Keys of ready reports in insertion order; the front is next to
     /// evict.
     order: VecDeque<u128>,
-    /// Approximate resident bytes of the ready reports.
+    /// The ready reports' distinct frame-cost summaries, each with the
+    /// number of ready reports that use it.
+    summaries: HashMap<Arc<FrameCycleStats>, u64>,
+    /// Approximate resident bytes of the ready reports, each summary
+    /// counted once.
     bytes: u64,
 }
 
@@ -85,24 +106,71 @@ fn cache() -> MutexGuard<'static, CacheInner> {
 /// to spare while bounding pathological callers.
 const CAP_BYTES: u64 = 64 << 20;
 
-/// Inserts under the cap, evicting oldest-inserted reports first. The
-/// just-inserted report is never evicted (the loop stops at one resident
-/// entry), so an oversized report still gets returned and cached until
-/// the next insert. No-op if a report is already there under `key`.
-fn insert_bounded(inner: &mut CacheInner, cap: u64, key: u128, report: &Arc<SessionReport>) {
-    if let Some(Entry::Ready(_)) = inner.map.get(&key) {
-        return;
+/// Publishes `report` under `key` and returns it, shared: its summary
+/// becomes the equal resident one, if any. Inserts under the cap,
+/// evicting oldest-inserted reports first. The just-inserted report is
+/// never evicted (the loop stops at one resident entry), so an oversized
+/// report still gets returned and cached until the next insert. If a
+/// report is already there under `key`, returns that one instead.
+fn insert_bounded(
+    inner: &mut CacheInner,
+    cap: u64,
+    key: u128,
+    mut report: SessionReport,
+) -> Arc<SessionReport> {
+    if let Some(Entry::Ready(resident)) = inner.map.get(&key) {
+        return Arc::clone(resident);
     }
-    inner.bytes += report.approx_bytes();
-    inner.map.insert(key, Entry::Ready(Arc::clone(report)));
+    inner.bytes += share_summary(&mut inner.summaries, &mut report);
+    let report = Arc::new(report);
+    inner.map.insert(key, Entry::Ready(Arc::clone(&report)));
     inner.order.push_back(key);
     while inner.bytes > cap && inner.order.len() > 1 {
         let oldest = inner.order.pop_front().expect("len checked");
         if let Some(Entry::Ready(evicted)) = inner.map.remove(&oldest) {
-            inner.bytes = inner.bytes.saturating_sub(evicted.approx_bytes());
+            inner.bytes -= release_summary(&mut inner.summaries, &evicted);
             EVICTIONS.fetch_add(1, Ordering::Relaxed);
         }
     }
+    report
+}
+
+/// Points `report` at the resident summary equal to its own, or makes
+/// its own resident, and counts one more user of it. Returns the bytes
+/// the report adds to the store: its summary's only when that is new.
+fn share_summary(
+    summaries: &mut HashMap<Arc<FrameCycleStats>, u64>,
+    report: &mut SessionReport,
+) -> u64 {
+    match summaries.entry(Arc::clone(&report.frame_cycles)) {
+        SummaryEntry::Occupied(mut resident) => {
+            report.frame_cycles = Arc::clone(resident.key());
+            *resident.get_mut() += 1;
+            report.approx_bytes() - report.summary_bytes()
+        }
+        SummaryEntry::Vacant(slot) => {
+            slot.insert(1);
+            report.approx_bytes()
+        }
+    }
+}
+
+/// Counts one user fewer of an evicted report's summary, dropping the
+/// summary with its last user. Returns the bytes the store frees.
+fn release_summary(
+    summaries: &mut HashMap<Arc<FrameCycleStats>, u64>,
+    report: &SessionReport,
+) -> u64 {
+    let freed = report.approx_bytes() - report.summary_bytes();
+    let users = summaries
+        .get_mut(&*report.frame_cycles)
+        .expect("a resident report's summary is in the table");
+    *users -= 1;
+    if *users > 0 {
+        return freed;
+    }
+    summaries.remove(&*report.frame_cycles);
+    freed + report.summary_bytes()
 }
 
 /// A shared no-op trace sink attached to every session when
@@ -186,9 +254,12 @@ fn lookup(key: u128) -> Lookup {
 struct Claim(u128);
 
 impl Claim {
-    fn fulfil(self, report: &Arc<SessionReport>) {
-        insert_bounded(&mut cache(), CAP_BYTES, self.0, report);
+    /// Publishes `report` and returns it as the cache holds it, its
+    /// summary shared.
+    fn fulfil(self, report: SessionReport) -> Arc<SessionReport> {
+        let report = insert_bounded(&mut cache(), CAP_BYTES, self.0, report);
         std::mem::forget(self);
+        report
     }
 }
 
@@ -219,9 +290,10 @@ fn settle(key: u128) -> Option<Arc<SessionReport>> {
 ///
 /// Each builder is prepared (`prepare`) and looked up on the calling
 /// thread. A miss is claimed and spawned on the pool at once; its run
-/// publishes the report as soon as it finishes. A key another run holds
-/// (an earlier job of this call, or a concurrent batch) is waited for
-/// after this call's own runs are in. Hit and miss counts are therefore
+/// publishes the report, its frame-cost summary shared with the equal
+/// resident one, as soon as it finishes. Uncached runs keep their own
+/// summary. A key another run holds (an earlier job of this call, or a
+/// concurrent batch) is waited for after this call's own runs are in. Hit and miss counts are therefore
 /// independent of `EAVS_JOBS` as long as nothing is evicted.
 pub fn run_sessions(jobs: Vec<(String, SessionBuilder)>) -> Vec<Arc<SessionReport>> {
     enum Slot {
@@ -249,11 +321,11 @@ pub fn run_sessions(jobs: Vec<(String, SessionBuilder)>) -> Vec<Arc<SessionRepor
             None => None,
         };
         let index = batch.spawn(label, move || {
-            let report = Arc::new(builder.run());
-            if let Some(claim) = claim {
-                claim.fulfil(&report);
+            let report = builder.run();
+            match claim {
+                Some(claim) => claim.fulfil(report),
+                None => Arc::new(report),
             }
-            report
         });
         slots.push(Slot::Run(index));
     }
@@ -278,12 +350,15 @@ pub fn run_sessions(jobs: Vec<(String, SessionBuilder)>) -> Vec<Arc<SessionRepor
 
 /// Counters of the session cache.
 pub fn stats() -> SessionCacheStats {
+    let inner = cache();
     SessionCacheStats {
         hits: HITS.load(Ordering::Relaxed),
         misses: MISSES.load(Ordering::Relaxed),
         uncacheable: UNCACHEABLE.load(Ordering::Relaxed),
-        bytes: cache().bytes,
+        bytes: inner.bytes,
         evictions: EVICTIONS.load(Ordering::Relaxed),
+        reports: inner.order.len() as u64,
+        summaries: inner.summaries.len() as u64,
     }
 }
 
@@ -292,6 +367,33 @@ mod tests {
     use super::*;
     use crate::harness::{eavs_default, governor, manifest_1080p30};
     use eavs_core::session::StreamingSession;
+    /// Every governor lane of the first `draws` sessions of the `global`
+    /// campaign: streams whose lanes tally equal frame-cost summaries.
+    fn lanes(draws: u64) -> Vec<SessionBuilder> {
+        use eavs_fleet::campaign::{builder_for, draw_session};
+        let spec = eavs_fleet::CampaignSpec::global();
+        (0..draws)
+            .flat_map(|id| {
+                let draw = draw_session(&spec, id);
+                spec.governors
+                    .iter()
+                    .map(move |gov| builder_for(&draw, gov).expect("known governor"))
+                    .collect::<Vec<_>>()
+            })
+            .collect()
+    }
+
+    /// A session whose only P-frames cost `mcycles` each.
+    fn summary_of(mcycles: &[f64]) -> FrameCycleStats {
+        let mut tally = eavs_core::framestats::FrameCycleTally::default();
+        for &m in mcycles {
+            tally.observe(
+                eavs_video::frame::FrameType::P,
+                eavs_cpu::freq::Cycles::from_mega(m),
+            );
+        }
+        tally.finish()
+    }
 
     /// One session through the batch runner.
     fn run_one(builder: SessionBuilder) -> Arc<SessionReport> {
@@ -381,15 +483,15 @@ mod tests {
     fn eviction_is_insertion_ordered_and_spares_the_newest() {
         // Drive the bounded store directly with a cap below one report.
         let mut inner = CacheInner::default();
-        let report = Arc::new(builder().run());
+        let report = builder().run();
         let before = EVICTIONS.load(Ordering::Relaxed);
-        insert_bounded(&mut inner, 1, 0xA, &report);
+        insert_bounded(&mut inner, 1, 0xA, report.clone());
         assert!(
             inner.map.contains_key(&0xA),
             "newest entry is never evicted"
         );
-        insert_bounded(&mut inner, 1, 0xB, &report);
-        insert_bounded(&mut inner, 1, 0xC, &report);
+        insert_bounded(&mut inner, 1, 0xB, report.clone());
+        insert_bounded(&mut inner, 1, 0xC, report.clone());
         assert_eq!(inner.order.len(), 1);
         assert!(inner.map.contains_key(&0xC));
         assert!(!inner.map.contains_key(&0xA) && !inner.map.contains_key(&0xB));
@@ -397,8 +499,8 @@ mod tests {
         assert_eq!(inner.bytes, report.approx_bytes());
         // A roomy cap evicts nothing.
         let mut roomy = CacheInner::default();
-        insert_bounded(&mut roomy, u64::MAX, 0xA, &report);
-        insert_bounded(&mut roomy, u64::MAX, 0xB, &report);
+        insert_bounded(&mut roomy, u64::MAX, 0xA, report.clone());
+        insert_bounded(&mut roomy, u64::MAX, 0xB, report);
         assert_eq!(roomy.map.len(), 2);
     }
 
@@ -466,5 +568,88 @@ mod tests {
         assert!(Arc::ptr_eq(&twice[0], &twice[1]));
         let again = run_sessions(vec![("c".into(), mk(0.7))]);
         assert!(Arc::ptr_eq(&twice[0], &again[0]));
+    }
+
+    #[test]
+    fn equal_summaries_are_stored_once_and_counted_once() {
+        let mut inner = CacheInner::default();
+        let reports: Vec<_> = lanes(2)
+            .into_iter()
+            .enumerate()
+            .map(|(key, b)| insert_bounded(&mut inner, u64::MAX, key as u128, b.run()))
+            .collect();
+        let mut distinct: Vec<&Arc<FrameCycleStats>> = Vec::new();
+        for r in &reports {
+            match distinct.iter().find(|d| **d == &r.frame_cycles) {
+                Some(d) => assert!(Arc::ptr_eq(d, &r.frame_cycles), "equal but not shared"),
+                None => distinct.push(&r.frame_cycles),
+            }
+        }
+        assert!(distinct.len() < reports.len(), "some lanes share");
+        assert_eq!(inner.summaries.len(), distinct.len());
+        for summary in &distinct {
+            let users = reports
+                .iter()
+                .filter(|r| Arc::ptr_eq(&r.frame_cycles, summary))
+                .count() as u64;
+            assert_eq!(inner.summaries[&***summary], users);
+        }
+        let unshared: u64 = reports.iter().map(|r| r.approx_bytes()).sum();
+        let shared: u64 = reports
+            .iter()
+            .map(|r| r.approx_bytes() - r.summary_bytes())
+            .sum::<u64>()
+            + distinct
+                .iter()
+                .map(|s| {
+                    let user = reports.iter().find(|r| Arc::ptr_eq(&r.frame_cycles, s));
+                    user.expect("a user").summary_bytes()
+                })
+                .sum::<u64>();
+        assert_eq!(inner.bytes, shared);
+        assert!(inner.bytes < unshared);
+    }
+
+    #[test]
+    fn summaries_that_differ_only_in_their_bins_are_not_merged() {
+        use eavs_core::framestats::PRIOR_HIST_BINS;
+        use eavs_video::frame::FrameType;
+        let bins = |s: &FrameCycleStats| -> Vec<u64> {
+            (0..PRIOR_HIST_BINS)
+                .map(|i| s.bin_count(FrameType::P, i))
+                .collect()
+        };
+        // Equal count, sum and sum of squares (12 and 62), different bins.
+        let (a, b) = (summary_of(&[1.0, 5.0, 6.0]), summary_of(&[2.0, 3.0, 7.0]));
+        assert_eq!(a.mcycles(FrameType::P), b.mcycles(FrameType::P));
+        assert_eq!(a.mcycles_sq(FrameType::P), b.mcycles_sq(FrameType::P));
+        assert_ne!(bins(&a), bins(&b));
+        let base = builder().run();
+        let with = |summary: &FrameCycleStats| {
+            let mut report = base.clone();
+            report.frame_cycles = Arc::new(summary.clone());
+            report
+        };
+        let mut inner = CacheInner::default();
+        let ra = insert_bounded(&mut inner, u64::MAX, 1, with(&a));
+        let rb = insert_bounded(&mut inner, u64::MAX, 2, with(&b));
+        let ra2 = insert_bounded(&mut inner, u64::MAX, 3, with(&a));
+        assert_eq!(bins(&ra.frame_cycles), bins(&a));
+        assert_eq!(bins(&rb.frame_cycles), bins(&b), "b got a's summary");
+        assert!(Arc::ptr_eq(&ra.frame_cycles, &ra2.frame_cycles));
+        assert_eq!(inner.summaries.len(), 2);
+    }
+
+    #[test]
+    fn eviction_under_a_tiny_cap_empties_the_summary_table() {
+        let mut inner = CacheInner::default();
+        for (key, b) in lanes(3).into_iter().enumerate() {
+            let newest = insert_bounded(&mut inner, 1, key as u128, b.run());
+            // Only the newest report stays, so only its summary does.
+            assert_eq!(inner.order.len(), 1);
+            assert_eq!(inner.summaries.len(), 1, "insert {key}");
+            assert_eq!(inner.summaries.get(&*newest.frame_cycles), Some(&1));
+            assert_eq!(inner.bytes, newest.approx_bytes(), "insert {key}");
+        }
     }
 }

@@ -49,7 +49,7 @@ pub fn f5_energy_by_governor() -> Table {
     t.set_title("F5: CPU energy by governor — 60 s of 1080p30 film, flagship2016");
     for r in &reports {
         t.row(&[
-            &r.governor,
+            r.governor,
             &format!("{:.2}", r.cpu_joules()),
             &format!("{:+.1}%", (r.cpu_joules() / ondemand - 1.0) * 100.0),
             &format!("{:+.1}%", (r.cpu_joules() / interactive - 1.0) * 100.0),
@@ -76,7 +76,7 @@ pub fn f6_deadline_misses() -> Table {
     t.set_title("F6: playback quality by governor — 60 s of 1080p30 film");
     for r in &reports {
         t.row(&[
-            &r.governor,
+            r.governor,
             &r.qoe.late_vsyncs.to_string(),
             &format!("{:.3}", r.qoe.deadline_miss_rate() * 100.0),
             &r.qoe.rebuffer_events.to_string(),
@@ -107,7 +107,7 @@ pub fn t2_summary() -> Table {
         let interactive = joules_of(&reports, "interactive");
         for r in &reports {
             t.row(&[
-                &r.governor,
+                r.governor,
                 content.name(),
                 &format!("{:.2}", r.cpu_joules()),
                 &format!("{:+.1}%", (r.cpu_joules() / interactive - 1.0) * 100.0),

@@ -56,7 +56,7 @@ pub fn f15_thermal() -> Table {
     for r in &reports {
         let peak = r.peak_temp_c().expect("thermal enabled");
         t.row(&[
-            &r.governor,
+            r.governor,
             &format!("{:.1}", r.cpu_joules()),
             &format!("{peak:.1}"),
             if peak > THROTTLE_START_C { "yes" } else { "no" },
@@ -107,7 +107,7 @@ pub fn f16_background() -> Table {
             }
             t.row(&[
                 &format!("{:.0}%", duty * 100.0),
-                &r.governor,
+                r.governor,
                 &format!("{:.2}", r.cpu_joules()),
                 &format!("{:+.1}%", (r.cpu_joules() / base[i] - 1.0) * 100.0),
                 &r.qoe.late_vsyncs.to_string(),
@@ -290,7 +290,7 @@ pub fn t4_soc_matrix() -> Table {
         for r in &reports {
             t.row(&[
                 soc.name(),
-                &r.governor,
+                r.governor,
                 &format!("{:.2}", r.cpu_joules()),
                 &format!("{:+.1}%", (r.cpu_joules() / interactive - 1.0) * 100.0),
                 &format!("{:.3}", r.qoe.deadline_miss_rate() * 100.0),
@@ -332,7 +332,7 @@ pub fn f19_energy_breakdown() -> Table {
     for r in &reports {
         let e = r.cpu_energy;
         t.row(&[
-            &r.governor,
+            r.governor,
             &format!("{:.2}", e.busy_j),
             &format!("{:.2}", e.idle_j),
             &format!("{:.2}", e.static_j),
@@ -459,7 +459,7 @@ pub fn f21_late_policy() -> Table {
     }
     for (label, r) in labels.into_iter().zip(run_sessions(jobs)) {
         t.row(&[
-            &r.governor,
+            r.governor,
             label,
             &format!("{:.2}", r.cpu_joules()),
             &format!("{}/{}", r.qoe.frames_displayed, r.qoe.total_frames),

@@ -59,7 +59,7 @@ pub fn f9_network_abr() -> Table {
         for r in &reports {
             t.row(&[
                 profile.name(),
-                &r.governor,
+                r.governor,
                 &format!("{:.2}", r.cpu_joules()),
                 &format!("{:.2}", r.radio.energy_j),
                 &format!("{:.2}", r.device_joules()),

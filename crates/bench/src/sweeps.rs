@@ -97,7 +97,7 @@ pub fn f8_framerate_sweep() -> Table {
         for r in &reports {
             t.row(&[
                 &fps.to_string(),
-                &r.governor,
+                r.governor,
                 &format!("{:.2}", r.cpu_joules()),
                 &format!("{:.3}", r.qoe.deadline_miss_rate() * 100.0),
                 &r.mean_freq.to_string(),

@@ -58,7 +58,7 @@ pub fn f12_residency() -> Table {
     t.set_title("F12: frequency residency (% of session) — 60 s of 1080p30 film");
     for r in &reports {
         let total: SimDuration = r.time_in_state.iter().map(|&(_, d)| d).sum();
-        let mut row = vec![r.governor.clone()];
+        let mut row = vec![r.governor.to_owned()];
         for &(_, d) in &r.time_in_state {
             row.push(format!("{:.1}", d.ratio(total) * 100.0));
         }

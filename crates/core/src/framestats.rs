@@ -51,7 +51,7 @@ const _: () = assert!(PRIOR_HIST_BINS <= u8::MAX as usize);
 /// The span is canonical (empty with `first == 0`, or starting and ending
 /// with a non-zero count), so the derived equality of the summary is
 /// logical equality.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 struct TypeStats {
     /// Sum of per-frame cost, nano-Mcycles ([`ExactSum::raw`]).
     mcycles_nanos: i128,
@@ -81,7 +81,11 @@ impl TypeStats {
 /// [`PRIOR_HIST_BINS`] bins plus underflow and overflow counts. Only each
 /// type's occupied run of bins is stored, and the three runs share one
 /// heap slice.
-#[derive(Clone, Debug, Default, PartialEq)]
+///
+/// Equality and hashing are derived: the spans are canonical, so equal
+/// fields mean an equal summary, and the session cache keys its table of
+/// shared summaries by the summary itself.
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct FrameCycleStats {
     types: [TypeStats; 3],
     /// The occupied bin spans of types I, P and B, back to back.

@@ -208,6 +208,11 @@ impl EavsGovernor {
         self.predictor.name()
     }
 
+    /// The governor name a session report carries: `eavs/<predictor>`.
+    pub fn report_label(&self) -> &'static str {
+        self.predictor.report_label()
+    }
+
     /// Number of decisions taken.
     pub fn decisions(&self) -> u64 {
         self.decisions

@@ -47,6 +47,10 @@ pub trait WorkloadPredictor: std::fmt::Debug + Send {
     /// Name for reports.
     fn name(&self) -> &'static str;
 
+    /// The governor name a session report carries, `eavs/<name>`.
+    /// Static, so a report holds no heap copy of it.
+    fn report_label(&self) -> &'static str;
+
     /// Predicted decode cost of a frame with the given metadata.
     fn predict(&self, meta: FrameMeta) -> Cycles;
 
@@ -82,6 +86,20 @@ pub trait WorkloadPredictor: std::fmt::Debug + Send {
     }
 }
 
+/// Implements [`WorkloadPredictor::name`] and
+/// [`WorkloadPredictor::report_label`] from one literal.
+macro_rules! predictor_names {
+    ($name:literal) => {
+        fn name(&self) -> &'static str {
+            $name
+        }
+
+        fn report_label(&self) -> &'static str {
+            concat!("eavs/", $name)
+        }
+    };
+}
+
 /// Cold-start estimate before any observation of a type: scale from coded
 /// size with a generous cycles/byte factor so early frames are not
 /// under-provisioned.
@@ -103,9 +121,7 @@ impl LastValue {
 }
 
 impl WorkloadPredictor for LastValue {
-    fn name(&self) -> &'static str {
-        "last"
-    }
+    predictor_names!("last");
 
     fn observe_is_type_local(&self) -> bool {
         true
@@ -161,9 +177,7 @@ impl Default for Ewma {
 }
 
 impl WorkloadPredictor for Ewma {
-    fn name(&self) -> &'static str {
-        "ewma"
-    }
+    predictor_names!("ewma");
 
     fn observe_is_type_local(&self) -> bool {
         true
@@ -233,9 +247,7 @@ impl Default for WindowMax {
 }
 
 impl WorkloadPredictor for WindowMax {
-    fn name(&self) -> &'static str {
-        "window-max"
-    }
+    predictor_names!("window-max");
 
     fn observe_is_type_local(&self) -> bool {
         true
@@ -397,9 +409,7 @@ impl SizeRegression {
 }
 
 impl WorkloadPredictor for SizeRegression {
-    fn name(&self) -> &'static str {
-        "size-regression"
-    }
+    predictor_names!("size-regression");
 
     fn observe_is_type_local(&self) -> bool {
         true
@@ -465,9 +475,7 @@ impl Default for Hybrid {
 }
 
 impl WorkloadPredictor for Hybrid {
-    fn name(&self) -> &'static str {
-        "hybrid"
-    }
+    predictor_names!("hybrid");
 
     fn observe_is_type_local(&self) -> bool {
         true
@@ -529,9 +537,7 @@ impl Oracle {
 }
 
 impl WorkloadPredictor for Oracle {
-    fn name(&self) -> &'static str {
-        "oracle"
-    }
+    predictor_names!("oracle");
 
     fn observe_is_type_local(&self) -> bool {
         true
@@ -639,9 +645,7 @@ impl FleetPrior {
 }
 
 impl WorkloadPredictor for FleetPrior {
-    fn name(&self) -> &'static str {
-        "fleet-prior"
-    }
+    predictor_names!("fleet-prior");
 
     fn observe_is_type_local(&self) -> bool {
         // The blend weight `seen` is per-type, so type locality is
@@ -896,11 +900,13 @@ mod tests {
 
     #[test]
     fn by_name_covers_all() {
-        for name in PREDICTOR_NAMES {
+        for name in PREDICTOR_NAMES.into_iter().chain(["oracle"]) {
             let p = predictor_by_name(name).unwrap_or_else(|| panic!("{name}"));
             assert_eq!(p.name(), name);
+            assert_eq!(p.report_label(), format!("eavs/{name}"));
         }
-        assert!(predictor_by_name("oracle").is_some());
+        let prior = FleetPrior::new(Box::new(Hybrid::default()), SessionPrior::default());
+        assert_eq!(prior.report_label(), "eavs/fleet-prior");
         assert!(predictor_by_name("psychic").is_none());
     }
 

@@ -1,5 +1,6 @@
 //! Session result reporting.
 
+use crate::framestats::FrameCycleStats;
 use eavs_cpu::cluster::CpuEnergyBreakdown;
 use eavs_cpu::freq::Frequency;
 use eavs_cpu::soc::SocModel;
@@ -10,12 +11,14 @@ use eavs_sim::time::SimDuration;
 use eavs_trace::content::ContentProfile;
 use eavs_video::qoe::QoeReport;
 use std::fmt;
+use std::sync::Arc;
 
 /// Everything measured over one streaming session.
 #[derive(Clone, Debug)]
 pub struct SessionReport {
     /// Governor name (plus predictor for EAVS, e.g. `eavs/hybrid`).
-    pub governor: String,
+    /// Static: a report holds no heap copy of it.
+    pub governor: &'static str,
     /// SoC preset used.
     pub soc: SocModel,
     /// Name of the cluster that hosted the player (`big` presets use the
@@ -73,7 +76,12 @@ pub struct SessionReport {
     /// Per-frame-type actual decode-cost summary (bit-exact mergeable;
     /// the raw material fleet campaigns fold into workload priors). Its
     /// three occupied bin spans share one allocation.
-    pub frame_cycles: crate::framestats::FrameCycleStats,
+    ///
+    /// Behind an `Arc` because a frame's decode cost does not depend on
+    /// the clock it runs at: every governor streaming one title under
+    /// the same faults tallies an equal summary, and the session cache
+    /// keeps one copy of each for all the reports it holds.
+    pub frame_cycles: Arc<FrameCycleStats>,
     /// Per-phase simulated/wall time breakdown (only when profiling was
     /// requested via the session builder; wall times are host-dependent
     /// and never enter fingerprints, traces, or CSVs). Boxed: reports
@@ -158,15 +166,17 @@ impl SessionReport {
     }
 
     /// Inline plus heap bytes this report holds, as allocated (capacity,
-    /// not length; a series' points). The cluster name is static and
-    /// costs only its inline reference.
+    /// not length; a series' points), its whole frame-cost summary
+    /// included ([`summary_bytes`](Self::summary_bytes)). The governor
+    /// and cluster names are static and cost only their inline
+    /// references.
     ///
     /// Used by the session cache and the fleet campaign runner to account
     /// resident memory (cache size, peak shard footprint) with one shared
-    /// yardstick.
+    /// yardstick. The session cache, which shares equal summaries between
+    /// its reports, counts each distinct summary once.
     pub fn approx_bytes(&self) -> u64 {
         let mut bytes = std::mem::size_of::<SessionReport>();
-        bytes += self.governor.capacity();
         bytes += self.time_in_state.capacity() * std::mem::size_of::<(Frequency, SimDuration)>();
         if self.recorded.is_some() {
             bytes += std::mem::size_of::<Recorded>();
@@ -175,11 +185,21 @@ impl SessionReport {
         for series in self.freq_series().into_iter().chain(self.buffer_series()) {
             bytes += series.len() * 16;
         }
-        bytes += self.frame_cycles.heap_bytes();
         if self.profile.is_some() {
             bytes += std::mem::size_of::<eavs_obs::PhaseProfile>();
         }
-        bytes as u64
+        bytes as u64 + self.summary_bytes()
+    }
+
+    /// Bytes of the frame-cost summary behind [`frame_cycles`]: its `Arc`
+    /// block (the two reference counts and the summary inline) and its
+    /// bins. Part of [`approx_bytes`](Self::approx_bytes).
+    ///
+    /// [`frame_cycles`]: Self::frame_cycles
+    pub fn summary_bytes(&self) -> u64 {
+        (2 * std::mem::size_of::<usize>()
+            + std::mem::size_of::<FrameCycleStats>()
+            + self.frame_cycles.heap_bytes()) as u64
     }
 
     /// One-line summary for experiment logs.
@@ -233,7 +253,7 @@ mod tests {
         let mut playback = Playback::new(10, 1, 1);
         playback.finalize(eavs_sim::time::SimTime::from_secs(1));
         SessionReport {
-            governor: "test".into(),
+            governor: "test",
             soc: SocModel::MidRange,
             cluster: "midrange",
             content: ContentProfile::Film,
@@ -272,7 +292,7 @@ mod tests {
             decode_spikes: 0,
             decode_stalls: 0,
             panic_races: 0,
-            frame_cycles: crate::framestats::FrameCycleStats::new(),
+            frame_cycles: Arc::new(FrameCycleStats::new()),
             profile: None,
             recorded: None,
         }

@@ -73,10 +73,10 @@ pub enum GovernorChoice {
 }
 
 impl GovernorChoice {
-    fn report_name(&self) -> String {
+    fn report_name(&self) -> &'static str {
         match self {
-            GovernorChoice::Baseline(g) => g.name().to_owned(),
-            GovernorChoice::Eavs(g) => format!("eavs/{}", g.predictor_name()),
+            GovernorChoice::Baseline(g) => g.name(),
+            GovernorChoice::Eavs(g) => g.report_label(),
         }
     }
 
@@ -2016,7 +2016,7 @@ impl SessionWorld {
             decode_spikes: self.decode_spikes,
             decode_stalls: self.decode_stalls,
             panic_races,
-            frame_cycles: self.frame_cycles.finish(),
+            frame_cycles: Arc::new(self.frame_cycles.finish()),
             profile: self.profile.map(Box::new),
             recorded: None,
         };

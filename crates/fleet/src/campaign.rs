@@ -604,7 +604,7 @@ mod tests {
             out.aggregate
                 .prior
                 .get(&draw.title.key(), draw.content.name()),
-            Some(&report.frame_cycles)
+            Some(&*report.frame_cycles)
         );
     }
 

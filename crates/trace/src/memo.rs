@@ -19,13 +19,15 @@
 //! time but not a byte of output: values are pure functions of their key.
 //! An evicted value stays alive while a caller holds its `Arc`.
 //!
-//! Builders run *outside* the lock: two threads racing on the same key
-//! may both build, but they build identical values, so whichever insert
-//! wins is indistinguishable from the other.
+//! Builders run *outside* the lock, and each key is built once however
+//! many threads miss it together: the first miss claims the key as in
+//! flight, and the others wait on a `Condvar` until its value is in. A
+//! build that panics withdraws its claim and wakes the waiters, and the
+//! next of them builds the key itself.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::Hash;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use eavs_net::bandwidth::BandwidthTrace;
 use eavs_video::segment::Segment;
@@ -51,9 +53,10 @@ pub const TRACE_CAP_BYTES: u64 = 256 << 10;
 /// process start.
 #[derive(Clone, Copy, PartialEq, Eq, Default, Debug)]
 pub struct CacheStats {
-    /// Lookups served from the cache.
+    /// Lookups served from the cache, a wait for another thread's build
+    /// of the key included.
     pub hits: u64,
-    /// Lookups that had to build the value.
+    /// Lookups that had to build the value: one per build.
     pub misses: u64,
     /// Values dropped to keep the cache under its byte cap.
     pub evictions: u64,
@@ -86,11 +89,15 @@ struct Store<K, V> {
     map: HashMap<K, Slot<V>>,
     /// Every resident key once, in sweep order: the front goes next.
     ring: VecDeque<K>,
+    /// Keys a thread is building now.
+    building: HashSet<K>,
     stats: CacheStats,
 }
 
 struct Memo<K, V> {
     store: Mutex<Store<K, V>>,
+    /// Signalled whenever a build ends, finished or withdrawn.
+    built: Condvar,
     cap_bytes: u64,
     /// Inline plus heap bytes of one value.
     bytes_of: fn(&V) -> usize,
@@ -102,8 +109,10 @@ impl<K: Eq + Hash + Clone, V> Memo<K, V> {
             store: Mutex::new(Store {
                 map: HashMap::new(),
                 ring: VecDeque::new(),
+                building: HashSet::new(),
                 stats: CacheStats::default(),
             }),
+            built: Condvar::new(),
             cap_bytes,
             bytes_of,
         }
@@ -113,23 +122,35 @@ impl<K: Eq + Hash + Clone, V> Memo<K, V> {
         self.store.lock().expect("memo poisoned")
     }
 
+    /// The value under `key`, built by `build` if no thread holds it or
+    /// is building it; a lookup that finds the key in flight waits for
+    /// that build.
     fn get_or_build(&self, key: K, build: impl FnOnce() -> V) -> Arc<V> {
-        {
-            let mut guard = self.lock();
+        let mut guard = self.lock();
+        loop {
             let store = &mut *guard;
             if let Some(slot) = store.map.get_mut(&key) {
                 slot.referenced = true;
                 store.stats.hits += 1;
                 return Arc::clone(&slot.value);
             }
-            store.stats.misses += 1;
+            if !store.building.contains(&key) {
+                break;
+            }
+            guard = self.built.wait(guard).expect("memo poisoned");
         }
+        guard.stats.misses += 1;
+        guard.building.insert(key.clone());
+        drop(guard);
+        let claim = Claim {
+            memo: self,
+            key: &key,
+        };
         let built = Arc::new(build());
+        std::mem::forget(claim);
         let mut guard = self.lock();
         let store = &mut *guard;
-        if let Some(slot) = store.map.get(&key) {
-            return Arc::clone(&slot.value);
-        }
+        store.building.remove(&key);
         store.stats.resident_bytes += (self.bytes_of)(&built) as u64;
         // Sweep before the new key joins the ring, so it cannot go.
         while store.stats.resident_bytes > self.cap_bytes {
@@ -151,11 +172,34 @@ impl<K: Eq + Hash + Clone, V> Memo<K, V> {
             referenced: false,
         };
         store.map.insert(key, slot);
+        // The waiters wake once this lock is released, to the value.
+        self.built.notify_all();
         built
     }
 
     fn stats(&self) -> CacheStats {
         self.lock().stats
+    }
+}
+
+/// A key one thread is building. Dropped unfinished (its build
+/// panicked), it withdraws the key and wakes the waiters, so one of
+/// them builds it instead of waiting forever.
+struct Claim<'a, K: Eq + Hash + Clone, V> {
+    memo: &'a Memo<K, V>,
+    key: &'a K,
+}
+
+impl<K: Eq + Hash + Clone, V> Drop for Claim<'_, K, V> {
+    fn drop(&mut self) {
+        // Runs while the build's panic unwinds, so it must not panic.
+        let mut store = self
+            .memo
+            .store
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        store.building.remove(self.key);
+        self.memo.built.notify_all();
     }
 }
 
@@ -318,6 +362,63 @@ mod tests {
         let rebuilt = memo.get_or_build(7, build(7));
         assert!(!Arc::ptr_eq(&first, &rebuilt));
         assert_eq!(first, rebuilt);
+    }
+
+    #[test]
+    fn threads_racing_on_one_key_build_it_once() {
+        use std::sync::atomic::{AtomicU32, Ordering};
+        use std::sync::Barrier;
+        let memo = bytes_memo(u64::MAX);
+        let builds = AtomicU32::new(0);
+        let start = Barrier::new(8);
+        let values: Vec<Arc<Vec<u8>>> = std::thread::scope(|scope| {
+            let threads: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        memo.get_or_build(5, || {
+                            builds.fetch_add(1, Ordering::SeqCst);
+                            // Slow enough that every other thread misses too.
+                            std::thread::sleep(std::time::Duration::from_millis(50));
+                            value(5, 16)
+                        })
+                    })
+                })
+                .collect();
+            threads.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        assert_eq!(builds.load(Ordering::SeqCst), 1);
+        assert!(values.iter().all(|v| Arc::ptr_eq(v, &values[0])));
+        let s = memo.stats();
+        assert_eq!((s.hits, s.misses, s.resident_bytes), (7, 1, 16));
+        assert!(memo.lock().building.is_empty());
+    }
+
+    #[test]
+    fn a_panicking_build_withdraws_its_claim_and_a_waiter_builds_instead() {
+        use std::sync::mpsc;
+        let memo = bytes_memo(u64::MAX);
+        let (started, on_start) = mpsc::channel();
+        let waiter = std::thread::scope(|scope| {
+            let failing = scope.spawn(|| {
+                memo.get_or_build(9, || {
+                    started.send(()).unwrap();
+                    // Give the waiter time to find the key in flight.
+                    std::thread::sleep(std::time::Duration::from_millis(50));
+                    panic!("build failed")
+                })
+            });
+            on_start.recv().unwrap();
+            let waiter = scope.spawn(|| memo.get_or_build(9, || value(9, 4)));
+            assert!(failing.join().is_err(), "the build panicked");
+            waiter.join().expect("the waiter is not hung and builds")
+        });
+        assert_eq!(*waiter, value(9, 4));
+        let s = memo.stats();
+        assert_eq!((s.hits, s.misses), (0, 2));
+        assert!(memo.lock().building.is_empty());
+        let again = memo.get_or_build(9, || unreachable!("must hit"));
+        assert!(Arc::ptr_eq(&waiter, &again));
     }
 
     #[test]

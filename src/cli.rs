@@ -646,16 +646,20 @@ pub fn run_fleet(args: &FleetArgs) -> Result<String, String> {
         eavs_trace::memo::segment_cache_stats(),
         eavs_trace::memo::trace_cache_stats(),
     );
+    let cache = eavs_bench::cache::stats();
     out.push_str(&format!(
         "{}/{} shards done; {} session-runs this invocation ({:.0} runs/sec); \
-         peak shard {:.1} KiB; resident: session cache {:.1} MiB, segment memo {:.2} MiB \
-         ({} evictions), trace memo {:.1} KiB ({} evictions)\n",
+         peak shard {:.1} KiB; resident: session cache {:.1} MiB (frame-cost summaries: \
+         {} distinct for {} reports), segment memo {:.2} MiB ({} evictions), \
+         trace memo {:.1} KiB ({} evictions)\n",
         outcome.aggregate.shards_done,
         spec.num_shards(),
         outcome.session_runs,
         outcome.session_runs as f64 / outcome.wall_s.max(1e-9),
         outcome.peak_shard_bytes as f64 / 1024.0,
-        mib(eavs_bench::cache::stats().bytes),
+        mib(cache.bytes),
+        cache.summaries,
+        cache.reports,
         mib(segments.resident_bytes),
         segments.evictions,
         traces.resident_bytes as f64 / 1024.0,

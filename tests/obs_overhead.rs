@@ -193,8 +193,8 @@ fn approx_bytes_matches_what_a_report_holds_and_stays_under_its_ceiling() {
         (approx - held).abs() * 10 <= held,
         "approx_bytes {approx} is more than 10% off the {held} bytes the report holds"
     );
-    // 1,020 bytes in 4 blocks on x86_64: the boxed report, the governor
-    // name, `time_in_state` and the frame-cost bins.
+    // 1,008 bytes in 4 blocks on x86_64: the boxed report,
+    // `time_in_state`, the frame-cost summary's `Arc` block and its bins.
     assert!(
         approx <= 1_120,
         "a 60 s 1080p EAVS report takes {approx} bytes (ceiling 1120)"
