@@ -111,7 +111,7 @@ pub fn f16_background() -> Table {
                 &format!("{:.2}", r.cpu_joules()),
                 &format!("{:+.1}%", (r.cpu_joules() / base[i] - 1.0) * 100.0),
                 &r.qoe.late_vsyncs.to_string(),
-                &r.background_jobs.to_string(),
+                &r.background_jobs().to_string(),
             ]);
         }
     }
@@ -421,7 +421,7 @@ pub fn f20_auto_placement() -> Table {
                 &format!("{:.2}", r.cpu_joules()),
                 &r.qoe.late_vsyncs.to_string(),
                 &format!("{:.3}", r.qoe.deadline_miss_rate() * 100.0),
-                &r.migrations.to_string(),
+                &r.migrations().to_string(),
             ]);
         }
     }

@@ -97,9 +97,9 @@ pub fn f24_fault_storm() -> Table {
             &r.qoe.rebuffer_events.to_string(),
             &r.qoe.late_vsyncs.to_string(),
             &format!("{:.3}", r.qoe.deadline_miss_rate() * 100.0),
-            &r.download_retries.to_string(),
-            &r.download_timeouts.to_string(),
-            &r.corrupt_downloads.to_string(),
+            &r.download_retries().to_string(),
+            &r.download_timeouts().to_string(),
+            &r.corrupt_downloads().to_string(),
             &r.panic_races.to_string(),
             &r.mean_freq.to_string(),
         ]);
@@ -186,10 +186,10 @@ pub fn f25_retry_sensitivity() -> Table {
     for ((label, _), r) in f25_policies().iter().zip(&reports) {
         t.row(&[
             label,
-            &r.download_retries.to_string(),
-            &r.download_timeouts.to_string(),
-            &r.corrupt_downloads.to_string(),
-            &r.segments_abandoned.to_string(),
+            &r.download_retries().to_string(),
+            &r.download_timeouts().to_string(),
+            &r.corrupt_downloads().to_string(),
+            &r.segments_abandoned().to_string(),
             &r.qoe.rebuffer_events.to_string(),
             &format!("{:.0}", r.qoe.startup_delay.as_secs_f64() * 1000.0),
             &format!("{:.1}", r.session_length.as_secs_f64()),

@@ -46,9 +46,16 @@ fn f24_storm_recovery_separates_governors() {
     // Every row faced the same scripted network faults: the corrupt
     // segment was re-downloaded (not silently swallowed) everywhere.
     for (name, r) in labels.iter().zip(&reports) {
-        assert!(r.corrupt_downloads >= 1, "{name}: corruption not injected");
-        assert!(r.download_retries >= 1, "{name}: no retry recorded");
-        assert_eq!(r.segments_abandoned, 0, "{name}: storm must be recoverable");
+        assert!(
+            r.corrupt_downloads() >= 1,
+            "{name}: corruption not injected"
+        );
+        assert!(r.download_retries() >= 1, "{name}: no retry recorded");
+        assert_eq!(
+            r.segments_abandoned(),
+            0,
+            "{name}: storm must be recoverable"
+        );
     }
 }
 

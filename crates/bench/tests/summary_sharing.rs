@@ -4,7 +4,8 @@
 //! and the lanes `run_sessions` returns must share one allocation of it,
 //! while different streams keep their own. The cache's byte count, which
 //! counts each shared summary once, must match what the reports really
-//! hold.
+//! hold, and a fleet shard's footprint counts each shared summary once
+//! too.
 //!
 //! Alone in its test binary, with a one-worker pool, so every session
 //! runs on the calling thread, whose allocations the counting allocator
@@ -12,13 +13,14 @@
 //! turns.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
+use std::collections::HashSet;
 use std::sync::{Arc, Mutex, MutexGuard, Once, PoisonError};
 
 use eavs_bench::cache::{run_sessions, stats};
 use eavs_core::report::SessionReport;
 use eavs_core::session::SessionBuilder;
-use eavs_fleet::campaign::{builder_for, draw_session, SessionDraw};
+use eavs_fleet::campaign::{builder_for, draw_session, run_shard, SessionDraw};
 use eavs_fleet::spec::AbrChoice;
 use eavs_fleet::CampaignSpec;
 
@@ -125,11 +127,12 @@ fn the_counted_bytes_match_what_a_shared_batch_holds() {
         ids.flat_map(|id| lanes(&spec, &draw_session(&spec, id)))
             .collect()
     };
-    // Grow the cache's key map and ring first: 50 draws take them past
-    // 256 entries, to room for 448, so the 120 reports measured below
-    // add no slot storage and the bytes they hold are their own. Draws
-    // 200.. are unseen by the other test.
-    drop(run_sessions(batch(300..350)));
+    // Grow the cache's key map and ring first: 100 draws take them past
+    // 512 entries, to room for 896, so the 120 reports measured below
+    // add no slot storage whichever of the other tests (132 reports at
+    // most) ran first, and the bytes they hold are their own. Draws
+    // 200..220 are unseen by the other tests.
+    drop(run_sessions(batch(300..400)));
     // Warm the memos and this thread's scratch, so a measured run leaves
     // nothing behind but its report.
     for (_, builder) in batch(200..220) {
@@ -147,4 +150,36 @@ fn the_counted_bytes_match_what_a_shared_batch_holds() {
     );
     // Without the sharing the batch would hold far more.
     assert!(unshared as i64 > held * 13 / 10, "{unshared} vs {held}");
+}
+
+#[test]
+fn a_shard_counts_each_shared_summary_once() {
+    let _serial = serial();
+    let mut spec = spec();
+    // 20 draws a shard; shard 25 holds draws 500..520, which the other
+    // tests never run.
+    spec.shard_size = 20;
+    let reports = RefCell::new(Vec::new());
+    let runner = |jobs: Vec<(String, SessionBuilder)>| -> Vec<Arc<SessionReport>> {
+        let out = run_sessions(jobs);
+        reports.borrow_mut().clone_from(&out);
+        out
+    };
+    let outcome = run_shard(&spec, 25, &runner).expect("valid shard");
+    let reports = reports.into_inner();
+    let mut seen = HashSet::new();
+    let mut expected = outcome.partial.approx_bytes();
+    let mut unshared = outcome.partial.approx_bytes();
+    for r in &reports {
+        expected += r.approx_bytes() - r.summary_bytes();
+        if seen.insert(Arc::as_ptr(&r.frame_cycles)) {
+            expected += r.summary_bytes();
+        }
+        unshared += r.approx_bytes();
+    }
+    assert_eq!(outcome.shard_bytes, expected);
+    // The shard's lanes share their stream's summary: counting it per
+    // lane would count it six times.
+    assert!(seen.len() * spec.governors.len() <= reports.len());
+    assert!(unshared > expected);
 }

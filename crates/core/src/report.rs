@@ -50,26 +50,8 @@ pub struct SessionReport {
     pub segments_downloaded: u64,
     /// Simulator events processed.
     pub events_processed: u64,
-    /// Background bursts completed on the secondary core.
-    pub background_jobs: u64,
-    /// Cluster migrations performed (automatic placement only).
-    pub migrations: u64,
-    /// Segment downloads re-attempted after a timeout or corruption.
-    pub download_retries: u64,
-    /// Downloads aborted by the retry watchdog.
-    pub download_timeouts: u64,
-    /// Downloads that completed but failed integrity (fault injection).
-    pub corrupt_downloads: u64,
-    /// Segments given up on after exhausting the retry budget.
-    pub segments_abandoned: u64,
-    /// Frames discarded undecoded by drop-mode catch-up.
-    pub frames_skipped: u64,
     /// Frames still upstream of the decoder when the session ended.
     pub frames_pending: u64,
-    /// Decode jobs whose cycle cost was spiked by fault injection.
-    pub decode_spikes: u64,
-    /// Transient decoder stalls injected.
-    pub decode_stalls: u64,
     /// EAVS panic re-races triggered (prediction breaches + rebuffers;
     /// zero unless panic recovery is enabled).
     pub panic_races: u64,
@@ -95,6 +77,56 @@ pub struct SessionReport {
     /// `profile`: `None` in every fleet and figure run that records no
     /// series and models no heat, where it costs one word.
     pub(crate) recorded: Option<Box<Recorded>>,
+    /// The counters of background work, migration and faults, read
+    /// through accessors of the same names ([`download_retries`] and
+    /// the rest). Boxed, and `None` when all are zero, as they are on
+    /// every clean session: one word instead of nine.
+    ///
+    /// [`download_retries`]: Self::download_retries
+    pub(crate) incidents: Option<Box<Incidents>>,
+}
+
+/// Declares [`Incidents`] and a [`SessionReport`] accessor for each of
+/// its counters, which reads 0 when the report holds none.
+macro_rules! incidents {
+    ($($(#[doc = $doc:literal])* $name:ident,)*) => {
+        /// The counters of a [`SessionReport`] that stay zero on a clean
+        /// session.
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub(crate) struct Incidents {
+            $(pub(crate) $name: u64,)*
+        }
+
+        impl SessionReport {
+            $(
+                $(#[doc = $doc])*
+                pub fn $name(&self) -> u64 {
+                    self.incidents.as_ref().map_or(0, |i| i.$name)
+                }
+            )*
+        }
+    };
+}
+
+incidents! {
+    /// Background bursts completed on the secondary core.
+    background_jobs,
+    /// Cluster migrations performed (automatic placement only).
+    migrations,
+    /// Segment downloads re-attempted after a timeout or corruption.
+    download_retries,
+    /// Downloads aborted by the retry watchdog.
+    download_timeouts,
+    /// Downloads that completed but failed integrity (fault injection).
+    corrupt_downloads,
+    /// Segments given up on after exhausting the retry budget.
+    segments_abandoned,
+    /// Frames discarded undecoded by drop-mode catch-up.
+    frames_skipped,
+    /// Decode jobs whose cycle cost was spiked by fault injection.
+    decode_spikes,
+    /// Transient decoder stalls injected.
+    decode_stalls,
 }
 
 /// The parts of a [`SessionReport`] only some builder options fill.
@@ -123,6 +155,12 @@ impl SessionReport {
             || parts.buffer_series.is_some()
             || parts.peak_temp_c.is_some())
         .then(|| Box::new(parts));
+    }
+
+    /// Stores the incident counters, boxed, or nothing when all are
+    /// zero.
+    pub(crate) fn set_incidents(&mut self, incidents: Incidents) {
+        self.incidents = (incidents != Incidents::default()).then(|| Box::new(incidents));
     }
 
     /// Frequency timeline in MHz (only when series recording was enabled).
@@ -173,8 +211,8 @@ impl SessionReport {
     ///
     /// Used by the session cache and the fleet campaign runner to account
     /// resident memory (cache size, peak shard footprint) with one shared
-    /// yardstick. The session cache, which shares equal summaries between
-    /// its reports, counts each distinct summary once.
+    /// yardstick. The session cache and a shard's footprint, whose
+    /// reports share equal summaries, count each distinct summary once.
     pub fn approx_bytes(&self) -> u64 {
         let mut bytes = std::mem::size_of::<SessionReport>();
         bytes += self.time_in_state.capacity() * std::mem::size_of::<(Frequency, SimDuration)>();
@@ -187,6 +225,9 @@ impl SessionReport {
         }
         if self.profile.is_some() {
             bytes += std::mem::size_of::<eavs_obs::PhaseProfile>();
+        }
+        if self.incidents.is_some() {
+            bytes += std::mem::size_of::<Incidents>();
         }
         bytes as u64 + self.summary_bytes()
     }
@@ -281,20 +322,12 @@ mod tests {
             frames_decoded: 300,
             segments_downloaded: 5,
             events_processed: 1234,
-            background_jobs: 0,
-            migrations: 0,
-            download_retries: 0,
-            download_timeouts: 0,
-            corrupt_downloads: 0,
-            segments_abandoned: 0,
-            frames_skipped: 0,
             frames_pending: 0,
-            decode_spikes: 0,
-            decode_stalls: 0,
             panic_races: 0,
             frame_cycles: Arc::new(FrameCycleStats::new()),
             profile: None,
             recorded: None,
+            incidents: None,
         }
     }
 
@@ -346,6 +379,24 @@ mod tests {
         assert_eq!(
             r.approx_bytes(),
             base + std::mem::size_of::<Recorded>() as u64
+        );
+    }
+
+    #[test]
+    fn incidents_are_boxed_only_when_one_is_counted() {
+        let mut r = report();
+        r.set_incidents(Incidents::default());
+        assert!(r.incidents.is_none());
+        assert_eq!((r.download_retries(), r.decode_stalls()), (0, 0));
+        let base = r.approx_bytes();
+        r.set_incidents(Incidents {
+            decode_stalls: 2,
+            ..Incidents::default()
+        });
+        assert_eq!((r.download_retries(), r.decode_stalls()), (0, 2));
+        assert_eq!(
+            r.approx_bytes(),
+            base + std::mem::size_of::<Incidents>() as u64
         );
     }
 }

@@ -21,7 +21,7 @@
 use crate::framestats::FrameCycleTally;
 use crate::governor::{decision_kind, EavsGovernor, InFlightMeta, PipelineSnapshot};
 use crate::predictor::{FrameMeta, SessionPrior};
-use crate::report::SessionReport;
+use crate::report::{Incidents, SessionReport};
 use crate::selector::{required_hz_split, DemandItem};
 use eavs_cpu::cluster::{Cluster, PolicyLimits};
 use eavs_cpu::freq::{Cycles, Frequency};
@@ -62,6 +62,20 @@ pub fn replayed_sessions() -> u64 {
 /// Always 0, for the same reason as [`replayed_sessions`].
 pub fn injected_decisions() -> u64 {
     0
+}
+
+/// The end of a session's default horizon over `manifest`: six content
+/// lengths plus 60 s, or `None` where that overflows the simulation
+/// clock. Building a session of such content panics unless
+/// [`SessionBuilder::horizon`] sets a horizon.
+pub fn default_horizon(manifest: &Manifest) -> Option<SimTime> {
+    manifest
+        .segment_duration()
+        .as_nanos()
+        .checked_mul(manifest.num_segments)?
+        .checked_mul(6)?
+        .checked_add(SimDuration::from_secs(60).as_nanos())
+        .map(SimTime::from_nanos)
 }
 
 /// Which governor drives the session.
@@ -125,6 +139,14 @@ impl std::fmt::Debug for GovernorChoice {
 /// println!("{report}");
 /// ```
 pub struct SessionBuilder {
+    /// Every setting, behind one box: a builder moves as one pointer,
+    /// and a fleet shard holds a whole batch of them before the first
+    /// runs.
+    body: Box<BuilderBody>,
+}
+
+/// The settings a [`SessionBuilder`] collects.
+struct BuilderBody {
     governor: GovernorChoice,
     soc: SocModel,
     content: ContentProfile,
@@ -184,37 +206,39 @@ pub struct BackgroundLoad {
 impl SessionBuilder {
     fn new(governor: GovernorChoice) -> Self {
         SessionBuilder {
-            governor,
-            soc: SocModel::Flagship2016,
-            content: ContentProfile::Film,
-            manifest: Arc::new(Manifest::single(
-                6_000,
-                1920,
-                1080,
-                SimDuration::from_secs(60),
-                30,
-            )),
-            network: Arc::new(BandwidthTrace::constant(20e6)),
-            radio: RadioModel::wifi(),
-            abr: Box::new(FixedAbr::new(0)),
-            seed: 1,
-            max_buffer: SimDuration::from_secs(30),
-            decoded_cap: 4,
-            startup_frames: 30,
-            resume_frames: 60,
-            rtt: SimDuration::from_millis(50),
-            record_series: false,
-            horizon: None,
-            thermal: None,
-            background: None,
-            cluster_select: ClusterSelect::Big,
-            late_policy: LatePolicy::Stall,
-            faults: None,
-            retry: RetryPolicy::default(),
-            power: None,
-            prior: None,
-            trace: None,
-            profile: false,
+            body: Box::new(BuilderBody {
+                governor,
+                soc: SocModel::Flagship2016,
+                content: ContentProfile::Film,
+                manifest: Arc::new(Manifest::single(
+                    6_000,
+                    1920,
+                    1080,
+                    SimDuration::from_secs(60),
+                    30,
+                )),
+                network: Arc::new(BandwidthTrace::constant(20e6)),
+                radio: RadioModel::wifi(),
+                abr: Box::new(FixedAbr::new(0)),
+                seed: 1,
+                max_buffer: SimDuration::from_secs(30),
+                decoded_cap: 4,
+                startup_frames: 30,
+                resume_frames: 60,
+                rtt: SimDuration::from_millis(50),
+                record_series: false,
+                horizon: None,
+                thermal: None,
+                background: None,
+                cluster_select: ClusterSelect::Big,
+                late_policy: LatePolicy::Stall,
+                faults: None,
+                retry: RetryPolicy::default(),
+                power: None,
+                prior: None,
+                trace: None,
+                profile: false,
+            }),
         }
     }
 
@@ -225,7 +249,7 @@ impl SessionBuilder {
     /// [`SessionBuilder::fingerprint`] deliberately ignores them (see
     /// [`SessionBuilder::has_observer`] for the caching implication).
     pub fn trace(mut self, sink: SharedSink) -> Self {
-        self.trace = Some(sink);
+        self.body.trace = Some(sink);
         self
     }
 
@@ -233,7 +257,7 @@ impl SessionBuilder {
     /// [`PhaseProfile`] with simulated-time and handler wall-time
     /// breakdowns for download/decode/display/governor work.
     pub fn profile(mut self, enable: bool) -> Self {
-        self.profile = enable;
+        self.body.profile = enable;
         self
     }
 
@@ -244,7 +268,7 @@ impl SessionBuilder {
     /// be served from a memoization cache — the cached report would
     /// carry no side effects for the observer.
     pub fn has_observer(&self) -> bool {
-        self.trace.is_some() || self.profile
+        self.body.trace.is_some() || self.body.profile
     }
 
     /// Injects a fault plan: network blackouts, stalled/corrupt segment
@@ -252,7 +276,7 @@ impl SessionBuilder {
     /// An empty plan is stored as no plan at all, so it is a no-op by
     /// construction.
     pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = (!plan.is_empty()).then(|| Box::new(plan));
+        self.body.faults = (!plan.is_empty()).then(|| Box::new(plan));
         self
     }
 
@@ -262,7 +286,7 @@ impl SessionBuilder {
     /// no-op: only the report's power counters change.
     /// [`DevicePowerModel::none`] is stored as no model at all.
     pub fn power(mut self, model: DevicePowerModel) -> Self {
-        self.power = (!model.is_none()).then_some(model);
+        self.body.power = (!model.is_none()).then_some(model);
         self
     }
 
@@ -272,7 +296,7 @@ impl SessionBuilder {
     /// empty prior is stored as no prior at all, and baselines ignore
     /// priors entirely.
     pub fn prior(mut self, prior: SessionPrior) -> Self {
-        self.prior = (!prior.is_empty()).then(|| Box::new(prior));
+        self.body.prior = (!prior.is_empty()).then(|| Box::new(prior));
         self
     }
 
@@ -280,27 +304,27 @@ impl SessionBuilder {
     /// backoff). The default has no timeout, so clean sessions schedule
     /// no watchdog events.
     pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
+        self.body.retry = retry;
         self
     }
 
     /// Selects what happens to frames whose display slot passes before
     /// they are decoded (stall, the conservative default, or drop).
     pub fn late_policy(mut self, policy: LatePolicy) -> Self {
-        self.late_policy = policy;
+        self.body.late_policy = policy;
         self
     }
 
     /// Places the player on the big or LITTLE cluster.
     pub fn cluster(mut self, select: ClusterSelect) -> Self {
-        self.cluster_select = select;
+        self.body.cluster_select = select;
         self
     }
 
     /// Enables the thermal model and throttle controller: die temperature
     /// follows dissipated power and caps the policy's maximum OPP.
     pub fn thermal(mut self, model: ThermalModel, throttle: ThrottleController) -> Self {
-        self.thermal = Some(Box::new((model, throttle)));
+        self.body.thermal = Some(Box::new((model, throttle)));
         self
     }
 
@@ -312,19 +336,19 @@ impl SessionBuilder {
     pub fn background_load(mut self, duty: f64, period: SimDuration) -> Self {
         assert!(duty > 0.0 && duty < 1.0, "duty must be in (0,1)");
         assert!(!period.is_zero(), "zero background period");
-        self.background = Some(BackgroundLoad { duty, period });
+        self.body.background = Some(BackgroundLoad { duty, period });
         self
     }
 
     /// Selects the SoC preset.
     pub fn soc(mut self, soc: SocModel) -> Self {
-        self.soc = soc;
+        self.body.soc = soc;
         self
     }
 
     /// Selects the content profile.
     pub fn content(mut self, content: ContentProfile) -> Self {
-        self.content = content;
+        self.body.content = content;
         self
     }
 
@@ -332,38 +356,45 @@ impl SessionBuilder {
     /// `Manifest` or a shared `Arc<Manifest>`; sweeps pass the `Arc` so every
     /// job references one allocation.
     pub fn manifest(mut self, manifest: impl Into<Arc<Manifest>>) -> Self {
-        self.manifest = manifest.into();
+        self.body.manifest = manifest.into();
         self
+    }
+
+    /// The manifest the session will stream, as shared: builders given
+    /// one `Arc` hold one allocation. For tests of that sharing.
+    #[doc(hidden)]
+    pub fn streamed_manifest(&self) -> &Arc<Manifest> {
+        &self.body.manifest
     }
 
     /// Replaces the bandwidth trace.
     pub fn network(mut self, network: impl Into<Arc<BandwidthTrace>>) -> Self {
-        self.network = network.into();
+        self.body.network = network.into();
         self
     }
 
     /// Selects the session's radio: the one modem whose energy the
     /// report's `radio` block accounts (Wi-Fi by default).
     pub fn radio(mut self, radio: RadioModel) -> Self {
-        self.radio = radio;
+        self.body.radio = radio;
         self
     }
 
     /// Replaces the ABR algorithm.
     pub fn abr(mut self, abr: Box<dyn AbrAlgorithm>) -> Self {
-        self.abr = abr;
+        self.body.abr = abr;
         self
     }
 
     /// Sets the workload seed (content + any stochastic models).
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.body.seed = seed;
         self
     }
 
     /// Sets the player's maximum buffered media.
     pub fn max_buffer(mut self, max_buffer: SimDuration) -> Self {
-        self.max_buffer = max_buffer;
+        self.body.max_buffer = max_buffer;
         self
     }
 
@@ -374,37 +405,37 @@ impl SessionBuilder {
     /// Panics if zero.
     pub fn decoded_cap(mut self, cap: usize) -> Self {
         assert!(cap > 0, "decoded queue needs capacity");
-        self.decoded_cap = cap;
+        self.body.decoded_cap = cap;
         self
     }
 
     /// Sets the startup threshold in frames.
     pub fn startup_frames(mut self, frames: usize) -> Self {
-        self.startup_frames = frames.max(1);
+        self.body.startup_frames = frames.max(1);
         self
     }
 
     /// Sets the rebuffer-resume threshold in frames.
     pub fn resume_frames(mut self, frames: usize) -> Self {
-        self.resume_frames = frames.max(1);
+        self.body.resume_frames = frames.max(1);
         self
     }
 
     /// Sets the request RTT.
     pub fn rtt(mut self, rtt: SimDuration) -> Self {
-        self.rtt = rtt;
+        self.body.rtt = rtt;
         self
     }
 
     /// Records frequency and buffer timelines into the report.
     pub fn record_series(mut self, record: bool) -> Self {
-        self.record_series = record;
+        self.body.record_series = record;
         self
     }
 
     /// Overrides the safety horizon (default: 6× content length + 60 s).
     pub fn horizon(mut self, horizon: SimTime) -> Self {
-        self.horizon = Some(horizon);
+        self.body.horizon = Some(horizon);
         self
     }
 
@@ -423,25 +454,26 @@ impl SessionBuilder {
     /// additionally check [`SessionBuilder::has_observer`] — cache hits
     /// would silently skip the observer's side effects.
     pub fn fingerprint(&self) -> Option<Fingerprint> {
+        let b = &self.body;
         let mut fp = Fingerprinter::new("eavs-session/v1");
-        self.governor.fingerprint(&mut fp);
-        fp.write_str(self.soc.name());
-        fp.write_str(self.content.name());
+        b.governor.fingerprint(&mut fp);
+        fp.write_str(b.soc.name());
+        fp.write_str(b.content.name());
         // The manifest and trace are hashed by content, not identity:
         // distinct allocations of the same ladder must collide.
-        self.manifest.fingerprint(&mut fp);
-        self.network.fingerprint(&mut fp);
-        self.radio.fingerprint(&mut fp);
-        self.abr.fingerprint(&mut fp);
-        fp.write_u64(self.seed);
-        fp.write_u64(self.max_buffer.as_nanos());
-        fp.write_usize(self.decoded_cap);
-        fp.write_usize(self.startup_frames);
-        fp.write_usize(self.resume_frames);
-        fp.write_u64(self.rtt.as_nanos());
-        fp.write_bool(self.record_series);
-        fp.write_opt_u64(self.horizon.map(|h| h.as_nanos()));
-        match self.thermal.as_deref() {
+        b.manifest.fingerprint(&mut fp);
+        b.network.fingerprint(&mut fp);
+        b.radio.fingerprint(&mut fp);
+        b.abr.fingerprint(&mut fp);
+        fp.write_u64(b.seed);
+        fp.write_u64(b.max_buffer.as_nanos());
+        fp.write_usize(b.decoded_cap);
+        fp.write_usize(b.startup_frames);
+        fp.write_usize(b.resume_frames);
+        fp.write_u64(b.rtt.as_nanos());
+        fp.write_bool(b.record_series);
+        fp.write_opt_u64(b.horizon.map(|h| h.as_nanos()));
+        match b.thermal.as_deref() {
             None => fp.write_u8(0),
             Some((model, throttle)) => {
                 fp.write_u8(1);
@@ -450,7 +482,7 @@ impl SessionBuilder {
                 fp.write_f64(throttle.throttle_full_c);
             }
         }
-        match &self.background {
+        match &b.background {
             None => fp.write_u8(0),
             Some(bg) => {
                 fp.write_u8(1);
@@ -458,12 +490,12 @@ impl SessionBuilder {
                 fp.write_u64(bg.period.as_nanos());
             }
         }
-        fp.write_u8(match self.cluster_select {
+        fp.write_u8(match b.cluster_select {
             ClusterSelect::Big => 0,
             ClusterSelect::Little => 1,
             ClusterSelect::Auto => 2,
         });
-        fp.write_u8(match self.late_policy {
+        fp.write_u8(match b.late_policy {
             LatePolicy::Stall => 0,
             LatePolicy::Drop => 1,
         });
@@ -472,22 +504,22 @@ impl SessionBuilder {
         // absent attachment's tag 0. Any real fault (randomized plans
         // included), modeled component or population evidence perturbs
         // the digest by its exact content.
-        match &self.faults {
+        match &b.faults {
             None => fp.write_u8(0),
             Some(plan) => {
                 fp.write_u8(1);
                 plan.fingerprint(&mut fp);
             }
         }
-        self.retry.fingerprint(&mut fp);
-        match &self.power {
+        b.retry.fingerprint(&mut fp);
+        match &b.power {
             None => fp.write_u8(0),
             Some(model) => {
                 fp.write_u8(1);
                 model.fingerprint(&mut fp);
             }
         }
-        match &self.prior {
+        match &b.prior {
             None => fp.write_u8(0),
             Some(prior) => {
                 fp.write_u8(1);
@@ -577,8 +609,9 @@ pub struct SessionState {
 impl SessionState {
     /// Builds the session world, borrowing backing stores from `scratch`.
     pub fn with_scratch(b: SessionBuilder, scratch: &mut SessionScratch) -> SessionState {
+        let b = *b.body;
         let horizon = b.horizon.unwrap_or_else(|| {
-            SimTime::ZERO + b.manifest.total_duration() * 6 + SimDuration::from_secs(60)
+            default_horizon(&b.manifest).expect("content too long for the simulation clock")
         });
         let (cluster, standby) = match b.cluster_select {
             ClusterSelect::Big => (b.soc.build_cluster(), None),
@@ -641,7 +674,6 @@ impl SessionState {
             monitor: LoadMonitor::new(SimTime::ZERO, SimDuration::ZERO),
             monitor_bg: LoadMonitor::new(SimTime::ZERO, SimDuration::ZERO),
             standby,
-            migrations: 0,
             last_migration: SimTime::ZERO,
             thermal: b.thermal.map(|t| *t),
             thermal_last: (SimTime::ZERO, 0.0),
@@ -659,13 +691,7 @@ impl SessionState {
             stall_frame: 0,
             stall_cleared: None,
             ambient_queue,
-            download_retries: 0,
-            download_timeouts: 0,
-            corrupt_downloads: 0,
-            segments_abandoned: 0,
-            frames_skipped: 0,
-            decode_spikes: 0,
-            decode_stalls: 0,
+            incidents: Incidents::default(),
             freq_series: b.record_series.then(StepSeries::new),
             buffer_series: b.record_series.then(StepSeries::new),
             cluster,
@@ -873,7 +899,6 @@ struct SessionWorld {
     monitor: LoadMonitor,
     monitor_bg: LoadMonitor,
     standby: Option<Cluster>,
-    migrations: u64,
     last_migration: SimTime,
     thermal: Option<(ThermalModel, ThrottleController)>,
     thermal_last: (SimTime, f64),
@@ -898,13 +923,9 @@ struct SessionWorld {
     /// Frame whose decoder stall already elapsed (don't re-trigger).
     stall_cleared: Option<u64>,
     ambient_queue: VecDeque<AmbientStep>,
-    download_retries: u64,
-    download_timeouts: u64,
-    corrupt_downloads: u64,
-    segments_abandoned: u64,
-    frames_skipped: u64,
-    decode_spikes: u64,
-    decode_stalls: u64,
+    /// The report's incident counters; `background_jobs` is filled in
+    /// when the report is built.
+    incidents: Incidents,
     /// Recycled backing store for [`PipelineSnapshot::upcoming`]; handed
     /// to the snapshot and reclaimed after the governor decision so the
     /// per-event hot path allocates nothing in steady state.
@@ -1127,7 +1148,7 @@ impl SessionWorld {
         next_attempt: u32,
     ) {
         if next_attempt > self.retry.max_retries {
-            self.segments_abandoned += 1;
+            self.incidents.segments_abandoned += 1;
             self.emit(now, || TraceEvent::DownloadAbandoned {
                 segment: segment.index,
             });
@@ -1156,7 +1177,7 @@ impl SessionWorld {
             sched.cancel(ev);
         }
         self.downloader.abort(now);
-        self.download_timeouts += 1;
+        self.incidents.download_timeouts += 1;
         self.emit(now, || TraceEvent::DownloadTimeout {
             segment: segment.index,
             attempt: self.attempt,
@@ -1169,7 +1190,7 @@ impl SessionWorld {
         let Some(segment) = self.retry_segment.take() else {
             return;
         };
-        self.download_retries += 1;
+        self.incidents.download_retries += 1;
         let attempt = self.attempt;
         self.begin_transfer(sched, now, segment, attempt);
         self.govern(sched, now);
@@ -1188,7 +1209,7 @@ impl SessionWorld {
         if self.faults.is_corrupt(segment.index, self.attempt) {
             // The bytes arrived but fail integrity checks: the transfer
             // cost real radio energy, yet the segment must be re-fetched.
-            self.corrupt_downloads += 1;
+            self.incidents.corrupt_downloads += 1;
             self.emit(now, || TraceEvent::DownloadCorrupt {
                 segment: segment.index,
                 attempt: self.attempt,
@@ -1228,7 +1249,8 @@ impl SessionWorld {
             // Never spend cycles decoding frames that can no longer make
             // their slot: skip stale Bs, resync at the next I if the GOP
             // is lost.
-            self.frames_skipped += self.pipeline.catch_up(self.playback.next_display()) as u64;
+            self.incidents.frames_skipped +=
+                self.pipeline.catch_up(self.playback.next_display()) as u64;
         }
         if !self.pipeline.can_start_decode() || self.cluster.is_core_busy(0) {
             return;
@@ -1240,7 +1262,7 @@ impl SessionWorld {
                     // Transient decoder wedge: the frame cannot enter the
                     // decoder until the pause elapses.
                     if self.decoder_stall_event.is_none() {
-                        self.decode_stalls += 1;
+                        self.incidents.decode_stalls += 1;
                         self.stall_frame = idx;
                         self.decoder_stall_event =
                             Some(sched.schedule_at(now + pause, Ev::DecodeResume));
@@ -1256,7 +1278,7 @@ impl SessionWorld {
         let frame = self.pipeline.start_decode();
         let cycles = match self.faults.decode_spike(frame.index) {
             Some(factor) => {
-                self.decode_spikes += 1;
+                self.incidents.decode_spikes += 1;
                 self.emit(now, || TraceEvent::DecodeSpike {
                     frame: frame.index,
                     factor_milli: (factor * 1000.0).round() as u64,
@@ -1322,10 +1344,10 @@ impl SessionWorld {
         }
         self.maybe_migrate(sched, now);
         let cache_live = self.steady.epoch.wrapping_add(1) == self.pipeline_epoch;
-        let skipped_before = self.frames_skipped;
+        let skipped_before = self.incidents.frames_skipped;
         self.try_start_decode(sched, now);
         self.maybe_begin_playback(sched, now);
-        if cache_live && self.frames_skipped == skipped_before {
+        if cache_live && self.incidents.frames_skipped == skipped_before {
             self.revalidate_steady_after_decode(observed);
         }
         self.govern(sched, now);
@@ -1368,12 +1390,12 @@ impl SessionWorld {
                 self.emit(now, || TraceEvent::VsyncDisplayed { frame: frame.index });
                 self.record_buffer(now);
                 let cache_live = self.steady.epoch.wrapping_add(1) == self.pipeline_epoch;
-                let skipped_before = self.frames_skipped;
+                let skipped_before = self.incidents.frames_skipped;
                 let inflight_before = self.decode_event.is_some();
                 self.try_start_decode(sched, now);
                 self.maybe_request_download(sched, now);
                 self.schedule_vsync(sched, now + self.manifest.frame_duration());
-                if cache_live && self.frames_skipped == skipped_before {
+                if cache_live && self.incidents.frames_skipped == skipped_before {
                     self.revalidate_steady_after_display(inflight_before);
                 }
                 self.govern(sched, now);
@@ -1486,7 +1508,7 @@ impl SessionWorld {
         standby.set_gated(now, false);
         self.cluster.set_gated(now, true);
         std::mem::swap(&mut self.cluster, standby);
-        self.migrations += 1;
+        self.incidents.migrations += 1;
         self.last_migration = now;
         // Load monitors are per-cluster counters; rebase them.
         self.monitor = LoadMonitor::new(now, self.cluster.core_busy_total(0));
@@ -1904,7 +1926,7 @@ impl SessionWorld {
             cpu_energy.static_j += other.static_j;
             cpu_energy.transition_j += other.transition_j;
         }
-        cpu_energy.transition_j += Self::MIGRATION_ENERGY_J * self.migrations as f64;
+        cpu_energy.transition_j += Self::MIGRATION_ENERGY_J * self.incidents.migrations as f64;
         let mut tis = std::mem::take(&mut scratch.tis);
         tis.clear();
         tis.reserve(self.cluster.opps().len());
@@ -1989,7 +2011,6 @@ impl SessionWorld {
             } else {
                 self.cluster.name()
             },
-            migrations: self.migrations,
             content: self.content,
             cpu_energy,
             radio,
@@ -2002,24 +2023,17 @@ impl SessionWorld {
             frames_decoded: self.pipeline.frames_decoded(),
             segments_downloaded: self.segments_downloaded,
             events_processed,
-            background_jobs: if self.cluster.num_cores() > 1 {
-                self.cluster.core(1).jobs_completed()
-            } else {
-                0
-            },
-            download_retries: self.download_retries,
-            download_timeouts: self.download_timeouts,
-            corrupt_downloads: self.corrupt_downloads,
-            segments_abandoned: self.segments_abandoned,
-            frames_skipped: self.frames_skipped,
             frames_pending,
-            decode_spikes: self.decode_spikes,
-            decode_stalls: self.decode_stalls,
             panic_races,
             frame_cycles: Arc::new(self.frame_cycles.finish()),
             profile: self.profile.map(Box::new),
             recorded: None,
+            incidents: None,
         };
+        if self.cluster.num_cores() > 1 {
+            self.incidents.background_jobs = self.cluster.core(1).jobs_completed();
+        }
+        report.set_incidents(self.incidents);
         report.set_recorded(
             self.freq_series.take(),
             self.buffer_series.take(),
@@ -2038,6 +2052,20 @@ mod tests {
 
     fn short_manifest() -> Manifest {
         Manifest::single(3_000, 1280, 720, SimDuration::from_secs(10), 30)
+    }
+
+    #[test]
+    fn default_horizon_is_six_lengths_plus_a_minute_or_none() {
+        let minute = Manifest::single(6_000, 1920, 1080, SimDuration::from_secs(60), 30);
+        let secs = default_horizon(&minute).unwrap().as_secs_f64();
+        assert!((secs - 420.0).abs() < 1e-3, "{secs}");
+        // 2 s segments at 30 fps are 1,999,999,980 ns long.
+        let segment = 1_999_999_980;
+        let longest = (u64::MAX - SimDuration::from_secs(60).as_nanos()) / 6 / segment;
+        let stream =
+            |num_segments| Manifest::new(minute.representations().to_vec(), 60, num_segments, 30);
+        assert!(default_horizon(&stream(longest)).is_some());
+        assert_eq!(default_horizon(&stream(longest + 1)), None);
     }
 
     fn eavs() -> GovernorChoice {
@@ -2193,7 +2221,7 @@ mod tests {
             .cluster(ClusterSelect::Auto)
             .seed(3)
             .run();
-        assert!(light.migrations >= 1, "480p should migrate to LITTLE");
+        assert!(light.migrations() >= 1, "480p should migrate to LITTLE");
         assert_eq!(light.cluster, "auto");
         assert_eq!(light.qoe.frames_displayed, light.qoe.total_frames);
         assert_eq!(light.qoe.late_vsyncs, 0);
@@ -2342,12 +2370,16 @@ mod tests {
             .background_load(0.3, SimDuration::from_millis(100))
             .seed(3)
             .run();
-        assert!(r.background_jobs > 50, "bursts ran: {}", r.background_jobs);
+        assert!(
+            r.background_jobs() > 50,
+            "bursts ran: {}",
+            r.background_jobs()
+        );
         assert_eq!(r.qoe.frames_displayed, r.qoe.total_frames);
         assert_eq!(r.qoe.late_vsyncs, 0, "decode core is unaffected");
         // And without background, no jobs on core 1.
         let quiet = run(eavs());
-        assert_eq!(quiet.background_jobs, 0);
+        assert_eq!(quiet.background_jobs(), 0);
     }
 
     #[test]

@@ -78,7 +78,7 @@ const COUNT_FIELDS: [(&str, bool, bool); 16] = [
     ("titles.0.bitrate_kbps", false, false),
     ("titles.0.width", true, false),
     ("titles.0.height", true, false),
-    ("titles.0.duration_s", false, true),
+    ("titles.0.duration_s", false, false),
     ("titles.0.fps", false, false),
     ("energy_hist.2", false, false),
     ("qoe_hist.2", false, false),
@@ -165,6 +165,35 @@ fn float_fields_at_their_edges_never_panic() {
                 "{path} = {lexeme} accepted"
             );
         }
+    }
+}
+
+/// A constant network's rate at the edges of what its lexeme can say,
+/// on the smoke seed (whose first network is `constant:20`): submit
+/// accepts a rate only if it carries every manifest of the spec within
+/// the simulation clock, so zero (however spelled), a rate that
+/// underflows to it, one too slow for the clock and one whose bits per
+/// second overflow are all refused.
+#[test]
+fn constant_rates_at_their_edges_are_refused_or_round_trip() {
+    let smoke = &seeds()[0];
+    for (lexeme, accepted) in [
+        ("20", true),
+        ("1e-6", true),
+        ("4.9e-324", false),
+        ("1e-300", false),
+        ("0", false),
+        ("-0", false),
+        ("1e-999", false),
+        ("-1", false),
+        ("1.7976931348623157e308", false),
+        ("1e999", false),
+        ("NaN", false),
+    ] {
+        let mut root = json::parse(smoke).expect("seed spec parses");
+        *at(&mut root, "networks.0.network") = Value::Str(format!("constant:{lexeme}"));
+        let accepted_now = submit_path(&root.render()).unwrap();
+        assert_eq!(accepted_now, accepted, "constant:{lexeme}");
     }
 }
 

@@ -145,7 +145,7 @@ impl GovAggregate {
             self.perfect_sessions += 1;
         }
         self.panic_races += r.panic_races;
-        self.download_retries += r.download_retries;
+        self.download_retries += r.download_retries();
     }
 
     /// Merges another partial lane (same governor, same shapes).

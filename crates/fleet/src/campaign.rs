@@ -7,6 +7,7 @@
 //! is order-free: shards can run in any order, on any number of workers,
 //! and a resumed campaign re-derives exactly the sessions it skipped.
 
+use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -153,6 +154,29 @@ pub fn governor_choice(name: &str) -> Result<GovernorChoice, String> {
     }
 }
 
+/// The manifest every session of `title` streams under `abr`: the
+/// title's single encode for a fixed ABR, the standard ladder at its
+/// length and frame rate for an adaptive one.
+///
+/// A fresh allocation on each call, and memoized nowhere: [`run_shard`]
+/// builds one per (title, ABR) of a shard and shares it between every
+/// lane of every draw, and [`CampaignSpec::validate`] checks constant
+/// rates against each. Daemon specs carry any titles, so a process-wide
+/// memo would grow without bound.
+pub fn manifest_for(title: &TitleSpec, abr: AbrChoice) -> Arc<Manifest> {
+    let duration = SimDuration::from_secs(title.duration_s);
+    Arc::new(match abr {
+        AbrChoice::Fixed => Manifest::single(
+            title.bitrate_kbps,
+            title.width,
+            title.height,
+            duration,
+            title.fps,
+        ),
+        AbrChoice::Rate | AbrChoice::Buffer => Manifest::standard_ladder(duration, title.fps),
+    })
+}
+
 /// Builds the runnable session for one draw under one governor.
 ///
 /// The builder is fully fingerprintable, so identical draws (small trace
@@ -163,13 +187,17 @@ pub fn governor_choice(name: &str) -> Result<GovernorChoice, String> {
 ///
 /// Returns a message for unknown governor names.
 pub fn builder_for(draw: &SessionDraw, governor: &str) -> Result<SessionBuilder, String> {
-    let t = draw.title;
-    let duration = SimDuration::from_secs(t.duration_s);
-    let manifest = match draw.abr {
-        AbrChoice::Fixed => Manifest::single(t.bitrate_kbps, t.width, t.height, duration, t.fps),
-        // ABR sessions negotiate over the standard ladder instead.
-        AbrChoice::Rate | AbrChoice::Buffer => Manifest::standard_ladder(duration, t.fps),
-    };
+    builder_streaming(draw, governor, manifest_for(&draw.title, draw.abr))
+}
+
+/// [`builder_for`] on a given manifest, which must be
+/// [`manifest_for`]`(draw.title, draw.abr)`.
+fn builder_streaming(
+    draw: &SessionDraw,
+    governor: &str,
+    manifest: Arc<Manifest>,
+) -> Result<SessionBuilder, String> {
+    let duration = SimDuration::from_secs(draw.title.duration_s);
     let mut builder = StreamingSession::builder(governor_choice(governor)?)
         .soc(draw.soc)
         .content(draw.content)
@@ -279,7 +307,8 @@ pub struct ShardOutcome {
     pub partial: FleetAggregate,
     /// Session-runs (sessions × governors) this shard executed.
     pub session_runs: u64,
-    /// Resident footprint of the shard: its reports plus the partial.
+    /// Resident footprint of the shard: its reports, each frame-cost
+    /// summary they share counted once, plus the partial.
     pub shard_bytes: u64,
 }
 
@@ -318,10 +347,14 @@ pub fn run_shard_warm(
     }
     let (start, end) = spec.shard_range(shard);
     let draws: Vec<SessionDraw> = (start..end).map(|id| draw_session(spec, id)).collect();
+    let mut manifests = HashMap::new();
     let mut jobs = Vec::with_capacity(draws.len() * spec.governors.len());
     for draw in &draws {
+        let manifest = manifests
+            .entry((draw.title, draw.abr))
+            .or_insert_with(|| manifest_for(&draw.title, draw.abr));
         for gov in &spec.governors {
-            let mut builder = builder_for(draw, gov)?;
+            let mut builder = builder_streaming(draw, gov, Arc::clone(manifest))?;
             if let Some(store) = prior {
                 builder =
                     builder.prior(store.session_prior(&draw.title.key(), draw.content.name()));
@@ -360,8 +393,17 @@ pub fn run_shard_warm(
             }
         }
     }
-    let shard_bytes =
-        reports.iter().map(|r| r.approx_bytes()).sum::<u64>() + partial.approx_bytes();
+    // Lanes of one stream, and cached reports of one title, share their
+    // frame-cost summary: count each distinct one once.
+    let mut summaries = HashSet::new();
+    let shard_bytes = reports
+        .iter()
+        .map(|r| {
+            let first = summaries.insert(Arc::as_ptr(&r.frame_cycles));
+            r.approx_bytes() - if first { 0 } else { r.summary_bytes() }
+        })
+        .sum::<u64>()
+        + partial.approx_bytes();
     Ok(ShardOutcome {
         partial,
         session_runs: expected as u64,

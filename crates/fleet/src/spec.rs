@@ -7,9 +7,12 @@
 //! from its spec alone and a checkpoint can refuse to resume against a
 //! different spec.
 
+use eavs_core::session::default_horizon;
 use eavs_cpu::soc::SocModel;
+use eavs_net::bandwidth::check_constant_rate;
 use eavs_power::DevicePowerModel;
 use eavs_sim::fingerprint::{Fingerprint, Fingerprinter};
+use eavs_sim::time::NANOS_PER_SEC;
 use eavs_trace::content::ContentProfile;
 use eavs_trace::net_gen::NetworkProfile;
 
@@ -34,7 +37,7 @@ impl NetworkChoice {
 }
 
 /// The ABR policy a session streams under.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum AbrChoice {
     /// Fixed single-representation manifest at the title's bitrate.
     Fixed,
@@ -56,7 +59,7 @@ impl AbrChoice {
 }
 
 /// One title in the content catalog: the encode a session streams.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct TitleSpec {
     /// Bitrate of the (single-representation) encode, kbps.
     pub bitrate_kbps: u32,
@@ -336,16 +339,6 @@ impl CampaignSpec {
         check_mix("content", &self.contents)?;
         check_mix("title", &self.titles)?;
         check_mix("abr", &self.abrs)?;
-        // The runner's bandwidth trace panics on a negative or NaN rate.
-        for (net, _) in &self.networks {
-            if let NetworkChoice::Constant(mbps) = net {
-                if !(mbps.is_finite() && *mbps >= 0.0) {
-                    return Err(format!(
-                        "constant bandwidth must be finite and non-negative, got {mbps}"
-                    ));
-                }
-            }
-        }
         // A zero bitrate gives the generator a zero mean frame size,
         // which its lognormal draw refuses with a panic.
         if self
@@ -354,6 +347,45 @@ impl CampaignSpec {
             .any(|(t, _)| t.bitrate_kbps == 0 || t.duration_s == 0 || t.fps == 0)
         {
             return Err("titles need a positive bitrate, duration and fps".to_owned());
+        }
+        // A session over a constant link panics unless the rate is
+        // positive and finite and carries the whole stream within the
+        // simulation clock. A manifest the slowest rate carries, every
+        // faster rate carries too, so only the slowest is checked
+        // against each manifest the spec can build.
+        let mut slowest: Option<(&NetworkChoice, f64)> = None;
+        for (net, _) in &self.networks {
+            if let NetworkChoice::Constant(mbps) = net {
+                let bps = mbps * 1e6;
+                if !(bps.is_finite() && bps > 0.0) {
+                    return Err(format!(
+                        "network {}: constant rate must be positive and finite, got {mbps} Mbps",
+                        net.name()
+                    ));
+                }
+                if slowest.is_none_or(|(_, s)| bps < s) {
+                    slowest = Some((net, bps));
+                }
+            }
+        }
+        for (title, _) in &self.titles {
+            // A session's default horizon, six lengths of its content
+            // plus a minute, must fit the simulation clock.
+            let too_long = || format!("title {} is longer than a session can stream", title.key());
+            if title.duration_s.checked_mul(NANOS_PER_SEC).is_none() {
+                return Err(too_long());
+            }
+            for (abr, _) in &self.abrs {
+                let manifest = crate::campaign::manifest_for(title, *abr);
+                if default_horizon(&manifest).is_none() {
+                    return Err(too_long());
+                }
+                if let Some((net, bps)) = slowest {
+                    check_constant_rate(bps, &manifest).map_err(|e| {
+                        format!("network {}, title {}: {e}", net.name(), title.key())
+                    })?;
+                }
+            }
         }
         if self.trace_pool == 0 || self.seed_pool == 0 {
             return Err("trace and seed pools must be positive".to_owned());
@@ -515,18 +547,60 @@ mod tests {
         s.networks[0].1 = -1.0;
         s.networks.truncate(1);
         assert!(s.validate().is_err());
-        // The runner's bandwidth trace takes a zero rate, not these.
-        for mbps in [-1.0, f64::NAN, f64::INFINITY] {
+        // No session streams over these within the simulation clock.
+        for mbps in [-1.0, f64::NAN, f64::INFINITY, 0.0, -0.0, 1e-300, f64::MAX] {
             let mut s = CampaignSpec::smoke();
             s.networks[0].0 = NetworkChoice::Constant(mbps);
-            assert!(s.validate().unwrap_err().contains("constant bandwidth"));
+            let err = s.validate().unwrap_err();
+            assert!(err.contains("constant rate"), "{mbps}: {err}");
         }
         let mut s = CampaignSpec::smoke();
-        s.networks[0].0 = NetworkChoice::Constant(0.0);
+        s.networks[0].0 = NetworkChoice::Constant(1e-6);
         s.validate().unwrap();
         let mut s = CampaignSpec::smoke();
         s.titles[0].0.bitrate_kbps = 0;
         assert!(s.validate().unwrap_err().contains("positive bitrate"));
+    }
+
+    #[test]
+    fn validate_bounds_titles_by_the_session_horizon() {
+        let with_title = |duration_s, fps| {
+            let mut s = CampaignSpec::smoke();
+            s.networks = vec![(NetworkChoice::Constant(20.0), 1.0)];
+            s.titles.truncate(1);
+            s.titles[0].0.duration_s = duration_s;
+            s.titles[0].0.fps = fps;
+            s.validate()
+        };
+        // 2 s segments at 30 fps are 1,999,999,980 ns long: the longest
+        // title is the last whole segment whose six lengths plus a
+        // minute fit the clock.
+        let segments = (u64::MAX - 60 * NANOS_PER_SEC) / 6 / 1_999_999_980;
+        let longest = segments * 2;
+        with_title(longest, 30).unwrap();
+        let err = with_title(longest + 1, 30).unwrap_err();
+        assert!(err.contains("longer than a session can stream"), "{err}");
+        // At 7 fps a segment is 2,000,000,002 ns, so the same title no
+        // longer fits.
+        assert!(with_title(longest, 7).is_err());
+        assert!(with_title(u64::MAX, 30).is_err());
+    }
+
+    #[test]
+    fn validate_names_the_slowest_constant_network() {
+        let mut s = CampaignSpec::smoke();
+        s.networks = vec![
+            (NetworkChoice::Constant(20.0), 1.0),
+            (NetworkChoice::Constant(1e-300), 1.0),
+            (NetworkChoice::Constant(5.0), 1.0),
+        ];
+        let err = s.validate().unwrap_err();
+        assert!(err.starts_with("network constant:0.0"), "{err}");
+        assert!(err.contains("within the simulation clock"), "{err}");
+        // A fast rate beside a non-finite one is no excuse.
+        s.networks[1].0 = NetworkChoice::Constant(f64::MAX);
+        let err = s.validate().unwrap_err();
+        assert!(err.contains("positive and finite"), "{err}");
     }
 
     fn with_energy_hist(shape: HistShape) -> Result<(), String> {

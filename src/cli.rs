@@ -6,7 +6,7 @@
 use eavs_core::governor::{EavsConfig, EavsGovernor};
 use eavs_core::predictor::predictor_by_name;
 use eavs_core::report::SessionReport;
-use eavs_core::session::{ClusterSelect, GovernorChoice, StreamingSession};
+use eavs_core::session::{default_horizon, ClusterSelect, GovernorChoice, StreamingSession};
 use eavs_cpu::soc::SocModel;
 use eavs_faults::{FaultPlan, RandomFaults};
 use eavs_governors::by_name;
@@ -15,7 +15,7 @@ use eavs_net::bandwidth::BandwidthTrace;
 use eavs_net::download::RetryPolicy;
 use eavs_net::radio::RadioModel;
 use eavs_power::DevicePowerModel;
-use eavs_sim::time::SimDuration;
+use eavs_sim::time::{SimDuration, NANOS_PER_SEC};
 use eavs_trace::content::ContentProfile;
 use eavs_trace::net_gen::NetworkProfile;
 use eavs_video::manifest::Manifest;
@@ -1094,6 +1094,15 @@ fn build_session(
     args: &RunArgs,
     governor_name: &str,
 ) -> Result<eavs_core::session::SessionBuilder, String> {
+    let too_long = || {
+        format!(
+            "duration {} s is longer than a session can stream",
+            args.duration_s
+        )
+    };
+    if args.duration_s.checked_mul(NANOS_PER_SEC).is_none() {
+        return Err(too_long());
+    }
     let duration = SimDuration::from_secs(args.duration_s.max(1));
     let manifest = match &args.abr {
         Some(_) => Manifest::standard_ladder(duration, args.fps.max(1)),
@@ -1105,6 +1114,9 @@ fn build_session(
             args.fps.max(1),
         ),
     };
+    if default_horizon(&manifest).is_none() {
+        return Err(too_long());
+    }
     let network = build_network(&args.network, &manifest, duration, args.seed)?;
     let mut builder = StreamingSession::builder(build_governor(args, governor_name)?)
         .soc(build_soc(&args.soc)?)
@@ -1241,12 +1253,12 @@ pub fn execute(command: Command) -> Result<String, String> {
             if args.faults != "none" {
                 out.push_str(&format!(
                     "  faults: {} retries ({} timeouts, {} corrupt, {} abandoned), {} decode spikes, {} decoder stalls, {} panic races\n",
-                    report.download_retries,
-                    report.download_timeouts,
-                    report.corrupt_downloads,
-                    report.segments_abandoned,
-                    report.decode_spikes,
-                    report.decode_stalls,
+                    report.download_retries(),
+                    report.download_timeouts(),
+                    report.corrupt_downloads(),
+                    report.segments_abandoned(),
+                    report.decode_spikes(),
+                    report.decode_stalls(),
                     report.panic_races,
                 ));
             }
@@ -1445,10 +1457,10 @@ mod tests {
         };
         let report = run_session(&args, "eavs").unwrap();
         assert!(
-            report.download_retries > 0
-                || report.decode_spikes > 0
-                || report.decode_stalls > 0
-                || report.segments_abandoned > 0,
+            report.download_retries() > 0
+                || report.decode_spikes() > 0
+                || report.decode_stalls() > 0
+                || report.segments_abandoned() > 0,
             "heavy faults on 8 s should trip at least one counter"
         );
     }
@@ -1569,6 +1581,20 @@ mod tests {
                 err.contains("constant rate must be positive and finite"),
                 "{rate}: {err}"
             );
+        }
+    }
+
+    #[test]
+    fn content_too_long_for_the_clock_is_an_error_not_a_panic() {
+        // Six lengths of the first overflow the clock; the second
+        // overflows it alone.
+        for duration_s in [3_100_000_000, u64::MAX] {
+            let args = RunArgs {
+                duration_s,
+                ..RunArgs::default()
+            };
+            let err = execute(Command::Run(args)).unwrap_err();
+            assert!(err.contains("longer than a session can stream"), "{err}");
         }
     }
 

@@ -93,12 +93,12 @@ pub fn assert_invisible_across_governors(cases: &[(&str, Attach)]) {
         assert!(plain.profile.is_none(), "{gov}");
         assert_eq!(plain.power, Default::default(), "{gov}");
         let faults = [
-            plain.download_retries,
-            plain.download_timeouts,
-            plain.corrupt_downloads,
-            plain.segments_abandoned,
-            plain.decode_spikes,
-            plain.decode_stalls,
+            plain.download_retries(),
+            plain.download_timeouts(),
+            plain.corrupt_downloads(),
+            plain.segments_abandoned(),
+            plain.decode_spikes(),
+            plain.decode_stalls(),
             plain.panic_races,
         ];
         assert_eq!(faults, [0; 7], "{gov}");

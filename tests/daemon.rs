@@ -20,6 +20,22 @@ fn pooled() -> SharedRunner {
     Arc::new(eavs_bench::fleet::pooled_runner)
 }
 
+/// The message [`panicking_on`]'s runner panics with.
+const INJECTED_PANIC: &str = "injected session panic";
+
+/// The pooled runner, except that it panics on any batch holding a
+/// session of campaign `name`: a stand-in for a session that cannot run,
+/// which `validate` keeps out of every accepted spec.
+fn panicking_on(name: &str) -> SharedRunner {
+    let prefix = format!("fleet {name} ");
+    Arc::new(move |jobs| {
+        if jobs.iter().any(|(label, _)| label.starts_with(&prefix)) {
+            panic!("{INJECTED_PANIC}");
+        }
+        eavs_bench::fleet::pooled_runner(jobs)
+    })
+}
+
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("eavsd-it-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -474,6 +490,27 @@ fn a_spec_with_a_bad_histogram_shape_is_refused_and_the_daemon_stays_up() {
 }
 
 #[test]
+fn a_spec_no_session_can_stream_is_refused_and_the_daemon_stays_up() {
+    let mut opts = daemon_opts("zero-rate");
+    opts.workers = 0;
+    let daemon = Daemon::start(opts, pooled()).unwrap();
+    let addr = daemon.addr();
+    // Each rate would panic every session over it: zero never finishes
+    // a download, and 1e-300 Mbps overflows the simulation clock.
+    for mbps in [0.0, 1e-300] {
+        let mut spec = small_spec("zero-rate");
+        spec.networks = vec![(NetworkChoice::Constant(mbps), 1.0)];
+        let (status, body) =
+            client::request_text(&addr, "POST", "/campaigns", &codec::encode_spec(&spec)).unwrap();
+        assert_eq!(status, 400, "constant:{mbps} → {body}");
+        assert!(body.contains("constant rate"), "{body}");
+    }
+    let (status, body) = client::request_text(&addr, "GET", "/healthz", "").unwrap();
+    assert_eq!((status, body.as_str()), (200, "ok\n"));
+    daemon.shutdown();
+}
+
+#[test]
 fn a_shard_partial_of_the_wrong_shape_is_refused_and_the_daemon_stays_up() {
     let spec = small_spec("daemon-shape");
     let expected = reference_bytes(&spec);
@@ -603,9 +640,10 @@ fn a_tampered_checkpoint_is_refused_on_restart() {
     let _ = std::fs::remove_dir_all(&state);
 }
 
-/// Submits a spec whose every session panics, which must end `failed`
-/// naming shard 0 and the panic, then a valid spec, which must complete
-/// with the direct run's bytes: the worker that met the panic lives on.
+/// Submits a spec whose every shard panics (the shard runner is
+/// [`panicking_on`]`(tag)`), which must end `failed` naming shard 0 and
+/// the panic, then a valid spec, which must complete with the direct
+/// run's bytes: the worker that met the panic lives on.
 fn a_panicking_shard_fails_then_the_next_campaign_completes(addr: &str, tag: &str) {
     let submit = |spec: &CampaignSpec| {
         let (status, body) =
@@ -613,18 +651,14 @@ fn a_panicking_shard_fails_then_the_next_campaign_completes(addr: &str, tag: &st
         assert_eq!(status, 200, "{body}");
         registry::campaign_id(spec)
     };
-    // Zero bandwidth passes `validate`, but no session can download a
-    // segment over it: every session of the first shard panics.
-    let mut stalled = small_spec(tag);
-    stalled.networks = vec![(NetworkChoice::Constant(0.0), 1.0)];
-    let id = submit(&stalled);
+    let id = submit(&small_spec(tag));
     assert_eq!(wait_terminal(addr, &id), "failed");
     let (_, progress) = client::request_text(addr, "GET", &format!("/campaigns/{id}"), "").unwrap();
     let v = json::parse(&progress).unwrap();
     let error = v.get("error").and_then(json::Value::as_str).unwrap();
-    assert!(
-        error.starts_with("shard 0: a session panicked:") && error.contains("stalls forever"),
-        "{error}"
+    assert_eq!(
+        error,
+        format!("shard 0: a session panicked: {INJECTED_PANIC}")
     );
 
     let good = small_spec(&format!("after-{tag}"));
@@ -642,7 +676,7 @@ fn a_panicking_shard_fails_its_campaign_and_the_local_worker_serves_the_next() {
     // the second campaign.
     let mut opts = daemon_opts("panic-shard");
     opts.workers = 1;
-    let daemon = Daemon::start(opts, pooled()).unwrap();
+    let daemon = Daemon::start(opts, panicking_on("panic-shard")).unwrap();
     let addr = daemon.addr();
     a_panicking_shard_fails_then_the_next_campaign_completes(&addr, "panic-shard");
     let (status, body) = client::request_text(&addr, "GET", "/healthz", "").unwrap();
@@ -662,7 +696,7 @@ fn a_panicking_shard_on_a_remote_worker_fails_its_campaign_and_the_worker_serves
     let stop = Arc::new(AtomicBool::new(false));
     let worker = {
         let (addr, stop) = (addr.clone(), Arc::clone(&stop));
-        std::thread::spawn(move || run_worker(&addr, &pooled(), &stop))
+        std::thread::spawn(move || run_worker(&addr, &panicking_on("remote-panic"), &stop))
     };
     a_panicking_shard_fails_then_the_next_campaign_completes(&addr, "remote-panic");
     stop.store(true, Ordering::SeqCst);

@@ -37,8 +37,8 @@ fn auto_placement_deterministic_and_conserves_accounting() {
     let a = build();
     let b = build();
     assert_eq!(a.cpu_joules().to_bits(), b.cpu_joules().to_bits());
-    assert_eq!(a.migrations, b.migrations);
-    assert!(a.migrations >= 1);
+    assert_eq!(a.migrations(), b.migrations());
+    assert!(a.migrations() >= 1);
     assert_eq!(a.cluster, "auto");
     // Both clusters' energy is accounted: the total must exceed the
     // active cluster's busy energy alone and every component is finite.
@@ -87,7 +87,7 @@ fn thermal_and_background_compose_with_eavs() {
         .seed(9)
         .run();
     assert!(report.peak_temp_c().expect("thermal on") > 25.0);
-    assert!(report.background_jobs > 50);
+    assert!(report.background_jobs() > 50);
     assert_eq!(report.qoe.frames_displayed, report.qoe.total_frames);
     assert_eq!(report.qoe.late_vsyncs, 0);
 }

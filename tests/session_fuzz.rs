@@ -215,19 +215,19 @@ fn chaos_randomized_fault_plans() {
         // pipeline — corruption and abandonment never leak frames.
         assert_eq!(
             report.segments_downloaded * frames_per_segment,
-            report.frames_decoded + report.frames_skipped + report.frames_pending,
+            report.frames_decoded + report.frames_skipped() + report.frames_pending,
             "{}",
             ctx()
         );
         // Segment conservation.
         assert!(
-            report.segments_downloaded + report.segments_abandoned <= num_segments,
+            report.segments_downloaded + report.segments_abandoned() <= num_segments,
             "{}",
             ctx()
         );
         // Retries within the per-segment budget.
         assert!(
-            report.download_retries <= num_segments * u64::from(retry.max_retries),
+            report.download_retries() <= num_segments * u64::from(retry.max_retries),
             "{}",
             ctx()
         );
