@@ -24,6 +24,8 @@ pub enum SocModel {
     MidRange,
 }
 
+eavs_sim::from_name!("soc", SocModel);
+
 impl SocModel {
     /// All presets (for sweeps).
     pub const ALL: [SocModel; 3] = [

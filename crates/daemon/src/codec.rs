@@ -9,11 +9,8 @@
 //! than ignored: a typoed knob must not silently run a different
 //! campaign.
 
-use eavs_cpu::soc::SocModel;
-use eavs_fleet::spec::{AbrChoice, CampaignSpec, NetworkChoice, TitleSpec};
+use eavs_fleet::spec::{CampaignSpec, TitleSpec};
 use eavs_power::{DecoderModel, DevicePowerModel, DisplayModel};
-use eavs_trace::content::ContentProfile;
-use eavs_trace::net_gen::NetworkProfile;
 
 use crate::json::{parse, Value};
 
@@ -183,32 +180,9 @@ pub fn decode_spec_value(root: &Value) -> Result<CampaignSpec, String> {
                     .ok_or_else(|| format!("spec.governors[{i}]: expected a string"))
             })
             .collect::<Result<_, _>>()?,
-        devices: weighted_mix(&obj, "devices", "soc", |path, name| match name {
-            "biglittle2013" => Ok(SocModel::BigLittle2013),
-            "flagship2016" => Ok(SocModel::Flagship2016),
-            "midrange" => Ok(SocModel::MidRange),
-            other => Err(format!("{path}: unknown device {other:?}")),
-        })?,
-        networks: weighted_mix(&obj, "networks", "network", |path, name| {
-            if let Some(mbps) = name.strip_prefix("constant:") {
-                let mbps: f64 = mbps
-                    .parse()
-                    .map_err(|_| format!("{path}: bad constant bandwidth {name:?}"))?;
-                return Ok(NetworkChoice::Constant(mbps));
-            }
-            match name {
-                "wifi_home" => Ok(NetworkChoice::Profile(NetworkProfile::WifiHome)),
-                "lte_drive" => Ok(NetworkChoice::Profile(NetworkProfile::LteDrive)),
-                "hspa_tram" => Ok(NetworkChoice::Profile(NetworkProfile::HspaTram)),
-                other => Err(format!("{path}: unknown network {other:?}")),
-            }
-        })?,
-        contents: weighted_mix(&obj, "contents", "content", |path, name| match name {
-            "animation" => Ok(ContentProfile::Animation),
-            "film" => Ok(ContentProfile::Film),
-            "sport" => Ok(ContentProfile::Sport),
-            other => Err(format!("{path}: unknown content profile {other:?}")),
-        })?,
+        devices: weighted_mix(&obj, "devices", "soc")?,
+        networks: weighted_mix(&obj, "networks", "network")?,
+        contents: weighted_mix(&obj, "contents", "content")?,
         titles: obj
             .arr("titles")?
             .iter()
@@ -228,12 +202,7 @@ pub fn decode_spec_value(root: &Value) -> Result<CampaignSpec, String> {
                 Ok((title, w))
             })
             .collect::<Result<_, String>>()?,
-        abrs: weighted_mix(&obj, "abrs", "abr", |path, name| match name {
-            "fixed" => Ok(AbrChoice::Fixed),
-            "rate" => Ok(AbrChoice::Rate),
-            "buffer" => Ok(AbrChoice::Buffer),
-            other => Err(format!("{path}: unknown abr {other:?}")),
-        })?,
+        abrs: weighted_mix(&obj, "abrs", "abr")?,
         trace_pool: obj.u64("trace_pool")?,
         seed_pool: obj.u64("seed_pool")?,
         arrival_span_s: obj.u64("arrival_span_s")?,
@@ -305,11 +274,12 @@ fn finite(v: &Value) -> Option<f64> {
     v.as_f64().filter(|x| x.is_finite())
 }
 
-fn weighted_mix<T>(
+/// A weighted mix whose items are names, each parsed by its kind's one
+/// `FromStr` and refused with the item's path prefixed.
+fn weighted_mix<T: std::str::FromStr<Err = String>>(
     obj: &Obj<'_>,
     key: &str,
     item_key: &str,
-    decode: impl Fn(&str, &str) -> Result<T, String>,
 ) -> Result<Vec<(T, f64)>, String> {
     obj.arr(key)?
         .iter()
@@ -317,8 +287,10 @@ fn weighted_mix<T>(
         .map(|(i, v)| {
             let path = format!("{}.{key}[{i}]", obj.path);
             let entry = Obj::new(&path, v)?;
-            let name = entry.str(item_key)?;
-            let item = decode(&format!("{path}.{item_key}"), &name)?;
+            let item = entry
+                .str(item_key)?
+                .parse()
+                .map_err(|e| format!("{path}.{item_key}: {e}"))?;
             let w = entry.f64("weight")?;
             entry.finish()?;
             Ok((item, w))
@@ -400,6 +372,7 @@ impl<'a> Obj<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eavs_fleet::spec::NetworkChoice;
 
     fn powered_spec() -> CampaignSpec {
         let mut spec = CampaignSpec::global();

@@ -76,8 +76,8 @@ const COUNT_FIELDS: [(&str, bool, bool); 16] = [
     ("seed_pool", false, true),
     ("arrival_span_s", false, true),
     ("titles.0.bitrate_kbps", false, false),
-    ("titles.0.width", true, false),
-    ("titles.0.height", true, false),
+    ("titles.0.width", false, false),
+    ("titles.0.height", false, false),
     ("titles.0.duration_s", false, false),
     ("titles.0.fps", false, false),
     ("energy_hist.2", false, false),
@@ -126,6 +126,40 @@ fn every_truncation_is_refused() {
                 !submit_path(&text[..cut]).unwrap(),
                 "prefix of {cut} bytes accepted"
             );
+        }
+    }
+}
+
+/// A title's sides and frame rate at the edges of the title rule
+/// (`TitleSpec::MAX_SIDE`, `TitleSpec::MAX_FPS`) and of `u32`: submit
+/// accepts exactly the values inside the bounds, which round-trip.
+#[test]
+fn title_sides_and_rates_at_their_edges_are_refused_or_round_trip() {
+    let sides = [
+        ("0", false),
+        ("1", true),
+        ("16384", true),
+        ("16385", false),
+        ("4294967295", false),
+    ];
+    let rates = [
+        ("0", false),
+        ("1", true),
+        ("1000", true),
+        ("1001", false),
+        ("1000000000", false),
+        ("4294967295", false),
+    ];
+    for text in seeds() {
+        for (path, edges) in [
+            ("titles.0.width", &sides[..]),
+            ("titles.0.height", &sides[..]),
+            ("titles.0.fps", &rates[..]),
+        ] {
+            for &(lexeme, accepted) in edges {
+                let edited = with_number(&text, path, lexeme);
+                assert_eq!(submit_path(&edited).unwrap(), accepted, "{path} = {lexeme}");
+            }
         }
     }
 }

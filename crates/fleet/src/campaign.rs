@@ -139,30 +139,28 @@ pub fn draw_session(spec: &CampaignSpec, session_id: u64) -> SessionDraw {
 ///
 /// Returns a message for unknown names.
 pub fn governor_choice(name: &str) -> Result<GovernorChoice, String> {
-    match name {
-        "eavs" => Ok(GovernorChoice::Eavs(EavsGovernor::new(
-            Box::new(Hybrid::default()),
-            EavsConfig::default(),
-        ))),
-        "eavs-panic" => Ok(GovernorChoice::Eavs(EavsGovernor::new(
-            Box::new(Hybrid::default()),
-            EavsConfig::resilient(),
-        ))),
-        other => eavs_governors::by_name(other)
-            .map(GovernorChoice::Baseline)
-            .ok_or_else(|| format!("unknown governor {other:?}")),
-    }
+    let config = match name {
+        "eavs" => EavsConfig::default(),
+        "eavs-panic" => EavsConfig::resilient(),
+        other => {
+            return eavs_governors::by_name(other)
+                .map(GovernorChoice::Baseline)
+                .ok_or_else(|| format!("unknown governor {other:?}"))
+        }
+    };
+    let predictor = Box::new(Hybrid::default());
+    Ok(GovernorChoice::Eavs(EavsGovernor::new(predictor, config)))
 }
 
 /// The manifest every session of `title` streams under `abr`: the
 /// title's single encode for a fixed ABR, the standard ladder at its
 /// length and frame rate for an adaptive one.
 ///
-/// A fresh allocation on each call, and memoized nowhere: [`run_shard`]
-/// builds one per (title, ABR) of a shard and shares it between every
-/// lane of every draw, and [`CampaignSpec::validate`] checks constant
-/// rates against each. Daemon specs carry any titles, so a process-wide
-/// memo would grow without bound.
+/// Unchecked: [`TitleSpec::manifest`] is the checked form. A fresh
+/// allocation on each call, and memoized nowhere: [`run_shard`] builds
+/// one per (title, ABR) of a shard and shares it between every lane of
+/// every draw. Daemon specs carry any titles, so a process-wide memo
+/// would grow without bound.
 pub fn manifest_for(title: &TitleSpec, abr: AbrChoice) -> Arc<Manifest> {
     let duration = SimDuration::from_secs(title.duration_s);
     Arc::new(match abr {
@@ -187,47 +185,44 @@ pub fn manifest_for(title: &TitleSpec, abr: AbrChoice) -> Arc<Manifest> {
 ///
 /// Returns a message for unknown governor names.
 pub fn builder_for(draw: &SessionDraw, governor: &str) -> Result<SessionBuilder, String> {
-    builder_streaming(draw, governor, manifest_for(&draw.title, draw.abr))
+    let manifest = manifest_for(&draw.title, draw.abr);
+    Ok(session_builder(draw, governor_choice(governor)?, manifest))
 }
 
-/// [`builder_for`] on a given manifest, which must be
-/// [`manifest_for`]`(draw.title, draw.abr)`.
-fn builder_streaming(
+/// The one session builder, for campaign shards and `eavsctl run`: the
+/// session `draw` describes under `governor`, streaming `manifest`, which
+/// must be [`manifest_for`]`(draw.title, draw.abr)`. A draw not from a
+/// validated spec is checked first by [`TitleSpec::manifest`] and
+/// [`NetworkChoice::check_streams`].
+pub fn session_builder(
     draw: &SessionDraw,
-    governor: &str,
+    governor: GovernorChoice,
     manifest: Arc<Manifest>,
-) -> Result<SessionBuilder, String> {
+) -> SessionBuilder {
     let duration = SimDuration::from_secs(draw.title.duration_s);
-    let mut builder = StreamingSession::builder(governor_choice(governor)?)
+    let builder = StreamingSession::builder(governor)
         .soc(draw.soc)
         .content(draw.content)
         .manifest(manifest)
         .power(draw.power)
         .seed(draw.workload_seed);
-    builder = match draw.network {
+    let builder = match draw.network {
         NetworkChoice::Constant(mbps) => builder
             .network(BandwidthTrace::constant(mbps * 1e6))
             .radio(RadioModel::wifi()),
-        NetworkChoice::Profile(profile) => {
-            // Traces are memoized per (profile, duration, seed), so a small
-            // trace pool shares Arcs across the whole population. 3x the
-            // clip length covers rebuffer-stretched sessions, as in the
-            // figure harness.
-            let trace = profile.generate_shared(duration * 3, draw.trace_seed);
-            let radio = match profile {
-                eavs_trace::net_gen::NetworkProfile::WifiHome => RadioModel::wifi(),
-                eavs_trace::net_gen::NetworkProfile::LteDrive => RadioModel::lte(),
-                eavs_trace::net_gen::NetworkProfile::HspaTram => RadioModel::umts_3g(),
-            };
-            builder.network(trace).radio(radio)
-        }
+        // Traces are memoized per (profile, duration, seed), so a small
+        // trace pool shares Arcs across the whole population. 3x the
+        // clip length covers rebuffer-stretched sessions, as in the
+        // figure harness.
+        NetworkChoice::Profile(profile) => builder
+            .network(profile.generate_shared(duration * 3, draw.trace_seed))
+            .radio(profile.radio()),
     };
-    builder = match draw.abr {
+    match draw.abr {
         AbrChoice::Fixed => builder,
         AbrChoice::Rate => builder.abr(Box::new(RateBasedAbr::standard())),
         AbrChoice::Buffer => builder.abr(Box::new(BufferBasedAbr::standard())),
-    };
-    Ok(builder)
+    }
 }
 
 /// A shard runner: executes labeled session builders (however it likes —
@@ -354,7 +349,7 @@ pub fn run_shard_warm(
             .entry((draw.title, draw.abr))
             .or_insert_with(|| manifest_for(&draw.title, draw.abr));
         for gov in &spec.governors {
-            let mut builder = builder_streaming(draw, gov, Arc::clone(manifest))?;
+            let mut builder = session_builder(draw, governor_choice(gov)?, Arc::clone(manifest));
             if let Some(store) = prior {
                 builder =
                     builder.prior(store.session_prior(&draw.title.key(), draw.content.name()));

@@ -7,14 +7,18 @@
 //! from its spec alone and a checkpoint can refuse to resume against a
 //! different spec.
 
+use std::sync::Arc;
+
 use eavs_core::session::default_horizon;
 use eavs_cpu::soc::SocModel;
 use eavs_net::bandwidth::check_constant_rate;
 use eavs_power::DevicePowerModel;
 use eavs_sim::fingerprint::{Fingerprint, Fingerprinter};
+use eavs_sim::names;
 use eavs_sim::time::NANOS_PER_SEC;
 use eavs_trace::content::ContentProfile;
 use eavs_trace::net_gen::NetworkProfile;
+use eavs_video::manifest::Manifest;
 
 /// A network condition drawn for one session.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -34,6 +38,39 @@ impl NetworkChoice {
             NetworkChoice::Profile(p) => p.name().to_owned(),
         }
     }
+
+    /// Checks that a session over this network can stream `manifest`: a
+    /// constant rate must pass [`check_constant_rate`], a profile always can.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the network and why no session streams over it.
+    pub fn check_streams(&self, manifest: &Manifest) -> Result<(), String> {
+        match self {
+            NetworkChoice::Constant(mbps) => check_constant_rate(mbps * 1e6, manifest)
+                .map_err(|e| format!("network {}: {e}", self.name())),
+            NetworkChoice::Profile(_) => Ok(()),
+        }
+    }
+}
+
+impl std::str::FromStr for NetworkChoice {
+    type Err = String;
+
+    /// `constant:<mbps>` with the rate in any `f64` spelling, so
+    /// [`NetworkChoice::name`] parses back to its value, or a profile.
+    fn from_str(name: &str) -> Result<Self, String> {
+        if let Some(mbps) = name.strip_prefix("constant:") {
+            return mbps
+                .parse()
+                .map(NetworkChoice::Constant)
+                .map_err(|_| format!("bad constant rate {name:?}; want constant:<mbps>"));
+        }
+        let valid = names::join(&NetworkProfile::ALL, NetworkProfile::name);
+        name.parse()
+            .map(NetworkChoice::Profile)
+            .map_err(|_| format!("unknown network {name:?}; valid: constant:<mbps> {valid}"))
+    }
 }
 
 /// The ABR policy a session streams under.
@@ -48,8 +85,11 @@ pub enum AbrChoice {
 }
 
 impl AbrChoice {
+    /// All policies.
+    pub const ALL: [AbrChoice; 3] = [AbrChoice::Fixed, AbrChoice::Rate, AbrChoice::Buffer];
+
     /// Short stable name, used in fingerprints and labels.
-    pub fn name(&self) -> &'static str {
+    pub fn name(self) -> &'static str {
         match self {
             AbrChoice::Fixed => "fixed",
             AbrChoice::Rate => "rate",
@@ -57,6 +97,8 @@ impl AbrChoice {
         }
     }
 }
+
+eavs_sim::from_name!("abr", AbrChoice);
 
 /// One title in the content catalog: the encode a session streams.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -74,6 +116,12 @@ pub struct TitleSpec {
 }
 
 impl TitleSpec {
+    /// Highest frame rate: a session reserves a segment's frames up
+    /// front and sizes its buffer in whole frames.
+    pub const MAX_FPS: u32 = 1_000;
+    /// Largest width or height: decode time grows with the frame area.
+    pub const MAX_SIDE: u32 = 16_384;
+
     /// Stable encode key for prior aggregation: everything that shapes
     /// per-frame decode cost (bitrate, resolution, fps) — but not the
     /// stream length, so priors learned on clips transfer to full
@@ -83,6 +131,38 @@ impl TitleSpec {
             "{}kbps-{}x{}@{}",
             self.bitrate_kbps, self.width, self.height, self.fps
         )
+    }
+
+    /// The title rule: [`crate::campaign::manifest_for`]`(self, abr)`
+    /// once the title has a positive bitrate and duration, an fps in
+    /// `1..=MAX_FPS`, sides in `1..=MAX_SIDE` and a default session
+    /// horizon (six lengths plus a minute) that fits the clock.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the title and the bound it breaks.
+    pub fn manifest(&self, abr: AbrChoice) -> Result<Arc<Manifest>, String> {
+        let refuse = |why: String| Err(format!("title {} {why}", self.key()));
+        // A zero mean frame size panics the generator's lognormal draw.
+        if self.bitrate_kbps == 0 || self.duration_s == 0 {
+            return refuse("needs a positive bitrate and duration".to_owned());
+        }
+        let (rates, sides) = (1..=Self::MAX_FPS, 1..=Self::MAX_SIDE);
+        if !rates.contains(&self.fps) {
+            return refuse(format!("needs an fps in {rates:?}"));
+        }
+        if !(sides.contains(&self.width) && sides.contains(&self.height)) {
+            return refuse(format!("needs a width and height in {sides:?}"));
+        }
+        let too_long = || refuse("is longer than a session can stream".to_owned());
+        if self.duration_s.checked_mul(NANOS_PER_SEC).is_none() {
+            return too_long();
+        }
+        let manifest = crate::campaign::manifest_for(self, abr);
+        if default_horizon(&manifest).is_none() {
+            return too_long();
+        }
+        Ok(manifest)
     }
 }
 
@@ -307,8 +387,10 @@ impl CampaignSpec {
     /// # Errors
     ///
     /// Returns a human-readable message on empty mixes, bad weights,
-    /// degenerate sizes or histogram shapes that are not finite, not
-    /// ordered, or outside `1..=MAX_HIST_BINS` bins.
+    /// degenerate sizes, a title [`TitleSpec::manifest`] refuses, a
+    /// network [`NetworkChoice::check_streams`] refuses, or histogram
+    /// shapes that are not finite, not ordered, or outside
+    /// `1..=MAX_HIST_BINS` bins.
     pub fn validate(&self) -> Result<(), String> {
         if self.sessions == 0 {
             return Err("campaign needs at least one session".to_owned());
@@ -339,52 +421,26 @@ impl CampaignSpec {
         check_mix("content", &self.contents)?;
         check_mix("title", &self.titles)?;
         check_mix("abr", &self.abrs)?;
-        // A zero bitrate gives the generator a zero mean frame size,
-        // which its lognormal draw refuses with a panic.
-        if self
-            .titles
+        // A manifest the slowest rate carries, every faster rate carries
+        // too, so only the slowest network is checked against each one; a
+        // rate that is not positive and finite ranks slowest, to be refused.
+        let pace = |net: &NetworkChoice| match *net {
+            NetworkChoice::Constant(mbps) if (mbps * 1e6).is_finite() && mbps > 0.0 => mbps,
+            NetworkChoice::Constant(_) => f64::NEG_INFINITY,
+            NetworkChoice::Profile(_) => f64::INFINITY,
+        };
+        let slowest = self
+            .networks
             .iter()
-            .any(|(t, _)| t.bitrate_kbps == 0 || t.duration_s == 0 || t.fps == 0)
-        {
-            return Err("titles need a positive bitrate, duration and fps".to_owned());
-        }
-        // A session over a constant link panics unless the rate is
-        // positive and finite and carries the whole stream within the
-        // simulation clock. A manifest the slowest rate carries, every
-        // faster rate carries too, so only the slowest is checked
-        // against each manifest the spec can build.
-        let mut slowest: Option<(&NetworkChoice, f64)> = None;
-        for (net, _) in &self.networks {
-            if let NetworkChoice::Constant(mbps) = net {
-                let bps = mbps * 1e6;
-                if !(bps.is_finite() && bps > 0.0) {
-                    return Err(format!(
-                        "network {}: constant rate must be positive and finite, got {mbps} Mbps",
-                        net.name()
-                    ));
-                }
-                if slowest.is_none_or(|(_, s)| bps < s) {
-                    slowest = Some((net, bps));
-                }
-            }
-        }
+            .map(|(net, _)| net)
+            .min_by(|a, b| pace(a).total_cmp(&pace(b)))
+            .expect("mix checked non-empty");
         for (title, _) in &self.titles {
-            // A session's default horizon, six lengths of its content
-            // plus a minute, must fit the simulation clock.
-            let too_long = || format!("title {} is longer than a session can stream", title.key());
-            if title.duration_s.checked_mul(NANOS_PER_SEC).is_none() {
-                return Err(too_long());
-            }
             for (abr, _) in &self.abrs {
-                let manifest = crate::campaign::manifest_for(title, *abr);
-                if default_horizon(&manifest).is_none() {
-                    return Err(too_long());
-                }
-                if let Some((net, bps)) = slowest {
-                    check_constant_rate(bps, &manifest).map_err(|e| {
-                        format!("network {}, title {}: {e}", net.name(), title.key())
-                    })?;
-                }
+                let manifest = title.manifest(*abr)?;
+                slowest
+                    .check_streams(&manifest)
+                    .map_err(|e| format!("{e} (title {})", title.key()))?;
             }
         }
         if self.trace_pool == 0 || self.seed_pool == 0 {
@@ -601,6 +657,110 @@ mod tests {
         s.networks[1].0 = NetworkChoice::Constant(f64::MAX);
         let err = s.validate().unwrap_err();
         assert!(err.contains("positive and finite"), "{err}");
+    }
+
+    /// The smoke preset's first title with `edit` applied, through the
+    /// title rule under every ABR: `Ok` only if all three accept it.
+    fn title_rule(edit: impl Fn(&mut TitleSpec)) -> Result<(), String> {
+        let mut title = CampaignSpec::smoke().titles[0].0;
+        edit(&mut title);
+        AbrChoice::ALL
+            .into_iter()
+            .try_for_each(|abr| title.manifest(abr).map(drop))
+    }
+
+    #[test]
+    fn titles_need_a_positive_bitrate_and_duration() {
+        for (bitrate, ok) in [(0, false), (1, true), (u32::MAX, true)] {
+            let res = title_rule(|t| t.bitrate_kbps = bitrate);
+            assert_eq!(res.is_ok(), ok, "{bitrate}: {res:?}");
+        }
+        let err = title_rule(|t| t.duration_s = 0).unwrap_err();
+        assert!(err.contains("positive bitrate and duration"), "{err}");
+        title_rule(|t| t.duration_s = 1).unwrap();
+    }
+
+    #[test]
+    fn titles_need_an_fps_in_1_to_1000() {
+        for (fps, ok) in [
+            (0, false),
+            (1, true),
+            (TitleSpec::MAX_FPS, true),
+            (TitleSpec::MAX_FPS + 1, false),
+            (1_000_000_000, false),
+            (u32::MAX, false),
+        ] {
+            let res = title_rule(|t| t.fps = fps);
+            assert_eq!(res.is_ok(), ok, "{fps}: {res:?}");
+            if let Err(e) = res {
+                assert!(e.contains("fps in 1..=1000"), "{e}");
+            }
+        }
+    }
+
+    #[test]
+    fn titles_need_a_width_and_height_in_1_to_16384() {
+        for (side, ok) in [
+            (0, false),
+            (1, true),
+            (TitleSpec::MAX_SIDE, true),
+            (TitleSpec::MAX_SIDE + 1, false),
+            (u32::MAX, false),
+        ] {
+            for res in [
+                title_rule(|t| t.width = side),
+                title_rule(|t| t.height = side),
+            ] {
+                assert_eq!(res.is_ok(), ok, "{side}: {res:?}");
+                if let Err(e) = res {
+                    assert!(e.contains("width and height in 1..=16384"), "{e}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn validate_applies_the_title_rule() {
+        let mut s = CampaignSpec::smoke();
+        s.titles[1].0.fps = 1_000_000_000;
+        let err = s.validate().unwrap_err();
+        assert!(
+            err.starts_with("title 3000kbps-1280x720@1000000000 "),
+            "{err}"
+        );
+        let mut s = CampaignSpec::smoke();
+        s.titles[0].0.width = 0;
+        assert!(s.validate().unwrap_err().contains("width and height"));
+    }
+
+    #[test]
+    fn every_name_parses_back_to_its_value() {
+        for abr in AbrChoice::ALL {
+            assert_eq!(abr.name().parse(), Ok(abr));
+        }
+        for mbps in [20.0, 1.0 / 3.0, 1e-300, -0.0, f64::MAX, f64::INFINITY] {
+            let net = NetworkChoice::Constant(mbps);
+            assert_eq!(net.name().parse(), Ok(net));
+        }
+        for profile in NetworkProfile::ALL {
+            let net = NetworkChoice::Profile(profile);
+            assert_eq!(net.name().parse(), Ok(net));
+        }
+        assert_eq!(
+            "fast".parse::<AbrChoice>(),
+            Err("unknown abr \"fast\"; valid: fixed rate buffer".to_owned())
+        );
+        assert_eq!(
+            "wifi".parse::<NetworkChoice>(),
+            Err(
+                "unknown network \"wifi\"; valid: constant:<mbps> wifi_home lte_drive hspa_tram"
+                    .to_owned()
+            )
+        );
+        assert!("constant:"
+            .parse::<NetworkChoice>()
+            .unwrap_err()
+            .contains("bad constant rate"));
     }
 
     fn with_energy_hist(shape: HistShape) -> Result<(), String> {

@@ -16,6 +16,7 @@
 //!   distributions used by the workload generators.
 //! * [`fingerprint`] — stable 128-bit content fingerprints used as
 //!   memoization keys.
+//! * [`names`] — the one name lookup over each component kind's table.
 //!
 //! Determinism is a design requirement: given the same seed and
 //! configuration, every experiment in the repository reproduces
@@ -48,6 +49,7 @@
 
 pub mod engine;
 pub mod fingerprint;
+pub mod names;
 pub mod queue;
 pub mod rng;
 pub mod time;

@@ -19,6 +19,8 @@ pub enum ContentProfile {
     Sport,
 }
 
+eavs_sim::from_name!("content", ContentProfile);
+
 impl ContentProfile {
     /// All profiles (for sweeps).
     pub const ALL: [ContentProfile; 3] = [

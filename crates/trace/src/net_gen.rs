@@ -6,6 +6,7 @@
 //! outages. Each preset is deterministic in the seed.
 
 use eavs_net::bandwidth::BandwidthTrace;
+use eavs_net::radio::RadioModel;
 use eavs_sim::rng::SimRng;
 use eavs_sim::time::{SimDuration, SimTime};
 use std::sync::Arc;
@@ -21,6 +22,8 @@ pub enum NetworkProfile {
     HspaTram,
 }
 
+eavs_sim::from_name!("network profile", NetworkProfile);
+
 impl NetworkProfile {
     /// All presets.
     pub const ALL: [NetworkProfile; 3] = [
@@ -35,6 +38,15 @@ impl NetworkProfile {
             NetworkProfile::WifiHome => "wifi_home",
             NetworkProfile::LteDrive => "lte_drive",
             NetworkProfile::HspaTram => "hspa_tram",
+        }
+    }
+
+    /// The radio a session over this network streams through.
+    pub fn radio(self) -> RadioModel {
+        match self {
+            NetworkProfile::WifiHome => RadioModel::wifi(),
+            NetworkProfile::LteDrive => RadioModel::lte(),
+            NetworkProfile::HspaTram => RadioModel::umts_3g(),
         }
     }
 

@@ -6,19 +6,18 @@
 use eavs_core::governor::{EavsConfig, EavsGovernor};
 use eavs_core::predictor::predictor_by_name;
 use eavs_core::report::SessionReport;
-use eavs_core::session::{default_horizon, ClusterSelect, GovernorChoice, StreamingSession};
+use eavs_core::session::{ClusterSelect, GovernorChoice, SessionBuilder};
 use eavs_cpu::soc::SocModel;
 use eavs_faults::{FaultPlan, RandomFaults};
-use eavs_governors::by_name;
-use eavs_net::abr::{AbrAlgorithm, BufferBasedAbr, FixedAbr, RateBasedAbr};
-use eavs_net::bandwidth::BandwidthTrace;
+use eavs_fleet::campaign::{governor_choice, session_builder, SessionDraw};
+use eavs_fleet::spec::{AbrChoice, NetworkChoice, TitleSpec};
 use eavs_net::download::RetryPolicy;
 use eavs_net::radio::RadioModel;
 use eavs_power::DevicePowerModel;
-use eavs_sim::time::{SimDuration, NANOS_PER_SEC};
+use eavs_sim::names;
+use eavs_sim::time::SimDuration;
 use eavs_trace::content::ContentProfile;
 use eavs_trace::net_gen::NetworkProfile;
-use eavs_video::manifest::Manifest;
 
 /// A parsed `eavsctl` invocation.
 #[derive(Clone, Debug, PartialEq)]
@@ -189,7 +188,8 @@ pub struct RunArgs {
     pub network: String,
     /// Radio model: `wifi`, `lte` or `3g`.
     pub radio: String,
-    /// ABR: `fixed`, `rate` or `buffer` (uses the standard ladder).
+    /// ABR: `fixed` (the default: the title's one encode), or `rate` or
+    /// `buffer` over the standard ladder.
     pub abr: Option<String>,
     /// Workload seed.
     pub seed: u64,
@@ -260,18 +260,20 @@ USAGE:
 
 OPTIONS (with defaults):
   --governor eavs         eavs | performance | powersave | userspace |
-                          ondemand | conservative | interactive | schedutil
+                          ondemand | conservative | interactive | schedutil |
+                          eavs-panic (a campaign's eavs with panic recovery)
   --predictor hybrid      last | ewma | window-max | size-regression |
                           hybrid | oracle
   --content film          animation | film | sport
   --soc flagship2016      biglittle2013 | flagship2016 | midrange
   --cluster big           big | little | auto (eavs only)
-  --bitrate 6000          kbps
+  --bitrate 6000          kbps, positive
   --width 1920 --height 1080 --fps 30
-  --duration 60           seconds
+                          width and height in 1..=16384, fps in 1..=1000
+  --duration 60           seconds, positive
   --network constant:20   constant:<mbps> | wifi_home | lte_drive | hspa_tram
   --radio wifi            wifi | lte | 3g
-  --abr <none>            fixed | rate | buffer (switches to the 5-rung ladder)
+  --abr fixed             fixed (one encode) | rate | buffer (5-rung ladder)
   --seed 42
   --margin <default>      EAVS safety margin, e.g. 0.15
   --late-policy stall     stall | drop (what happens to late frames)
@@ -500,31 +502,21 @@ fn parse_fleet_args(args: &[String]) -> Result<FleetArgs, String> {
     Ok(out)
 }
 
+/// Parses the spec-shaping flags as `fleet` does, plus the client's own.
 fn parse_submit_args(args: &[String]) -> Result<SubmitArgs, String> {
     let mut out = SubmitArgs::default();
+    let mut spec_flags: Vec<String> = Vec::new();
     let mut it = args.iter();
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<&String, String> {
-            it.next().ok_or(format!("--{name} needs a value"))
-        };
         match flag.as_str() {
-            "--campaign" => out.fleet.campaign = value("campaign")?.clone(),
-            "--sessions" => out.fleet.sessions = Some(parse_num(value("sessions")?, "sessions")?),
-            "--seed" => out.fleet.seed = Some(parse_num(value("seed")?, "seed")?),
-            "--shard-size" => {
-                out.fleet.shard_size = Some(parse_num(value("shard-size")?, "shard-size")?);
-            }
-            "--governors" => {
-                out.fleet.governors =
-                    Some(value("governors")?.split(',').map(str::to_owned).collect());
-            }
-            "--power" => out.fleet.power = Some(value("power")?.clone()),
-            "--out" => out.fleet.out = Some(value("out")?.clone()),
-            "--addr" => out.addr = Some(value("addr")?.clone()),
+            "--addr" => out.addr = Some(it.next().ok_or("--addr needs a value")?.clone()),
             "--wait" => out.wait = true,
+            "--campaign" | "--sessions" | "--seed" | "--shard-size" | "--governors" | "--power"
+            | "--out" => spec_flags.extend([flag].into_iter().chain(it.next()).cloned()),
             other => return Err(format!("unknown flag {other:?}; try `eavsctl help`")),
         }
     }
+    out.fleet = parse_fleet_args(&spec_flags)?;
     if out.fleet.out.is_some() && !out.wait {
         return Err("--out needs --wait (the CSV is rendered from the final result)".to_owned());
     }
@@ -549,23 +541,9 @@ fn parse_status_args(args: &[String]) -> Result<StatusArgs, String> {
 }
 
 fn parse_remote_args(args: &[String], verb: &str) -> Result<RemoteArgs, String> {
-    let mut out = RemoteArgs::default();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--addr" => {
-                out.addr = Some(it.next().ok_or("--addr needs a value")?.clone());
-            }
-            other if !other.starts_with("--") && out.id.is_empty() => {
-                out.id = other.to_owned();
-            }
-            other => return Err(format!("unknown flag {other:?}; try `eavsctl help`")),
-        }
-    }
-    if out.id.is_empty() {
-        return Err(format!("{verb} needs a campaign id (see `eavsctl status`)"));
-    }
-    Ok(out)
+    let StatusArgs { id, addr } = parse_status_args(args)?;
+    let id = id.ok_or(format!("{verb} needs a campaign id (see `eavsctl status`)"))?;
+    Ok(RemoteArgs { id, addr })
 }
 
 fn parse_daemon_args(args: &[String]) -> Result<DaemonArgs, String> {
@@ -942,26 +920,27 @@ fn parse_num<T: std::str::FromStr>(raw: &str, name: &str) -> Result<T, String> {
         .map_err(|_| format!("bad value {raw:?} for --{name}"))
 }
 
+/// The governor `name` names: `eavs` with the `--predictor`, `--margin`
+/// and `--panic` flags, any other name as a campaign's governor matrix
+/// reads it.
 fn build_governor(args: &RunArgs, name: &str) -> Result<GovernorChoice, String> {
-    if name == "eavs" {
-        let predictor = predictor_by_name(&args.predictor)
-            .ok_or(format!("unknown predictor {:?}", args.predictor))?;
-        let mut config = EavsConfig::default();
-        if let Some(m) = args.margin {
-            if !(0.0..=2.0).contains(&m) {
-                return Err(format!("margin {m} outside [0, 2]"));
-            }
-            config.margin = m;
+    if name != "eavs" {
+        if args.panic_recovery {
+            return Err("--panic requires --governor eavs".to_owned());
         }
-        config.panic_recovery = args.panic_recovery;
-        Ok(GovernorChoice::Eavs(EavsGovernor::new(predictor, config)))
-    } else if args.panic_recovery {
-        Err("--panic requires --governor eavs".to_owned())
-    } else {
-        by_name(name)
-            .map(GovernorChoice::Baseline)
-            .ok_or(format!("unknown governor {name:?}"))
+        return governor_choice(name);
     }
+    let predictor = predictor_by_name(&args.predictor)
+        .ok_or(format!("unknown predictor {:?}", args.predictor))?;
+    let mut config = EavsConfig::default();
+    if let Some(m) = args.margin {
+        if !(0.0..=2.0).contains(&m) {
+            return Err(format!("margin {m} outside [0, 2]"));
+        }
+        config.margin = m;
+    }
+    config.panic_recovery = args.panic_recovery;
+    Ok(GovernorChoice::Eavs(EavsGovernor::new(predictor, config)))
 }
 
 fn build_faults(spec: &str) -> Result<Option<FaultPlan>, String> {
@@ -1025,56 +1004,12 @@ fn build_retry(spec: &str) -> Result<RetryPolicy, String> {
     })
 }
 
-fn build_soc(name: &str) -> Result<SocModel, String> {
-    SocModel::ALL
-        .into_iter()
-        .find(|s| s.name() == name)
-        .ok_or(format!("unknown soc {name:?}"))
-}
-
-fn build_content(name: &str) -> Result<ContentProfile, String> {
-    ContentProfile::ALL
-        .into_iter()
-        .find(|c| c.name() == name)
-        .ok_or(format!("unknown content {name:?}"))
-}
-
-fn build_network(
-    spec: &str,
-    manifest: &Manifest,
-    duration: SimDuration,
-    seed: u64,
-) -> Result<BandwidthTrace, String> {
-    if let Some(mbps) = spec.strip_prefix("constant:") {
-        let mbps: f64 = mbps
-            .parse()
-            .map_err(|_| format!("bad constant rate {mbps:?}"))?;
-        let bps = mbps * 1e6;
-        eavs_net::bandwidth::check_constant_rate(bps, manifest)?;
-        return Ok(BandwidthTrace::constant(bps));
-    }
-    NetworkProfile::ALL
-        .into_iter()
-        .find(|p| p.name() == spec)
-        .map(|p| p.generate(duration * 3, seed))
-        .ok_or(format!("unknown network {spec:?}"))
-}
-
 fn build_radio(name: &str) -> Result<RadioModel, String> {
     Ok(match name {
         "wifi" => RadioModel::wifi(),
         "lte" => RadioModel::lte(),
         "3g" | "umts" => RadioModel::umts_3g(),
         other => return Err(format!("unknown radio {other:?}")),
-    })
-}
-
-fn build_abr(name: &str) -> Result<Box<dyn AbrAlgorithm>, String> {
-    Ok(match name {
-        "fixed" => Box::new(FixedAbr::new(usize::MAX)), // top rung
-        "rate" => Box::new(RateBasedAbr::standard()),
-        "buffer" => Box::new(BufferBasedAbr::standard()),
-        other => return Err(format!("unknown abr {other:?}")),
     })
 }
 
@@ -1090,41 +1025,34 @@ pub fn run_session(args: &RunArgs, governor_name: &str) -> Result<SessionReport,
 /// Builds (without running) the session described by `args`, so callers
 /// can attach observers — `trace` hangs a ring sink off the same
 /// builder `run` uses, guaranteeing both see the identical workload.
-fn build_session(
-    args: &RunArgs,
-    governor_name: &str,
-) -> Result<eavs_core::session::SessionBuilder, String> {
-    let too_long = || {
-        format!(
-            "duration {} s is longer than a session can stream",
-            args.duration_s
-        )
+/// The session is a campaign draw, parsed, checked and built by the
+/// spec's own rules; only the knobs a campaign lacks are applied here.
+fn build_session(args: &RunArgs, governor_name: &str) -> Result<SessionBuilder, String> {
+    let title = TitleSpec {
+        bitrate_kbps: args.bitrate_kbps,
+        width: args.width,
+        height: args.height,
+        duration_s: args.duration_s,
+        fps: args.fps,
     };
-    if args.duration_s.checked_mul(NANOS_PER_SEC).is_none() {
-        return Err(too_long());
-    }
-    let duration = SimDuration::from_secs(args.duration_s.max(1));
-    let manifest = match &args.abr {
-        Some(_) => Manifest::standard_ladder(duration, args.fps.max(1)),
-        None => Manifest::single(
-            args.bitrate_kbps.max(1),
-            args.width.max(16),
-            args.height.max(16),
-            duration,
-            args.fps.max(1),
-        ),
+    let abr: AbrChoice = args.abr.as_deref().unwrap_or("fixed").parse()?;
+    let network: NetworkChoice = args.network.parse()?;
+    let manifest = title.manifest(abr)?;
+    network.check_streams(&manifest)?;
+    let draw = SessionDraw {
+        session_id: 0,
+        soc: args.soc.parse()?,
+        network,
+        trace_seed: args.seed,
+        content: args.content.parse()?,
+        title,
+        abr,
+        workload_seed: args.seed,
+        arrival_s: 0.0,
+        power: build_power(&args.power)?.unwrap_or_default(),
     };
-    if default_horizon(&manifest).is_none() {
-        return Err(too_long());
-    }
-    let network = build_network(&args.network, &manifest, duration, args.seed)?;
-    let mut builder = StreamingSession::builder(build_governor(args, governor_name)?)
-        .soc(build_soc(&args.soc)?)
-        .content(build_content(&args.content)?)
-        .manifest(manifest)
-        .network(network)
+    let mut builder = session_builder(&draw, build_governor(args, governor_name)?, manifest)
         .radio(build_radio(&args.radio)?)
-        .seed(args.seed)
         .cluster(match args.cluster.as_str() {
             "big" => ClusterSelect::Big,
             "little" => ClusterSelect::Little,
@@ -1135,20 +1063,14 @@ fn build_session(
                 ClusterSelect::Auto
             }
             other => return Err(format!("unknown cluster {other:?}")),
+        })
+        .late_policy(match args.late_policy.as_str() {
+            "stall" => eavs_video::display::LatePolicy::Stall,
+            "drop" => eavs_video::display::LatePolicy::Drop,
+            other => return Err(format!("unknown late policy {other:?}")),
         });
-    builder = builder.late_policy(match args.late_policy.as_str() {
-        "stall" => eavs_video::display::LatePolicy::Stall,
-        "drop" => eavs_video::display::LatePolicy::Drop,
-        other => return Err(format!("unknown late policy {other:?}")),
-    });
-    if let Some(abr) = &args.abr {
-        builder = builder.abr(build_abr(abr)?);
-    }
     if let Some(plan) = build_faults(&args.faults)? {
         builder = builder.faults(plan);
-    }
-    if let Some(model) = build_power(&args.power)? {
-        builder = builder.power(model);
     }
     if let Some(retry) = &args.retry {
         builder = builder.retry(build_retry(retry)?);
@@ -1157,19 +1079,12 @@ fn build_session(
         builder = builder.profile(true);
     }
     if let Some(path) = &args.prior {
+        // Project the store onto this title's encode key, as a campaign
+        // does, so clips trained in a campaign seed the matching
+        // single-session run. An absent key projects the empty prior:
+        // byte-identical to a cold run.
         let store = eavs_fleet::prior::load(std::path::Path::new(path))?;
-        // Project the store onto this workload's encode key — the same
-        // key `TitleSpec::key()` produces fleet-side — so clips trained
-        // in a campaign seed the matching single-session run. An absent
-        // key projects the empty prior: byte-identical to a cold run.
-        let key = format!(
-            "{}kbps-{}x{}@{}",
-            args.bitrate_kbps.max(1),
-            args.width.max(16),
-            args.height.max(16),
-            args.fps.max(1),
-        );
-        builder = builder.prior(store.session_prior(&key, &args.content));
+        builder = builder.prior(store.session_prior(&title.key(), draw.content.name()));
     }
     Ok(builder)
 }
@@ -1234,19 +1149,22 @@ pub fn execute(command: Command) -> Result<String, String> {
         Command::Status(args) => run_status(&args),
         Command::Cancel(args) => run_cancel(&args),
         Command::Daemon(args) => run_daemon_ctl(&args),
-        Command::List => {
-            let mut out = String::new();
-            out.push_str("governors: eavs performance powersave userspace ondemand conservative interactive schedutil\n");
-            out.push_str("predictors: last ewma window-max size-regression hybrid oracle\n");
-            out.push_str("contents: animation film sport\n");
-            out.push_str("socs: biglittle2013 flagship2016 midrange\n");
-            out.push_str("networks: constant:<mbps> wifi_home lte_drive hspa_tram\n");
-            out.push_str("radios: wifi lte 3g\n");
-            out.push_str("abr: fixed rate buffer\n");
-            out.push_str("faults: none storm light:<seed> heavy:<seed>\n");
-            out.push_str("power: none phone phone:<brightness>\n");
-            Ok(out)
-        }
+        Command::List => Ok(format!(
+            "governors: eavs performance powersave userspace ondemand conservative interactive schedutil
+predictors: last ewma window-max size-regression hybrid oracle
+contents: {}
+socs: {}
+networks: constant:<mbps> {}
+radios: wifi lte 3g
+abr: {}
+faults: none storm light:<seed> heavy:<seed>
+power: none phone phone:<brightness>
+",
+            names::join(&ContentProfile::ALL, ContentProfile::name),
+            names::join(&SocModel::ALL, SocModel::name),
+            names::join(&NetworkProfile::ALL, NetworkProfile::name),
+            names::join(&AbrChoice::ALL, AbrChoice::name),
+        )),
         Command::Run(args) => {
             let report = run_session(&args, &args.governor.clone())?;
             let mut out = format!("{report}\n");
@@ -1270,7 +1188,7 @@ pub fn execute(command: Command) -> Result<String, String> {
                     report.radio.tail_time.as_secs_f64(),
                     report.power.display_j,
                     report.power.decoder_j,
-                    report.radio.energy_j + report.power.total_j(),
+                    report.device_joules(),
                 ));
             }
             if let Some(profile) = &report.profile {
@@ -1977,5 +1895,265 @@ mod tests {
         };
         let report = run_session(&args, "eavs").unwrap();
         assert!(report.segments_downloaded >= 3);
+    }
+
+    #[test]
+    fn list_prints_the_committed_text() {
+        assert_eq!(
+            execute(Command::List).unwrap(),
+            include_str!("../tests/golden/eavsctl-list.txt")
+        );
+    }
+
+    #[test]
+    fn a_title_no_session_can_run_is_an_error_not_an_abort() {
+        let err = execute(Command::Run(RunArgs {
+            fps: 1_000_000_000,
+            duration_s: 4,
+            ..RunArgs::default()
+        }))
+        .unwrap_err();
+        assert!(err.contains("needs an fps in 1..=1000"), "{err}");
+    }
+
+    #[test]
+    fn the_printed_device_total_is_the_reports_device_sum() {
+        let args = RunArgs {
+            duration_s: 4,
+            power: "phone:0.8".to_owned(),
+            ..RunArgs::default()
+        };
+        let total = run_session(&args, "eavs").unwrap().device_joules();
+        let out = execute(Command::Run(args)).unwrap();
+        assert!(
+            out.contains(&format!("device total {total:.2} J\n")),
+            "{out}"
+        );
+    }
+
+    use eavs_daemon::json::Value;
+    use eavs_fleet::CampaignSpec;
+
+    /// The smoke spec's wire JSON with the first entry of mix `key`
+    /// naming `name`, decoded.
+    fn spec_naming(key: &str, item: &str, name: &str) -> Result<CampaignSpec, String> {
+        let wire = eavs_daemon::codec::encode_spec(&CampaignSpec::smoke());
+        let mut root = eavs_daemon::json::parse(&wire).unwrap();
+        let Value::Obj(members) = &mut root else {
+            panic!("a spec is an object")
+        };
+        let Some((_, Value::Arr(mix))) = members.iter_mut().find(|(k, _)| k == key) else {
+            panic!("no mix {key}")
+        };
+        let Value::Obj(entry) = &mut mix[0] else {
+            panic!("a mix entry is an object")
+        };
+        entry.iter_mut().find(|(k, _)| k == item).unwrap().1 = Value::Str(name.to_owned());
+        eavs_daemon::codec::decode_spec_value(&root)
+    }
+
+    /// A draw of a short smoke title whose trace and workload seeds are
+    /// both `seed`, as `--seed` sets them.
+    fn draw(
+        soc: SocModel,
+        network: NetworkChoice,
+        content: ContentProfile,
+        abr: AbrChoice,
+        seed: u64,
+    ) -> SessionDraw {
+        SessionDraw {
+            session_id: 0,
+            soc,
+            network,
+            trace_seed: seed,
+            content,
+            title: CampaignSpec::smoke().titles[(seed % 2) as usize].0,
+            abr,
+            workload_seed: seed,
+            arrival_s: 0.0,
+            power: DevicePowerModel::none(),
+        }
+    }
+
+    /// The flags naming every component of `draw`, with `--radio` naming
+    /// the radio a campaign pairs with its network.
+    fn args_for(draw: &SessionDraw) -> RunArgs {
+        let radio = match draw.network {
+            NetworkChoice::Profile(NetworkProfile::LteDrive) => "lte",
+            NetworkChoice::Profile(NetworkProfile::HspaTram) => "3g",
+            _ => "wifi",
+        };
+        RunArgs {
+            soc: draw.soc.name().to_owned(),
+            content: draw.content.name().to_owned(),
+            network: draw.network.name(),
+            radio: radio.to_owned(),
+            abr: Some(draw.abr.name().to_owned()),
+            bitrate_kbps: draw.title.bitrate_kbps,
+            width: draw.title.width,
+            height: draw.title.height,
+            fps: draw.title.fps,
+            duration_s: draw.title.duration_s,
+            seed: draw.workload_seed,
+            ..RunArgs::default()
+        }
+    }
+
+    fn cli_fingerprint(args: &RunArgs, governor: &str) -> Option<eavs_sim::Fingerprint> {
+        build_session(args, governor).unwrap().fingerprint()
+    }
+
+    /// `args` with the flag of the spec mix `key` set to `name`.
+    fn naming(key: &str, name: &str, args: RunArgs) -> RunArgs {
+        let name = name.to_owned();
+        match key {
+            "devices" => RunArgs { soc: name, ..args },
+            "contents" => RunArgs {
+                content: name,
+                ..args
+            },
+            "networks" => RunArgs {
+                network: name,
+                ..args
+            },
+            _ => RunArgs {
+                abr: Some(name),
+                ..args
+            },
+        }
+    }
+
+    #[test]
+    fn every_name_means_the_same_on_the_cli_and_in_a_spec() {
+        let socs = SocModel::ALL.map(SocModel::name);
+        let contents = ContentProfile::ALL.map(ContentProfile::name);
+        let profiles = NetworkProfile::ALL.map(NetworkProfile::name);
+        let networks = [
+            &profiles[..],
+            &["constant:20", "constant:0.5", "constant:1e1"],
+        ]
+        .concat();
+        let abrs = AbrChoice::ALL.map(AbrChoice::name);
+        for (key, item, names) in [
+            ("devices", "soc", &socs[..]),
+            ("contents", "content", &contents[..]),
+            ("networks", "network", &networks[..]),
+            ("abrs", "abr", &abrs[..]),
+        ] {
+            // The spec names `name` in one mix and keeps the smoke
+            // preset's first entry in the others; the CLI gets the same
+            // name as text beside the flags of that draw.
+            for name in names {
+                let s = spec_naming(key, item, name).unwrap();
+                let d = draw(
+                    s.devices[0].0,
+                    s.networks[0].0,
+                    s.contents[0].0,
+                    s.abrs[0].0,
+                    3,
+                );
+                let campaign = eavs_fleet::campaign::builder_for(&d, "eavs").unwrap();
+                let args = naming(key, name, args_for(&d));
+                assert_eq!(
+                    cli_fingerprint(&args, "eavs"),
+                    campaign.fingerprint(),
+                    "{name}"
+                );
+            }
+            let base = draw(
+                SocModel::Flagship2016,
+                NetworkChoice::Constant(20.0),
+                ContentProfile::Film,
+                AbrChoice::Fixed,
+                3,
+            );
+            for unknown in ["quantum", "", "Film", "wifi", "constant:", "constant:fast"] {
+                let in_spec = spec_naming(key, item, unknown).unwrap_err();
+                let args = naming(key, unknown, args_for(&base));
+                let on_cli = build_session(&args, "eavs").err().unwrap();
+                assert_eq!(in_spec, format!("spec.{key}[0].{item}: {on_cli}"));
+            }
+        }
+    }
+
+    #[test]
+    fn cli_sessions_are_campaign_sessions() {
+        let mut networks = vec![NetworkChoice::Constant(20.0), NetworkChoice::Constant(2.5)];
+        networks.extend(NetworkProfile::ALL.map(NetworkChoice::Profile));
+        let mut seed = 0;
+        for soc in SocModel::ALL {
+            for abr in AbrChoice::ALL {
+                for &network in &networks {
+                    seed += 1;
+                    let content = ContentProfile::ALL[seed as usize % 3];
+                    let d = draw(soc, network, content, abr, seed);
+                    for governor in ["eavs", "ondemand", "eavs-panic"] {
+                        let campaign = eavs_fleet::campaign::builder_for(&d, governor).unwrap();
+                        let fingerprint = cli_fingerprint(&args_for(&d), governor);
+                        assert!(fingerprint.is_some(), "{d:?}");
+                        assert_eq!(fingerprint, campaign.fingerprint(), "{d:?} {governor}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The name `pick` indexes in `names` (each repeated `weight` times,
+    /// so that most draws name a valid component), or `raw` past them.
+    fn text(names: &[&str], weight: usize, (pick, raw): (usize, String)) -> String {
+        names
+            .get(pick / weight)
+            .filter(|_| pick < names.len() * weight)
+            .map_or(raw, |n| (*n).to_owned())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// Any text for the component flags and any edge of the title
+        /// flags is refused with a one-line message or builds a session
+        /// that runs for one simulated second.
+        #[test]
+        fn any_description_is_refused_or_runs(
+            network in (0usize..17, "[a-z_:0-9.e-]{0,12}"),
+            soc in (0usize..10, "[a-z0-9]{0,14}"),
+            content in (0usize..10, "[a-z]{0,9}"),
+            abr in (0usize..10, "[a-z]{0,6}"),
+            title in (0usize..6, 0usize..10, 0usize..10, 0usize..10, 0usize..10),
+        ) {
+            // Names that stream, twice over, then names no session
+            // streams over.
+            let streams = ["constant:20", "constant:1e-6", "constant:2.5", "wifi_home", "lte_drive",
+                           "hspa_tram"];
+            let refused = ["constant:0", "constant:1e-300", "constant:nan", "constant:-3"];
+            let network = text(&[&streams[..], &streams, &refused].concat(), 1, network);
+            let soc = text(&SocModel::ALL.map(SocModel::name), 3, soc);
+            let content = text(&ContentProfile::ALL.map(ContentProfile::name), 3, content);
+            let abr = text(&AbrChoice::ALL.map(AbrChoice::name), 3, abr);
+            let (bitrate, width, height, fps, duration) = title;
+            let sides = [640, 1, 16_384, 1_920, 854, 360, 720, 0, 16_385, u32::MAX];
+            let args = RunArgs {
+                network,
+                soc,
+                content,
+                abr: Some(abr),
+                bitrate_kbps: [6_000, 1, u32::MAX, 1_500, 3_000, 0][bitrate],
+                width: sides[width],
+                height: sides[height],
+                fps: [30, 1, 1_000, 60, 24, 25, 50, 0, 1_001, u32::MAX][fps],
+                duration_s: [1, 4, 2, 10, 6, 3, 0, 3_100_000_000, u64::from(u32::MAX), u64::MAX]
+                    [duration],
+                ..RunArgs::default()
+            };
+            match build_session(&args, "eavs") {
+                Err(message) => {
+                    proptest::prop_assert!(!message.is_empty() && !message.contains('\n'), "{message:?}");
+                }
+                Ok(builder) => {
+                    let report = builder.horizon(eavs_sim::SimTime::from_secs(1)).run();
+                    proptest::prop_assert!(report.cpu_joules().is_finite(), "{args:?}");
+                }
+            }
+        }
     }
 }

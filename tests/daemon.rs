@@ -511,6 +511,37 @@ fn a_spec_no_session_can_stream_is_refused_and_the_daemon_stays_up() {
 }
 
 #[test]
+fn a_title_no_session_can_run_is_refused_and_the_daemon_serves_the_next() {
+    // A one-worker daemon: an accepted spec whose title aborts the
+    // process (a billion frames per second reserves 48 GB per segment)
+    // would take the daemon and its worker down with it.
+    let mut opts = daemon_opts("fps");
+    opts.workers = 1;
+    let daemon = Daemon::start(opts, pooled()).unwrap();
+    let addr = daemon.addr();
+    let mut spec = small_spec("fps-1e9");
+    spec.titles = vec![(spec.titles[0].0, 1.0)];
+    spec.titles[0].0.duration_s = 4;
+    spec.titles[0].0.fps = 1_000_000_000;
+    let (status, body) =
+        client::request_text(&addr, "POST", "/campaigns", &codec::encode_spec(&spec)).unwrap();
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("fps in 1..=1000"), "{body}");
+
+    let spec = small_spec("after-fps");
+    let (status, body) =
+        client::request_text(&addr, "POST", "/campaigns", &codec::encode_spec(&spec)).unwrap();
+    assert_eq!(status, 200, "{body}");
+    let id = registry::campaign_id(&spec);
+    assert_eq!(wait_terminal(&addr, &id), "complete");
+    let (status, served) =
+        client::request_text(&addr, "GET", &format!("/campaigns/{id}/result"), "").unwrap();
+    assert_eq!(status, 200);
+    assert_eq!(served, reference_bytes(&spec));
+    daemon.shutdown();
+}
+
+#[test]
 fn a_shard_partial_of_the_wrong_shape_is_refused_and_the_daemon_stays_up() {
     let spec = small_spec("daemon-shape");
     let expected = reference_bytes(&spec);
